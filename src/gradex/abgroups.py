@@ -243,9 +243,6 @@ class FGAbelianGroup:
             coords[self.free_rank + i] %= d
         return tuple(coords)
 
-    def identity_hom(self):
-        return GroupHom(self, self, _identity(self.dim))
-
     def __repr__(self):
         parts = ["Z"] * self.free_rank + [f"Z/{d}" for d in self.torsion_factors]
         return " x ".join(parts) if parts else "0"
@@ -397,15 +394,6 @@ class GroupHom:
         if sol is None:
             return None
         return self.source.element(sol[:self.source.dim])
-
-
-def zero_hom(source, target):
-    return GroupHom(source, target,
-                    [[0] * source.dim for _ in range(target.dim)])
-
-
-def projection_to_zero(source):
-    return GroupHom(source, ZERO_GROUP, [[] for _ in range(0)] or [])
 
 
 def kernel_data(h: GroupHom):

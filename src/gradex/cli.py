@@ -15,9 +15,9 @@ from fractions import Fraction
 
 from .abgroups import FGAbelianGroup, GroupHom, GroupError
 from . import exactla as la
-from .gcore import (GradedAlgebra, AlgebraError, SizeGuardExceeded,
-                    AffineMonoid, MonoidAlgebra, classify_ring,
-                    spec_enumerate, nilradical)
+from .gcore import (GradedAlgebra, AlgebraError, GradingViolation,
+                    SizeGuardExceeded, AffineMonoid, MonoidAlgebra,
+                    classify_ring, spec_enumerate, nilradical)
 from . import gfunct as gf
 from . import gmod as gm
 from . import ghom as gh
@@ -109,6 +109,8 @@ def _degrees_from_json(group, basis, path):
 
 
 def _sparse_tensor(n, entries, field, path, width=None):
+    """Dense tensor t[i][j][k] (i < n; j, k < width, default n) from the
+    entries [i, j, [[k, c]..]] of a ``mul`` or ``action`` list."""
     width = width if width is not None else n
     structure = [[[field.zero] * width for _ in range(width)]
                  for _ in range(n)]
@@ -146,34 +148,32 @@ def ring_from_json(doc, path="ring"):
     if len(doc["unit"]) != n:
         raise ValidationError(_jp(path, 'unit') + f': expected {n} coordinates')
     unit = [field.of(c) for c in doc["unit"]]
-    # name the offending triple before the constructor does, so schema
-    # violations carry a JSON path
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if structure[i][j][k] != 0 and \
-                        degrees[i] + degrees[j] != degrees[k]:
-                    raise ValidationError(
-                        _jp(path, 'mul') + f': structure constant ({i},{j},{k}) '
-                        "links mismatched degrees")
     try:
         return GradedAlgebra(group, field, degrees, structure, unit)
+    except GradingViolation as e:
+        raise ValidationError(_jp(path, 'mul') + f': {e}')
     except (AlgebraError, ValueError) as e:
         raise ValidationError(f"{path}: {e}")
 
 
-def ring_to_json(R: GradedAlgebra):
-    mul = []
-    for i in range(R.dim):
-        for j in range(R.dim):
-            terms = [[k, scalar_out(R.field, R.structure[i][j][k])]
-                     for k in range(R.dim) if R.structure[i][j][k] != 0]
+def _sparse_tensor_to_json(space):
+    """The nonzero entries of a ring's or module's tensor, in the
+    [i, j, [[k, c]..]] form _sparse_tensor reads."""
+    out = []
+    for i, block in enumerate(space.tensor):
+        for j, row in enumerate(block):
+            terms = [[k, scalar_out(space.field, c)]
+                     for k, c in enumerate(row) if c != 0]
             if terms:
-                mul.append([i, j, terms])
+                out.append([i, j, terms])
+    return out
+
+
+def ring_to_json(R: GradedAlgebra):
     return {"group": group_to_json(R.group),
             "field": field_to_json(R.field),
             "basis": [{"degree": list(d.coords)} for d in R.basis_degrees],
-            "mul": mul,
+            "mul": _sparse_tensor_to_json(R),
             "unit": [scalar_out(R.field, c) for c in R.unit]}
 
 
@@ -214,39 +214,20 @@ def module_from_json(doc, path="module"):
         raise ValidationError(_jp(path, 'ring') + ': modules need a '
                               "finite-dimensional ring")
     degrees = _degrees_from_json(R.group, doc["basis"], _jp(path, "basis"))
-    m = len(degrees)
-    entries = doc["action"]
-    action = [[[R.field.zero] * m for _ in range(m)] for _ in range(R.dim)]
-    for t, item in enumerate(entries):
-        if not isinstance(item, list) or len(item) != 3:
-            raise ValidationError(f"{path}.action[{t}]: expected "
-                                  "[i, j, [[k, c]..]]")
-        i, j, terms = item
-        if not (0 <= i < R.dim and 0 <= j < m):
-            raise ValidationError(f"{path}.action[{t}]: index out of range")
-        for s, kc in enumerate(terms):
-            k, c = kc
-            if not 0 <= k < m:
-                raise ValidationError(f"{path}.action[{t}][2][{s}]: index "
-                                      f"{k} out of range")
-            action[i][j][k] = R.field.of(c)
+    action = _sparse_tensor(R.dim, doc["action"], R.field,
+                            _jp(path, "action"), width=len(degrees))
     try:
         return gm.GradedModule(R, degrees, action)
+    except GradingViolation as e:
+        raise ValidationError(_jp(path, 'action') + f': {e}')
     except (gm.ModuleError, AlgebraError, ValueError) as e:
         raise ValidationError(f"{path}: {e}")
 
 
 def module_to_json(M: gm.GradedModule):
-    action = []
-    for i in range(M.algebra.dim):
-        for j in range(M.dim):
-            terms = [[k, scalar_out(M.field, M.action[i][j][k])]
-                     for k in range(M.dim) if M.action[i][j][k] != 0]
-            if terms:
-                action.append([i, j, terms])
     return {"ring": ring_to_json(M.algebra),
             "basis": [{"degree": list(d.coords)} for d in M.basis_degrees],
-            "action": action}
+            "action": _sparse_tensor_to_json(M)}
 
 
 def principal_from_json(doc, path="principal"):
@@ -361,11 +342,7 @@ def _emit(report, as_text):
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args):
-    doc = _load(args.object)
-    violations = schema_validate(doc)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    R = ring_from_json(doc)
+    R = ring_from_json(_load(args.object))
     if isinstance(R, MonoidAlgebra):
         rc = R.classify_ring()
     else:
@@ -378,8 +355,6 @@ def cmd_classify(args):
         else:
             o = orc.oracle_ring_class(R)
             report["oracle"] = o
-            report["oracle_agrees"] = (o == report if None not in
-                                       report.values() else None)
             report["oracle_agrees"] = all(
                 report[k] is None or report[k] == o[k] for k in o)
     return _emit(report, args.text)
@@ -453,26 +428,6 @@ def cmd_adjoint_check(args):
     return _emit(out, args.text)
 
 
-def oracle_free_search(M):
-    """Brute force over a finite field: is there a homogeneous tuple
-    whose free cover is an isomorphism onto M?"""
-    from itertools import combinations
-    if M.dim == 0:
-        return True
-    R = M.algebra
-    if M.dim % max(R.dim, 1) != 0:
-        return False
-    r = M.dim // R.dim
-    pool = list(M.homogeneous_vectors())
-    if len(pool) ** min(r, 2) > 2 ** 16:
-        raise SizeGuardExceeded("freeness oracle pool too large")
-    for combo in combinations(pool, r):
-        u = gm.free_cover_from_generators(M, list(combo))
-        if u.is_iso():
-            return True
-    return False
-
-
 def cmd_module(args):
     M = module_from_json(_load(args.object))
     rep = gm.freeness(M, seed=args.seed)
@@ -488,7 +443,7 @@ def cmd_module(args):
                          for g, m in rep.spec.entries]
     if args.oracle and M.field.is_finite:
         try:
-            out["oracle_free"] = oracle_free_search(M)
+            out["oracle_free"] = orc.oracle_free_search(M)
             out["oracle_agrees"] = (rep.free == out["oracle_free"])
         except SizeGuardExceeded:
             out["oracle_free"] = "skipped: too large"
@@ -590,66 +545,6 @@ def cmd_oracle_diff(args):
 # argument parsing and dispatch
 # ---------------------------------------------------------------------------
 
-KNOWN = {"classify", "coarsen", "restrict", "corestrict", "adjoint-check",
-         "module", "resolve", "pd", "id", "fd", "schanuel",
-         "coarsen-compare", "spec", "oracle-diff", "validate"}
-
-
-def _build_parser(default_seed):
-    top = argparse.ArgumentParser(prog="gradex", add_help=True)
-    sub = top.add_subparsers(dest="command")
-
-    def common(p, psi=False, phi=False, cutoff=None, n=False):
-        p.add_argument("object", help="JSON file path or inline JSON")
-        if psi:
-            p.add_argument("--psi", required=True)
-        if phi:
-            p.add_argument("--phi", required=True)
-        if cutoff is not None:
-            p.add_argument("--cutoff", type=int, default=cutoff)
-        if n:
-            p.add_argument("--n", type=int, default=1)
-        p.add_argument("--field", default=None,
-                       help="override field: Q or Fp:<p>")
-        p.add_argument("--seed", type=int, default=default_seed)
-        p.add_argument("--oracle", action="store_true")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="text", action="store_false",
-                         default=False)
-        fmt.add_argument("--text", dest="text", action="store_true")
-
-    common(sub.add_parser("classify"))
-    common(sub.add_parser("coarsen"), psi=True)
-    common(sub.add_parser("restrict"), phi=True)
-    common(sub.add_parser("corestrict"), phi=True)
-    common(sub.add_parser("adjoint-check"), phi=True)
-    common(sub.add_parser("module"))
-    common(sub.add_parser("resolve"), cutoff=8)
-    common(sub.add_parser("pd"), cutoff=8)
-    common(sub.add_parser("id"), cutoff=8)
-    common(sub.add_parser("fd"), cutoff=8)
-    common(sub.add_parser("schanuel"), n=True)
-    common(sub.add_parser("coarsen-compare"), psi=True, cutoff=6)
-    common(sub.add_parser("spec"))
-    common(sub.add_parser("oracle-diff"))
-    common(sub.add_parser("validate"))
-    return top
-
-
-def _apply_field_override(args):
-    if getattr(args, "field", None) is None:
-        return
-    spec = args.field
-    if spec == "Q":
-        return  # documents carry their own field; override is advisory
-    if not spec.startswith("Fp:"):
-        raise ValidationError('--field: expected "Q" or "Fp:<p>"')
-    try:
-        la.GF(int(spec[3:]))
-    except (ValueError, la.FieldError) as e:
-        raise ValidationError(f"--field: {e}")
-
-
 def cmd_validate(args):
     doc = _load(args.object)
     violations = schema_validate(doc)
@@ -677,11 +572,37 @@ DISPATCH = {
 }
 
 
+def _build_parser(default_seed):
+    top = argparse.ArgumentParser(prog="gradex", add_help=True)
+    sub = top.add_subparsers(dest="command")
+    cmd = {}
+    for name in DISPATCH:
+        p = cmd[name] = sub.add_parser(name)
+        p.add_argument("object", help="JSON file path or inline JSON")
+        fmt = p.add_mutually_exclusive_group()
+        fmt.add_argument("--json", dest="text", action="store_false",
+                         default=False)
+        fmt.add_argument("--text", dest="text", action="store_true")
+    # each option only on the subcommands that read it
+    for name in ("coarsen", "coarsen-compare"):
+        cmd[name].add_argument("--psi", required=True)
+    for name in ("restrict", "corestrict", "adjoint-check"):
+        cmd[name].add_argument("--phi", required=True)
+    for name in ("resolve", "pd", "id", "fd"):
+        cmd[name].add_argument("--cutoff", type=int, default=8)
+    cmd["coarsen-compare"].add_argument("--cutoff", type=int, default=6)
+    cmd["schanuel"].add_argument("--n", type=int, default=1)
+    for name in ("classify", "module"):
+        cmd[name].add_argument("--oracle", action="store_true")
+    cmd["module"].add_argument("--seed", type=int, default=default_seed)
+    return top
+
+
 def run(argv):
     if not argv or argv[0] in ("-h", "--help"):
         _build_parser(la.DEFAULT_SEED).print_help()
         return 0
-    if argv[0] not in KNOWN:
+    if argv[0] not in DISPATCH:
         print(json.dumps({"error": f"unknown subcommand {argv[0]!r}"}),
               file=sys.stderr)
         return 1
@@ -692,7 +613,6 @@ def run(argv):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        _apply_field_override(args)
         return DISPATCH[args.command](args) or 0
     except SizeGuardExceeded as e:
         print(json.dumps({"error": str(e), "kind": "size-guard"}),

@@ -106,6 +106,13 @@ def zeros(field, n, m):
     return [[field.zero] * m for _ in range(n)]
 
 
+def unit_vector(field, n, i):
+    """The i-th standard basis vector of field^n."""
+    v = [field.zero] * n
+    v[i] = field.one
+    return v
+
+
 def eye(field, n):
     M = zeros(field, n, n)
     for i in range(n):
@@ -138,10 +145,6 @@ def mat_vec_mul(field, A, v):
 
 def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
-
-
-def vec_sub(field, u, v):
-    return [field.sub(a, b) for a, b in zip(u, v)]
 
 
 def vec_scale(field, c, v):
@@ -245,7 +248,8 @@ def det(field, A):
 
 def mat_inverse(field, A):
     n = len(A)
-    aug = [A[i][:] + eye(field, n)[i] for i in range(n)]
+    I = eye(field, n)
+    aug = [A[i][:] + I[i] for i in range(n)]
     R, pivots = rref(field, aug)
     if pivots != list(range(n)):
         return None
@@ -266,6 +270,19 @@ def span_basis(field, vectors):
         return []
     R, pivots = rref(field, [list(v) for v in vectors])
     return [R[i] for i in range(len(pivots))]
+
+
+def complement_projection(field, basis, reps):
+    """Matrix P (len(reps) x n) of the projection onto span(reps) along
+    span(basis): every x is sum_i a_i basis_i + sum_t (P x)_t reps_t.
+    Together the vectors must form a basis of field^n; the matrix with
+    them as columns is inverted once."""
+    cols = list(basis) + list(reps)
+    inv = mat_inverse(field, [[v[r] for v in cols] for r in range(len(cols))])
+    if inv is None:
+        raise DimensionError("subspace basis and representatives do not "
+                             "form a basis")
+    return inv[len(basis):]
 
 
 def coords_in_basis(field, basis, v):

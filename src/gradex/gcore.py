@@ -6,6 +6,11 @@ automatic conversion between the two; each operation documents which one it
 accepts.  Predicates quantifying over infinitely many homogeneous elements
 are decided through theorems or exhaustive enumeration over finite fields,
 otherwise the answer is None ("undecided").
+
+Structure-constant algebras and the graded modules of ``gmod`` share one
+core, ``_GradedSpace``: a degree-labelled basis and one tensor for the
+action of the algebra's basis on it.  A ring is checked as its own
+regular module, plus commutativity and a homogeneous unit of degree 0.
 """
 
 from __future__ import annotations
@@ -48,100 +53,180 @@ HOMOGENEOUS_ENUM_LIMIT = 2 ** 20
 
 
 # ---------------------------------------------------------------------------
+# the core shared by algebras and modules
+# ---------------------------------------------------------------------------
+
+class _GradedSpace:
+    """A space over ``field`` with basis vectors v_j labelled by degrees
+    in ``group``, acted on by the basis x_i of a graded algebra through
+    one tensor: x_i . v_j = sum_k tensor[i][j][k] v_k.
+
+    The constructors of GradedAlgebra and GradedModule set group, field,
+    basis_degrees, dim and tensor (an algebra also its unit), then call
+    _check_module_axioms with the acting algebra (an algebra acts on
+    itself).  Each subclass names the exceptions raised for a basis
+    degree outside the group (_degree_error), a unit that does not act
+    as the identity (_unit_error) and a non-associative action
+    (_associativity_error).
+    """
+
+    def _check_module_axioms(self, R):
+        """Grading first, then the subclass's own axioms, then the unit
+        of R acts as the identity and the action is associative."""
+        f, t, deg, m = self.field, self.tensor, self.basis_degrees, self.dim
+        for d in deg:
+            if d.group != R.group:
+                raise self._degree_error("basis degree outside the grading "
+                                         "group")
+        for i in range(R.dim):
+            for j in range(m):
+                for k in range(m):
+                    if t[i][j][k] != 0 and \
+                            R.basis_degrees[i] + deg[j] != deg[k]:
+                        raise GradingViolation(
+                            f"tensor entry ({i},{j},{k}) links degrees "
+                            f"{R.basis_degrees[i]}+{deg[j]} != {deg[k]}")
+        self._check_ring_axioms()
+        basis = [la.unit_vector(f, m, j) for j in range(m)]
+        for j, e in enumerate(basis):
+            if self.act_vec(R.unit, e) != e:
+                raise self._unit_error(f"unit does not act as identity on "
+                                       f"v_{j}")
+        for i in range(R.dim):
+            x = la.unit_vector(f, R.dim, i)
+            for i2 in range(R.dim):
+                for j, e in enumerate(basis):
+                    # (x_i x_i2) v_j against x_i (x_i2 v_j)
+                    if self.act_vec(R.tensor[i][i2], e) != \
+                            self.act_vec(x, t[i2][j]):
+                        raise self._associativity_error(
+                            f"(x_{i} x_{i2}) v_{j} != x_{i} (x_{i2} v_{j})")
+
+    def _check_ring_axioms(self):
+        """Axioms beyond those of a module: none."""
+
+    # -- grading ---------------------------------------------------------
+
+    def degrees(self):
+        """Degree support, canonically ordered."""
+        return sorted(set(self.basis_degrees), key=lambda g: g.coords)
+
+    def component_indices(self, g):
+        return [j for j in range(self.dim) if self.basis_degrees[j] == g]
+
+    def hilbert(self):
+        """Degree -> dimension of the component."""
+        out = {}
+        for d in self.basis_degrees:
+            out[d] = out.get(d, 0) + 1
+        return out
+
+    # -- vectors ---------------------------------------------------------
+
+    def element(self, coords):
+        return [self.field.of(c) for c in coords]
+
+    def vec_degree(self, v):
+        """Degree of a nonzero homogeneous vector, or None."""
+        degs = {self.basis_degrees[j] for j, c in enumerate(v) if c != 0}
+        return degs.pop() if len(degs) == 1 else None
+
+    def homogeneous_components(self, v):
+        """Degree -> homogeneous part of the coordinate vector v."""
+        out = {}
+        for j, c in enumerate(v):
+            if c != 0:
+                w = out.setdefault(self.basis_degrees[j],
+                                   [self.field.zero] * self.dim)
+                w[j] = c
+        return out
+
+    def homogeneous_vectors(self, limit=HOMOGENEOUS_ENUM_LIMIT):
+        """All (degree, nonzero homogeneous element) pairs over a finite
+        field; refused when the components hold more than ``limit``
+        vectors in all."""
+        f = self.field
+        if not f.is_finite:
+            raise AlgebraError("cannot enumerate homogeneous elements over Q")
+        total = sum(f.p ** c for c in self.hilbert().values())
+        if total > limit:
+            raise SizeGuardExceeded(f"{total} homogeneous elements > {limit}")
+        for g in self.degrees():
+            idx = self.component_indices(g)
+            for vals in product(f.elements(), repeat=len(idx)):
+                if any(v != 0 for v in vals):
+                    coords = [f.zero] * self.dim
+                    for i, v in zip(idx, vals):
+                        coords[i] = v
+                    yield g, self.element(coords)
+
+    # -- action ----------------------------------------------------------
+
+    def act_vec(self, xcoords, v):
+        """Coordinates of x . v, x given in the acting algebra's basis."""
+        f = self.field
+        out = [f.zero] * self.dim
+        for i, xi in enumerate(xcoords):
+            if xi == 0:
+                continue
+            for j, vj in enumerate(v):
+                if vj == 0:
+                    continue
+                c = f.mul(xi, vj)
+                row = self.tensor[i][j]
+                for k in range(self.dim):
+                    if row[k] != 0:
+                        out[k] = f.add(out[k], f.mul(c, row[k]))
+        return out
+
+    def action_matrix(self, i):
+        """Matrix of x_i acting on the space (columns indexed by v_j)."""
+        return [[self.tensor[i][j][k] for j in range(self.dim)]
+                for k in range(self.dim)]
+
+
+# ---------------------------------------------------------------------------
 # structure-constant algebras
 # ---------------------------------------------------------------------------
 
-class GradedAlgebra:
+class GradedAlgebra(_GradedSpace):
     """Finite-dimensional commutative algebra with a degree-labelled basis.
 
     ``structure[i][j][k]`` is the coefficient of basis vector k in the
-    product of basis vectors i and j.  All invariants (grading
-    compatibility, commutativity, associativity, homogeneous unit) are
-    verified at construction.
+    product of basis vectors i and j.  At construction the algebra is
+    checked as its own regular module (grading, unit, associativity),
+    plus commutativity and a homogeneous unit of degree 0.
     """
+
+    _unit_error = UnitViolation
+    _associativity_error = AssociativityViolation
+    _degree_error = GradingViolation
 
     def __init__(self, group, field, basis_degrees, structure, unit):
         self.group = group
         self.field = field
         self.basis_degrees = tuple(basis_degrees)
-        self.dim = len(self.basis_degrees)
-        n = self.dim
-        self.structure = tuple(
+        self.dim = n = len(self.basis_degrees)
+        self.structure = self.tensor = tuple(
             tuple(tuple(field.of(structure[i][j][k]) for k in range(n))
                   for j in range(n))
             for i in range(n))
         self.unit = tuple(field.of(c) for c in unit)
         if len(self.unit) != n:
             raise UnitViolation("unit vector has wrong length")
-        for d in self.basis_degrees:
-            if d.group != group:
-                raise GradingViolation("basis degree outside the grading group")
-        self._check()
-        self._mult_matrices = [self._basis_mult_matrix(i) for i in range(n)]
+        self._check_module_axioms(self)
 
-    # -- construction-time checks ------------------------------------------
-
-    def _check(self):
-        n = self.dim
+    def _check_ring_axioms(self):
         c = self.structure
-        deg = self.basis_degrees
-        f = self.field
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    if c[i][j][k] != 0 and deg[i] + deg[j] != deg[k]:
-                        raise GradingViolation(
-                            f"structure constant ({i},{j},{k}) links "
-                            f"degrees {deg[i]}+{deg[j]} != {deg[k]}")
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                for k in range(self.dim):
                     if c[i][j][k] != c[j][i][k]:
                         raise CommutativityViolation(
                             f"c[{i}][{j}][{k}] != c[{j}][{i}][{k}]")
-        if n > 0:
-            if not self.element(self.unit).is_homogeneous_of(self.group.zero):
-                raise UnitViolation("unit is not homogeneous of degree 0")
-            for j in range(n):
-                ej = [f.one if t == j else f.zero for t in range(n)]
-                if self._raw_mul(list(self.unit), ej) != ej:
-                    raise UnitViolation(f"unit fails on basis vector {j}")
-        for i in range(n):
-            for j in range(n):
-                xij = self._raw_mul(self._basis_vec(i), self._basis_vec(j))
-                for l in range(n):
-                    left = self._raw_mul(xij, self._basis_vec(l))
-                    right = self._raw_mul(
-                        self._basis_vec(i),
-                        self._raw_mul(self._basis_vec(j), self._basis_vec(l)))
-                    if left != right:
-                        raise AssociativityViolation(
-                            f"(x{i} x{j}) x{l} != x{i} (x{j} x{l})")
-
-    def _basis_vec(self, i):
-        return [self.field.one if t == i else self.field.zero
-                for t in range(self.dim)]
-
-    def _raw_mul(self, x, y):
-        f, n, c = self.field, self.dim, self.structure
-        out = [f.zero] * n
-        for i in range(n):
-            if x[i] == 0:
-                continue
-            for j in range(n):
-                if y[j] == 0:
-                    continue
-                coef = f.mul(x[i], y[j])
-                for k in range(n):
-                    if c[i][j][k] != 0:
-                        out[k] = f.add(out[k], f.mul(coef, c[i][j][k]))
-        return out
-
-    def _basis_mult_matrix(self, i):
-        n = self.dim
-        M = la.zeros(self.field, n, n)
-        for j in range(n):
-            col = self._raw_mul(self._basis_vec(i), self._basis_vec(j))
-            for k in range(n):
-                M[k][j] = col[k]
-        return M
+        if any(a != 0 and d != self.group.zero
+               for d, a in zip(self.basis_degrees, self.unit)):
+            raise UnitViolation("unit is not homogeneous of degree 0")
 
     # -- elements ------------------------------------------------------------
 
@@ -149,7 +234,7 @@ class GradedAlgebra:
         return AlgebraElement(self, tuple(self.field.of(c) for c in coords))
 
     def basis_element(self, i):
-        return self.element(self._basis_vec(i))
+        return self.element(la.unit_vector(self.field, self.dim, i))
 
     @property
     def zero(self):
@@ -159,46 +244,18 @@ class GradedAlgebra:
     def one(self):
         return self.element(self.unit)
 
-    def degrees(self):
-        """Degree support, canonically ordered."""
-        return sorted(set(self.basis_degrees), key=lambda g: g.coords)
-
-    def component_indices(self, g):
-        return [i for i in range(self.dim) if self.basis_degrees[i] == g]
-
-    def component_dim(self, g):
-        return len(self.component_indices(g))
-
     def mult_matrix(self, x):
         """Matrix of multiplication by x on the chosen basis."""
         f, n = self.field, self.dim
         M = la.zeros(f, n, n)
-        for i in range(n):
-            if x.coords[i] == 0:
+        for i, xi in enumerate(x.coords):
+            if xi == 0:
                 continue
-            Mi = self._mult_matrices[i]
-            for r in range(n):
-                for s in range(n):
-                    if Mi[r][s] != 0:
-                        M[r][s] = f.add(M[r][s], f.mul(x.coords[i], Mi[r][s]))
+            for j in range(n):
+                for k, c in enumerate(self.structure[i][j]):
+                    if c != 0:
+                        M[k][j] = f.add(M[k][j], f.mul(xi, c))
         return M
-
-    def homogeneous_vectors(self, include_zero=False, limit=HOMOGENEOUS_ENUM_LIMIT):
-        """All (degree, element) pairs over a finite field."""
-        if not self.field.is_finite:
-            raise AlgebraError("cannot enumerate homogeneous elements over Q")
-        total = sum(self.field.p ** self.component_dim(g) for g in self.degrees())
-        if total > limit:
-            raise SizeGuardExceeded(f"{total} homogeneous elements > {limit}")
-        for g in self.degrees():
-            idx = self.component_indices(g)
-            for vals in product(self.field.elements(), repeat=len(idx)):
-                if not include_zero and all(v == 0 for v in vals):
-                    continue
-                coords = [self.field.zero] * self.dim
-                for i, v in zip(idx, vals):
-                    coords[i] = v
-                yield g, self.element(coords)
 
     def all_elements(self, limit=HOMOGENEOUS_ENUM_LIMIT):
         if not self.field.is_finite:
@@ -220,10 +277,6 @@ class GradedAlgebra:
 
     def __repr__(self):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
-
-
-def make_graded_algebra(group, field, basis_degrees, structure, unit):
-    return GradedAlgebra(group, field, basis_degrees, structure, unit)
 
 
 @dataclass(frozen=True)
@@ -249,18 +302,13 @@ class AlgebraElement:
         return sup == [] or sup == [g]
 
     def degree(self):
-        sup = self.support_degrees()
-        return sup[0] if len(sup) == 1 else None
+        return self.parent.vec_degree(self.coords)
 
     def homogeneous_components(self):
         """Map degree -> homogeneous part."""
         R = self.parent
-        out = {}
-        for g in self.support_degrees():
-            coords = [c if R.basis_degrees[i] == g else R.field.zero
-                      for i, c in enumerate(self.coords)]
-            out[g] = R.element(coords)
-        return out
+        return {g: R.element(v)
+                for g, v in R.homogeneous_components(self.coords).items()}
 
     def __add__(self, other):
         R = self.parent
@@ -278,7 +326,7 @@ class AlgebraElement:
     def __mul__(self, other):
         R = self.parent
         if isinstance(other, AlgebraElement):
-            return R.element(R._raw_mul(list(self.coords), list(other.coords)))
+            return R.element(R.act_vec(self.coords, other.coords))
         return R.element([R.field.mul(R.field.of(other), a) for a in self.coords])
 
     __rmul__ = __mul__
@@ -364,7 +412,7 @@ def classify_ring(R: GradedAlgebra) -> RingClass:
         except SizeGuardExceeded:
             pass
     reduced = nilradical(R).dim == 0
-    if all(R.component_dim(g) <= 1 for g in R.degrees()):
+    if all(c <= 1 for c in R.hilbert().values()):
         simple = entire = True
         for i in range(R.dim):
             cls = classify_element(R, R.basis_element(i))
@@ -467,44 +515,22 @@ def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim)."""
     f = R.field
-    ideal_vecs = a.vectors()
     rep_indices = []
     for g in R.degrees():
         idx = R.component_indices(g)
-        ibasis = a.component_bases.get(g, [])
-        restricted = [[v[i] for i in idx] for v in ibasis]
-        _, pivots = la.rref(f, restricted) if restricted else ([], [])
-        pivset = set(pivots)
+        restricted = [[v[i] for i in idx] for v in a.component_bases.get(g, [])]
+        pivset = set(la.rref(f, restricted)[1])
         for pos, i in enumerate(idx):
             if pos not in pivset:
                 rep_indices.append((g, i))
     # order reps canonically: by degree then index
     rep_indices.sort(key=lambda t: (t[0].coords, t[1]))
     q = len(rep_indices)
-    reps = []
-    for g, i in rep_indices:
-        v = [f.zero] * R.dim
-        v[i] = f.one
-        reps.append(v)
-    # projection: solve [ideal basis | reps] c = x, take the rep part
-    cols = ideal_vecs + reps
-    A = [[cols[c][r] for c in range(len(cols))] for r in range(R.dim)]
-    proj = la.zeros(f, q, R.dim)
-    for j in range(R.dim):
-        e = [f.one if t == j else f.zero for t in range(R.dim)]
-        sol = la.solve_linear(f, A, e)
-        if sol is None:
-            raise AlgebraError("internal: quotient basis is not complete")
-        for t in range(q):
-            proj[t][j] = sol[len(ideal_vecs) + t]
+    reps = [la.unit_vector(f, R.dim, i) for _, i in rep_indices]
+    proj = la.complement_projection(f, a.vectors(), reps)
     deg = [g for g, _ in rep_indices]
-    structure = [[[f.zero] * q for _ in range(q)] for _ in range(q)]
-    for i in range(q):
-        for j in range(q):
-            prod_vec = R._raw_mul(reps[i], reps[j])
-            red = la.mat_vec_mul(f, proj, prod_vec)
-            for k in range(q):
-                structure[i][j][k] = red[k]
+    structure = [[la.mat_vec_mul(f, proj, R.act_vec(reps[i], reps[j]))
+                  for j in range(q)] for i in range(q)]
     unit = la.mat_vec_mul(f, proj, list(R.unit))
     Q = GradedAlgebra(R.group, f, deg, structure, unit)
     lift = [[reps[j][i] for j in range(q)] for i in range(R.dim)]
@@ -519,10 +545,11 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
     if n == 0:
         return zero_ideal(R)
     if f.is_rational:
+        L = [R.action_matrix(i) for i in range(n)]
         gram = la.zeros(f, n, n)
         for i in range(n):
             for j in range(n):
-                prod_mat = la.mat_mul(f, R._mult_matrices[i], R._mult_matrices[j])
+                prod_mat = la.mat_mul(f, L[i], L[j])
                 gram[i][j] = _trace(f, prod_mat)
         nil_basis = la.kernel_basis(f, gram)
     else:
@@ -552,8 +579,7 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
         if others:
             coeffs = la.kernel_basis(f, A)
         else:
-            coeffs = [[f.one if t == s else f.zero for t in range(len(nil_basis))]
-                      for s in range(len(nil_basis))]
+            coeffs = la.eye(f, len(nil_basis))
         for cvec in coeffs:
             v = [f.zero] * n
             for c, b in zip(cvec, nil_basis):
@@ -569,22 +595,6 @@ def _trace(f, M):
     for i in range(len(M)):
         t = f.add(t, M[i][i])
     return t
-
-
-def is_zerodivisor_ideal(R: GradedAlgebra):
-    """zd(R): ideal generated by homogeneous zerodivisors; enumeration over
-    finite fields, None over Q unless all components have dimension <= 1."""
-    if R.field.is_finite:
-        gens = []
-        for _, x in R.homogeneous_vectors():
-            if not classify_element(R, x).regular:
-                gens.append(x)
-        return ideal_from_gens(R, gens)
-    if all(R.component_dim(g) <= 1 for g in R.degrees()):
-        gens = [R.basis_element(i) for i in range(R.dim)
-                if not classify_element(R, R.basis_element(i)).regular]
-        return ideal_from_gens(R, gens)
-    return None
 
 
 def radical(R: GradedAlgebra, a: GradedIdeal) -> GradedIdeal:
@@ -645,8 +655,7 @@ def spec_enumerate(R: GradedAlgebra):
     degs = R.degrees()
     per_degree = []
     for g in degs:
-        d = R.component_dim(g)
-        per_degree.append(_all_subspaces(f, d))
+        per_degree.append(_all_subspaces(f, len(R.component_indices(g))))
     primes = []
     for choice in product(*per_degree):
         vecs = []
@@ -719,11 +728,10 @@ def _intersect_subspaces(f, B1, B2, d):
 # affine monoids and monoid algebras
 # ---------------------------------------------------------------------------
 
-def _fourier_motzkin_feasible(rows):
-    """Feasibility of {w : row . w >= 1 for each row} over Q."""
-    # constraints as (coeffs, rhs) meaning coeffs . w >= rhs
-    cons = [([Fraction(c) for c in r], Fraction(1)) for r in rows]
-    nvars = len(rows[0]) if rows else 0
+def _fourier_motzkin_feasible(cons):
+    """Feasibility over Q of the constraints (coeffs, rhs), each meaning
+    coeffs . x >= rhs, by eliminating every variable in turn."""
+    nvars = len(cons[0][0]) if cons else 0
     for v in range(nvars):
         pos, neg, zero = [], [], []
         for coeffs, rhs in cons:
@@ -797,7 +805,9 @@ class AffineMonoid:
         gens = [g for g in self.generators if any(x != 0 for x in g)]
         if not gens:
             return SharpnessReport(True, "trivial")
-        if _fourier_motzkin_feasible([list(g) for g in gens]):
+        # pointed iff some w has g . w >= 1 for every nonzero generator g
+        if _fourier_motzkin_feasible(
+                [([Fraction(c) for c in g], Fraction(1)) for g in gens]):
             return SharpnessReport(True, "pointed-cone")
         wit = self._zero_combination(self.SHARP_SEARCH_BOUND)
         if wit is not None:
@@ -850,52 +860,20 @@ class AffineMonoid:
 
         if rec(0, bound, self.zero):
             return True
-        # pointed cone: bounded failure is conclusive when m is outside
-        # the rational cone, else report the bound
-        if not self._in_rational_cone(m):
-            return False
-        return None
-
-    def _in_rational_cone(self, m):
-        # m = sum lambda_i g_i with lambda_i >= 0: LP feasibility via
-        # Fourier-Motzkin on the lambda variables is exponential; instead
-        # check feasibility of the dual is skipped and a direct small
-        # elimination is used on the primal equality system.
+        # bounded failure is conclusive when m is outside the rational
+        # cone: no lambda >= 0 with sum lambda_i g_i = m, each equality
+        # written as two inequalities
         gens = [g for g in self.generators if any(x != 0 for x in g)]
-        if not gens:
-            return all(x == 0 for x in m)
-        k = len(gens)
-        # equalities sum lambda_i g_i = m, lambda_i >= 0: turn equalities
-        # into two inequalities and eliminate all lambda variables
         cons = []
         for t in range(self.ambient_dim):
-            cons.append(([Fraction(g[t]) for g in gens], Fraction(m[t]), 'eq'))
-        ineqs = []
-        for coeffs, rhs, _ in cons:
-            ineqs.append((coeffs[:], rhs))
-            ineqs.append(([-c for c in coeffs], -rhs))
-        for i in range(k):
-            unit = [Fraction(1) if j == i else Fraction(0) for j in range(k)]
-            ineqs.append((unit, Fraction(0)))
-        # eliminate lambda_1..lambda_k
-        for v in range(k):
-            pos, neg, zero = [], [], []
-            for coeffs, rhs in ineqs:
-                c = coeffs[v]
-                if c > 0:
-                    pos.append((coeffs, rhs))
-                elif c < 0:
-                    neg.append((coeffs, rhs))
-                else:
-                    zero.append((coeffs, rhs))
-            new = list(zero)
-            for pc, pr in pos:
-                for nc, nr in neg:
-                    a, b = pc[v], -nc[v]
-                    coeffs = [b * pc[t] + a * nc[t] for t in range(k)]
-                    new.append((coeffs, b * pr + a * nr))
-            ineqs = new
-        return all(rhs <= 0 for _, rhs in ineqs)
+            coeffs = [Fraction(g[t]) for g in gens]
+            cons.append((coeffs, Fraction(m[t])))
+            cons.append(([-c for c in coeffs], Fraction(-m[t])))
+        for i in range(len(gens)):
+            cons.append((la.unit_vector(la.QQ, len(gens), i), Fraction(0)))
+        if not _fourier_motzkin_feasible(cons):
+            return False
+        return None
 
     def is_invertible(self, m):
         neg = tuple(-x for x in m)

@@ -47,19 +47,18 @@ class AlgebraMorphism:
         A, B = self.source, self.target
         if A.group != B.group:
             raise FunctorError("morphism between different grading groups")
-        f = B.field
+        # column j is the image of basis vector j
+        cols = [[row[j] for row in self.matrix] for j in range(A.dim)]
         for j in range(A.dim):
-            img = self.apply_vec(A._basis_vec(j))
-            if not B.element(img).is_homogeneous_of(A.basis_degrees[j]):
+            if not B.element(cols[j]).is_homogeneous_of(A.basis_degrees[j]):
                 raise FunctorError(f"image of basis vector {j} is not "
                                    f"homogeneous of its degree")
         if self.apply_vec(list(A.unit)) != list(B.unit):
             raise FunctorError("morphism does not preserve the unit")
         for i in range(A.dim):
             for j in range(A.dim):
-                lhs = self.apply_vec(A._raw_mul(A._basis_vec(i), A._basis_vec(j)))
-                rhs = B._raw_mul(self.apply_vec(A._basis_vec(i)),
-                                 self.apply_vec(A._basis_vec(j)))
+                lhs = self.apply_vec(list(A.structure[i][j]))
+                rhs = B.act_vec(cols[i], cols[j])
                 if lhs != rhs:
                     raise FunctorError("morphism is not multiplicative")
 
@@ -79,10 +78,6 @@ class AlgebraMorphism:
         if self.target.dim != n:
             return False
         return self.matrix == la.eye(self.target.field, n)
-
-
-def identity_morphism(R):
-    return AlgebraMorphism(R, R, la.eye(R.field, R.dim), check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +197,6 @@ def restrict_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
     S2, kept2 = restrict_with_indices(h.target, phi)
     M = [[h.matrix[i][j] for j in kept1] for i in kept2]
     return AlgebraMorphism(S1, S2, M)
-
-
-def extend_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
-    return AlgebraMorphism(extend(h.source, phi), extend(h.target, phi),
-                           h.matrix)
 
 
 def corestrict_morphism(h: AlgebraMorphism, phi: GroupHom,

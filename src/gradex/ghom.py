@@ -98,7 +98,7 @@ def minimal_generators(M: GradedModule):
     chosen = []
     span = list(rad)
     for j in sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t)):
-        e = [f.one if t == j else f.zero for t in range(M.dim)]
+        e = la.unit_vector(f, M.dim, j)
         if not la.in_span(f, span, e):
             chosen.append(e)
             # redundancy is modulo the submodule generated so far, not
@@ -232,9 +232,7 @@ def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
         if minimal:
             p = minimal_cover(K)
         else:
-            gens = [[K.field.one if t == j else K.field.zero
-                     for t in range(K.dim)] for j in range(K.dim)]
-            p = free_cover_from_generators(K, gens)
+            p = free_cover_from_generators(K, la.eye(K.field, K.dim))
         covers.append(p)
         Knext, incl = kernel(p)
         incls.append(incl)
@@ -289,11 +287,11 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     lhsD, jK, jQ0 = direct_sum(K, Q0)
     cols = []
     for j in range(K.dim):
-        e = [f.one if t == j else f.zero for t in range(K.dim)]
+        e = la.unit_vector(f, K.dim, j)
         vecP = la.mat_vec_mul(f, inclA.matrix, e)
         cols.append(into_R(la.mat_vec_mul(f, jP.matrix, vecP)))
     for j in range(Q0.dim):
-        e = [f.one if t == j else f.zero for t in range(Q0.dim)]
+        e = la.unit_vector(f, Q0.dim, j)
         vecP = la.mat_vec_mul(f, tQ.matrix, e)
         vecD = la.vec_add(f, la.mat_vec_mul(f, jP.matrix, vecP),
                           la.mat_vec_mul(f, jQ.matrix, e))
@@ -305,11 +303,11 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     rhsD, jL, jP0 = direct_sum(L, P0)
     cols = []
     for j in range(L.dim):
-        e = [f.one if t == j else f.zero for t in range(L.dim)]
+        e = la.unit_vector(f, L.dim, j)
         vecQ = la.mat_vec_mul(f, inclB.matrix, e)
         cols.append(into_R(la.mat_vec_mul(f, jQ.matrix, vecQ)))
     for j in range(P0.dim):
-        e = [f.one if t == j else f.zero for t in range(P0.dim)]
+        e = la.unit_vector(f, P0.dim, j)
         vecQ = la.mat_vec_mul(f, tP.matrix, e)
         vecD = la.vec_add(f, la.mat_vec_mul(f, jP.matrix, e),
                           la.mat_vec_mul(f, jQ.matrix, vecQ))

@@ -2,8 +2,11 @@
 symbolic one-variable-polynomial side used for the principal-ring
 decomposition and the superfluous-inclusion counterexample.
 
-A module is a coordinate space with an action tensor; everything a
-morphism touches (kernels, images, cokernels, HOM, tensor) is built by
+A module is a coordinate space with an action tensor.  It rests on the
+same core as an algebra (``gcore._GradedSpace``): degrees, the action on
+vectors, homogeneous enumeration and the one check of the module axioms
+are shared, and a ring is checked as its own regular module.  Everything
+a morphism touches (kernels, images, cokernels, HOM, tensor) is built by
 exact linear algebra per degree, so the induced gradings come out of the
 construction instead of being bolted on afterwards.
 """
@@ -15,8 +18,7 @@ from itertools import product
 
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
-from .gcore import (GradedAlgebra, AlgebraError, GradingViolation,
-                    SizeGuardExceeded, nilradical)
+from .gcore import GradedAlgebra, _GradedSpace, nilradical
 
 
 class ModuleError(ValueError):
@@ -27,134 +29,25 @@ class ModuleError(ValueError):
 # graded modules
 # ---------------------------------------------------------------------------
 
-class GradedModule:
+class GradedModule(_GradedSpace):
     """Finite-dimensional graded module given by an action tensor:
     x_i . v_j = sum_k action[i][j][k] v_k."""
 
+    _degree_error = _unit_error = _associativity_error = ModuleError
+
     def __init__(self, algebra: GradedAlgebra, basis_degrees, action):
         self.algebra = algebra
-        f = algebra.field
-        self.field = f
+        self.group = algebra.group
+        self.field = f = algebra.field
         self.basis_degrees = tuple(basis_degrees)
-        self.dim = len(self.basis_degrees)
-        m, n = self.dim, algebra.dim
-        self.action = tuple(
+        self.dim = m = len(self.basis_degrees)
+        self.action = self.tensor = tuple(
             tuple(tuple(f.of(action[i][j][k]) for k in range(m))
-                  for j in range(m)) for i in range(n))
-        for d in self.basis_degrees:
-            if d.group != algebra.group:
-                raise ModuleError("module degree outside the grading group")
-        self._check()
-
-    def _check(self):
-        R, a = self.algebra, self.action
-        n, m = R.dim, self.dim
-        for i in range(n):
-            for j in range(m):
-                for k in range(m):
-                    if a[i][j][k] != 0 and (R.basis_degrees[i]
-                                            + self.basis_degrees[j]
-                                            != self.basis_degrees[k]):
-                        raise GradingViolation(
-                            f"action entry ({i},{j},{k}) violates the grading")
-        f = self.field
-        for j in range(m):
-            e = [f.one if t == j else f.zero for t in range(m)]
-            if self.act_vec(list(R.unit), e) != e:
-                raise ModuleError(f"unit does not act as identity on v_{j}")
-        for i in range(n):
-            for j in range(n):
-                xij = R._raw_mul(R._basis_vec(i), R._basis_vec(j))
-                for t in range(m):
-                    v = [f.one if s == t else f.zero for s in range(m)]
-                    lhs = self.act_vec(xij, v)
-                    rhs = self.act_vec(R._basis_vec(i),
-                                       self.act_vec(R._basis_vec(j), v))
-                    if lhs != rhs:
-                        raise ModuleError(
-                            f"action not associative at (x_{i}, x_{j}, v_{t})")
-
-    # -- action ----------------------------------------------------------
-
-    def action_matrix(self, i):
-        """Matrix of x_i acting on the module (columns indexed by v_j)."""
-        return [[self.action[i][j][k] for j in range(self.dim)]
-                for k in range(self.dim)]
-
-    def act_vec(self, xcoords, v):
-        f = self.field
-        out = [f.zero] * self.dim
-        for i, xi in enumerate(xcoords):
-            if xi == 0:
-                continue
-            for j, vj in enumerate(v):
-                if vj == 0:
-                    continue
-                c = f.mul(xi, vj)
-                row = self.action[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] = f.add(out[k], f.mul(c, row[k]))
-        return out
+                  for j in range(m)) for i in range(algebra.dim))
+        self._check_module_axioms(algebra)
 
     def act(self, x, v):
         return self.act_vec(list(x.coords), v)
-
-    # -- grading ---------------------------------------------------------
-
-    def degrees(self):
-        seen, out = set(), []
-        for d in self.basis_degrees:
-            if d not in seen:
-                seen.add(d)
-                out.append(d)
-        return out
-
-    def component_indices(self, g):
-        return [j for j in range(self.dim) if self.basis_degrees[j] == g]
-
-    def vec_degree(self, v):
-        """Degree of a homogeneous vector, or None."""
-        degs = {self.basis_degrees[j] for j, c in enumerate(v) if c != 0}
-        return degs.pop() if len(degs) == 1 else None
-
-    def is_homogeneous_vec(self, v):
-        return len({self.basis_degrees[j] for j, c in enumerate(v)
-                    if c != 0}) <= 1
-
-    def homogeneous_components(self, v):
-        out = {}
-        for j, c in enumerate(v):
-            if c != 0:
-                d = self.basis_degrees[j]
-                w = out.setdefault(d, [self.field.zero] * self.dim)
-                w[j] = c
-        return out
-
-    def homogeneous_vectors(self, include_zero=False, limit=2 ** 16):
-        """All nonzero homogeneous vectors over a finite field."""
-        f = self.field
-        if not f.is_finite:
-            raise AlgebraError("homogeneous enumeration needs a finite field")
-        if include_zero:
-            yield [f.zero] * self.dim
-        for g in self.degrees():
-            idx = self.component_indices(g)
-            if f.p ** len(idx) > limit:
-                raise SizeGuardExceeded("component too large to enumerate")
-            for vals in product(f.elements(), repeat=len(idx)):
-                if all(v == 0 for v in vals):
-                    continue
-                v = [f.zero] * self.dim
-                for j, c in zip(idx, vals):
-                    v[j] = c
-                yield v
-
-    def hilbert(self):
-        out = {}
-        for d in self.basis_degrees:
-            out[d] = out.get(d, 0) + 1
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)
@@ -293,7 +186,7 @@ def _module_on_subspace(M: GradedModule, basis):
     for i in range(R.dim):
         block = []
         for b in basis:
-            w = M.act_vec(M.algebra._basis_vec(i), b)
+            w = M.act_vec(la.unit_vector(f, R.dim, i), b)
             coords = la.coords_in_basis(f, basis, w)
             if coords is None:
                 raise ModuleError("subspace is not closed under the action")
@@ -329,7 +222,7 @@ def generated_submodule(M: GradedModule, gens):
         grew = False
         for b in current:
             for i in range(R.dim):
-                w = M.act_vec(R._basis_vec(i), b)
+                w = M.act_vec(la.unit_vector(f, R.dim, i), b)
                 if not la.in_span(f, new, w):
                     new.append(w)
                     grew = True
@@ -355,44 +248,28 @@ def image(u: ModuleMorphism):
     return _module_on_subspace(u.target, basis)
 
 
+def _complement_indices(f, sub, n):
+    """Indices j of the unit vectors that complete a basis of span(sub)
+    to one of f^n, taken greedily in index order: e_j is skipped exactly
+    when some vector of the span has its last nonzero coordinate at j."""
+    _, pivots = la.rref(f, [v[::-1] for v in sub])
+    ends = {n - 1 - p for p in pivots}
+    return [j for j in range(n) if j not in ends]
+
+
 def cokernel(u: ModuleMorphism):
     """(cokernel module, projection from the target)."""
     T, f, R = u.target, u.target.field, u.target.algebra
     img = _homogeneous_span_basis(
         T, [[u.matrix[k][j] for k in range(T.dim)]
             for j in range(u.source.dim)])
-    reps = []
-    for j in range(T.dim):
-        e = [f.one if t == j else f.zero for t in range(T.dim)]
-        if not la.in_span(f, img + reps, e):
-            reps.append(e)
-    degrees = [T.basis_degrees[next(j for j, c in enumerate(r) if c != 0)]
-               for r in reps]
-
-    def project(v):
-        A = [[(img + reps)[c][r] for c in range(len(img) + len(reps))]
-             for r in range(T.dim)]
-        sol = la.solve_linear(f, A, v)
-        return sol[len(img):]
-
-    action = []
-    for i in range(R.dim):
-        block = []
-        for r in reps:
-            block.append(project(T.act_vec(R._basis_vec(i), r)))
-        action.append(block)
-    C = GradedModule(R, degrees, action)
-    proj = [[f.zero] * T.dim for _ in range(len(reps))]
-    for j in range(T.dim):
-        e = [f.one if t == j else f.zero for t in range(T.dim)]
-        col = project(e)
-        for t in range(len(reps)):
-            proj[t][j] = col[t]
+    js = _complement_indices(f, img, T.dim)
+    proj = la.complement_projection(
+        f, img, [la.unit_vector(f, T.dim, j) for j in js])
+    action = [[la.mat_vec_mul(f, proj, list(T.action[i][j])) for j in js]
+              for i in range(R.dim)]
+    C = GradedModule(R, [T.basis_degrees[j] for j in js], action)
     return C, ModuleMorphism(T, C, proj, check=False)
-
-
-def hilbert(M: GradedModule):
-    return M.hilbert()
 
 
 def hilbert_coarsen(h, psi: GroupHom):
@@ -457,9 +334,8 @@ def graded_hom(M: GradedModule, N: GradedModule):
                         if j2 == j:
                             row[s] = f.sub(row[s], B[k][k2])
                     rows.append(row)
-        for sol in la.kernel_basis(f, rows) if rows else \
-                [[f.one if t == s else f.zero for t in range(len(slots))]
-                 for s in range(len(slots))]:
+        for sol in (la.kernel_basis(f, rows) if rows
+                    else la.eye(f, len(slots))):
             F = la.zeros(f, N.dim, M.dim)
             for s, (k, j) in enumerate(slots):
                 F[k][j] = sol[s]
@@ -489,18 +365,12 @@ def tensor(M: GradedModule, N: GradedModule):
     R, f = M.algebra, M.field
     m, n = M.dim, N.dim
     dims = m * n
-
-    def deg(idx):
-        return M.basis_degrees[idx // n] + N.basis_degrees[idx % n]
-
     rels = []
     for i in range(R.dim):
         for j in range(m):
-            xm = M.act_vec(R._basis_vec(i), [f.one if t == j else f.zero
-                                             for t in range(m)])
+            xm = M.action[i][j]
             for k in range(n):
-                xn = N.act_vec(R._basis_vec(i), [f.one if t == k else f.zero
-                                                 for t in range(n)])
+                xn = N.action[i][k]
                 v = [f.zero] * dims
                 for j2 in range(m):
                     v[j2 * n + k] = f.add(v[j2 * n + k], xm[j2])
@@ -508,43 +378,23 @@ def tensor(M: GradedModule, N: GradedModule):
                     v[j * n + k2] = f.sub(v[j * n + k2], xn[k2])
                 if not la.is_zero_vec(v):
                     rels.append(v)
-    rel_basis = la.span_basis(f, rels) if rels else []
-    reps = []
-    for idx in range(dims):
-        e = [f.one if t == idx else f.zero for t in range(dims)]
-        if not la.in_span(f, rel_basis + reps, e):
-            reps.append(e)
-    q = len(reps)
-    A = [[(rel_basis + reps)[c][r] for c in range(len(rel_basis) + q)]
-         for r in range(dims)]
-
-    def project(v):
-        return la.solve_linear(f, A, v)[len(rel_basis):]
-
-    degrees = [deg(next(i for i, c in enumerate(r) if c != 0)) for r in reps]
+    rel_basis = la.span_basis(f, rels)
+    js = _complement_indices(f, rel_basis, dims)
+    proj = la.complement_projection(
+        f, rel_basis, [la.unit_vector(f, dims, idx) for idx in js])
+    degrees = [M.basis_degrees[idx // n] + N.basis_degrees[idx % n]
+               for idx in js]
     action = []
     for i in range(R.dim):
         block = []
-        for r in reps:
+        for idx in js:
+            j, k = divmod(idx, n)
             w = [f.zero] * dims
-            for idx, c in enumerate(r):
-                if c == 0:
-                    continue
-                j, k = divmod(idx, n)
-                xm = M.act_vec(R._basis_vec(i),
-                               [f.one if t == j else f.zero for t in range(m)])
-                for j2 in range(m):
-                    if xm[j2] != 0:
-                        w[j2 * n + k] = f.add(w[j2 * n + k], f.mul(c, xm[j2]))
-            block.append(project(w))
+            for j2, c in enumerate(M.action[i][j]):
+                w[j2 * n + k] = c
+            block.append(la.mat_vec_mul(f, proj, w))
         action.append(block)
     T = GradedModule(R, degrees, action)
-    proj = la.zeros(f, q, dims)
-    for idx in range(dims):
-        e = [f.one if t == idx else f.zero for t in range(dims)]
-        col = project(e)
-        for t in range(q):
-            proj[t][idx] = col[t]
     return T, proj
 
 
@@ -660,7 +510,7 @@ def free_cover_from_generators(M: GradedModule, gens):
     cols = {}
     for t, g in enumerate(gens):
         for j in range(R.dim):
-            cols[blocks[t][j]] = M.act_vec(R._basis_vec(j), g)
+            cols[blocks[t][j]] = M.act_vec(la.unit_vector(f, R.dim, j), g)
     matrix = [[cols[c][k] for c in range(F.dim)] for k in range(M.dim)]
     return ModuleMorphism(F, M, matrix)
 
@@ -679,7 +529,7 @@ def _candidate_specs(M: GradedModule):
     """All multisets of generator degrees whose shifted copies of R add
     up to the Hilbert function of M, in canonical order."""
     R = M.algebra
-    hR = regular_module(R).hilbert()
+    hR = R.hilbert()
     target = {d: c for d, c in M.hilbert().items()}
     degree_order = sorted(target, key=lambda d: d.coords)
     results = []
@@ -746,7 +596,7 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
         span = []
         for j in sorted(range(M.dim),
                         key=lambda t: (M.basis_degrees[t].coords, t)):
-            e = [M.field.one if t == j else M.field.zero for t in range(M.dim)]
+            e = la.unit_vector(M.field, M.dim, j)
             if not la.in_span(M.field, span, e):
                 basis.append(e)
                 span = _submodule_span(M, basis)
@@ -799,8 +649,9 @@ def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
             m = [f.zero] * M.dim
             for j, c in zip(idx, vals):
                 m[j] = f.of(c)
-            return [[M.act_vec(R._basis_vec(i), m)[t] for i in range(R.dim)]
-                    for t in range(M.dim)]
+            cols = [M.act_vec(la.unit_vector(f, R.dim, i), m)
+                    for i in range(R.dim)]
+            return [[c[t] for c in cols] for t in range(M.dim)]
         if f.is_finite and f.p ** k <= 2 ** 16:
             for vals in product(f.elements(), repeat=k):
                 if la.rank(f, gen_matrix(vals)) == M.dim:
@@ -835,9 +686,7 @@ def radical_submodule(M: GradedModule):
     vecs = []
     for v in nil.vectors():
         for j in range(M.dim):
-            e = [M.field.one if t == j else M.field.zero
-                 for t in range(M.dim)]
-            vecs.append(M.act_vec(list(v), e))
+            vecs.append(M.act_vec(v, la.unit_vector(M.field, M.dim, j)))
     return _homogeneous_span_basis(M, vecs)
 
 
@@ -849,15 +698,12 @@ def socle_submodule(M: GradedModule):
     for v in nil.vectors():
         A = [[f.zero] * M.dim for _ in range(M.dim)]
         for j in range(M.dim):
-            e = [f.one if t == j else f.zero for t in range(M.dim)]
-            w = M.act_vec(list(v), e)
+            w = M.act_vec(v, la.unit_vector(f, M.dim, j))
             for kk in range(M.dim):
                 A[kk][j] = w[kk]
         rows.extend(A)
     if not rows:
-        return _homogeneous_span_basis(
-            M, [[f.one if t == j else f.zero for t in range(M.dim)]
-                for j in range(M.dim)])
+        return _homogeneous_span_basis(M, la.eye(f, M.dim))
     return _homogeneous_span_basis(M, la.kernel_basis(f, rows))
 
 
@@ -898,18 +744,6 @@ def poly_trim(c):
     while c and c[-1] == 0:
         c = c[:-1]
     return c
-
-
-def poly_mul(f, a, b):
-    if not a or not b:
-        return []
-    out = [f.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = f.add(out[i + j], f.mul(x, y))
-    return poly_trim(out)
 
 
 def poly_divmod(f, a, b):
@@ -965,13 +799,6 @@ class PrincipalPresentation:
                     for i, (c, k) in enumerate(col) if c != 0}
             if len(degs) > 1:
                 raise ModuleError("generator column is not homogeneous")
-
-
-def _column_degree(P, col):
-    for i, (c, k) in enumerate(col):
-        if c != 0:
-            return P.ambient_degrees[i] + P.var_degree.scale(k)
-    return None
 
 
 def principal_decompose(P: PrincipalPresentation):

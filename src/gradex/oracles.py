@@ -8,10 +8,10 @@ against ground truth on finite-field samples.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 from .gcore import GradedAlgebra, SizeGuardExceeded
-from .gmod import GradedModule, ModuleMorphism
+from .gmod import GradedModule, ModuleMorphism, free_cover_from_generators
 
 ENUM_LIMIT = 2 ** 20
 SUBMODULE_LIMIT = 2 ** 16
@@ -235,6 +235,24 @@ def enumerate_morphisms(M: GradedModule, N: GradedModule):
         if ok:
             out.append(tuple(tuple(r) for r in mat))
     return sorted(out)
+
+
+def oracle_free_search(M: GradedModule):
+    """Brute force over a finite field: is there a homogeneous tuple
+    whose free cover is an isomorphism onto M?"""
+    if M.dim == 0:
+        return True
+    R = M.algebra
+    if M.dim % max(R.dim, 1) != 0:
+        return False
+    r = M.dim // R.dim
+    pool = [v for _, v in M.homogeneous_vectors(limit=2 ** 16)]
+    if len(pool) ** min(r, 2) > 2 ** 16:
+        raise SizeGuardExceeded("freeness oracle pool too large")
+    for combo in combinations(pool, r):
+        if free_cover_from_generators(M, list(combo)).is_iso():
+            return True
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -119,15 +119,9 @@ def coarsening_pairs():
         (truncated_polynomial_algebra(GF(3), 2), psi_Z_to_Zmod(3)),
         (trivial_algebra(GF(3), Z(1)), psi_Z_to_zero()),
         (product_field_algebra(GF(2), Z(1)), psi_Z_to_Zmod(2)),
-        (laurent_like_finite(GF(3), 3), psi_Zmod_to_zero(3)),
         (group_algebra(2, 2), psi_Zmod_to_zero(2)),   # torsion kernel
         (group_algebra(3, 3), psi_Zmod_to_zero(3)),   # torsion kernel
     ]
-
-
-def laurent_like_finite(field, n):
-    """K[Z/n] as a finite stand-in for a finely graded group algebra."""
-    return group_algebra(field.p, n)
 
 
 def psi_Z_to_zero():

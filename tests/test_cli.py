@@ -263,11 +263,46 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(err)["kind"] == "size-guard"
 
-    def test_bad_field_override(self, docs, capsys):
+    def test_field_flag_rejected_by_argparse(self, docs, capsys):
         code = cli.run(["classify", str(docs / "ring.json"),
                         "--field", "Fp:6"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --field" in err
+
+    def test_field_flag_rejected_for_q(self, docs, capsys):
+        # the flag was validated and then ignored, so "Q" used to pass
+        code = cli.run(["classify", str(docs / "ring.json"), "--field", "Q"])
         capsys.readouterr()
         assert code == 2
+
+    def test_seed_only_on_module(self, docs, capsys):
+        code = cli.run(["resolve", str(docs / "K.json"), "--seed", "3"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "unrecognized arguments: --seed" in err
+        code, out = run_json(capsys, ["module", str(docs / "K.json"),
+                                      "--seed", "3"])
+        assert code == 0 and out["free"] is False
+
+    def test_oracle_only_on_classify_and_module(self, docs, capsys):
+        code = cli.run(["resolve", str(docs / "K.json"), "--oracle"])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_malformed_action_term(self, tmp_path, capsys):
+        doc = dict(MODULE_K, action=[[0, 0, [5]]])
+        path = tmp_path / "bad_action.json"
+        path.write_text(json.dumps(doc))
+        code = cli.run(["module", str(path)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2
+        assert err["kind"] == "validation"
+        assert "action[0][2][0]" in err["error"]
+        code, out = run_json(capsys, ["validate", str(path)])
+        assert code == 0 and out["ok"] is False
+        assert any(v.startswith("action[0][2][0]")
+                   for v in out["violations"])
 
 
 class TestDeterminism:
