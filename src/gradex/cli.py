@@ -42,6 +42,18 @@ def _jp(path, key):
     return f"{path}.{key}" if path else str(key)
 
 
+def _is_int(x):
+    """A JSON integer: Python reads true and false as ints, JSON does not."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _scalar(field, c, path):
+    try:
+        return field.of(c)
+    except la.FieldError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
 def group_to_json(G: FGAbelianGroup):
     return {"free_rank": G.free_rank, "torsion": list(G.torsion_factors)}
 
@@ -51,11 +63,13 @@ def group_from_json(doc, path="group"):
         raise ValidationError(f"{path}: expected an object")
     free = doc.get("free_rank", 0)
     tors = doc.get("torsion", [])
-    if not isinstance(free, int) or free < 0:
+    if not _is_int(free) or free < 0:
         raise ValidationError(_jp(path, 'free_rank') + ": must be a nonnegative "
                               "integer")
+    if not isinstance(tors, list):
+        raise ValidationError(_jp(path, 'torsion') + ": expected a list")
     for i, d in enumerate(tors):
-        if not isinstance(d, int) or d < 2:
+        if not _is_int(d) or d < 2:
             raise ValidationError(_jp(path, f'torsion[{i}]') + ": torsion factors "
                                   "must be integers >= 2")
     for i in range(1, len(tors)):
@@ -119,16 +133,17 @@ def _sparse_tensor(n, entries, field, path, width=None):
                 or not isinstance(item[2], list)):
             raise ValidationError(f"{path}[{t}]: expected [i, j, [[k, c]..]]")
         i, j, terms = item
-        if not (0 <= i < n and 0 <= j < width):
-            raise ValidationError(f"{path}[{t}]: index ({i},{j}) out of range")
+        if not (_is_int(i) and _is_int(j) and 0 <= i < n and 0 <= j < width):
+            raise ValidationError(f"{path}[{t}]: index ({i!r},{j!r}) is not "
+                                  "an integer in range")
         for s, kc in enumerate(terms):
             if not isinstance(kc, list) or len(kc) != 2:
                 raise ValidationError(f"{path}[{t}][2][{s}]: expected [k, c]")
             k, c = kc
-            if not 0 <= k < width:
-                raise ValidationError(f"{path}[{t}][2][{s}]: index {k} out "
-                                      "of range")
-            structure[i][j][k] = field.of(c)
+            if not (_is_int(k) and 0 <= k < width):
+                raise ValidationError(f"{path}[{t}][2][{s}]: index {k!r} is "
+                                      "not an integer in range")
+            structure[i][j][k] = _scalar(field, c, f"{path}[{t}][2][{s}][1]")
     return structure
 
 
@@ -145,9 +160,10 @@ def ring_from_json(doc, path="ring"):
     degrees = _degrees_from_json(group, doc["basis"], _jp(path, "basis"))
     n = len(degrees)
     structure = _sparse_tensor(n, doc["mul"], field, _jp(path, "mul"))
-    if len(doc["unit"]) != n:
+    if not isinstance(doc["unit"], list) or len(doc["unit"]) != n:
         raise ValidationError(_jp(path, 'unit') + f': expected {n} coordinates')
-    unit = [field.of(c) for c in doc["unit"]]
+    unit = [_scalar(field, c, _jp(path, f"unit[{i}]"))
+            for i, c in enumerate(doc["unit"])]
     try:
         return GradedAlgebra(group, field, degrees, structure, unit)
     except GradingViolation as e:
@@ -244,11 +260,13 @@ def principal_from_json(doc, path="principal"):
     for ci, col in enumerate(doc["gens"]):
         entries = []
         for ri, entry in enumerate(col):
-            if not isinstance(entry, list) or len(entry) != 2:
-                raise ValidationError(f"{path}.gens[{ci}][{ri}]: expected "
-                                      "[c, k]")
+            at = _jp(path, f"gens[{ci}][{ri}]")
+            if not isinstance(entry, list) or len(entry) != 2 or \
+                    not _is_int(entry[1]):
+                raise ValidationError(f"{at}: expected [c, k] with an "
+                                      "integer k")
             c, k = entry
-            entries.append((field.of(c), int(k)))
+            entries.append((_scalar(field, c, f"{at}[0]"), k))
         gens.append(entries)
     try:
         return gm.PrincipalPresentation(field, var, ambient, gens)
@@ -341,13 +359,22 @@ def _emit(report, as_text):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _ring_flags(rc):
+    return {"simple": rc.simple, "entire": rc.entire, "reduced": rc.reduced}
+
+
+def _oracle_agrees(flags, oracle):
+    """Every flag the main path decided matches the oracle's."""
+    return all(flags[k] is None or flags[k] == oracle[k] for k in oracle)
+
+
 def cmd_classify(args):
     R = ring_from_json(_load(args.object))
     if isinstance(R, MonoidAlgebra):
         rc = R.classify_ring()
     else:
         rc = classify_ring(R)
-    report = {"simple": rc.simple, "entire": rc.entire, "reduced": rc.reduced}
+    report = _ring_flags(rc)
     if args.oracle:
         if isinstance(R, MonoidAlgebra) or not R.field.is_finite:
             report["oracle"] = "skipped: needs a finite-dimensional algebra "\
@@ -355,8 +382,7 @@ def cmd_classify(args):
         else:
             o = orc.oracle_ring_class(R)
             report["oracle"] = o
-            report["oracle_agrees"] = all(
-                report[k] is None or report[k] == o[k] for k in o)
+            report["oracle_agrees"] = _oracle_agrees(report, o)
     return _emit(report, args.text)
 
 
@@ -489,10 +515,8 @@ def cmd_coarsen_compare(args):
     M = module_from_json(_load(args.object))
     psi = hom_from_json(_load(args.psi), "psi")
     rep = gh.coarsen_dimension_compare(M, psi, cutoff=args.cutoff)
-    out = {"ok": rep["ok"], "betti_equal": rep["betti_equal"]}
-    out["betti"] = {str(i): {_degree_key(k): v
-                             for k, v in sorted(t.items())}
-                    for i, t in enumerate(rep["betti"])}
+    out = {"ok": rep["ok"], "betti_equal": rep["betti_equal"],
+           "betti": _betti_json(rep["betti"])}
     for kind in ("projective", "flat", "injective"):
         out[kind] = rep[kind]
     return _emit(out, args.text)
@@ -533,12 +557,10 @@ def cmd_oracle_diff(args):
     if isinstance(R, MonoidAlgebra) or not R.field.is_finite:
         raise ValidationError("ring: oracle-diff needs a finite-dimensional "
                               "ring over a finite field")
-    rc = classify_ring(R)
+    main = _ring_flags(classify_ring(R))
     o = orc.oracle_ring_class(R)
-    main = {"simple": rc.simple, "entire": rc.entire, "reduced": rc.reduced}
-    agree = all(main[k] is None or main[k] == o[k] for k in o)
     return _emit({"object": "ring", "main": main, "oracle": o,
-                  "agree": agree}, args.text)
+                  "agree": _oracle_agrees(main, o)}, args.text)
 
 
 # ---------------------------------------------------------------------------

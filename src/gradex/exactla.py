@@ -49,10 +49,22 @@ class ScalarField:
         return self.p != 0
 
     def of(self, x):
+        """Exact value of an int, a Fraction or a string such as "1/2"
+        (over F_p, a/b is a times the inverse of b); no floats or bools."""
+        if x.__class__ not in (int, Fraction):
+            if not isinstance(x, str):
+                raise FieldError(f"not an exact scalar: {x!r}")
+            try:
+                x = Fraction(x)
+            except (ValueError, ZeroDivisionError):
+                raise FieldError(f"not an exact scalar: {x!r}") from None
         if self.p == 0:
-            return Fraction(x)
-        return int(Fraction(x)) % self.p if isinstance(x, (int, Fraction)) else \
-            int(Fraction(str(x))) % self.p
+            return x if x.__class__ is Fraction else Fraction(x)
+        if x.__class__ is int:
+            return x % self.p
+        if x.denominator % self.p == 0:
+            raise FieldError(f"{x} has no value mod {self.p}")
+        return x.numerator * pow(x.denominator, -1, self.p) % self.p
 
     @property
     def zero(self):

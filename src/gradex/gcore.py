@@ -11,18 +11,22 @@ Structure-constant algebras and the graded modules of ``gmod`` share one
 core, ``_GradedSpace``: a degree-labelled basis and one tensor for the
 action of the algebra's basis on it.  A ring is checked as its own
 regular module, plus commutativity and a homogeneous unit of degree 0.
+Subobjects rest on the same core: a graded ideal is a graded submodule of
+R regarded as a module over itself, so ideals and submodules share one
+canonical homogeneous basis (``graded_span``), one closure under the
+action (``submodule_span``) and one matrix of an element's action
+(``mult_matrix``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
-from .abgroups import FGAbelianGroup, GroupElement, GroupHom, GroupError, \
-    lattice_column_basis, integer_solve, ZERO_GROUP
+from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
+    integer_solve
 from . import exactla as la
-from .exactla import ScalarField
 
 
 class AlgebraError(ValueError):
@@ -184,6 +188,52 @@ class _GradedSpace:
         return [[self.tensor[i][j][k] for j in range(self.dim)]
                 for k in range(self.dim)]
 
+    def mult_matrix(self, xcoords):
+        """Matrix of x acting on the space (columns indexed by v_j), x
+        given in the acting algebra's basis."""
+        f, n = self.field, self.dim
+        M = la.zeros(f, n, n)
+        for i, xi in enumerate(xcoords):
+            if xi == 0:
+                continue
+            for j in range(n):
+                for k, c in enumerate(self.tensor[i][j]):
+                    if c != 0:
+                        M[k][j] = f.add(M[k][j], f.mul(xi, c))
+        return M
+
+    # -- subobjects --------------------------------------------------------
+
+    def graded_span(self, vectors):
+        """Canonical homogeneous basis of the graded span of the vectors:
+        per degree, in degree order, the rref basis of their homogeneous
+        parts."""
+        by_degree = {}
+        for v in vectors:
+            for g, w in self.homogeneous_components(v).items():
+                by_degree.setdefault(g, []).append(w)
+        basis = []
+        for g in sorted(by_degree, key=lambda g: g.coords):
+            basis.extend(la.span_basis(self.field, by_degree[g]))
+        return basis
+
+    def submodule_span(self, gens):
+        """graded_span of the graded submodule generated by the vectors:
+        their graded span, closed under the action of the acting
+        algebra's basis."""
+        f, r = self.field, len(self.tensor)
+        basis = self.graded_span(gens)
+        while True:
+            new = list(basis)
+            for b in basis:
+                for i in range(r):
+                    w = self.act_vec(la.unit_vector(f, r, i), b)
+                    if not la.in_span(f, new, w):
+                        new.append(w)
+            if len(new) == len(basis):
+                return basis
+            basis = self.graded_span(new)
+
 
 # ---------------------------------------------------------------------------
 # structure-constant algebras
@@ -244,19 +294,6 @@ class GradedAlgebra(_GradedSpace):
     def one(self):
         return self.element(self.unit)
 
-    def mult_matrix(self, x):
-        """Matrix of multiplication by x on the chosen basis."""
-        f, n = self.field, self.dim
-        M = la.zeros(f, n, n)
-        for i, xi in enumerate(x.coords):
-            if xi == 0:
-                continue
-            for j in range(n):
-                for k, c in enumerate(self.structure[i][j]):
-                    if c != 0:
-                        M[k][j] = f.add(M[k][j], f.mul(xi, c))
-        return M
-
     def all_elements(self, limit=HOMOGENEOUS_ENUM_LIMIT):
         if not self.field.is_finite:
             raise AlgebraError("cannot enumerate elements over Q")
@@ -300,9 +337,6 @@ class AlgebraElement:
     def is_homogeneous_of(self, g):
         sup = self.support_degrees()
         return sup == [] or sup == [g]
-
-    def degree(self):
-        return self.parent.vec_degree(self.coords)
 
     def homogeneous_components(self):
         """Map degree -> homogeneous part."""
@@ -359,8 +393,7 @@ def classify_element(R: GradedAlgebra, x: AlgebraElement) -> ElementClass:
         return ElementClass(True, True, True, hom)
     if x.is_zero:
         return ElementClass(False, False, True, hom)
-    M = R.mult_matrix(x)
-    rk = la.rank(R.field, M)
+    rk = la.rank(R.field, R.mult_matrix(x.coords))
     unit = (rk == n)
     regular = unit  # injective == bijective in finite dimension
     nilpotent = False
@@ -371,8 +404,6 @@ def classify_element(R: GradedAlgebra, x: AlgebraElement) -> ElementClass:
             if power.is_zero:
                 nilpotent = True
                 break
-        if x.is_zero:
-            nilpotent = True
     return ElementClass(unit, regular, nilpotent, hom)
 
 
@@ -432,79 +463,51 @@ def classify_ring(R: GradedAlgebra) -> RingClass:
 # ---------------------------------------------------------------------------
 
 class GradedIdeal:
-    """Graded ideal stored as a canonical homogeneous basis per degree."""
+    """Graded ideal: a graded submodule of R regarded as a module over
+    itself, stored as R.graded_span of homogeneous vectors."""
 
     def __init__(self, parent: GradedAlgebra, vectors):
         self.parent = parent
-        by_degree = {}
+        vecs = []
         for v in vectors:
             x = parent.element(v) if not isinstance(v, AlgebraElement) else v
-            if x.is_zero:
-                continue
             if not x.is_homogeneous:
                 raise AlgebraError("ideal basis vector is not homogeneous")
-            by_degree.setdefault(x.degree(), []).append(list(x.coords))
-        self.component_bases = {
-            g: la.span_basis(parent.field, vecs)
-            for g, vecs in sorted(by_degree.items(), key=lambda kv: kv[0].coords)}
+            vecs.append(x.coords)
+        self.basis = parent.graded_span(vecs)
 
     @property
     def dim(self):
-        return sum(len(b) for b in self.component_bases.values())
+        return len(self.basis)
 
     def vectors(self):
-        out = []
-        for g in sorted(self.component_bases, key=lambda g: g.coords):
-            out.extend(self.component_bases[g])
-        return out
+        return list(self.basis)
 
     def contains(self, x: AlgebraElement):
-        for g, part in x.homogeneous_components().items():
-            basis = self.component_bases.get(g, [])
-            if not la.in_span(self.parent.field, basis, list(part.coords)):
-                return False
-        return True
+        # the span of a homogeneous basis is graded
+        return la.in_span(self.parent.field, self.basis, list(x.coords))
 
     def __eq__(self, other):
         return (isinstance(other, GradedIdeal) and self.parent == other.parent
-                and {g: tuple(map(tuple, b)) for g, b in self.component_bases.items()}
-                == {g: tuple(map(tuple, b)) for g, b in other.component_bases.items()})
+                and self.basis == other.basis)
 
     def __hash__(self):
-        return hash(tuple(sorted(((g.coords, tuple(map(tuple, b)))
-                                  for g, b in self.component_bases.items()))))
+        return hash(tuple(map(tuple, self.basis)))
 
     def __repr__(self):
         return f"GradedIdeal(dim={self.dim})"
 
 
 def ideal_from_gens(R: GradedAlgebra, gens) -> GradedIdeal:
-    """Smallest graded ideal containing the homogeneous generators."""
+    """Smallest graded ideal containing the homogeneous generators: the
+    submodule they generate in R regarded as a module over itself."""
     vecs = []
     for g in gens:
         x = g if isinstance(g, AlgebraElement) else R.element(g)
         if not x.is_homogeneous:
             raise AlgebraError("ideal generator is not homogeneous")
-        if not x.is_zero:
-            vecs.append(list(x.coords))
-    span = la.span_basis(R.field, vecs)
-    while True:
-        new = list(span)
-        grew = False
-        for v in span:
-            for i in range(R.dim):
-                w = list((R.basis_element(i) * R.element(v)).coords)
-                if not la.in_span(R.field, new, w):
-                    new.append(w)
-                    grew = True
-        span = la.span_basis(R.field, new)
-        if not grew:
-            break
-    # split into homogeneous parts (closure of homogeneous gens is graded)
-    homog = []
-    for v in span:
-        homog.extend(x.coords for x in R.element(v).homogeneous_components().values())
-    return GradedIdeal(R, [list(v) for v in homog])
+        vecs.append(x.coords)
+    return GradedIdeal(R, R.submodule_span(vecs))
 
 
 def zero_ideal(R):
@@ -515,20 +518,16 @@ def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim)."""
     f = R.field
-    rep_indices = []
-    for g in R.degrees():
-        idx = R.component_indices(g)
-        restricted = [[v[i] for i in idx] for v in a.component_bases.get(g, [])]
-        pivset = set(la.rref(f, restricted)[1])
-        for pos, i in enumerate(idx):
-            if pos not in pivset:
-                rep_indices.append((g, i))
-    # order reps canonically: by degree then index
-    rep_indices.sort(key=lambda t: (t[0].coords, t[1]))
+    # a.basis is in rref within each degree, so the coordinates that are
+    # not leading ones of it complete it to a basis; order them by
+    # degree, then index
+    lead = {next(j for j, c in enumerate(v) if c != 0) for v in a.basis}
+    rep_indices = sorted((j for j in range(R.dim) if j not in lead),
+                         key=lambda j: (R.basis_degrees[j].coords, j))
     q = len(rep_indices)
-    reps = [la.unit_vector(f, R.dim, i) for _, i in rep_indices]
+    reps = [la.unit_vector(f, R.dim, i) for i in rep_indices]
     proj = la.complement_projection(f, a.vectors(), reps)
-    deg = [g for g, _ in rep_indices]
+    deg = [R.basis_degrees[i] for i in rep_indices]
     structure = [[la.mat_vec_mul(f, proj, R.act_vec(reps[i], reps[j]))
                   for j in range(q)] for i in range(q)]
     unit = la.mat_vec_mul(f, proj, list(R.unit))
@@ -542,8 +541,6 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
     radical over Q, iterated Frobenius kernel over F_p."""
     f = R.field
     n = R.dim
-    if n == 0:
-        return zero_ideal(R)
     if f.is_rational:
         L = [R.action_matrix(i) for i in range(n)]
         gram = la.zeros(f, n, n)
@@ -570,23 +567,8 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
     # nilpotent iff it lies in the underlying nilradical)
     vecs = []
     for g in R.degrees():
-        idx = R.component_indices(g)
-        others = [i for i in range(n) if i not in idx]
-        if not nil_basis:
-            continue
-        # x in span(nil_basis) with support in idx
-        A = [[b[i] for b in nil_basis] for i in others]
-        if others:
-            coeffs = la.kernel_basis(f, A)
-        else:
-            coeffs = la.eye(f, len(nil_basis))
-        for cvec in coeffs:
-            v = [f.zero] * n
-            for c, b in zip(cvec, nil_basis):
-                for i in range(n):
-                    v[i] = f.add(v[i], f.mul(c, b[i]))
-            if any(x != 0 for x in v):
-                vecs.append(v)
+        component = [la.unit_vector(f, n, i) for i in R.component_indices(g)]
+        vecs.extend(_intersect_subspaces(f, nil_basis, component))
     return GradedIdeal(R, vecs)
 
 
@@ -599,13 +581,9 @@ def _trace(f, M):
 
 def radical(R: GradedAlgebra, a: GradedIdeal) -> GradedIdeal:
     """Preimage of nil(R/a) under the projection."""
-    Q, proj, lift = quotient_ring(R, a)
-    nil_q = nilradical(Q)
-    gens = list(a.vectors())
-    for v in nil_q.vectors():
-        lifted = la.mat_vec_mul(R.field, lift, v)
-        gens.append(lifted)
-    return ideal_from_gens(R, [R.element(v) for v in gens])
+    Q, _, lift = quotient_ring(R, a)
+    return ideal_from_gens(R, a.vectors() + [
+        la.mat_vec_mul(R.field, lift, v) for v in nilradical(Q).vectors()])
 
 
 @dataclass(frozen=True)
@@ -627,24 +605,20 @@ def ideal_class(R: GradedAlgebra, a: GradedIdeal) -> IdealClass:
 # ---------------------------------------------------------------------------
 
 def _all_subspaces(field, d):
-    """All subspaces of F_p^d as canonical rref bases (tuples of tuples)."""
-    found = {(): None}
-    frontier = [()]
-    vectors = [list(v) for v in product(field.elements(), repeat=d)
-               if any(x != 0 for x in v)]
-    while frontier:
-        new_frontier = []
-        for basis in frontier:
-            for v in vectors:
-                if la.in_span(field, [list(b) for b in basis], v):
-                    continue
-                nb = la.span_basis(field, [list(b) for b in basis] + [v])
-                key = tuple(tuple(r) for r in nb)
-                if key not in found:
-                    found[key] = None
-                    new_frontier.append(key)
-        frontier = new_frontier
-    return sorted(found.keys())
+    """All subspaces of F_p^d as canonical rref bases (tuples of tuples),
+    each written down once: choose the pivot columns, then fill the
+    entries right of each pivot outside the pivot columns."""
+    out = []
+    for k in range(d + 1):
+        for pivots in combinations(range(d), k):
+            free = [(r, c) for r, p in enumerate(pivots)
+                    for c in range(p + 1, d) if c not in pivots]
+            for vals in product(field.elements(), repeat=len(free)):
+                rows = [la.unit_vector(field, d, p) for p in pivots]
+                for (r, c), v in zip(free, vals):
+                    rows[r][c] = v
+                out.append(tuple(map(tuple, rows)))
+    return sorted(out)
 
 
 def spec_enumerate(R: GradedAlgebra):
@@ -666,18 +640,10 @@ def spec_enumerate(R: GradedAlgebra):
                 for pos, i in enumerate(idx):
                     v[i] = b[pos]
                 vecs.append(v)
-        cand = GradedIdeal(R, vecs)
-        # ideal: closed under multiplication by every basis element
-        closed = True
-        for v in vecs:
-            for i in range(R.dim):
-                if not cand.contains(R.basis_element(i) * R.element(v)):
-                    closed = False
-                    break
-            if not closed:
-                break
-        if not closed:
+        # an ideal is its own submodule span
+        if len(R.submodule_span(vecs)) != len(vecs):
             continue
+        cand = GradedIdeal(R, vecs)
         cls = ideal_class(R, cand)
         if cls.prime:
             primes.append(cand)
@@ -685,43 +651,27 @@ def spec_enumerate(R: GradedAlgebra):
 
 
 def intersect_ideals(R: GradedAlgebra, ideals):
-    """Intersection of graded ideals, degreewise."""
+    """Intersection of graded ideals.  It is a graded subspace, so the
+    rref basis of the intersection is homogeneous."""
     if not ideals:
         raise AlgebraError("empty intersection")
-    f = R.field
-    vecs = []
-    for g in R.degrees():
-        idx = R.component_indices(g)
-        d = len(idx)
-        # subspace intersection via iterated kernel computation
-        current = None
-        for I in ideals:
-            basis = [[v[i] for i in idx] for v in I.component_bases.get(g, [])]
-            if current is None:
-                current = basis
-            else:
-                current = _intersect_subspaces(f, current, basis, d)
-        for b in current or []:
-            v = [f.zero] * R.dim
-            for pos, i in enumerate(idx):
-                v[i] = b[pos]
-            vecs.append(v)
-    return GradedIdeal(R, vecs)
+    basis = ideals[0].vectors()
+    for I in ideals[1:]:
+        basis = _intersect_subspaces(R.field, basis, I.vectors())
+    return GradedIdeal(R, basis)
 
 
-def _intersect_subspaces(f, B1, B2, d):
+def _intersect_subspaces(f, B1, B2):
+    """rref basis of span(B1) meet span(B2): the B1 halves of the kernel
+    of [B1 | -B2], mapped through B1."""
     if not B1 or not B2:
         return []
-    A = [[b[i] for b in B1] + [f.neg(b[i]) for b in B2] for i in range(d)]
-    out = []
-    for ker in la.kernel_basis(f, A):
-        v = [f.zero] * d
-        for c, b in zip(ker[:len(B1)], B1):
-            for i in range(d):
-                v[i] = f.add(v[i], f.mul(c, b[i]))
-        if any(x != 0 for x in v):
-            out.append(v)
-    return la.span_basis(f, out)
+    k = len(B1)
+    A = [[b[i] for b in B1] + [f.neg(b[i]) for b in B2]
+         for i in range(len(B1[0]))]
+    B = [row[:k] for row in A]
+    return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
+                             for c in la.kernel_basis(f, A)])
 
 
 # ---------------------------------------------------------------------------

@@ -6,16 +6,16 @@ that survive coarsening.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from .gcore import GradedAlgebra
 from . import gmod as gm
 from .gmod import (GradedModule, ModuleMorphism, FreeSpec, regular_module,
-                   free_module, free_cover_from_generators, direct_sum,
-                   kernel, cokernel, radical_submodule, ModuleError,
-                   hilbert_coarsen, coarsen_module)
+                   free_cover_from_generators, direct_sum, kernel, cokernel,
+                   radical_submodule, ModuleError, coarsen_module,
+                   minimal_generators)
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +88,6 @@ def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
             for j in range(v.source.dim):
                 t[k][j] = f.add(t[k][j], f.mul(c, h[k][j]))
     return ModuleMorphism(v.source, p.source, t)
-
-
-def minimal_generators(M: GradedModule):
-    """Homogeneous lifts of a basis of M modulo its graded radical,
-    chosen in degree order then index order."""
-    f = M.field
-    rad = radical_submodule(M)
-    chosen = []
-    span = list(rad)
-    for j in sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t)):
-        e = la.unit_vector(f, M.dim, j)
-        if not la.in_span(f, span, e):
-            chosen.append(e)
-            # redundancy is modulo the submodule generated so far, not
-            # just its linear span: a generator may span several basis
-            # vectors through unit multiples
-            span = rad + gm._submodule_span(M, chosen)
-    return chosen
 
 
 def minimal_cover(M: GradedModule) -> ModuleMorphism:

@@ -5,10 +5,13 @@ decomposition and the superfluous-inclusion counterexample.
 A module is a coordinate space with an action tensor.  It rests on the
 same core as an algebra (``gcore._GradedSpace``): degrees, the action on
 vectors, homogeneous enumeration and the one check of the module axioms
-are shared, and a ring is checked as its own regular module.  Everything
-a morphism touches (kernels, images, cokernels, HOM, tensor) is built by
-exact linear algebra per degree, so the induced gradings come out of the
-construction instead of being bolted on afterwards.
+are shared, and a ring is checked as its own regular module.  Submodules
+are canonical homogeneous bases from the same core (``graded_span``,
+``submodule_span``); a graded ideal of R is such a basis for the regular
+module.  Everything a morphism touches (kernels, images,
+cokernels, HOM, tensor) is built by exact linear algebra per degree, so
+the induced gradings come out of the construction instead of being
+bolted on afterwards.
 """
 
 from __future__ import annotations
@@ -45,9 +48,6 @@ class GradedModule(_GradedSpace):
             tuple(tuple(f.of(action[i][j][k]) for k in range(m))
                   for j in range(m)) for i in range(algebra.dim))
         self._check_module_axioms(algebra)
-
-    def act(self, x, v):
-        return self.act_vec(list(x.coords), v)
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)
@@ -174,14 +174,9 @@ def direct_sum(M: GradedModule, N: GradedModule):
 
 def _module_on_subspace(M: GradedModule, basis):
     """Module structure on a graded subspace closed under the action,
-    given a homogeneous basis.  Returns (module, inclusion)."""
+    given its graded_span basis.  Returns (module, inclusion)."""
     f, R = M.field, M.algebra
-    degrees = []
-    for b in basis:
-        d = M.vec_degree(b)
-        if d is None:
-            raise ModuleError("subspace basis vector not homogeneous")
-        degrees.append(d)
+    degrees = [M.vec_degree(b) for b in basis]
     action = []
     for i in range(R.dim):
         block = []
@@ -197,55 +192,29 @@ def _module_on_subspace(M: GradedModule, basis):
     return S, ModuleMorphism(S, M, incl, check=False)
 
 
-def _homogeneous_span_basis(M: GradedModule, vectors):
-    """Canonical homogeneous basis of the graded span of the vectors."""
-    f = M.field
-    pieces = []
-    for v in vectors:
-        pieces.extend(M.homogeneous_components(v).values())
-    by_degree = {}
-    for v in pieces:
-        by_degree.setdefault(M.vec_degree(v), []).append(v)
-    basis = []
-    for d in sorted(by_degree, key=lambda g: g.coords):
-        basis.extend(la.span_basis(f, by_degree[d]))
-    return basis
-
-
 def generated_submodule(M: GradedModule, gens):
     """Graded submodule generated by the given vectors; returns
     (module, inclusion)."""
-    f, R = M.field, M.algebra
-    current = _homogeneous_span_basis(M, gens)
-    while True:
-        new = list(current)
-        grew = False
-        for b in current:
-            for i in range(R.dim):
-                w = M.act_vec(la.unit_vector(f, R.dim, i), b)
-                if not la.in_span(f, new, w):
-                    new.append(w)
-                    grew = True
-        if not grew:
-            break
-        current = _homogeneous_span_basis(M, new)
-    return _module_on_subspace(M, current)
+    return _module_on_subspace(M, M.submodule_span(gens))
 
 
 def kernel(u: ModuleMorphism):
     """(kernel module, inclusion into the source)."""
     f = u.source.field
-    basis = _homogeneous_span_basis(u.source,
-                                    la.kernel_basis(f, u.matrix))
+    basis = u.source.graded_span(la.kernel_basis(f, u.matrix))
     return _module_on_subspace(u.source, basis)
+
+
+def _image_span(u: ModuleMorphism):
+    """graded_span of the image of u in its target."""
+    return u.target.graded_span(
+        [[u.matrix[k][j] for k in range(u.target.dim)]
+         for j in range(u.source.dim)])
 
 
 def image(u: ModuleMorphism):
     """(image module, inclusion into the target)."""
-    cols = [[u.matrix[k][j] for k in range(u.target.dim)]
-            for j in range(u.source.dim)]
-    basis = _homogeneous_span_basis(u.target, cols)
-    return _module_on_subspace(u.target, basis)
+    return _module_on_subspace(u.target, _image_span(u))
 
 
 def _complement_indices(f, sub, n):
@@ -260,9 +229,7 @@ def _complement_indices(f, sub, n):
 def cokernel(u: ModuleMorphism):
     """(cokernel module, projection from the target)."""
     T, f, R = u.target, u.target.field, u.target.algebra
-    img = _homogeneous_span_basis(
-        T, [[u.matrix[k][j] for k in range(T.dim)]
-            for j in range(u.source.dim)])
+    img = _image_span(u)
     js = _complement_indices(f, img, T.dim)
     proj = la.complement_projection(
         f, img, [la.unit_vector(f, T.dim, j) for j in js])
@@ -590,16 +557,9 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
         return FreenessReport(True, FreeSpec(()), 0, "zero module")
     rc = classify_ring(R)
     if rc.simple:
-        # greedy homogeneous basis extraction; always succeeds over a
-        # simple graded ring
-        basis = []
-        span = []
-        for j in sorted(range(M.dim),
-                        key=lambda t: (M.basis_degrees[t].coords, t)):
-            e = la.unit_vector(M.field, M.dim, j)
-            if not la.in_span(M.field, span, e):
-                basis.append(e)
-                span = _submodule_span(M, basis)
+        # the graded radical of a simple ring is 0, so minimal
+        # generators form a basis
+        basis = minimal_generators(M)
         u = free_cover_from_generators(M, basis)
         if not u.is_iso():
             raise ModuleError("greedy basis extraction failed over a "
@@ -629,18 +589,31 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
                           "no candidate admits an isomorphism")
 
 
-def _submodule_span(M: GradedModule, gens):
-    sub, incl = generated_submodule(M, gens)
-    return _homogeneous_span_basis(
-        M, [[incl.matrix[k][j] for k in range(M.dim)]
-            for j in range(sub.dim)])
+def minimal_generators(M: GradedModule):
+    """Homogeneous lifts of a basis of M modulo its graded radical,
+    chosen in degree order then index order."""
+    f = M.field
+    rad = radical_submodule(M)
+    chosen = []
+    span = list(rad)
+    for j in sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t)):
+        e = la.unit_vector(f, M.dim, j)
+        if not la.in_span(f, span, e):
+            chosen.append(e)
+            # redundancy is modulo the submodule generated so far, not
+            # just its linear span: a generator may span several basis
+            # vectors through unit multiples
+            span = rad + M.submodule_span(chosen)
+    return chosen
 
 
 def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
-    """Is M generated by a single homogeneous element?"""
+    """Is M generated by a single homogeneous element?  None when only a
+    random search ran in some degree and found no generator."""
     R, f = M.algebra, M.field
     if M.dim == 0:
         return True
+    undecided = False
     for g in sorted(M.degrees(), key=lambda d: d.coords):
         idx = M.component_indices(g)
         k = len(idx)
@@ -671,7 +644,8 @@ def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
             vals = [rng.randint(-M.dim - 1, M.dim + 1) for _ in range(k)]
             if la.rank(f, gen_matrix(vals)) == M.dim:
                 return True
-    return False
+        undecided = True   # a random miss proves nothing
+    return None if undecided else False
 
 
 # ---------------------------------------------------------------------------
@@ -681,30 +655,21 @@ def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
 def radical_submodule(M: GradedModule):
     """Graded radical nil(R).M: the intersection of the maximal graded
     submodules for these finite-dimensional algebras."""
-    R = M.algebra
-    nil = nilradical(R)
     vecs = []
-    for v in nil.vectors():
-        for j in range(M.dim):
-            vecs.append(M.act_vec(v, la.unit_vector(M.field, M.dim, j)))
-    return _homogeneous_span_basis(M, vecs)
+    for v in nilradical(M.algebra).vectors():
+        vecs.extend(zip(*M.mult_matrix(v)))   # the columns x . v_j
+    return M.graded_span(vecs)
 
 
 def socle_submodule(M: GradedModule):
     """Graded socle: vectors killed by the graded radical of R."""
-    R, f = M.algebra, M.field
-    nil = nilradical(R)
+    f = M.field
     rows = []
-    for v in nil.vectors():
-        A = [[f.zero] * M.dim for _ in range(M.dim)]
-        for j in range(M.dim):
-            w = M.act_vec(v, la.unit_vector(f, M.dim, j))
-            for kk in range(M.dim):
-                A[kk][j] = w[kk]
-        rows.extend(A)
+    for v in nilradical(M.algebra).vectors():
+        rows.extend(M.mult_matrix(v))
     if not rows:
-        return _homogeneous_span_basis(M, la.eye(f, M.dim))
-    return _homogeneous_span_basis(M, la.kernel_basis(f, rows))
+        return M.graded_span(la.eye(f, M.dim))
+    return M.graded_span(la.kernel_basis(f, rows))
 
 
 @dataclass
@@ -724,9 +689,7 @@ def small_submodule(u: ModuleMorphism, mode: str) -> SmallReport:
     if not u.is_mono():
         raise ModuleError("small_submodule needs a monomorphism")
     N, f = u.target, u.target.field
-    img = _homogeneous_span_basis(
-        N, [[u.matrix[k][j] for k in range(N.dim)]
-            for j in range(u.source.dim)])
+    img = _image_span(u)
     if mode == "superfluous":
         rad = radical_submodule(N)
         ok = all(la.in_span(f, rad, v) for v in img)

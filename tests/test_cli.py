@@ -234,6 +234,42 @@ class TestValidation:
         code, out = run_json(capsys, ["validate", str(docs / "ring.json")])
         assert code == 0 and out == {"ok": True, "violations": []}
 
+    @pytest.mark.parametrize("doc, path", [
+        (dict(RING_QX2, mul=[[0, 0, [[0, "xyz"]]]]), "mul[0][2][0][1]"),
+        (dict(RING_QX2, mul=[[0, 0, [[0, 0.5]]]]), "mul[0][2][0][1]"),
+        (dict(RING_F5X2, mul=[[0, 0, [[0, "1/5"]]]]), "mul[0][2][0][1]"),
+        (dict(RING_QX2, unit=[True, 0]), "unit[0]"),
+        (dict(RING_QX2, mul=[["0", 0, [[0, 1]]]]), "mul[0]"),
+        (dict(RING_QX2, mul=[[0, 0, [["0", 1]]]]), "mul[0][2][0]"),
+        (dict(MODULE_K, action=[[0, "0", [[0, 1]]]]), "action[0]"),
+        (dict(RING_QX2, group={"free_rank": True}), "group.free_rank"),
+        (dict(RING_QX2, group={"free_rank": 1, "torsion": 5}),
+         "group.torsion"),
+        ({"var_degree": [1], "ambient": [[0]], "gens": [[["xyz", 1]]]},
+         "gens[0][0][0]"),
+        ({"var_degree": [1], "ambient": [[0]], "gens": [[[1, "1"]]]},
+         "gens[0][0]"),
+    ])
+    def test_malformed_scalar_or_integer_is_a_violation(self, tmp_path,
+                                                         capsys, doc, path):
+        p = tmp_path / "doc.json"
+        p.write_text(json.dumps(doc))
+        code, out = run_json(capsys, ["validate", str(p)])
+        assert code == 0 and out["ok"] is False
+        assert any(v.startswith(path + ":") for v in out["violations"])
+
+    def test_classify_names_bad_coefficient(self, capsys):
+        doc = dict(RING_QX2, mul=[[0, 0, [[0, "xyz"]]]])
+        code = cli.run(["classify", json.dumps(doc)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "validation"
+        assert err["error"].startswith("ring.mul[0][2][0][1]:")
+
+    def test_fraction_coefficient_over_fp(self):
+        # 1/2 is the inverse of 2 in F5, not the integer part of 0.5
+        t = cli._sparse_tensor(1, [[0, 0, [[0, "1/2"]]]], GF(5), "mul")
+        assert t[0][0][0] == 3
+
     def test_classify_rejects_invalid(self, docs, capsys):
         code = cli.run(["classify", str(docs / "bad.json")])
         capsys.readouterr()

@@ -30,6 +30,21 @@ class TestFields:
         assert f.mul(3, 4) == 2
         assert list(f.elements()) == [0, 1, 2, 3, 4]
 
+    def test_exact_parsing(self):
+        f = la.GF(5)
+        assert f.of("1/2") == f.of(Fraction(1, 2)) == f.inv(2) == 3
+        assert f.of("-3/4") == f.div(f.of(-3), 4)
+        assert la.GF(7).of(" 10 ") == 3
+        assert la.QQ.of("0.1") == Fraction(1, 10)
+
+    @pytest.mark.parametrize("field, x", [
+        (la.QQ, 0.1), (la.QQ, True), (la.GF(5), 2.0), (la.GF(5), False),
+        (la.GF(5), "1/5"), (la.GF(5), Fraction(3, 10)), (la.QQ, "xyz"),
+        (la.QQ, "1/0"), (la.QQ, None)])
+    def test_inexact_or_undefined_rejected(self, field, x):
+        with pytest.raises(la.FieldError):
+            field.of(x)
+
     def test_nonprime_rejected(self):
         with pytest.raises(la.FieldError):
             la.GF(6)

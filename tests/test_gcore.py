@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gradex.gcore as gc
+import gradex.gmod as gm
 import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
@@ -102,7 +103,34 @@ class TestRingClassification:
                 assert rc.reduced
 
 
+IDEAL_RINGS = S.finite_corpus() + [
+    S.dual_numbers(), S.truncated_polynomial_algebra(QQ, 4),
+    S.gaussian_rationals(), S.field_extension_algebra(QQ, 3, 2)]
+
+
+@st.composite
+def rings_with_homogeneous_gens(draw):
+    R = draw(st.sampled_from(IDEAL_RINGS))
+    gens = []
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(R.degrees()))
+        v = [R.field.zero] * R.dim
+        for i in R.component_indices(g):
+            v[i] = R.field.of(draw(st.integers(-3, 3)))
+        gens.append(v)
+    return R, gens
+
+
 class TestIdealsAndQuotients:
+    @given(rings_with_homogeneous_gens())
+    @settings(max_examples=60, deadline=None)
+    def test_ideal_is_submodule_of_regular_module(self, ring_gens):
+        R, gens = ring_gens
+        _, incl = gm.generated_submodule(gm.regular_module(R), gens)
+        basis = [[row[j] for row in incl.matrix]
+                 for j in range(incl.source.dim)]
+        assert gc.ideal_from_gens(R, gens).vectors() == basis
+
     def test_principal_ideal_of_dual_numbers(self):
         R = S.dual_numbers()
         a = gc.ideal_from_gens(R, [R.basis_element(1)])

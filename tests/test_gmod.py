@@ -158,6 +158,16 @@ class TestFreeness:
             assert rep.free is True and rep.method == "greedy basis"
             assert rep.witness.is_iso()
 
+    def test_simple_ring_witness_is_minimal_cover(self):
+        R = S.gaussian_rationals()
+        M = gm.regular_module(R)
+        D, _, _ = gm.direct_sum(M, gm.shift(M, R.basis_degrees[1]))
+        rep = gm.freeness(D)
+        gens = gm.minimal_generators(D)
+        assert rep.rank == len(gens) == 2
+        assert rep.witness.matrix == \
+            gm.free_cover_from_generators(D, gens).matrix
+
     def test_not_free_over_product_ring(self):
         R = S.product_field_algebra()
         # the first factor as a module: e0 acts as 1, e1 acts as 0
@@ -199,6 +209,11 @@ class TestMonogeneity:
         assert gm.is_monogeneous(gm.regular_module(R)) is True
         D, _, _ = gm.direct_sum(gm.regular_module(R), gm.regular_module(R))
         assert gm.is_monogeneous(D) is False
+
+    def test_random_miss_is_undecided(self):
+        # a component of dimension 4 over Q leaves only the random search
+        F, _ = gm.free_module(S.trivial_algebra(), [ZERO_GROUP.zero] * 4)
+        assert gm.is_monogeneous(F) is None
 
 
 class TestSmallSubmodules:
