@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import gcd
+from math import gcd, lcm
 
 
 class GroupError(ValueError):
@@ -296,6 +296,14 @@ class GroupElement:
 
     def has_infinite_order(self):
         return any(self.coords[i] != 0 for i in range(self.group.free_rank))
+
+    def order(self):
+        """The order of the element, None when it is infinite."""
+        if self.has_infinite_order():
+            return None
+        tors = self.coords[self.group.free_rank:]
+        return lcm(*(d // gcd(c, d)
+                     for c, d in zip(tors, self.group.torsion_factors)))
 
     def __repr__(self):
         return f"{self.coords}"

@@ -47,6 +47,20 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _list(x, path):
+    if not isinstance(x, list):
+        raise ValidationError(f"{path}: expected a list")
+    return x
+
+
+def _ints(x, n, path):
+    """x, checked to be a list of n JSON integers."""
+    if not (isinstance(x, list) and len(x) == n and all(map(_is_int, x))):
+        raise ValidationError(f"{path}: expected an integer list of "
+                              f"length {n}")
+    return x
+
+
 def _scalar(field, c, path):
     try:
         return field.of(c)
@@ -66,9 +80,7 @@ def group_from_json(doc, path="group"):
     if not _is_int(free) or free < 0:
         raise ValidationError(_jp(path, 'free_rank') + ": must be a nonnegative "
                               "integer")
-    if not isinstance(tors, list):
-        raise ValidationError(_jp(path, 'torsion') + ": expected a list")
-    for i, d in enumerate(tors):
+    for i, d in enumerate(_list(tors, _jp(path, "torsion"))):
         if not _is_int(d) or d < 2:
             raise ValidationError(_jp(path, f'torsion[{i}]') + ": torsion factors "
                                   "must be integers >= 2")
@@ -84,10 +96,13 @@ def hom_from_json(doc, path="hom"):
         raise ValidationError(f"{path}: expected an object with a matrix")
     src = group_from_json(doc.get("source", {}), _jp(path, "source"))
     tgt = group_from_json(doc.get("target", {}), _jp(path, "target"))
+    at = _jp(path, "matrix")
+    rows = [_ints(r, src.dim, f"{at}[{i}]")
+            for i, r in enumerate(_list(doc["matrix"], at))]
     try:
-        return GroupHom(src, tgt, doc["matrix"])
-    except (GroupError, ValueError, TypeError) as e:
-        raise ValidationError(f"{path}.matrix: {e}")
+        return GroupHom(src, tgt, rows)
+    except GroupError as e:
+        raise ValidationError(f"{at}: {e}")
 
 
 def hom_to_json(h: GroupHom):
@@ -113,12 +128,10 @@ def field_to_json(field):
 
 def _degrees_from_json(group, basis, path):
     degrees = []
-    for i, entry in enumerate(basis):
+    for i, entry in enumerate(_list(basis, path)):
         coords = entry.get("degree") if isinstance(entry, dict) else entry
-        if not isinstance(coords, list) or len(coords) != group.dim:
-            raise ValidationError(
-                f"{path}[{i}].degree: expected {group.dim} coordinates")
-        degrees.append(group.element(tuple(coords)))
+        degrees.append(group.element(
+            tuple(_ints(coords, group.dim, f"{path}[{i}].degree"))))
     return degrees
 
 
@@ -128,7 +141,7 @@ def _sparse_tensor(n, entries, field, path, width=None):
     width = width if width is not None else n
     structure = [[[field.zero] * width for _ in range(width)]
                  for _ in range(n)]
-    for t, item in enumerate(entries):
+    for t, item in enumerate(_list(entries, path)):
         if (not isinstance(item, list) or len(item) != 3
                 or not isinstance(item[2], list)):
             raise ValidationError(f"{path}[{t}]: expected [i, j, [[k, c]..]]")
@@ -209,10 +222,13 @@ def monoid_algebra_from_json(doc, path="ring"):
         base = trivial_algebra(field)
     mode = doc.get("mode", "fine")
     if isinstance(mode, dict) and "d" in mode:
+        at = _jp(path, "mode.d")
+        rows = [_ints(r, monoid.ambient_dim, f"{at}[{i}]")
+                for i, r in enumerate(_list(mode["d"], at))]
         try:
-            return MonoidAlgebra(base, monoid, mode="d", dmatrix=mode["d"])
+            return MonoidAlgebra(base, monoid, mode="d", dmatrix=rows)
         except AlgebraError as e:
-            raise ValidationError(_jp(path, 'mode.d') + f': {e}')
+            raise ValidationError(f"{at}: {e}")
     if mode not in ("fine", "coarse"):
         raise ValidationError(f'{path}.mode: expected "fine", "coarse" or '
                               '{"d": matrix}')
@@ -250,16 +266,19 @@ def principal_from_json(doc, path="principal"):
     for key in ("var_degree", "ambient", "gens"):
         if key not in doc:
             raise ValidationError(_jp(path, key) + ': missing')
-    group = group_from_json(doc.get("group",
-                                    {"free_rank": len(doc["var_degree"])}),
-                            _jp(path, "group"))
+    at = _jp(path, "var_degree")
+    group = group_from_json(
+        doc.get("group", {"free_rank": len(_list(doc["var_degree"], at))}),
+        _jp(path, "group"))
     field = field_from_json(doc.get("field", "Q"), _jp(path, "field"))
-    var = group.element(tuple(doc["var_degree"]))
-    ambient = [group.element(tuple(d)) for d in doc["ambient"]]
+    var = group.element(tuple(_ints(doc["var_degree"], group.dim, at)))
+    at = _jp(path, "ambient")
+    ambient = [group.element(tuple(_ints(d, group.dim, f"{at}[{i}]")))
+               for i, d in enumerate(_list(doc["ambient"], at))]
     gens = []
-    for ci, col in enumerate(doc["gens"]):
+    for ci, col in enumerate(_list(doc["gens"], _jp(path, "gens"))):
         entries = []
-        for ri, entry in enumerate(col):
+        for ri, entry in enumerate(_list(col, _jp(path, f"gens[{ci}]"))):
             at = _jp(path, f"gens[{ci}][{ri}]")
             if not isinstance(entry, list) or len(entry) != 2 or \
                     not _is_int(entry[1]):

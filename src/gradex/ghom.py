@@ -2,11 +2,21 @@
 graded duals, projective / injective / flat tests, free resolutions and
 betti tables, the explicit Schanuel isomorphism, and dimension reports
 that survive coarsening.
+
+One syzygy walk (``_syzygies``: cover K_n, step to its kernel K_{n+1})
+is the only cover-to-kernel loop.  Resolutions take its first steps,
+and dimensions and betti tables are read off it: the projective
+dimension is the first n whose cover splits.  For the finitely
+generated modules here flat equals projective, so the flat dimension
+is the same number; the injective dimension is the projective
+dimension of the dual.  ``injective_dimension_direct`` keeps its own
+cokernel walk as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
@@ -94,12 +104,15 @@ def minimal_cover(M: GradedModule) -> ModuleMorphism:
     return free_cover_from_generators(M, minimal_generators(M))
 
 
+def _splits(p: ModuleMorphism) -> bool:
+    """Does the identity of p's target lift through the epimorphism p?"""
+    identity = gm.identity_module_morphism(p.target)
+    return lift_through_epi(p, identity) is not None
+
+
 def is_projective(M: GradedModule) -> bool:
     """Does the free cover split?"""
-    if M.dim == 0:
-        return True
-    p = minimal_cover(M)
-    return lift_through_epi(p, gm.identity_module_morphism(M)) is not None
+    return M.dim == 0 or _splits(minimal_cover(M))
 
 
 def is_injective(M: GradedModule) -> bool:
@@ -201,25 +214,39 @@ class FreeResolution:
         return True
 
 
-def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
-    if cutoff > 32:
-        raise ModuleError("resolution cutoff limited to 32")
-    covers, incls = [], []
+def _check_cutoff(cutoff):
+    if not 0 <= cutoff <= 32:
+        raise ModuleError(f"cutoff {cutoff} outside the range 0..32")
+
+
+def _syzygies(M: GradedModule, minimal):
+    """The syzygy walk: yields (p_n: F_n ->> K_n, incl_n: K_{n+1} -> F_n)
+    with K_0 = M, while K_n is nonzero.  The covers are minimal, or
+    spanned by every basis vector of K_n."""
     K = M
-    terminated = M.dim == 0
-    for _ in range(cutoff + 1):
-        if K.dim == 0:
-            terminated = True
-            break
-        if minimal:
-            p = minimal_cover(K)
-        else:
-            p = free_cover_from_generators(K, la.eye(K.field, K.dim))
-        covers.append(p)
-        Knext, incl = kernel(p)
-        incls.append(incl)
-        K = Knext
-    terminated = terminated or K.dim == 0
+    while K.dim:
+        p = (minimal_cover(K) if minimal else
+             free_cover_from_generators(K, la.eye(K.field, K.dim)))
+        K, incl = kernel(p)
+        yield p, incl
+
+
+def _first_split(covers, M: GradedModule):
+    """The first n whose cover F_n ->> K_n splits, i.e. the first
+    projective syzygy: 0 for M = 0, None when no listed cover splits.
+    By Schanuel's lemma it is the same n for every projective
+    resolution of M."""
+    if M.dim == 0:
+        return 0
+    return next((n for n, p in enumerate(covers) if _splits(p)), None)
+
+
+def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
+    _check_cutoff(cutoff)
+    steps = list(islice(_syzygies(M, minimal), cutoff + 1))
+    covers = [p for p, _ in steps]
+    incls = [incl for _, incl in steps]
+    terminated = not incls or incls[-1].source.dim == 0
     return FreeResolution(M, covers, incls, cutoff, minimal, terminated)
 
 
@@ -227,12 +254,24 @@ def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
 # Schanuel
 # ---------------------------------------------------------------------------
 
-def _coords_in_inclusion(incl: ModuleMorphism, v):
-    """Coordinates of an ambient vector in the source of an inclusion."""
-    f = incl.target.field
-    cols = [[incl.matrix[k][j] for k in range(incl.target.dim)]
-            for j in range(incl.source.dim)]
-    return la.coords_in_basis(f, cols, v)
+def _fibre_embedding(incl, lift, j_this, j_other, rincl):
+    """One side of the one-step Schanuel comparison: the map
+    ker + Q -> fibre product sending a kernel vector k to
+    j_this(incl k) and a vector q of the other cover Q to
+    j_this(lift q) + j_other(q).  Returns (ker + Q, the map,
+    injection of ker, injection of Q)."""
+    f = rincl.target.field
+    S, j_ker, j_cov = direct_sum(incl.source, lift.source)
+    into_D = [a + la.vec_add(f, b, c) for a, b, c in zip(
+        la.mat_mul(f, j_this.matrix, incl.matrix),
+        la.mat_mul(f, j_this.matrix, lift.matrix), j_other.matrix)]
+    cols = [la.solve_linear(f, rincl.matrix, [row[j] for row in into_D])
+            for j in range(S.dim)]
+    if None in cols:
+        raise ModuleError("vector escapes the fibre product")
+    psi = ModuleMorphism(S, rincl.source, [[c[k] for c in cols]
+                                           for k in range(rincl.source.dim)])
+    return S, psi, j_ker, j_cov
 
 
 def _schanuel_base(M, coverA, inclA, coverB, inclB):
@@ -242,61 +281,17 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     where the data triples are (module, first injection, second
     injection)."""
     f = M.field
-    P0, Q0 = coverA.source, coverB.source
-    K, L = inclA.source, inclB.source
-    D, jP, jQ = direct_sum(P0, Q0)
-    fib_matrix = [[f.zero] * D.dim for _ in range(M.dim)]
-    for k in range(M.dim):
-        for j in range(P0.dim):
-            fib_matrix[k][j] = coverA.matrix[k][j]
-        for j in range(Q0.dim):
-            fib_matrix[k][P0.dim + j] = f.neg(coverB.matrix[k][j])
-    diff = ModuleMorphism(D, M, fib_matrix)
-    Rmod, rincl = kernel(diff)
-
+    D, jP, jQ = direct_sum(coverA.source, coverB.source)
+    diff = ModuleMorphism(D, M, [a + [f.neg(x) for x in b] for a, b in
+                                 zip(coverA.matrix, coverB.matrix)])
+    _, rincl = kernel(diff)
     # sections of the two projections, via lifts through the epis
     tQ = lift_through_epi(coverA, coverB)   # tQ: Q0 -> P0, alpha tQ = beta
     tP = lift_through_epi(coverB, coverA)   # tP: P0 -> Q0, beta tP = alpha
     if tQ is None or tP is None:
         raise ModuleError("free cover failed to lift through an epimorphism")
-
-    def into_R(vecD):
-        c = _coords_in_inclusion(rincl, vecD)
-        if c is None:
-            raise ModuleError("vector escapes the fibre product")
-        return c
-
-    lhsD, jK, jQ0 = direct_sum(K, Q0)
-    cols = []
-    for j in range(K.dim):
-        e = la.unit_vector(f, K.dim, j)
-        vecP = la.mat_vec_mul(f, inclA.matrix, e)
-        cols.append(into_R(la.mat_vec_mul(f, jP.matrix, vecP)))
-    for j in range(Q0.dim):
-        e = la.unit_vector(f, Q0.dim, j)
-        vecP = la.mat_vec_mul(f, tQ.matrix, e)
-        vecD = la.vec_add(f, la.mat_vec_mul(f, jP.matrix, vecP),
-                          la.mat_vec_mul(f, jQ.matrix, e))
-        cols.append(into_R(vecD))
-    psi1 = ModuleMorphism(lhsD, Rmod,
-                          [[cols[j][k] for j in range(lhsD.dim)]
-                           for k in range(Rmod.dim)])
-
-    rhsD, jL, jP0 = direct_sum(L, P0)
-    cols = []
-    for j in range(L.dim):
-        e = la.unit_vector(f, L.dim, j)
-        vecQ = la.mat_vec_mul(f, inclB.matrix, e)
-        cols.append(into_R(la.mat_vec_mul(f, jQ.matrix, vecQ)))
-    for j in range(P0.dim):
-        e = la.unit_vector(f, P0.dim, j)
-        vecQ = la.mat_vec_mul(f, tP.matrix, e)
-        vecD = la.vec_add(f, la.mat_vec_mul(f, jP.matrix, e),
-                          la.mat_vec_mul(f, jQ.matrix, vecQ))
-        cols.append(into_R(vecD))
-    psi2 = ModuleMorphism(rhsD, Rmod,
-                          [[cols[j][k] for j in range(rhsD.dim)]
-                           for k in range(Rmod.dim)])
+    lhsD, psi1, jK, jQ0 = _fibre_embedding(inclA, tQ, jP, jQ, rincl)
+    rhsD, psi2, jL, jP0 = _fibre_embedding(inclB, tP, jQ, jP, rincl)
     if not psi1.is_iso() or not psi2.is_iso():
         raise ModuleError("fibre-product comparison maps are not invertible")
     inv2 = la.mat_inverse(f, psi2.matrix)
@@ -309,6 +304,8 @@ def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
     L + P_{n-1} + Q_{n-2} + ... between the n-th kernels of two free
     resolutions of the same module, built by fibre products exactly as
     in the inductive proof.  Returns (iso, verified)."""
+    if n < 1:
+        raise ModuleError(f"glue length {n} must be at least 1")
     if res1.target != res2.target:
         raise ModuleError("resolutions do not resolve the same module")
     if res1.length < n or res2.length < n:
@@ -326,45 +323,32 @@ def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
     return iso, verified
 
 
+def _pad(cover, incl, j_kernel, j_free, twist, target):
+    """The next step of a resolution padded by a free summand Q of the
+    Schanuel sum ker + Q: the cover F + Q ->> ker + Q, carried onto
+    target by the matrix twist, and its kernel inclusion into F + Q."""
+    f = target.field
+    FQ, jF, _ = direct_sum(cover.source, j_free.source)
+    aug = [a + b for a, b in
+           zip(la.mat_mul(f, j_kernel.matrix, cover.matrix), j_free.matrix)]
+    return (ModuleMorphism(FQ, target, la.mat_mul(f, twist, aug)),
+            ModuleMorphism(incl.source, FQ,
+                           la.mat_mul(f, jF.matrix, incl.matrix)))
+
+
 def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):
     f = M.field
-    theta, (lhs, jK1, jQ0), (rhs, jL1, jP0) = _schanuel_base(
+    theta, (lhs, jK1, jQ0), (_, jL1, jP0) = _schanuel_base(
         M, coversA[0], inclsA[0], coversB[0], inclsB[0])
     if len(coversA) == 1:
         return theta
     # padded resolutions of M' = K1 + Q0:
     #   P1 + Q0 ->> K1 + Q0        with kernel K2 inside P1
     #   Q1 + P0 ->> L1 + P0 -theta^{-1}-> K1 + Q0   with kernel L2
-    P1 = coversA[1].source
-    Q0 = coversB[0].source
-    FA, jP1, jQ0f = direct_sum(P1, Q0)
-    augA_matrix = [[f.zero] * FA.dim for _ in range(lhs.dim)]
-    c1 = la.mat_mul(f, jK1.matrix, coversA[1].matrix)
-    for k in range(lhs.dim):
-        for j in range(P1.dim):
-            augA_matrix[k][j] = c1[k][j]
-        for j in range(Q0.dim):
-            augA_matrix[k][P1.dim + j] = jQ0.matrix[k][j]
-    augA = ModuleMorphism(FA, lhs, augA_matrix)
-    inclA2 = ModuleMorphism(inclsA[1].source, FA,
-                            la.mat_mul(f, jP1.matrix, inclsA[1].matrix))
-
-    Q1 = coversB[1].source
-    P0 = coversA[0].source
-    FB, jQ1, jP0f = direct_sum(Q1, P0)
-    augB_matrix = [[f.zero] * FB.dim for _ in range(rhs.dim)]
-    e1 = la.mat_mul(f, jL1.matrix, coversB[1].matrix)
-    for k in range(rhs.dim):
-        for j in range(Q1.dim):
-            augB_matrix[k][j] = e1[k][j]
-        for j in range(P0.dim):
-            augB_matrix[k][Q1.dim + j] = jP0.matrix[k][j]
-    inv_theta = la.mat_inverse(f, theta.matrix)
-    augB = ModuleMorphism(FB, lhs,
-                          la.mat_mul(f, inv_theta, augB_matrix))
-    inclB2 = ModuleMorphism(inclsB[1].source, FB,
-                            la.mat_mul(f, jQ1.matrix, inclsB[1].matrix))
-
+    augA, inclA2 = _pad(coversA[1], inclsA[1], jK1, jQ0,
+                        la.eye(f, lhs.dim), lhs)
+    augB, inclB2 = _pad(coversB[1], inclsB[1], jL1, jP0,
+                        la.mat_inverse(f, theta.matrix), lhs)
     return _schanuel_rec(lhs,
                          [augA] + coversA[2:], [inclA2] + inclsA[2:],
                          [augB] + coversB[2:], [inclB2] + inclsB[2:])
@@ -392,28 +376,24 @@ class DimensionReport:
 
 
 def dimension(M: GradedModule, kind="projective", cutoff=8) -> DimensionReport:
-    """Projective / flat dimension by resolving and testing kernels;
-    injective dimension through the dual."""
-    if kind == "injective":
-        rep = dimension(dual(M), "projective", cutoff)
-        return DimensionReport("injective", rep.value, cutoff)
-    if kind not in ("projective", "flat"):
+    """The first n <= cutoff whose syzygy K_n is projective, scanned
+    lazily along the one syzygy walk; it stops at the first split, so a
+    projective module that is not free (over K x K, say) costs one step
+    although its resolution never terminates.  Flat dimension is the
+    same number (see is_flat); injective dimension is the projective
+    dimension of the dual."""
+    if kind not in ("projective", "flat", "injective"):
         raise ModuleError(f"unknown dimension kind {kind!r}")
-    test = is_projective if kind == "projective" else is_flat
-    K = M
-    for n in range(cutoff + 1):
-        if test(K):
-            return DimensionReport(kind, n, cutoff)
-        p = minimal_cover(K)
-        K, _ = kernel(p)
-    return DimensionReport(kind, None, cutoff)
+    _check_cutoff(cutoff)
+    N = dual(M) if kind == "injective" else M
+    covers = (p for p, _ in islice(_syzygies(N, True), cutoff + 1))
+    return DimensionReport(kind, _first_split(covers, N), cutoff)
 
 
 def injective_dimension_direct(M: GradedModule, cutoff=8) -> DimensionReport:
     """Cross-check: build the injective resolution with copies of
     dual(free) directly instead of dualizing."""
     K = M
-    f = M.field
     for n in range(cutoff + 1):
         if is_injective(K):
             return DimensionReport("injective", n, cutoff)
@@ -437,6 +417,11 @@ def lambek_dimension_check(M: GradedModule, cutoff=8):
     return idh.value is not None and idh.value <= fdm.value
 
 
+def _agreement(fine: DimensionReport, coarse: DimensionReport):
+    return {"fine": fine.display, "coarse": coarse.display,
+            "equal": fine.value == coarse.value}
+
+
 def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
     """pd / fd (and id when ker(psi) is finite) must agree between M
     and its coarsening, along with the pushed-forward betti tables."""
@@ -444,23 +429,18 @@ def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
     if not epi:
         raise ModuleError("dimension comparison needs an epimorphism")
     Mc = coarsen_module(M, psi)
-    report = {}
-    for kind in ("projective", "flat"):
-        a = dimension(M, kind, cutoff)
-        b = dimension(Mc, kind, cutoff)
-        report[kind] = {"fine": a.display, "coarse": b.display,
-                        "equal": a.value == b.value}
+    res, resc = resolution(M, cutoff), resolution(Mc, cutoff)
+    # flat dimension is projective dimension (see is_flat)
+    pd = [DimensionReport("projective", _first_split(r.covers, r.target),
+                          cutoff) for r in (res, resc)]
+    report = {"projective": _agreement(*pd), "flat": _agreement(*pd)}
     _, _, _, finite, _ = kernel_data(psi)
     if finite:
-        a = dimension(M, "injective", cutoff)
-        b = dimension(Mc, "injective", cutoff)
-        report["injective"] = {"fine": a.display, "coarse": b.display,
-                               "equal": a.value == b.value}
+        report["injective"] = _agreement(dimension(M, "injective", cutoff),
+                                         dimension(Mc, "injective", cutoff))
     else:
         report["injective"] = {
             "skipped": "kernel of the coarsening map is infinite"}
-    res = resolution(M, cutoff)
-    resc = resolution(Mc, cutoff)
     fine_betti = []
     for i, table in enumerate(res.betti()):
         pushed = {}

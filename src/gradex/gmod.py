@@ -143,33 +143,34 @@ def shift(M: GradedModule, g) -> GradedModule:
     return GradedModule(M.algebra, [d - g for d in M.basis_degrees], M.action)
 
 
+def _block_action(R: GradedAlgebra, summands):
+    """Action tensor of a direct sum, from the action tensors of the
+    summands: for each x_i, their blocks down the diagonal in order."""
+    f = R.field
+    action = []
+    for i in range(R.dim):
+        n = sum(len(t[i]) for t in summands)
+        rows, start = [], 0
+        for t in summands:
+            for row in t[i]:
+                full = [f.zero] * n
+                full[start:start + len(row)] = row
+                rows.append(full)
+            start += len(t[i])
+        action.append(rows)
+    return action
+
+
 def direct_sum(M: GradedModule, N: GradedModule):
     """(M + N, injection of M, injection of N)."""
     if M.algebra != N.algebra:
         raise ModuleError("direct sum over different algebras")
-    R, f = M.algebra, M.field
-    m, n = M.dim, N.dim
-    degrees = list(M.basis_degrees) + list(N.basis_degrees)
-    action = []
-    for i in range(R.dim):
-        block = []
-        for j in range(m + n):
-            row = [f.zero] * (m + n)
-            if j < m:
-                for k in range(m):
-                    row[k] = M.action[i][j][k]
-            else:
-                for k in range(n):
-                    row[m + k] = N.action[i][j - m][k]
-            block.append(row)
-        action.append(block)
-    D = GradedModule(R, degrees, action)
-    inc1 = [[f.one if (k == j and k < m) else f.zero for j in range(m)]
-            for k in range(m + n)]
-    inc2 = [[f.one if k == m + j else f.zero for j in range(n)]
-            for k in range(m + n)]
-    return (D, ModuleMorphism(M, D, inc1, check=False),
-            ModuleMorphism(N, D, inc2, check=False))
+    R, m = M.algebra, M.dim
+    D = GradedModule(R, M.basis_degrees + N.basis_degrees,
+                     _block_action(R, [M.action, N.action]))
+    eye = la.eye(M.field, D.dim)
+    return (D, ModuleMorphism(M, D, [r[:m] for r in eye], check=False),
+            ModuleMorphism(N, D, [r[m:] for r in eye], check=False))
 
 
 def _module_on_subspace(M: GradedModule, basis):
@@ -442,24 +443,11 @@ def free_module(R: GradedAlgebra, gen_degrees):
     """Free module with one copy of R per generator degree; returns
     (F, blocks) where blocks[t] lists the basis indices of copy t and
     the generator of copy t is index blocks[t][unit-support]."""
-    f = R.field
-    degrees, blocks = [], []
-    for d in gen_degrees:
-        start = len(degrees)
-        degrees.extend(di + d for di in R.basis_degrees)
-        blocks.append(list(range(start, start + R.dim)))
-    m = len(degrees)
-    action = []
-    for i in range(R.dim):
-        block = []
-        for t in range(len(gen_degrees)):
-            for j in range(R.dim):
-                row = [f.zero] * m
-                for k in range(R.dim):
-                    row[blocks[t][k]] = R.structure[i][j][k]
-                block.append(row)
-        action.append(block)
-    F = GradedModule(R, degrees, action)
+    degrees = [di + d for d in gen_degrees for di in R.basis_degrees]
+    blocks = [list(range(t * R.dim, (t + 1) * R.dim))
+              for t in range(len(gen_degrees))]
+    F = GradedModule(R, degrees,
+                     _block_action(R, [R.structure] * len(gen_degrees)))
     return F, blocks
 
 
@@ -703,43 +691,6 @@ def small_submodule(u: ModuleMorphism, mode: str) -> SmallReport:
 # the one-variable polynomial side: K[X] with deg X of infinite order
 # ---------------------------------------------------------------------------
 
-def poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
-
-
-def poly_divmod(f, a, b):
-    a = poly_trim(list(a))
-    b = poly_trim(list(b))
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [f.zero] * max(0, len(a) - len(b) + 1)
-    r = a[:]
-    inv = f.inv(b[-1])
-    while len(r) >= len(b):
-        c = f.mul(r[-1], inv)
-        k = len(r) - len(b)
-        q[k] = c
-        for i, x in enumerate(b):
-            r[k + i] = f.sub(r[k + i], f.mul(c, x))
-        r = poly_trim(r)
-        if not r:
-            break
-    return poly_trim(q), r
-
-
-def poly_gcd(f, a, b):
-    a, b = poly_trim(list(a)), poly_trim(list(b))
-    while b:
-        _, r = poly_divmod(f, a, b)
-        a, b = b, r
-    if a:
-        inv = f.inv(a[-1])
-        a = [f.mul(inv, x) for x in a]
-    return a
-
-
 @dataclass
 class PrincipalPresentation:
     """Homogeneous generators of a submodule of a free module over a
@@ -875,42 +826,22 @@ def principal_suite(P: PrincipalPresentation, psi: GroupHom | None = None):
     return report
 
 
-def principal_superfluous_report(psi: GroupHom, max_power=6):
-    """The inclusion <X> into K[X]: superfluous in the graded category
-    (the graded ideals are exactly the <X^k>), but not after coarsening
-    along any psi killing the variable degree - witnessed by a
-    polynomial coprime to X generating a proper ideal."""
-    f = la.QQ
-    X = [f.zero, f.one]
-    graded_ok = True
-    for k in range(max_power + 1):
-        xk = [f.zero] * k + [f.one]
-        g = poly_gcd(f, X, xk)
-        sum_is_everything = (len(g) == 1)  # <X> + <X^k> = <gcd>
-        if sum_is_everything and k != 0:
-            graded_ok = False
-    # coarsened side: search low-degree monic polynomials for a witness
-    witness = None
-    for degree in range(1, 4):
-        if witness:
-            break
-        for tail in product(range(2), repeat=degree):
-            cand = [f.of(c) for c in tail] + [f.one]
-            cand = poly_trim(cand)
-            if len(cand) < 2:
-                continue
-            g = poly_gcd(f, X, cand)
-            if len(g) == 1:  # coprime to X, so <X> + <cand> is everything
-                witness = cand
-                break
-    kernel_contains_var = None
-    if psi is not None:
-        kernel_contains_var = all(
-            c == 0 for c in psi(psi.source.element(
-                (1,) + (0,) * (psi.source.dim - 1))).coords)
+def principal_superfluous_report(psi: GroupHom):
+    """The inclusion <X> into K[X], deg X the first generator of the
+    source of psi (of infinite order).  It is superfluous in the graded
+    category: the graded ideals are exactly the <X^k>, and for k >= 1
+    <X> + <X^k> = <X>.  After coarsening along psi it stays superfluous
+    exactly when psi(deg X) still has infinite order; when that order
+    is a finite m, X^m + 1 is homogeneous of degree 0 and coprime to X,
+    so the proper ideal <X^m + 1> and <X> sum to K[X]."""
+    G = psi.source
+    if not G.free_rank:
+        raise ModuleError("the variable degree needs infinite order")
+    m = psi(G.element((1,) + (0,) * (G.dim - 1))).order()
+    witness = None if m is None else ["1"] + ["0"] * (m - 1) + ["1"]
     return {
-        "graded_superfluous": graded_ok,
-        "coarsened_superfluous": False if witness else None,
-        "witness": [str(c) for c in witness] if witness else None,
-        "psi_kills_variable_degree": kernel_contains_var,
+        "graded_superfluous": True,
+        "coarsened_superfluous": m is None,
+        "witness": witness,
+        "psi_kills_variable_degree": m == 1,
     }

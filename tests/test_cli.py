@@ -249,6 +249,20 @@ class TestValidation:
          "gens[0][0][0]"),
         ({"var_degree": [1], "ambient": [[0]], "gens": [[[1, "1"]]]},
          "gens[0][0]"),
+        (dict(PSI_Z_TO_Z2, matrix=[["x"]]), "matrix[0]"),
+        (dict(PHI_DOUBLING, matrix=[[1.5]]), "matrix[0]"),
+        (dict(RING_QX2, basis=3), "basis"),
+        (dict(RING_QX2, mul=5), "mul"),
+        (dict(MODULE_K, basis=3), "basis"),
+        (dict(MODULE_K, action=5), "action"),
+        ({"var_degree": [1], "ambient": [[0]], "gens": 5}, "gens"),
+        ({"var_degree": ["a"], "ambient": [[0]], "gens": [[[1, 1]]]},
+         "var_degree"),
+        (dict(LAURENT, mode={"d": "x"}), "mode.d"),
+        (dict(RING_QX2, basis=[{"degree": ["a"]}, {"degree": [1]}]),
+         "basis[0].degree"),
+        (dict(RING_QX2, basis=[{"degree": [True]}, {"degree": [1]}]),
+         "basis[0].degree"),
     ])
     def test_malformed_scalar_or_integer_is_a_violation(self, tmp_path,
                                                          capsys, doc, path):
@@ -269,6 +283,13 @@ class TestValidation:
         # 1/2 is the inverse of 2 in F5, not the integer part of 0.5
         t = cli._sparse_tensor(1, [[0, 0, [[0, "1/2"]]]], GF(5), "mul")
         assert t[0][0][0] == 3
+
+    def test_coarsen_rejects_non_integer_psi(self, docs, capsys):
+        psi = json.dumps(dict(PSI_Z_TO_Z2, matrix=[["x"]]))
+        code = cli.run(["coarsen", str(docs / "ring.json"), "--psi", psi])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "validation"
+        assert err["error"].startswith("psi.matrix[0]:")
 
     def test_classify_rejects_invalid(self, docs, capsys):
         code = cli.run(["classify", str(docs / "bad.json")])
@@ -339,6 +360,26 @@ class TestExitCodes:
         assert code == 0 and out["ok"] is False
         assert any(v.startswith("action[0][2][0]")
                    for v in out["violations"])
+
+
+    def test_cutoff_outside_0_to_32_is_refused(self, docs, capsys):
+        for cmd in ("resolve", "pd", "id", "fd"):
+            for cutoff in ("-1", "33"):
+                code = cli.run([cmd, str(docs / "K.json"),
+                                "--cutoff", cutoff])
+                err = json.loads(capsys.readouterr().err)
+                assert code == 2 and err["kind"] == "validation", \
+                    (cmd, cutoff)
+        code = cli.run(["coarsen-compare", str(docs / "K.json"),
+                        "--psi", str(docs / "psi2.json"), "--cutoff", "-1"])
+        capsys.readouterr()
+        assert code == 2
+
+    def test_schanuel_glue_length_at_least_one(self, docs, capsys):
+        for n in ("-1", "0"):
+            code = cli.run(["schanuel", str(docs / "K.json"), "--n", n])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 2 and err["kind"] == "validation", n
 
 
 class TestDeterminism:

@@ -31,6 +31,24 @@ def sample_modules():
     return out
 
 
+def quotient_by_x2_of_x3():
+    """F2[x]/(x^3) modulo <x^2>."""
+    M = gm.regular_module(S.truncated_polynomial_algebra(GF(2), 3))
+    _, incl = gm.generated_submodule(M, [[0, 0, 1]])
+    return gm.cokernel(incl)[0]
+
+
+def reference_dimension(M, kind, cutoff):
+    """Step with kernel(minimal_cover(K)) and stop at the first
+    projective K; injective through the dual."""
+    K = gh.dual(M) if kind == "injective" else M
+    for n in range(cutoff + 1):
+        if gh.is_projective(K):
+            return n
+        K, _ = gm.kernel(gh.minimal_cover(K))
+    return None
+
+
 class TestDuality:
     def test_dual_of_regular(self):
         R = S.dual_numbers()
@@ -156,7 +174,29 @@ class TestSchanuel:
         assert verified and iso.is_iso()
 
 
+    @pytest.mark.parametrize("minimal", [True, False])
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_glue_quotient_of_truncated_cube(self, n, minimal):
+        K = quotient_by_x2_of_x3()
+        res_min = gh.resolution(K, cutoff=n, minimal=True)
+        res_other = gh.resolution(K, cutoff=n, minimal=minimal)
+        iso, verified = gh.schanuel_glue(res_min, res_other, n)
+        assert verified and iso.is_iso()
+
+
 class TestDimensions:
+    @pytest.mark.parametrize("kind", ["projective", "injective", "flat"])
+    def test_matches_reference_walk(self, kind):
+        R = S.product_field_algebra()
+        modules = sample_modules() + [
+            gm.GradedModule(R, [Z(1).zero], [[[1]], [[0]]]),
+            quotient_by_x(S.truncated_polynomial_algebra(QQ, 3))[0]]
+        for M in modules:
+            for cutoff in range(4):
+                rep = gh.dimension(M, kind, cutoff)
+                assert rep.value == reference_dimension(M, kind, cutoff), \
+                    (M, cutoff)
+
     def test_free_module_dimension_zero(self):
         R = S.dual_numbers()
         M = gm.regular_module(R)

@@ -4,7 +4,7 @@ import gradex.gmod as gm
 import gradex.gcore as gc
 import gradex.oracles as orc
 import gradex.samples as S
-from gradex.abgroups import Z, Zmod, ZERO_GROUP
+from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 
 
@@ -315,6 +315,20 @@ class TestPrincipalPresentations:
         assert rep["coarsened_superfluous"] is False
         assert rep["witness"] == ["1", "1"]  # the polynomial X + 1
         assert rep["psi_kills_variable_degree"] is True
+
+    def test_superfluous_kept_by_identity_coarsening(self):
+        # psi = id keeps deg X of infinite order: nothing is coarsened
+        rep = gm.principal_superfluous_report(GroupHom(Z(1), Z(1), [[1]]))
+        assert rep["coarsened_superfluous"] is True
+        assert rep["witness"] is None
+
+    def test_superfluous_witness_has_order_of_variable_degree(self):
+        # Z -> Z/2: deg X has order 2, so X^2 + 1 is homogeneous of
+        # degree 0 (X + 1 is not homogeneous there)
+        rep = gm.principal_superfluous_report(S.psi_Z_to_Zmod(2))
+        assert rep["coarsened_superfluous"] is False
+        assert rep["witness"] == ["1", "0", "1"]
+        assert rep["psi_kills_variable_degree"] is False
 
     def test_reflection_direction(self):
         # a coarsened-superfluous inclusion is graded-superfluous: check
