@@ -182,7 +182,7 @@ def ring_from_json(doc, path="ring"):
     except GradingViolation as e:
         raise ValidationError(_jp(path, 'mul') + f': {e}')
     except (AlgebraError, ValueError) as e:
-        raise ValidationError(f"{path}: {e}")
+        raise ValidationError(f"{path or '$'}: {e}")
 
 
 def _sparse_tensor_to_json(space):
@@ -207,13 +207,16 @@ def ring_to_json(R: GradedAlgebra):
 
 
 def monoid_algebra_from_json(doc, path="ring"):
+    at = _jp(path, "monoid")
     mon = doc["monoid"]
     if not isinstance(mon, dict) or "dim" not in mon or "gens" not in mon:
-        raise ValidationError(_jp(path, 'monoid') + ': expected dim and gens')
-    try:
-        monoid = AffineMonoid(mon["dim"], [tuple(g) for g in mon["gens"]])
-    except (AlgebraError, ValueError, TypeError) as e:
-        raise ValidationError(_jp(path, 'monoid') + f': {e}')
+        raise ValidationError(f"{at}: expected dim and gens")
+    dim = mon["dim"]
+    if not _is_int(dim) or dim < 0:
+        raise ValidationError(f"{at}.dim: must be a nonnegative integer")
+    monoid = AffineMonoid(dim, [
+        _ints(g, dim, f"{at}.gens[{i}]")
+        for i, g in enumerate(_list(mon["gens"], f"{at}.gens"))])
     field = field_from_json(doc.get("field", "Q"), _jp(path, "field"))
     if "base" in doc:
         base = ring_from_json(doc["base"], _jp(path, "base"))
@@ -230,8 +233,8 @@ def monoid_algebra_from_json(doc, path="ring"):
         except AlgebraError as e:
             raise ValidationError(f"{at}: {e}")
     if mode not in ("fine", "coarse"):
-        raise ValidationError(f'{path}.mode: expected "fine", "coarse" or '
-                              '{"d": matrix}')
+        raise ValidationError(_jp(path, "mode") + ': expected "fine", '
+                              '"coarse" or {"d": matrix}')
     return MonoidAlgebra(base, monoid, mode=mode)
 
 
@@ -253,7 +256,7 @@ def module_from_json(doc, path="module"):
     except GradingViolation as e:
         raise ValidationError(_jp(path, 'action') + f': {e}')
     except (gm.ModuleError, AlgebraError, ValueError) as e:
-        raise ValidationError(f"{path}: {e}")
+        raise ValidationError(f"{path or '$'}: {e}")
 
 
 def module_to_json(M: gm.GradedModule):
@@ -281,16 +284,16 @@ def principal_from_json(doc, path="principal"):
         for ri, entry in enumerate(_list(col, _jp(path, f"gens[{ci}]"))):
             at = _jp(path, f"gens[{ci}][{ri}]")
             if not isinstance(entry, list) or len(entry) != 2 or \
-                    not _is_int(entry[1]):
+                    not _is_int(entry[1]) or entry[1] < 0:
                 raise ValidationError(f"{at}: expected [c, k] with an "
-                                      "integer k")
+                                      "integer k >= 0")
             c, k = entry
             entries.append((_scalar(field, c, f"{at}[0]"), k))
         gens.append(entries)
     try:
         return gm.PrincipalPresentation(field, var, ambient, gens)
     except gm.ModuleError as e:
-        raise ValidationError(f"{path}: {e}")
+        raise ValidationError(f"{path or '$'}: {e}")
 
 
 # ---------------------------------------------------------------------------

@@ -21,14 +21,31 @@ class DimensionError(ValueError):
     pass
 
 
+# Miller-Rabin with the prime bases 2..41 is deterministic below
+# PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(p):
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _PRIME_BASES:
+        if p % b == 0:
+            return p == b
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -37,6 +54,9 @@ class ScalarField:
     p: int  # 0 means Q
 
     def __post_init__(self):
+        if self.p >= PRIME_BOUND:
+            raise FieldError(f"{self.p} is too large: primality is decided "
+                             f"only below {PRIME_BOUND}")
         if self.p != 0 and not _is_prime(self.p):
             raise FieldError(f"{self.p} is not prime")
 
@@ -306,10 +326,54 @@ def coords_in_basis(field, basis, v):
 
 
 # ---------------------------------------------------------------------------
-# invertible member of an affine matrix space
+# full-rank witnesses in a linear family, and invertible intertwiners
 # ---------------------------------------------------------------------------
 
 DEFAULT_SEED = 20230817
+EXHAUSTIVE_LIMIT = 2 ** 16
+INTERTWINER_BUDGET = 2000
+
+
+def witness_search(field, k, degree, test, seed, budget):
+    """Search field^k for a point at which ``test`` holds, where ``test``
+    fails exactly on the common zeros of polynomials of degree at most
+    ``degree`` in each coordinate (such as the minors of a matrix whose
+    entries are affine in the point).  Returns (status, point,
+    points_tried), status "found", "proven_none" or "budget_exhausted".
+
+    Over F_p every point is tried when there are at most
+    EXHAUSTIVE_LIMIT.  Otherwise, for k <= 3, the grid {0..degree}^k
+    decides when it has at most EXHAUSTIVE_LIMIT points: a polynomial of
+    degree <= degree in each variable that vanishes on it is zero
+    (Alon's Combinatorial Nullstellensatz); over F_p it is reached only
+    when p > degree, so its points are distinct.  Otherwise ``budget``
+    random points are drawn, and a miss is "budget_exhausted", never a
+    no.
+    """
+    decided = True
+    if field.is_finite and field.p ** k <= EXHAUSTIVE_LIMIT:
+        points = product(field.elements(), repeat=k)
+    elif k <= 3 and (degree + 1) ** k <= EXHAUSTIVE_LIMIT:
+        points = product(range(degree + 1), repeat=k)
+    else:
+        points, decided = _random_points(field, k, seed, budget), False
+    tried = 0
+    for tried, ts in enumerate(points, 1):
+        if test(ts):
+            return "found", ts, tried
+    return ("proven_none" if decided else "budget_exhausted"), None, tried
+
+
+def _random_points(field, k, seed, budget):
+    """``budget`` random points: uniform over F_p, integers from a range
+    widening every 50 draws over Q."""
+    rng = random.Random(seed)
+    for i in range(budget):
+        if field.is_finite:
+            yield tuple(rng.randrange(field.p) for _ in range(k))
+        else:
+            bound = 2 + i // 50
+            yield tuple(rng.randint(-bound, bound) for _ in range(k))
 
 
 @dataclass
@@ -328,54 +392,14 @@ def _space_member(field, particular, basis, ts, n):
     return M
 
 
-def invertible_intertwiner(field, particular, basis, n, seed=DEFAULT_SEED,
-                           budget=2000, exhaustive_limit=2 ** 16):
+def invertible_intertwiner(field, particular, basis, n, seed=DEFAULT_SEED):
     """Search the affine space {particular + sum t_i basis_i} of n x n
-    matrices for an invertible member.
-
-    Over a finite field the space is searched exhaustively when it has at
-    most ``exhaustive_limit`` members.  Over Q the determinant polynomial
-    is evaluated at integer points from an expanding range; for spaces of
-    dimension <= 3 an exhaustive grid test proves identical vanishing.
-    """
-    k = len(basis)
-    if k == 0:
-        if n == 0 or det(field, particular) != 0:
-            return IntertwinerResult("found", particular, 1)
-        return IntertwinerResult("proven_none", None, 1)
-    if field.is_finite:
-        size = field.p ** k
-        if size <= exhaustive_limit:
-            count = 0
-            for ts in product(field.elements(), repeat=k):
-                count += 1
-                M = _space_member(field, particular, basis, ts, n)
-                if det(field, M) != 0:
-                    return IntertwinerResult("found", M, count)
-            return IntertwinerResult("proven_none", None, count)
-        rng = random.Random(seed)
-        for i in range(budget):
-            ts = [rng.randrange(field.p) for _ in range(k)]
-            M = _space_member(field, particular, basis, ts, n)
-            if det(field, M) != 0:
-                return IntertwinerResult("found", M, i + 1)
-        return IntertwinerResult("budget_exhausted", None, budget)
-    # rational case: the determinant is a polynomial of degree <= n in
-    # each of the k parameters, so a grid with n+1 points per parameter
-    # decides identical vanishing.
-    if k <= 3 and (n + 1) ** k <= budget:
-        count = 0
-        for ts in product(range(n + 1), repeat=k):
-            count += 1
-            M = _space_member(field, particular, basis, ts, n)
-            if det(field, M) != 0:
-                return IntertwinerResult("found", M, count)
-        return IntertwinerResult("proven_none", None, count)
-    rng = random.Random(seed)
-    for i in range(budget):
-        bound = 2 + i // 50
-        ts = [rng.randint(-bound, bound) for _ in range(k)]
-        M = _space_member(field, particular, basis, ts, n)
-        if det(field, M) != 0:
-            return IntertwinerResult("found", M, i + 1)
-    return IntertwinerResult("budget_exhausted", None, budget)
+    matrices for an invertible member with witness_search: the
+    determinant has degree <= n in each t_i."""
+    status, ts, tried = witness_search(
+        field, len(basis), n,
+        lambda ts: det(field, _space_member(field, particular, basis, ts,
+                                            n)) != 0,
+        seed, INTERTWINER_BUDGET)
+    M = None if ts is None else _space_member(field, particular, basis, ts, n)
+    return IntertwinerResult(status, M, tried)

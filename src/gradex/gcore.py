@@ -366,9 +366,14 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def power(self, k):
-        out = self.parent.one
-        for _ in range(k):
-            out = out * self
+        """x^k by repeated squaring (k may be a large prime p)."""
+        out, base = self.parent.one, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def __repr__(self):
@@ -423,37 +428,29 @@ class RingClass:
 
 
 def classify_ring(R: GradedAlgebra) -> RingClass:
-    """Simple / entire / reduced flags with the decision method."""
+    """Simple / entire / reduced flags with the decision method, one rule
+    per flag.  Reduced: the nilradical is graded, so it is zero exactly
+    when no nonzero homogeneous element is nilpotent.  Entire equals
+    simple: in finite dimension an injective multiplication is
+    bijective.  Simple: every nonzero homogeneous element is a unit,
+    tested on all of them over F_p when the enumeration guard allows
+    ("exhaustive"), else on the basis when every component has
+    dimension <= 1 ("criterion"), else undecided."""
     if R.dim == 0:
         return RingClass(False, False, True, "zero-ring")
+    reduced = nilradical(R).dim == 0
+    simple, method = None, "criterion"
     if R.field.is_finite:
         try:
-            simple = entire = reduced = True
-            for _, x in R.homogeneous_vectors():
-                cls = classify_element(R, x)
-                if not cls.unit:
-                    simple = False
-                if not cls.regular:
-                    entire = False
-                if cls.nilpotent:
-                    reduced = False
-            out = RingClass(simple, entire, reduced, "exhaustive")
-            assert out._chain_ok()
-            return out
+            simple = all(classify_element(R, x).unit
+                         for _, x in R.homogeneous_vectors())
+            method = "exhaustive"
         except SizeGuardExceeded:
             pass
-    reduced = nilradical(R).dim == 0
-    if all(c <= 1 for c in R.hilbert().values()):
-        simple = entire = True
-        for i in range(R.dim):
-            cls = classify_element(R, R.basis_element(i))
-            if not cls.unit:
-                simple = False
-            if not cls.regular:
-                entire = False
-        out = RingClass(simple, entire, reduced, "criterion")
-    else:
-        out = RingClass(None, None, reduced, "criterion")
+    if method == "criterion" and all(c <= 1 for c in R.hilbert().values()):
+        simple = all(classify_element(R, R.basis_element(i)).unit
+                     for i in range(R.dim))
+    out = RingClass(simple, simple, reduced, method)
     assert out._chain_ok()
     return out
 
@@ -759,31 +756,29 @@ class AffineMonoid:
         if _fourier_motzkin_feasible(
                 [([Fraction(c) for c in g], Fraction(1)) for g in gens]):
             return SharpnessReport(True, "pointed-cone")
-        wit = self._zero_combination(self.SHARP_SEARCH_BOUND)
+        wit = next((c for c, point in
+                    self.combinations(self.SHARP_SEARCH_BOUND)
+                    if any(c) and point == self.zero), None)
         if wit is not None:
             return SharpnessReport(False, "witness", witness=wit)
         return SharpnessReport(None, "bounded-search",
                                bound=self.SHARP_SEARCH_BOUND)
 
-    def _zero_combination(self, bound):
-        """Nonzero natural combination of the generators summing to 0."""
+    def combinations(self, bound):
+        """Every (coefficients, point): natural coefficients of the
+        generators summing to at most ``bound``, in lexicographic order,
+        and the point they combine to."""
         gens = self.generators
-        k = len(gens)
 
-        def rec(i, remaining, current, coeffs):
-            if i == k:
-                if any(coeffs) and all(x == 0 for x in current):
-                    return tuple(coeffs)
-                return None
+        def rec(i, remaining, coeffs, point):
+            if i == len(gens):
+                yield coeffs, point
+                return
             for c in range(remaining + 1):
-                nxt = tuple(current[t] + c * gens[i][t]
-                            for t in range(self.ambient_dim))
-                got = rec(i + 1, remaining - c, nxt, coeffs + [c])
-                if got is not None:
-                    return got
-            return None
+                nxt = tuple(x + c * y for x, y in zip(point, gens[i]))
+                yield from rec(i + 1, remaining - c, coeffs + (c,), nxt)
 
-        return rec(0, bound, self.zero, [])
+        yield from rec(0, bound, (), self.zero)
 
     def contains(self, m, bound=MEMBERSHIP_BOUND):
         """Is m a natural combination of the generators?  True / False /
@@ -793,26 +788,8 @@ class AffineMonoid:
             return True
         if self.diff_coords(m) is None:
             return False
-        gens = self.generators
-        k = len(gens)
-
-        def rec(i, remaining, current):
-            if current == m:
-                return True
-            if i == k:
-                return False
-            for c in range(remaining + 1):
-                nxt = tuple(current[t] + c * gens[i][t]
-                            for t in range(self.ambient_dim))
-                if rec(i + 1, remaining - c, nxt):
-                    return True
-            return False
-
-        if rec(0, bound, self.zero):
-            return True
-        # bounded failure is conclusive when m is outside the rational
-        # cone: no lambda >= 0 with sum lambda_i g_i = m, each equality
-        # written as two inequalities
+        # outside the rational cone (no lambda >= 0 with sum lambda_i g_i
+        # = m, each equality written as two inequalities) m is not in M
         gens = [g for g in self.generators if any(x != 0 for x in g)]
         cons = []
         for t in range(self.ambient_dim):
@@ -823,6 +800,8 @@ class AffineMonoid:
             cons.append((la.unit_vector(la.QQ, len(gens), i), Fraction(0)))
         if not _fourier_motzkin_feasible(cons):
             return False
+        if any(point == m for _, point in self.combinations(bound)):
+            return True
         return None
 
     def is_invertible(self, m):

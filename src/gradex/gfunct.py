@@ -388,22 +388,9 @@ def monoid_corestriction_report(MA: MonoidAlgebra, phi: GroupHom, bound=8):
                 return {"result": "zero", "witness_exponent": m,
                         "witness_degree": tuple(d.coords)}
     # shortcut b): bounded degree-support criterion
-    degs = set()
-    frontier = {MA.monoid.zero}
-    seen = {MA.monoid.zero}
-    for _ in range(bound):
-        new = set()
-        for m in frontier:
-            for g in MA.monoid.generators:
-                n = tuple(a + b for a, b in zip(m, g))
-                if n not in seen:
-                    seen.add(n)
-                    new.add(n)
-        frontier = new
-    base_degs = MA.base.degrees()
-    for m in seen:
-        for g in base_degs:
-            degs.add(MA.monomial_degree(m, g))
+    points = {point for _, point in MA.monoid.combinations(bound)}
+    degs = {MA.monomial_degree(m, g)
+            for m in points for g in MA.base.degrees()}
     outside = sorted((d for d in degs if degree_preimage(phi, d) is None),
                      key=lambda d: d.coords)
     for d1 in outside:

@@ -17,7 +17,6 @@ bolted on afterwards.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
@@ -602,37 +601,22 @@ def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
     if M.dim == 0:
         return True
     undecided = False
-    for g in sorted(M.degrees(), key=lambda d: d.coords):
+    for g in M.degrees():
         idx = M.component_indices(g)
-        k = len(idx)
-        # the map R -> M, r |-> r.m has a matrix linear in m
-        def gen_matrix(vals):
+
+        # m generates M iff the x_i . m span M; they are linear in m, so
+        # the maximal minors have degree <= dim in m's coordinates
+        def generates(vals):
             m = [f.zero] * M.dim
             for j, c in zip(idx, vals):
                 m[j] = f.of(c)
-            cols = [M.act_vec(la.unit_vector(f, R.dim, i), m)
-                    for i in range(R.dim)]
-            return [[c[t] for c in cols] for t in range(M.dim)]
-        if f.is_finite and f.p ** k <= 2 ** 16:
-            for vals in product(f.elements(), repeat=k):
-                if la.rank(f, gen_matrix(vals)) == M.dim:
-                    return True
-            continue
-        # rational / large case: maximal rank is attained on the
-        # complement of a determinantal hypersurface of degree <= dim,
-        # so a grid with dim+1 points per parameter decides for small k
-        if k <= 3:
-            for vals in product(range(M.dim + 1), repeat=k):
-                if la.rank(f, gen_matrix(vals)) == M.dim:
-                    return True
-            continue
-        import random
-        rng = random.Random(seed)
-        for _ in range(200):
-            vals = [rng.randint(-M.dim - 1, M.dim + 1) for _ in range(k)]
-            if la.rank(f, gen_matrix(vals)) == M.dim:
-                return True
-        undecided = True   # a random miss proves nothing
+            return la.rank(f, [M.act_vec(la.unit_vector(f, R.dim, i), m)
+                               for i in range(R.dim)]) == M.dim
+        status, _, _ = la.witness_search(f, len(idx), M.dim, generates,
+                                         seed, 200)
+        if status == "found":
+            return True
+        undecided = undecided or status == "budget_exhausted"
     return None if undecided else False
 
 
@@ -715,6 +699,28 @@ class PrincipalPresentation:
                 raise ModuleError("generator column is not homogeneous")
 
 
+def _clear_pivot_line(f, lines, i0, j0, used):
+    """Zero entry j0 of every unused line other than lines[i0] by
+    subtracting a monomial multiple of lines[i0], whose entry j0 is the
+    pivot; the quotients are exact because the pivot has the minimal
+    X-power."""
+    pc, k0 = lines[i0][j0]
+    for i, line in enumerate(lines):
+        c, k = line[j0]
+        if i == i0 or used[i] or c == 0:
+            continue
+        q = f.div(c, pc)
+        for j, (cc, kk) in enumerate(lines[i0]):
+            if cc == 0:
+                continue
+            oc, ok = line[j]
+            add_c, add_k = f.neg(f.mul(q, cc)), kk + (k - k0)
+            if oc != 0 and ok != add_k:
+                raise ModuleError("reduction lost homogeneity")
+            s = f.add(oc, add_c)
+            line[j] = (s, add_k) if s != 0 else (f.zero, 0)
+
+
 def principal_decompose(P: PrincipalPresentation):
     """Graded reduction of a monomial-entry presentation matrix into
     independent cyclic summands: returns a list of (shift degree,
@@ -742,55 +748,12 @@ def principal_decompose(P: PrincipalPresentation):
         if best is None:
             break
         k0, r0, c0 = best
-        pc, _ = cols[c0][r0]
-        # clear the pivot row in the other columns (quotients are exact:
-        # the pivot has the minimal X-power)
-        for cj, col in enumerate(cols):
-            if cj == c0 or used_cols[cj]:
-                continue
-            c, k = col[r0]
-            if c == 0:
-                continue
-            q = f.div(c, pc)
-            for ri in range(rows):
-                cc, kk = cols[c0][ri]
-                if cc == 0:
-                    continue
-                oc, ok = col[ri]
-                add_c = f.neg(f.mul(q, cc))
-                add_k = kk + (k - k0)
-                if oc == 0:
-                    col[ri] = (add_c, add_k)
-                else:
-                    if ok != add_k:
-                        raise ModuleError("column reduction lost homogeneity")
-                    s = f.add(oc, add_c)
-                    col[ri] = (s, ok) if s != 0 else (f.zero, 0)
-        # clear the pivot column in the other rows (row operations,
-        # i.e. a change of ambient basis)
-        for ri in range(rows):
-            if ri == r0 or used_rows[ri]:
-                continue
-            c, k = cols[c0][ri]
-            if c == 0:
-                continue
-            q = f.div(c, pc)
-            for cj, col in enumerate(cols):
-                if used_cols[cj]:
-                    continue
-                cc, kk = col[r0]
-                if cc == 0:
-                    continue
-                oc, ok = col[ri]
-                add_c = f.neg(f.mul(q, cc))
-                add_k = kk + (k - k0)
-                if oc == 0:
-                    col[ri] = (add_c, add_k)
-                else:
-                    if ok != add_k:
-                        raise ModuleError("row reduction lost homogeneity")
-                    s = f.add(oc, add_c)
-                    col[ri] = (s, ok) if s != 0 else (f.zero, 0)
+        # clear the pivot row by column operations, then the pivot
+        # column by row operations (a change of ambient basis)
+        _clear_pivot_line(f, cols, c0, r0, used_cols)
+        by_row = [list(r) for r in zip(*cols)]
+        _clear_pivot_line(f, by_row, r0, c0, used_rows)
+        cols = [list(c) for c in zip(*by_row)]
         used_cols[c0] = True
         used_rows[r0] = True
         summands.append((ambient[r0], k0))

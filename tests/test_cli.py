@@ -263,6 +263,18 @@ class TestValidation:
          "basis[0].degree"),
         (dict(RING_QX2, basis=[{"degree": [True]}, {"degree": [1]}]),
          "basis[0].degree"),
+        (dict(LAURENT, monoid={"dim": "a", "gens": []}), "monoid.dim"),
+        (dict(LAURENT, monoid={"dim": -1, "gens": []}), "monoid.dim"),
+        (dict(LAURENT, monoid={"dim": 1, "gens": [[1.5]]}),
+         "monoid.gens[0]"),
+        (dict(LAURENT, monoid={"dim": 1, "gens": 5}), "monoid.gens"),
+        (dict(LAURENT, mode="x"), "mode"),
+        ({"var_degree": [1], "ambient": [[0]], "gens": [[[1, -1]]]},
+         "gens[0][0]"),
+        ({"var_degree": [0], "ambient": [[0]], "gens": [[[1, 1]]]}, "$"),
+        ({"var_degree": [1], "ambient": [], "gens": [[[1, 1]]]}, "$"),
+        (dict(RING_QX2, unit=["2", "0"]), "$"),
+        (dict(MODULE_K, action=[[0, 0, [[0, "2"]]]]), "$"),
     ])
     def test_malformed_scalar_or_integer_is_a_violation(self, tmp_path,
                                                          capsys, doc, path):
@@ -319,6 +331,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert json.loads(err)["kind"] == "size-guard"
+
+    @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)])
+    def test_large_prime_field(self, capsys, p, code):
+        # primality and the Frobenius power in the nilradical take
+        # O(log p) steps; beyond the deterministic Miller-Rabin bound
+        # the field is refused
+        doc = {"group": {"free_rank": 0}, "field": {"p": p},
+               "basis": [[]], "mul": [[0, 0, [[0, 1]]]], "unit": [1]}
+        assert cli.run(["classify", json.dumps(doc)]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            assert json.loads(out) == {"entire": True, "reduced": True,
+                                       "simple": True}
+        else:
+            assert "too large" in json.loads(err)["error"]
 
     def test_field_flag_rejected_by_argparse(self, docs, capsys):
         code = cli.run(["classify", str(docs / "ring.json"),

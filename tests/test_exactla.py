@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -48,6 +49,23 @@ class TestFields:
     def test_nonprime_rejected(self):
         with pytest.raises(la.FieldError):
             la.GF(6)
+
+    def test_large_prime_accepted_quickly(self):
+        start = time.perf_counter()
+        assert la.GF(2 ** 61 - 1).p == 2 ** 61 - 1
+        assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("n", [
+        561,          # a Carmichael number
+        3215031751,   # a strong pseudoprime to the bases 2, 3, 5 and 7
+    ])
+    def test_pseudoprimes_rejected(self, n):
+        with pytest.raises(la.FieldError, match="not prime"):
+            la.GF(n)
+
+    def test_prime_beyond_deterministic_bound_refused(self):
+        with pytest.raises(la.FieldError, match="too large"):
+            la.GF(2 ** 89 - 1)
 
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
@@ -130,6 +148,14 @@ class TestIntertwiner:
         basis = [conv(f, [[1, 0], [0, 0]]), conv(f, [[0, 1], [0, 0]])]
         res = la.invertible_intertwiner(f, particular, basis, 2)
         assert res.status == "proven_none"
+
+    def test_proven_none_by_grid_over_large_field(self):
+        # 65537 points per parameter are too many to try; det(t E_00)
+        # has degree <= 2 in t, so the grid {0, 1, 2} decides
+        f = la.GF(65537)
+        res = la.invertible_intertwiner(f, la.zeros(f, 2, 2),
+                                        [[[1, 0], [0, 0]]], 2)
+        assert res.status == "proven_none" and res.samples_used == 3
 
     def test_rational_found_deterministic(self):
         f = la.QQ

@@ -5,9 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.gcore as gc
 import gradex.gmod as gm
+import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
+from gradex.gfunct import coarsen
 
 
 class TestConstruction:
@@ -92,6 +94,35 @@ class TestRingClassification:
         assert not rc.simple and not rc.entire and not rc.reduced
         rc = gc.classify_ring(S.product_field_algebra())
         assert not rc.entire and rc.reduced and not rc.simple
+
+    @pytest.mark.parametrize("pair", range(len(S.coarsening_pairs())))
+    def test_agrees_with_oracle(self, pair):
+        # on a coarsening pair's ring, its coarsening, and the quotients
+        # of the ring by the ideal each basis vector generates
+        R, psi = S.coarsening_pairs()[pair]
+        rings = [R, coarsen(R, psi)] + [
+            gc.quotient_ring(R, gc.ideal_from_gens(
+                R, [R.basis_element(i).coords]))[0] for i in range(R.dim)]
+        for A in rings:
+            if A.dim == 0:
+                continue   # the zero ring: the oracle's scan is vacuous
+            rc = gc.classify_ring(A)
+            assert {"simple": rc.simple, "entire": rc.entire,
+                    "reduced": rc.reduced} == orc.oracle_ring_class(A)
+
+    def test_exhaustive_stops_at_first_non_unit(self, monkeypatch):
+        # coarse F2[Z/10] has 1023 nonzero homogeneous elements; the third
+        # enumerated, e_8 + e_9 = g^8 (1 + g), is not a unit
+        R = coarsen(S.group_algebra(2, 10), S.psi_Zmod_to_zero(10))
+        calls, classify_element = [], gc.classify_element
+
+        def counted(R, x):
+            calls.append(x)
+            return classify_element(R, x)
+        monkeypatch.setattr(gc, "classify_element", counted)
+        rc = gc.classify_ring(R)
+        assert rc.method == "exhaustive" and rc.simple is False
+        assert len(calls) == 3
 
     def test_implication_chain(self):
         # simple => entire => reduced on every corpus member
@@ -213,6 +244,23 @@ class TestMonoids:
         assert M.contains((2, 0)) is True
         assert M.contains((1, 0)) is False
         assert M.contains((0, 2)) is False
+
+    def test_combinations_give_sharpness_witness(self):
+        M = gc.AffineMonoid(1, [(1,), (-1,)])
+        assert list(M.combinations(1)) == [((0, 0), (0,)), ((0, 1), (-1,)),
+                                           ((1, 0), (1,))]
+        assert next(c for c, point in M.combinations(16)
+                    if any(c) and point == (0,)) == (1, 1)
+        assert M.sharpness().witness == (1, 1)
+
+    def test_outside_cone_decided_without_enumeration(self, monkeypatch):
+        M = gc.AffineMonoid(2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2),
+                                (-1, 0)])
+
+        def no_walk(bound):
+            raise AssertionError("bounded walk ran")
+        monkeypatch.setattr(M, "combinations", no_walk)
+        assert M.contains((0, -1)) is False
 
     def test_laurent_units(self):
         L = S.laurent_algebra()

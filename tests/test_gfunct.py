@@ -206,6 +206,27 @@ class TestMonoidShortcuts:
         rep = gf.monoid_corestriction_report(A2, S.phi_doubling())
         assert rep["result"] == "equals_restriction"
 
+    @pytest.mark.parametrize("gens, dmatrix", [
+        ([(1,)], [[2]]),
+        ([(1, 0), (0, 1), (1, 1)], [[2, 4]]),
+        ([(1, 0), (1, 2), (0, 3)], [[2, -2]]),
+    ])
+    def test_degrees_checked_match_breadth_first_walk(self, gens, dmatrix):
+        base = S.trivial_algebra(QQ, Z(1))
+        A = gc.MonoidAlgebra(base, gc.AffineMonoid(len(gens[0]), gens),
+                             mode="d", dmatrix=dmatrix)
+        rep = gf.monoid_corestriction_report(A, S.phi_doubling(), bound=5)
+        assert rep["result"] == "equals_restriction"
+        # every monoid point reachable in at most 5 generator steps
+        seen = frontier = {A.monoid.zero}
+        for _ in range(5):
+            frontier = {tuple(a + b for a, b in zip(m, g))
+                        for m in frontier for g in A.monoid.generators}
+            seen = seen | frontier
+        degs = {A.monomial_degree(m, g) for m in seen
+                for g in base.degrees()}
+        assert rep["degrees_checked"] == len(degs)
+
     def test_deterministic_report(self):
         base = S.trivial_algebra(QQ, Z(1))
         monoid = gc.AffineMonoid(1, [(1,)])

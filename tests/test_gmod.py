@@ -286,6 +286,21 @@ class TestPrincipalPresentations:
         assert len(summands) == 2
         assert all(k >= 1 for _, k in summands)
 
+    def test_pivot_row_and_column_both_cleared(self):
+        # ambient degrees 0, 1, 0 and columns u = (X^2, X, 0),
+        # v = (X^2, 2X, 0), w = (0, 0, X^3).  The pivot is X at
+        # (row 1, col 0); v - 2u = (-X^2, 0, 0) clears its row, and the
+        # ambient basis vector e_1' = e_1 + X e_0 its column, since
+        # u = X e_1'.  The submodule is <X^2> e_0 + <X> e_1' + <X^3> e_2.
+        Zg = Z(1)
+        P = gm.PrincipalPresentation(
+            QQ, Zg.element((1,)), [Zg.zero, Zg.element((1,)), Zg.zero],
+            [[(1, 2), (1, 1), (0, 0)], [(1, 2), (2, 1), (0, 0)],
+             [(0, 0), (0, 0), (1, 3)]])
+        summands = gm.principal_decompose(P)
+        assert [(tuple(d.coords), k) for d, k in summands] == \
+            [((0,), 2), ((0,), 3), ((1,), 1)]
+
     def test_homogeneity_enforced(self):
         g = Z(1).element((1,))
         with pytest.raises(gm.ModuleError):
