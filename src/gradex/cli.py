@@ -114,7 +114,7 @@ def hom_to_json(h: GroupHom):
 def field_from_json(doc, path="field"):
     if doc == "Q":
         return la.QQ
-    if isinstance(doc, dict) and isinstance(doc.get("p"), int):
+    if isinstance(doc, dict) and _is_int(doc.get("p")):
         try:
             return la.GF(doc["p"])
         except la.FieldError as e:
@@ -561,7 +561,7 @@ def cmd_spec(args):
 
 def cmd_oracle_diff(args):
     doc = _load(args.object)
-    if "action" in doc:
+    if isinstance(doc, dict) and "action" in doc:
         M = module_from_json(doc)
         if not M.field.is_finite:
             raise ValidationError("module: oracle-diff needs a finite field")
@@ -642,6 +642,17 @@ def _build_parser(default_seed):
     return top
 
 
+def _env_seed():
+    text = os.environ.get("GRADEX_SEED")
+    if text is None:
+        return la.DEFAULT_SEED
+    try:
+        return int(text)
+    except ValueError:
+        raise ValidationError(f"GRADEX_SEED: expected an integer, got "
+                              f"{text!r}") from None
+
+
 def run(argv):
     if not argv or argv[0] in ("-h", "--help"):
         _build_parser(la.DEFAULT_SEED).print_help()
@@ -650,13 +661,12 @@ def run(argv):
         print(json.dumps({"error": f"unknown subcommand {argv[0]!r}"}),
               file=sys.stderr)
         return 1
-    default_seed = int(os.environ.get("GRADEX_SEED", la.DEFAULT_SEED))
-    parser = _build_parser(default_seed)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
-    try:
+        parser = _build_parser(_env_seed())
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
         return DISPATCH[args.command](args) or 0
     except SizeGuardExceeded as e:
         print(json.dumps({"error": str(e), "kind": "size-guard"}),

@@ -2,7 +2,9 @@
 
 Scalars are plain ``Fraction`` values over Q and least residues (ints in
 [0, p)) over F_p; matrices are lists of rows.  Everything is exact, no
-floating point anywhere.
+floating point anywhere.  Coordinates in one basis and membership in
+its span are answered for a whole batch of vectors by one
+``solve_linear`` elimination.
 """
 
 from __future__ import annotations
@@ -127,6 +129,10 @@ QQ = ScalarField(0)
 
 
 def GF(p):
+    """The prime field F_p; 0 is refused like any other non-prime (the
+    ScalarField with p = 0 is Q)."""
+    if p == 0:
+        raise FieldError("0 is not prime")
     return ScalarField(p)
 
 
@@ -236,20 +242,29 @@ def kernel_basis(field, A):
     return basis
 
 
-def solve_linear(field, A, b):
-    """A particular solution of A x = b, or None."""
+def solve_linear(field, A, rhs):
+    """For each b in rhs, the solution of A x = b with its free variables
+    set to 0, or None.  One rref of A augmented by every b: a column is
+    inconsistent exactly when it has a nonzero entry below the rank of
+    A, and the pivots of inconsistent columns leave the others as they
+    are."""
     n = len(A)
-    if len(b) != n:
+    if any(len(b) != n for b in rhs):
         raise DimensionError("rhs length mismatch")
     m = len(A[0]) if A else 0
-    aug = [A[i][:] + [b[i]] for i in range(n)] if n else []
-    R, pivots = rref(field, aug)
-    if m in pivots:
-        return None
-    x = [field.zero] * m
-    for r, pc in enumerate(pivots):
-        x[pc] = R[r][m]
-    return x
+    R, pivots = rref(field, [A[i] + [b[i] for b in rhs] for i in range(n)])
+    pivots = [c for c in pivots if c < m]
+    r = len(pivots)
+    sols = []
+    for c in range(m, m + len(rhs)):
+        if any(R[i][c] != 0 for i in range(r, n)):
+            sols.append(None)
+            continue
+        x = [field.zero] * m
+        for i, pc in enumerate(pivots):
+            x[pc] = R[i][c]
+        sols.append(x)
+    return sols
 
 
 def det(field, A):
@@ -288,14 +303,6 @@ def mat_inverse(field, A):
     return [R[i][n:] for i in range(n)]
 
 
-def in_span(field, vectors, v):
-    """Is v in the span of the given vectors?"""
-    if not vectors:
-        return is_zero_vec(v)
-    A = [[vec[i] for vec in vectors] for i in range(len(v))]
-    return solve_linear(field, A, v) is not None
-
-
 def span_basis(field, vectors):
     """Canonical (rref) basis of the span of the given vectors."""
     if not vectors:
@@ -317,12 +324,12 @@ def complement_projection(field, basis, reps):
     return inv[len(basis):]
 
 
-def coords_in_basis(field, basis, v):
-    """Coordinates of v in the given basis, or None."""
-    if not basis:
-        return [] if is_zero_vec(v) else None
-    A = [[b[i] for b in basis] for i in range(len(v))]
-    return solve_linear(field, A, v)
+def coords_in_basis(field, basis, vectors):
+    """Coordinates of each vector in the given basis, or None: one
+    solve_linear against the matrix with the basis as columns."""
+    n = len(basis[0]) if basis else len(vectors[0]) if vectors else 0
+    return solve_linear(field, [[b[i] for b in basis] for i in range(n)],
+                        vectors)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, product
 
 from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
@@ -224,15 +225,13 @@ class _GradedSpace:
         f, r = self.field, len(self.tensor)
         basis = self.graded_span(gens)
         while True:
-            new = list(basis)
-            for b in basis:
-                for i in range(r):
-                    w = self.act_vec(la.unit_vector(f, r, i), b)
-                    if not la.in_span(f, new, w):
-                        new.append(w)
-            if len(new) == len(basis):
+            products = [self.act_vec(la.unit_vector(f, r, i), b)
+                        for b in basis for i in range(r)]
+            missing = [w for w, c in zip(products, la.coords_in_basis(
+                f, basis, products)) if c is None]
+            if not missing:
                 return basis
-            basis = self.graded_span(new)
+            basis = self.graded_span(basis + missing)
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +481,8 @@ class GradedIdeal:
 
     def contains(self, x: AlgebraElement):
         # the span of a homogeneous basis is graded
-        return la.in_span(self.parent.field, self.basis, list(x.coords))
+        return la.coords_in_basis(self.parent.field, self.basis,
+                                  [list(x.coords)])[0] is not None
 
     def __eq__(self, other):
         return (isinstance(other, GradedIdeal) and self.parent == other.parent
@@ -733,6 +733,11 @@ class AffineMonoid:
     def diff_group(self):
         """(group, basis) of the subgroup of Z^d generated by the
         generators; the group is free of the lattice rank."""
+        return self._diff
+
+    @cached_property
+    def _diff(self):
+        # the generators never change, so the lattice basis is built once
         basis = lattice_column_basis([list(g) for g in self.generators],
                                      self.ambient_dim)
         return FGAbelianGroup(len(basis), ()), basis
@@ -766,19 +771,24 @@ class AffineMonoid:
 
     def combinations(self, bound):
         """Every (coefficients, point): natural coefficients of the
-        generators summing to at most ``bound``, in lexicographic order,
-        and the point they combine to."""
+        generators summing to at most ``bound``, by increasing sum and
+        lexicographically within one sum, and the point they combine
+        to."""
         gens = self.generators
 
         def rec(i, remaining, coeffs, point):
             if i == len(gens):
-                yield coeffs, point
+                if remaining == 0:
+                    yield coeffs, point
                 return
-            for c in range(remaining + 1):
+            # the last generator takes whatever the sum has left
+            for c in (range(remaining + 1) if i < len(gens) - 1
+                      else (remaining,)):
                 nxt = tuple(x + c * y for x, y in zip(point, gens[i]))
                 yield from rec(i + 1, remaining - c, coeffs + (c,), nxt)
 
-        yield from rec(0, bound, (), self.zero)
+        for total in range(bound + 1):
+            yield from rec(0, total, (), self.zero)
 
     def contains(self, m, bound=MEMBERSHIP_BOUND):
         """Is m a natural combination of the generators?  True / False /

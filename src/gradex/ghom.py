@@ -89,7 +89,7 @@ def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
         for j in range(v.source.dim):
             rows.append([c[k][j] for c in composites])
             rhs.append(v.matrix[k][j])
-    sol = la.solve_linear(f, rows, rhs) if rows else []
+    sol, = la.solve_linear(f, rows, [rhs])
     if sol is None:
         return None
     t = la.zeros(f, p.source.dim, v.source.dim)
@@ -207,10 +207,10 @@ class FreeResolution:
                 Fprev = self.covers[i - 1].source
                 rad = radical_submodule(Fprev)
                 cols = self.step_matrix(i)
-                for j in range(self.covers[i].source.dim):
-                    col = [cols[k][j] for k in range(Fprev.dim)]
-                    if not la.in_span(f, rad, col):
-                        return False
+                if None in la.coords_in_basis(f, rad, [
+                        [cols[k][j] for k in range(Fprev.dim)]
+                        for j in range(self.covers[i].source.dim)]):
+                    return False
         return True
 
 
@@ -265,8 +265,8 @@ def _fibre_embedding(incl, lift, j_this, j_other, rincl):
     into_D = [a + la.vec_add(f, b, c) for a, b, c in zip(
         la.mat_mul(f, j_this.matrix, incl.matrix),
         la.mat_mul(f, j_this.matrix, lift.matrix), j_other.matrix)]
-    cols = [la.solve_linear(f, rincl.matrix, [row[j] for row in into_D])
-            for j in range(S.dim)]
+    cols = la.solve_linear(f, rincl.matrix,
+                           [[row[j] for row in into_D] for j in range(S.dim)])
     if None in cols:
         raise ModuleError("vector escapes the fibre product")
     psi = ModuleMorphism(S, rincl.source, [[c[k] for c in cols]

@@ -177,17 +177,14 @@ def _module_on_subspace(M: GradedModule, basis):
     given its graded_span basis.  Returns (module, inclusion)."""
     f, R = M.field, M.algebra
     degrees = [M.vec_degree(b) for b in basis]
-    action = []
-    for i in range(R.dim):
-        block = []
-        for b in basis:
-            w = M.act_vec(la.unit_vector(f, R.dim, i), b)
-            coords = la.coords_in_basis(f, basis, w)
-            if coords is None:
-                raise ModuleError("subspace is not closed under the action")
-            block.append(coords)
-        action.append(block)
-    S = GradedModule(R, degrees, action)
+    coords = la.coords_in_basis(f, basis, [
+        M.act_vec(la.unit_vector(f, R.dim, i), b)
+        for i in range(R.dim) for b in basis])
+    if None in coords:
+        raise ModuleError("subspace is not closed under the action")
+    k = len(basis)
+    S = GradedModule(R, degrees, [coords[i * k:(i + 1) * k]
+                                  for i in range(R.dim)])
     incl = [[basis[j][k] for j in range(len(basis))] for k in range(M.dim)]
     return S, ModuleMorphism(S, M, incl, check=False)
 
@@ -309,18 +306,14 @@ def graded_hom(M: GradedModule, N: GradedModule):
             basis_mats.append(F)
             basis_degs.append(g)
     flat = [list(_flatten(F)) for F in basis_mats]
-    action = []
-    for i in range(R.dim):
-        B = N.action_matrix(i)
-        block = []
-        for F in basis_mats:
-            BF = la.mat_mul(f, B, F)
-            coords = la.coords_in_basis(f, flat, list(_flatten(BF)))
-            if coords is None:
-                raise ModuleError("HOM basis not closed under the action")
-            block.append(coords)
-        action.append(block)
-    H = GradedModule(R, basis_degs, action)
+    coords = la.coords_in_basis(f, flat, [
+        list(_flatten(la.mat_mul(f, B, F)))
+        for B in map(N.action_matrix, range(R.dim)) for F in basis_mats])
+    if None in coords:
+        raise ModuleError("HOM basis not closed under the action")
+    k = len(basis_mats)
+    H = GradedModule(R, basis_degs, [coords[i * k:(i + 1) * k]
+                                     for i in range(R.dim)])
     return H, basis_mats
 
 
@@ -378,31 +371,23 @@ def adjunction_dims_check(M: GradedModule, N: GradedModule, P: GradedModule):
             sorted((d.coords, c) for d, c in H2.hilbert().items()):
         return {"ok": False, "reason": "graded dimensions differ"}
     flatNP = [list(_flatten(F)) for F in mapsNP]
-    curried = []
-    for F in maps1:  # F: T -> P
-        FT = la.mat_mul(f, F, proj)  # pure tensors -> P
-        cols = []
-        for j in range(M.dim):
-            # v_j |-> the map n_k |-> F(v_j tensor n_k)
-            G = [[FT[r][j * N.dim + k] for k in range(N.dim)]
-                 for r in range(P.dim)]
-            coords = la.coords_in_basis(f, flatNP, list(_flatten(G)))
-            if coords is None:
-                return {"ok": False, "reason": "curried map leaves HOM(N,P)"}
-            cols.append(coords)
-        curried.append([cols[j][t] for j in range(M.dim)
-                        for t in range(HNP.dim)])
+    # F: T -> P curries to v_j |-> the map n_k |-> F(v_j tensor n_k)
+    FTs = [la.mat_mul(f, F, proj) for F in maps1]  # pure tensors -> P
+    cols = la.coords_in_basis(f, flatNP, [
+        [FT[r][j * N.dim + k] for r in range(P.dim) for k in range(N.dim)]
+        for FT in FTs for j in range(M.dim)])
+    if None in cols:
+        return {"ok": False, "reason": "curried map leaves HOM(N,P)"}
+    curried = [[x for c in cols[a * M.dim:(a + 1) * M.dim] for x in c]
+               for a in range(len(maps1))]
     flat2 = []
     for F in maps2:  # F: M -> HNP, matrix HNP.dim x M.dim
         flat2.append([F[t][j] for j in range(M.dim) for t in range(HNP.dim)])
     if not flat2:
         return {"ok": len(curried) == 0, "dims": 0}
-    C = []
-    for v in curried:
-        coords = la.coords_in_basis(f, flat2, v)
-        if coords is None:
-            return {"ok": False, "reason": "currying misses HOM(M,HOM(N,P))"}
-        C.append(coords)
+    C = la.coords_in_basis(f, flat2, curried)
+    if None in C:
+        return {"ok": False, "reason": "currying misses HOM(M,HOM(N,P))"}
     Cm = [[C[j][i] for j in range(len(C))] for i in range(len(flat2))]
     ok = (len(C) == len(flat2)
           and la.rank(f, Cm) == len(flat2)) if C else len(flat2) == 0
@@ -585,7 +570,7 @@ def minimal_generators(M: GradedModule):
     span = list(rad)
     for j in sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t)):
         e = la.unit_vector(f, M.dim, j)
-        if not la.in_span(f, span, e):
+        if la.coords_in_basis(f, span, [e])[0] is None:
             chosen.append(e)
             # redundancy is modulo the submodule generated so far, not
             # just its linear span: a generator may span several basis
@@ -664,10 +649,10 @@ def small_submodule(u: ModuleMorphism, mode: str) -> SmallReport:
     img = _image_span(u)
     if mode == "superfluous":
         rad = radical_submodule(N)
-        ok = all(la.in_span(f, rad, v) for v in img)
+        ok = None not in la.coords_in_basis(f, rad, img)
         return SmallReport(ok, mode, "image inside the graded radical")
     soc = socle_submodule(N)
-    ok = all(la.in_span(f, img, v) for v in soc)
+    ok = None not in la.coords_in_basis(f, img, soc)
     return SmallReport(ok, mode, "image contains the graded socle")
 
 

@@ -275,6 +275,7 @@ class TestValidation:
         ({"var_degree": [1], "ambient": [], "gens": [[[1, 1]]]}, "$"),
         (dict(RING_QX2, unit=["2", "0"]), "$"),
         (dict(MODULE_K, action=[[0, 0, [[0, "2"]]]]), "$"),
+        (dict(RING_F5X2, field={"p": 0}), "field.p"),
     ])
     def test_malformed_scalar_or_integer_is_a_violation(self, tmp_path,
                                                          capsys, doc, path):
@@ -302,6 +303,15 @@ class TestValidation:
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and err["kind"] == "validation"
         assert err["error"].startswith("psi.matrix[0]:")
+
+    def test_field_p_zero_is_not_q(self, capsys):
+        # {"p": 0} is no prime field, and must not be read as Q
+        doc = {"group": {"free_rank": 0}, "field": {"p": 0},
+               "basis": [[]], "mul": [[0, 0, [[0, 1]]]], "unit": [1]}
+        code = cli.run(["classify", json.dumps(doc)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"].startswith("ring.field.p:")
 
     def test_classify_rejects_invalid(self, docs, capsys):
         code = cli.run(["classify", str(docs / "bad.json")])
@@ -401,6 +411,22 @@ class TestExitCodes:
                         "--psi", str(docs / "psi2.json"), "--cutoff", "-1"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("text", ["5", "[1]", '"action"', "null"])
+    def test_oracle_diff_non_object(self, tmp_path, capsys, text):
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        code = cli.run(["oracle-diff", str(p)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "validation"
+
+    def test_env_seed_not_an_integer(self, docs, capsys, monkeypatch):
+        monkeypatch.setenv("GRADEX_SEED", "abc")
+        code = cli.run(["classify", str(docs / "ring.json")])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        err = json.loads(err)
+        assert err["kind"] == "validation" and "GRADEX_SEED" in err["error"]
 
     def test_schanuel_glue_length_at_least_one(self, docs, capsys):
         for n in ("-1", "0"):

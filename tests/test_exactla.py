@@ -2,7 +2,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gradex import exactla as la
 
@@ -19,10 +19,46 @@ def conv(field, rows):
     return [[field.of(x) for x in row] for row in rows]
 
 
+@st.composite
+def systems(draw):
+    """(field, A, rhs): A is n x m (m = 0 when n = 0), and rhs mixes
+    vectors A x, vectors A x + e_i (inconsistent unless e_i lies in the
+    column space) and arbitrary vectors, in any order."""
+    field = draw(fields)
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4)) if n else 0
+    A = conv(field, draw(st.lists(st.lists(small, min_size=m, max_size=m),
+                                  min_size=n, max_size=n)))
+    images = [la.mat_vec_mul(field, A, conv(field, [x])[0]) for x in draw(
+        st.lists(st.lists(small, min_size=m, max_size=m), max_size=3))]
+    shifted = [la.vec_add(field, b, la.unit_vector(field, n, i))
+               for b in (images if n else [])
+               for i in draw(st.lists(st.integers(0, n - 1), max_size=2))]
+    other = conv(field, draw(st.lists(st.lists(small, min_size=n, max_size=n),
+                                      max_size=2)))
+    return field, A, draw(st.permutations(images + shifted + other))
+
+
+def solve_one(field, A, b):
+    """Reference: one rref of [A | b] for the single right-hand side b."""
+    m = len(A[0]) if A else 0
+    R, pivots = la.rref(field, [row + [c] for row, c in zip(A, b)])
+    if m in pivots:
+        return None
+    x = [field.zero] * m
+    for r, pc in enumerate(pivots):
+        x[pc] = R[r][m]
+    return x
+
+
 class TestFields:
     def test_rationals_are_fractions(self):
         assert la.QQ.of("3/2") == Fraction(3, 2)
         assert la.QQ.inv(Fraction(2)) == Fraction(1, 2)
+
+    def test_gf_zero_is_refused(self):
+        with pytest.raises(la.FieldError):
+            la.GF(0)
 
     def test_prime_field_arithmetic(self):
         f = la.GF(5)
@@ -98,9 +134,29 @@ class TestLinearAlgebra:
         xs = (xs + [0] * len(rows[0]))[:len(rows[0])]
         x = [field.of(c) for c in xs]
         b = la.mat_vec_mul(field, A, x)
-        sol = la.solve_linear(field, A, b)
+        sol, = la.solve_linear(field, A, [b])
         assert sol is not None
         assert la.mat_vec_mul(field, A, sol) == b
+
+    @given(systems())
+    @example((la.QQ, conv(la.QQ, [[1, 2], [2, 4]]),
+              conv(la.QQ, [[3, 6], [1, 0], [0, 0], [1, 3]])))
+    @example((la.GF(3), [[], []], conv(la.GF(3), [[0, 0], [1, 0]])))
+    @example((la.GF(2), [], [[], []]))
+    @example((la.GF(5), conv(la.GF(5), [[1, 2]]), []))
+    @settings(max_examples=150, deadline=None)
+    def test_batched_solve_matches_one_at_a_time(self, system):
+        field, A, rhs = system
+        sols = la.solve_linear(field, A, rhs)
+        assert sols == [solve_one(field, A, b) for b in rhs]
+        for b, x in zip(rhs, sols):
+            if x is not None:
+                assert la.mat_vec_mul(field, A, x) == b
+
+    def test_coords_in_empty_basis(self):
+        f = la.GF(3)
+        assert la.coords_in_basis(f, [], [[0, 0], [1, 0]]) == [[], None]
+        assert la.coords_in_basis(f, [], []) == []
 
     @given(fields, matrices)
     @settings(max_examples=100, deadline=None)
@@ -118,8 +174,9 @@ class TestLinearAlgebra:
         f = la.QQ
         basis = la.span_basis(f, conv(f, [[1, 2], [2, 4], [0, 1]]))
         assert len(basis) == 2
-        assert la.in_span(f, basis, [f.of(5), f.of(7)])
-        c = la.coords_in_basis(f, basis, [f.of(5), f.of(7)])
+        assert la.coords_in_basis(f, basis, [[f.of(5), f.of(7)]])[0] \
+            is not None
+        c, = la.coords_in_basis(f, basis, [[f.of(5), f.of(7)]])
         total = [f.zero, f.zero]
         for ci, b in zip(c, basis):
             total = la.vec_add(f, total, la.vec_scale(f, ci, b))

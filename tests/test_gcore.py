@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import islice
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -252,6 +254,21 @@ class TestMonoids:
         assert next(c for c, point in M.combinations(16)
                     if any(c) and point == (0,)) == (1, 1)
         assert M.sharpness().witness == (1, 1)
+
+    def test_combinations_walk_by_coefficient_sum(self):
+        # every generator is reached within the first k + 1 tuples, the
+        # first one listed as well as the last
+        gens = [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2), (-1, 0)]
+        M = gc.AffineMonoid(2, gens)
+        first = [point for _, point in islice(M.combinations(32),
+                                              len(gens) + 1)]
+        assert first[0] == (0, 0) and sorted(first[1:]) == sorted(gens)
+        assert M.contains((1, 0)) is True
+        sums = [sum(c) for c, _ in M.combinations(4)]
+        assert sums == sorted(sums)
+        lex = [c for c, _ in M.combinations(4)]
+        assert sorted(lex, key=lambda c: (sum(c), c)) == lex
+        assert len(lex) == len(set(lex)) == comb(4 + len(gens), len(gens))
 
     def test_outside_cone_decided_without_enumeration(self, monkeypatch):
         M = gc.AffineMonoid(2, [(1, 0), (0, 1), (1, 1), (2, 1), (1, 2),

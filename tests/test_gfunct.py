@@ -206,6 +206,23 @@ class TestMonoidShortcuts:
         rep = gf.monoid_corestriction_report(A2, S.phi_doubling())
         assert rep["result"] == "equals_restriction"
 
+    def test_lattice_basis_built_once(self, monkeypatch):
+        # the fine degree of every monoid point needs diff(M)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return ag.lattice_column_basis(*args)
+        monkeypatch.setattr(gc, "lattice_column_basis", counting)
+        A = gc.MonoidAlgebra(S.trivial_algebra(QQ, Z(1)), gc.AffineMonoid(
+            2, [(1, 0), (0, 1), (1, 1)]), mode="fine")
+        G = A.grading_group()
+        identity = GroupHom(G, G, [[int(i == j) for j in range(G.dim)]
+                                   for i in range(G.dim)])
+        rep = gf.monoid_corestriction_report(A, identity)
+        assert rep["result"] == "equals_restriction"
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("gens, dmatrix", [
         ([(1,)], [[2]]),
         ([(1, 0), (0, 1), (1, 1)], [[2, 4]]),
