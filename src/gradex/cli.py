@@ -114,7 +114,9 @@ def hom_to_json(h: GroupHom):
 def field_from_json(doc, path="field"):
     if doc == "Q":
         return la.QQ
-    if isinstance(doc, dict) and _is_int(doc.get("p")):
+    if isinstance(doc, dict) and "p" in doc:
+        if not _is_int(doc["p"]):
+            raise ValidationError(_jp(path, 'p') + ": must be a prime integer")
         try:
             return la.GF(doc["p"])
         except la.FieldError as e:

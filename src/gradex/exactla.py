@@ -51,6 +51,10 @@ def _is_prime(p):
     return True
 
 
+# shared (Fractions are immutable): equal entries then compare by identity
+_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+
+
 @dataclass(frozen=True)
 class ScalarField:
     p: int  # 0 means Q
@@ -90,11 +94,11 @@ class ScalarField:
 
     @property
     def zero(self):
-        return Fraction(0) if self.p == 0 else 0
+        return _Q_ZERO if self.p == 0 else 0
 
     @property
     def one(self):
-        return Fraction(1) if self.p == 0 else 1
+        return _Q_ONE if self.p == 0 else 1
 
     def add(self, a, b):
         return a + b if self.p == 0 else (a + b) % self.p

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, wraps
 from itertools import combinations, product
 
 from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
@@ -67,43 +67,63 @@ class _GradedSpace:
     one tensor: x_i . v_j = sum_k tensor[i][j][k] v_k.
 
     The constructors of GradedAlgebra and GradedModule set group, field,
-    basis_degrees, dim and tensor (an algebra also its unit), then call
-    _check_module_axioms with the acting algebra (an algebra acts on
-    itself).  Each subclass names the exceptions raised for a basis
-    degree outside the group (_degree_error), a unit that does not act
-    as the identity (_unit_error) and a non-associative action
-    (_associativity_error).
+    basis_degrees and dim, the tensor through _set_tensor (an algebra
+    also its unit), then call _check_module_axioms with the acting
+    algebra (an algebra acts on itself).  Each subclass names the
+    exceptions raised for a basis degree outside the group
+    (_degree_error), a unit that does not act as the identity
+    (_unit_error) and a non-associative action (_associativity_error).
     """
+
+    def _set_tensor(self, tensor, r):
+        """Store the dense tensor (r acting basis vectors) and, for each
+        (i, j), the tuple of its nonzero (k, c) pairs, which the action
+        and the axiom check read."""
+        f, m = self.field, self.dim
+        self.tensor = tuple(
+            tuple(tuple(f.of(tensor[i][j][k]) for k in range(m))
+                  for j in range(m)) for i in range(r))
+        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row)
+                                     if c != 0) for row in block)
+                         for block in self.tensor)
 
     def _check_module_axioms(self, R):
         """Grading first, then the subclass's own axioms, then the unit
         of R acts as the identity and the action is associative."""
-        f, t, deg, m = self.field, self.tensor, self.basis_degrees, self.dim
+        f, nz, deg, m = self.field, self._nz, self.basis_degrees, self.dim
         for d in deg:
             if d.group != R.group:
                 raise self._degree_error("basis degree outside the grading "
                                          "group")
         for i in range(R.dim):
             for j in range(m):
-                for k in range(m):
-                    if t[i][j][k] != 0 and \
-                            R.basis_degrees[i] + deg[j] != deg[k]:
+                for k, _ in nz[i][j]:
+                    if R.basis_degrees[i] + deg[j] != deg[k]:
                         raise GradingViolation(
                             f"tensor entry ({i},{j},{k}) links degrees "
                             f"{R.basis_degrees[i]}+{deg[j]} != {deg[k]}")
         self._check_ring_axioms()
-        basis = [la.unit_vector(f, m, j) for j in range(m)]
-        for j, e in enumerate(basis):
+        for j in range(m):
+            e = la.unit_vector(f, m, j)
             if self.act_vec(R.unit, e) != e:
                 raise self._unit_error(f"unit does not act as identity on "
                                        f"v_{j}")
+
+        def sparse_sum(terms):
+            out = {}
+            for k, c in terms:
+                out[k] = f.add(out[k], c) if k in out else c
+            return {k: c for k, c in out.items() if c != 0}
         for i in range(R.dim):
-            x = la.unit_vector(f, R.dim, i)
             for i2 in range(R.dim):
-                for j, e in enumerate(basis):
+                for j in range(m):
                     # (x_i x_i2) v_j against x_i (x_i2 v_j)
-                    if self.act_vec(R.tensor[i][i2], e) != \
-                            self.act_vec(x, t[i2][j]):
+                    if sparse_sum((k, f.mul(a, c))
+                                  for b, a in R._nz[i][i2]
+                                  for k, c in nz[b][j]) != \
+                            sparse_sum((k, f.mul(a, c))
+                                       for b, a in nz[i2][j]
+                                       for k, c in nz[i][b]):
                         raise self._associativity_error(
                             f"(x_{i} x_{i2}) v_{j} != x_{i} (x_{i2} v_{j})")
 
@@ -174,14 +194,13 @@ class _GradedSpace:
         for i, xi in enumerate(xcoords):
             if xi == 0:
                 continue
+            nz = self._nz[i]
             for j, vj in enumerate(v):
                 if vj == 0:
                     continue
                 c = f.mul(xi, vj)
-                row = self.tensor[i][j]
-                for k in range(self.dim):
-                    if row[k] != 0:
-                        out[k] = f.add(out[k], f.mul(c, row[k]))
+                for k, a in nz[j]:
+                    out[k] = f.add(out[k], f.mul(c, a))
         return out
 
     def action_matrix(self, i):
@@ -197,10 +216,9 @@ class _GradedSpace:
         for i, xi in enumerate(xcoords):
             if xi == 0:
                 continue
-            for j in range(n):
-                for k, c in enumerate(self.tensor[i][j]):
-                    if c != 0:
-                        M[k][j] = f.add(M[k][j], f.mul(xi, c))
+            for j, row in enumerate(self._nz[i]):
+                for k, c in row:
+                    M[k][j] = f.add(M[k][j], f.mul(xi, c))
         return M
 
     # -- subobjects --------------------------------------------------------
@@ -256,14 +274,13 @@ class GradedAlgebra(_GradedSpace):
         self.field = field
         self.basis_degrees = tuple(basis_degrees)
         self.dim = n = len(self.basis_degrees)
-        self.structure = self.tensor = tuple(
-            tuple(tuple(field.of(structure[i][j][k]) for k in range(n))
-                  for j in range(n))
-            for i in range(n))
+        self._set_tensor(structure, n)
+        self.structure = self.tensor
         self.unit = tuple(field.of(c) for c in unit)
         if len(self.unit) != n:
             raise UnitViolation("unit vector has wrong length")
         self._check_module_axioms(self)
+        self._invariants = {}   # filled by _once_per_algebra
 
     def _check_ring_axioms(self):
         c = self.structure
@@ -426,6 +443,18 @@ class RingClass:
         return True
 
 
+def _once_per_algebra(fn):
+    """fn(R), kept in R._invariants after the first call: R is immutable,
+    and a global cache would compare whole tensors."""
+    @wraps(fn)
+    def cached(R):
+        if fn.__name__ not in R._invariants:
+            R._invariants[fn.__name__] = fn(R)
+        return R._invariants[fn.__name__]
+    return cached
+
+
+@_once_per_algebra
 def classify_ring(R: GradedAlgebra) -> RingClass:
     """Simple / entire / reduced flags with the decision method, one rule
     per flag.  Reduced: the nilradical is graded, so it is zero exactly
@@ -533,18 +562,19 @@ def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     return Q, proj, lift
 
 
+@_once_per_algebra
 def nilradical(R: GradedAlgebra) -> GradedIdeal:
-    """Graded ideal generated by the homogeneous nilpotents: trace-form
-    radical over Q, iterated Frobenius kernel over F_p."""
+    """Graded ideal generated by the homogeneous nilpotents: over Q the
+    radical of the trace form, whose Gram matrix tr(L_i L_j) =
+    tr(L_{x_i x_j}) = sum_k c_ij^k tr(L_k), tr(L_k) = sum_j c_kj^j, is
+    read off the structure constants; over F_p iterated Frobenius kernel."""
     f = R.field
     n = R.dim
     if f.is_rational:
-        L = [R.action_matrix(i) for i in range(n)]
-        gram = la.zeros(f, n, n)
-        for i in range(n):
-            for j in range(n):
-                prod_mat = la.mat_mul(f, L[i], L[j])
-                gram[i][j] = _trace(f, prod_mat)
+        traces = [sum((R.structure[k][j][j] for j in range(n)), f.zero)
+                  for k in range(n)]
+        gram = [la.mat_mul(f, [traces], R.action_matrix(i))[0]
+                for i in range(n)]
         nil_basis = la.kernel_basis(f, gram)
     else:
         p = f.p
@@ -567,13 +597,6 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
         component = [la.unit_vector(f, n, i) for i in R.component_indices(g)]
         vecs.extend(_intersect_subspaces(f, nil_basis, component))
     return GradedIdeal(R, vecs)
-
-
-def _trace(f, M):
-    t = f.zero
-    for i in range(len(M)):
-        t = f.add(t, M[i][i])
-    return t
 
 
 def radical(R: GradedAlgebra, a: GradedIdeal) -> GradedIdeal:

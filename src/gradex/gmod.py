@@ -40,12 +40,11 @@ class GradedModule(_GradedSpace):
     def __init__(self, algebra: GradedAlgebra, basis_degrees, action):
         self.algebra = algebra
         self.group = algebra.group
-        self.field = f = algebra.field
+        self.field = algebra.field
         self.basis_degrees = tuple(basis_degrees)
-        self.dim = m = len(self.basis_degrees)
-        self.action = self.tensor = tuple(
-            tuple(tuple(f.of(action[i][j][k]) for k in range(m))
-                  for j in range(m)) for i in range(algebra.dim))
+        self.dim = len(self.basis_degrees)
+        self._set_tensor(action, algebra.dim)
+        self.action = self.tensor
         self._check_module_axioms(algebra)
 
     def __eq__(self, other):

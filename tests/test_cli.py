@@ -276,6 +276,8 @@ class TestValidation:
         (dict(RING_QX2, unit=["2", "0"]), "$"),
         (dict(MODULE_K, action=[[0, 0, [[0, "2"]]]]), "$"),
         (dict(RING_F5X2, field={"p": 0}), "field.p"),
+        (dict(RING_F5X2, field={"p": True}), "field.p"),
+        (dict(RING_F5X2, field={"p": "5"}), "field.p"),
     ])
     def test_malformed_scalar_or_integer_is_a_violation(self, tmp_path,
                                                          capsys, doc, path):

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, product
 from math import comb
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gmod as gm
 import gradex.oracles as orc
@@ -314,3 +317,231 @@ class TestGuards:
         R = S.trivial_algebra(QQ, Z(1))
         with pytest.raises(gc.AlgebraError):
             list(R.homogeneous_vectors())
+
+
+# ---------------------------------------------------------------------------
+# the ring layer's fast paths against dense references
+# ---------------------------------------------------------------------------
+
+def in_basis(R, P):
+    """R in the basis whose i-th vector has coordinates P[i], each
+    homogeneous of the degree of the i-th old basis vector."""
+    f, n = R.field, R.dim
+    back = la.mat_inverse(f, [[P[j][i] for j in range(n)] for i in range(n)])
+    structure = [[la.mat_vec_mul(f, back, R.act_vec(P[i], P[j]))
+                  for j in range(n)] for i in range(n)]
+    return gc.GradedAlgebra(R.group, f, R.basis_degrees, structure,
+                            la.mat_vec_mul(f, back, list(R.unit)))
+
+
+def rescaled_truncated(n):
+    """Q[X]/(X^n) in the basis s_k X^k, s_k cycling through nonzero
+    fractions."""
+    scales = [Fraction(c) for c in ("1", "-2", "1/3", "3/2", "-1/2", "2/3")]
+    return in_basis(S.truncated_polynomial_algebra(QQ, n),
+                    [[scales[k % len(scales)] if i == k else 0
+                      for k in range(n)] for i in range(n)])
+
+
+Q_RING_FACTORIES = [
+    S.trivial_algebra, S.dual_numbers,
+    lambda: S.truncated_polynomial_algebra(QQ, 4), S.gaussian_rationals,
+    lambda: S.field_extension_algebra(QQ, 3, 2),
+    lambda: S.product_field_algebra(QQ),
+] + [lambda n=n: rescaled_truncated(n) for n in range(1, 13)]
+
+
+class TestTraceForm:
+    @pytest.mark.parametrize("build", range(len(Q_RING_FACTORIES)))
+    def test_gram_matches_products_of_multiplication_matrices(
+            self, build, monkeypatch):
+        R = Q_RING_FACTORIES[build]()
+        f, n = R.field, R.dim
+        L = [R.action_matrix(i) for i in range(n)]
+        reference = [[sum((P[t][t] for t in range(n)), f.zero)
+                      for P in (la.mat_mul(f, L[i], L[j]) for j in range(n))]
+                     for i in range(n)]
+        grams, kernel_basis = [], la.kernel_basis
+
+        def captured(field, A):
+            grams.append(A)
+            return kernel_basis(field, A)
+        monkeypatch.setattr(la, "kernel_basis", captured)
+        gc.nilradical(R)
+        assert grams[0] == reference
+
+    def test_classify_truncated_16_within_budget(self):
+        # a guard against a return to n^2 dense products (about 5 s)
+        R = S.truncated_polynomial_algebra(QQ, 16)
+        t0 = time.perf_counter()
+        rc = gc.classify_ring(R)
+        assert time.perf_counter() - t0 < 1.0
+        assert (rc.simple, rc.entire, rc.reduced) == (False, False, False)
+
+
+class TestInvariantsComputedOnce:
+    @pytest.mark.parametrize("build", [
+        lambda: S.truncated_polynomial_algebra(QQ, 5),
+        lambda: S.group_algebra(3, 3)], ids=["Q[X]/(X^5)", "F3[Z/3]"])
+    def test_second_call_is_the_same_object_without_linear_algebra(
+            self, build, monkeypatch):
+        R = build()
+        nil, rc = gc.nilradical(R), gc.classify_ring(R)
+
+        def no_work(*args):
+            raise AssertionError("linear algebra on a computed invariant")
+        for name in ("rref", "rank", "kernel_basis", "mat_mul", "span_basis",
+                     "solve_linear", "det"):
+            monkeypatch.setattr(la, name, no_work)
+        assert gc.nilradical(R) is nil and gc.classify_ring(R) is rc
+
+
+def dense_axiom_check(space, R):
+    """The construction check written with dense loops over every tensor
+    entry and dense vectors: the reference for the check that reads only
+    nonzero structure constants."""
+    f, t, deg, m = space.field, space.tensor, space.basis_degrees, space.dim
+
+    def act(x, v):
+        out = [f.zero] * m
+        for i in range(R.dim):
+            for j in range(m):
+                for k in range(m):
+                    out[k] = f.add(out[k], f.mul(f.mul(x[i], v[j]),
+                                                 t[i][j][k]))
+        return out
+    for d in deg:
+        if d.group != R.group:
+            raise space._degree_error("basis degree outside the grading "
+                                      "group")
+    for i in range(R.dim):
+        for j in range(m):
+            for k in range(m):
+                if t[i][j][k] != 0 and \
+                        R.basis_degrees[i] + deg[j] != deg[k]:
+                    raise gc.GradingViolation(
+                        f"tensor entry ({i},{j},{k}) links degrees "
+                        f"{R.basis_degrees[i]}+{deg[j]} != {deg[k]}")
+    space._check_ring_axioms()
+    basis = [la.unit_vector(f, m, j) for j in range(m)]
+    for j, e in enumerate(basis):
+        if act(R.unit, e) != e:
+            raise space._unit_error(f"unit does not act as identity on "
+                                    f"v_{j}")
+    for i in range(R.dim):
+        x = la.unit_vector(f, R.dim, i)
+        for i2 in range(R.dim):
+            for j, e in enumerate(basis):
+                if act(R.tensor[i][i2], e) != act(x, t[i2][j]):
+                    raise space._associativity_error(
+                        f"(x_{i} x_{i2}) v_{j} != x_{i} (x_{i2} v_{j})")
+
+
+def mixed_basis(field):
+    """K[X]/(X^3), trivially graded, in the basis 1, X + X^2, X - X^2:
+    products such as (X + X^2)(X - X^2) = X^2 have terms that cancel."""
+    return in_basis(coarsen(S.truncated_polynomial_algebra(field, 3),
+                            S.psi_Z_to_zero()),
+                    [[1, 0, 0], [0, 1, 1], [0, 1, -1]])
+
+
+def mod_x2(R, x2):
+    """R modulo the submodule generated by x2."""
+    return gm.cokernel(gm.generated_submodule(gm.regular_module(R),
+                                              [x2])[1])[0]
+
+
+AXIOM_BASES = [
+    S.truncated_polynomial_algebra(QQ, 3),
+    S.truncated_polynomial_algebra(GF(3), 3),
+    S.field_extension_algebra(QQ, 3, 2),
+    S.product_field_algebra(QQ),
+    S.group_algebra(2, 3),
+    coarsen(S.truncated_polynomial_algebra(QQ, 3), S.psi_Z_to_zero()),
+    coarsen(S.group_algebra(3, 3), S.psi_Zmod_to_zero(3)),
+    mixed_basis(QQ),
+    mixed_basis(GF(3)),
+]
+AXIOM_BASES += [gm.regular_module(R) for R in AXIOM_BASES[::2]] + [
+    mod_x2(S.truncated_polynomial_algebra(GF(2), 3), [0, 0, 1]),
+    mod_x2(AXIOM_BASES[5], [0, 0, 1]),
+    mod_x2(AXIOM_BASES[7], [0, Fraction(1, 2), Fraction(-1, 2)]),
+    mod_x2(AXIOM_BASES[8], [0, 2, 1])]
+
+
+def _outcome(build):
+    try:
+        build()
+    except ValueError as e:
+        return type(e), str(e)
+    return None
+
+
+def _rebuild(base, tensor):
+    if isinstance(base, gc.GradedAlgebra):
+        return gc.GradedAlgebra(base.group, base.field, base.basis_degrees,
+                                tensor, base.unit)
+    return gm.GradedModule(base.algebra, base.basis_degrees, tensor)
+
+
+def _both_outcomes(base, tensor):
+    """(outcome of the constructor, outcome of the dense reference on the
+    same tensor)."""
+    with patch.object(gc._GradedSpace, "_check_module_axioms",
+                      lambda self, R: None):
+        unchecked = _rebuild(base, tensor)
+    R = getattr(unchecked, "algebra", unchecked)
+    return (_outcome(lambda: _rebuild(base, tensor)),
+            _outcome(lambda: dense_axiom_check(unchecked, R)))
+
+
+@st.composite
+def perturbed_tensors(draw):
+    """A base algebra or module and its tensor with one to three entries
+    replaced; half the time the entry keeps the grading, and for an
+    algebra half the time its mirror c[j][i][k] is replaced too."""
+    base = draw(st.sampled_from(AXIOM_BASES))
+    R = getattr(base, "algebra", base)
+    deg, m = base.basis_degrees, base.dim
+    T = [[list(row) for row in block] for block in base.tensor]
+    for _ in range(draw(st.integers(1, 3))):
+        i, j = draw(st.integers(0, R.dim - 1)), draw(st.integers(0, m - 1))
+        graded = [k for k in range(m) if R.basis_degrees[i] + deg[j] == deg[k]]
+        if graded and draw(st.booleans()):
+            k = draw(st.sampled_from(graded))
+        else:
+            k = draw(st.integers(0, m - 1))
+        c = base.field.of(draw(st.integers(-2, 2)))
+        T[i][j][k] = c
+        if base is R and draw(st.booleans()):
+            T[j][i][k] = c
+    return base, T
+
+
+class TestSparseAxiomCheck:
+    @given(perturbed_tensors())
+    @settings(max_examples=300, deadline=None)
+    def test_raises_exactly_when_dense_check_raises(self, base_tensor):
+        got, want = _both_outcomes(*base_tensor)
+        assert got == want
+
+    def test_every_violation_is_reached(self):
+        # every single-entry change to 0 or 2 (and its mirror, for an
+        # algebra): the outcomes agree and cover every kind of violation
+        seen = set()
+        for base in AXIOM_BASES:
+            m, r = base.dim, len(base.tensor)
+            for i, j, k in product(range(r), range(m), range(m)):
+                for c in (0, 2):
+                    T = [[list(row) for row in block] for block in base.tensor]
+                    T[i][j][k] = base.field.of(c)
+                    if isinstance(base, gc.GradedAlgebra):
+                        T[j][i][k] = base.field.of(c)
+                    got, want = _both_outcomes(base, T)
+                    assert got == want, (base, i, j, k, c)
+                    seen.add(got and (got[0], got[1].split(" ")[0].rstrip(
+                        "0123456789")))
+        assert {None, (gc.GradingViolation, "tensor"),
+                (gc.UnitViolation, "unit"),
+                (gc.AssociativityViolation, "(x_"),
+                (gm.ModuleError, "unit"), (gm.ModuleError, "(x_")} <= seen

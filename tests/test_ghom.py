@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 import gradex.ghom as gh
@@ -145,6 +147,20 @@ class TestResolutions:
         res_claimed = gh.FreeResolution(K, res.covers, res.incls,
                                         res.cutoff, True, res.terminated)
         assert not res_claimed.verify()
+
+
+    def test_cutoff_8_resolution_within_budget(self):
+        # Q[x]/(x^8) modulo <x^2>; a guard against recomputing the
+        # nilradical at every minimal cover (about 2 s)
+        R = S.truncated_polynomial_algebra(QQ, 8)
+        _, incl = gm.generated_submodule(gm.regular_module(R),
+                                         [[0, 0, 1, 0, 0, 0, 0, 0]])
+        K = gm.cokernel(incl)[0]
+        t0 = time.perf_counter()
+        res = gh.resolution(K, cutoff=8)
+        assert time.perf_counter() - t0 < 1.0
+        assert res.betti() == [{(d,): 1} for d in (0, 2, 8, 10, 16, 18, 24,
+                                                   26, 32)]
 
 
 class TestSchanuel:
