@@ -562,40 +562,47 @@ def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     return Q, proj, lift
 
 
+def _trace_gram(R: GradedAlgebra):
+    """Gram matrix of the trace form over Q: tr(L_i L_j) = tr(L_{x_i x_j})
+    = sum_k c_ij^k tr(L_k), tr(L_k) = sum_j c_kj^j, so row i is the trace
+    row times L_i."""
+    f, n = R.field, R.dim
+    traces = [sum((R.structure[k][j][j] for j in range(n)), f.zero)
+              for k in range(n)]
+    return [la.mat_mul(f, [traces], R.action_matrix(i))[0]
+            for i in range(n)]
+
+
 @_once_per_algebra
 def nilradical(R: GradedAlgebra) -> GradedIdeal:
-    """Graded ideal generated by the homogeneous nilpotents: over Q the
-    radical of the trace form, whose Gram matrix tr(L_i L_j) =
-    tr(L_{x_i x_j}) = sum_k c_ij^k tr(L_k), tr(L_k) = sum_j c_kj^j, is
-    read off the structure constants; over F_p iterated Frobenius kernel."""
-    f = R.field
-    n = R.dim
+    """Graded ideal generated by the homogeneous nilpotents.  The
+    nilradical N is the kernel of a matrix A: over Q the Gram matrix of
+    the trace form (its radical), over F_p an iterated Frobenius.  A
+    homogeneous element is nilpotent iff it lies in N, so N meets R_g in
+    the kernel of A restricted to the columns of R_g."""
+    f, n = R.field, R.dim
     if f.is_rational:
-        traces = [sum((R.structure[k][j][j] for j in range(n)), f.zero)
-                  for k in range(n)]
-        gram = [la.mat_mul(f, [traces], R.action_matrix(i))[0]
-                for i in range(n)]
-        nil_basis = la.kernel_basis(f, gram)
-    else:
-        p = f.p
+        A = _trace_gram(R)
+    else:  # x -> x^(p^k) with p^k >= n
         k = 1
-        while p ** k < n:
+        while f.p ** k < n:
             k += 1
-        frob = la.eye(f, n)
+        A = la.eye(f, n)
         for _ in range(k):
             step = la.zeros(f, n, n)
             for j in range(n):
-                col = R.basis_element(j).power(p).coords
+                col = R.basis_element(j).power(f.p).coords
                 for i in range(n):
                     step[i][j] = col[i]
-            frob = la.mat_mul(f, step, frob)
-        nil_basis = la.kernel_basis(f, frob)
-    # intersect with each graded component (a homogeneous element is
-    # nilpotent iff it lies in the underlying nilradical)
+            A = la.mat_mul(f, step, A)
     vecs = []
     for g in R.degrees():
-        component = [la.unit_vector(f, n, i) for i in R.component_indices(g)]
-        vecs.extend(_intersect_subspaces(f, nil_basis, component))
+        idx = R.component_indices(g)
+        for w in la.kernel_basis(f, [[row[c] for c in idx] for row in A]):
+            v = [f.zero] * n
+            for c, x in zip(idx, w):
+                v[c] = x
+            vecs.append(v)
     return GradedIdeal(R, vecs)
 
 

@@ -3,7 +3,10 @@
 Everything here recomputes answers by direct enumeration and explicit
 multiplication, sharing only scalar arithmetic with the main code
 paths, so that criterion-based shortcuts elsewhere can be diffed
-against ground truth on finite-field samples.
+against ground truth on finite-field samples.  Every candidate is still
+enumerated and tested; the conditions it is tested against (the
+nonzero structure constants, the equivariance forms) are written down
+once per call, before the enumeration.
 """
 
 from __future__ import annotations
@@ -21,21 +24,22 @@ SUBMODULE_LIMIT = 2 ** 16
 # scalar-level helpers (deliberately re-implemented)
 # ---------------------------------------------------------------------------
 
-def _mul_vec(R: GradedAlgebra, x, y):
-    f = R.field
-    out = [f.zero] * R.dim
-    for i in range(R.dim):
-        if x[i] == 0:
-            continue
-        for j in range(R.dim):
-            if y[j] == 0:
-                continue
-            c = f.mul(x[i], y[j])
-            for k in range(R.dim):
-                s = R.structure[i][j][k]
-                if s != 0:
-                    out[k] = f.add(out[k], f.mul(c, s))
-    return out
+def _structure_constants(R: GradedAlgebra):
+    """The nonzero structure constants (i, j, k, c), x_i x_j = sum c x_k,
+    read off the dense tensor."""
+    return [(i, j, k, c) for i, plane in enumerate(R.structure)
+            for j, row in enumerate(plane)
+            for k, c in enumerate(row) if c != 0]
+
+
+def _mul_vec(p, consts, x, y):
+    """x y over F_p: plain-int sums over the nonzero structure constants,
+    reduced once per coordinate."""
+    out = [0] * len(x)
+    for i, j, k, c in consts:
+        if x[i] and y[j]:
+            out[k] += x[i] * y[j] * c
+    return [a % p for a in out]
 
 
 def _all_vectors(f, n, limit=ENUM_LIMIT):
@@ -78,50 +82,53 @@ def _span_contains(f, rows, v):
 # element classification by direct search
 # ---------------------------------------------------------------------------
 
+def _element_row(p, consts, elements, one, x):
+    """unit / regular / nilpotent flags of x, from its product with
+    every element and from its powers."""
+    zero = [0] * len(x)
+    products = [_mul_vec(p, consts, x, y) for y in elements]
+    unit = not x or one in products
+    regular = not x or all(q != zero for q, y in zip(products, elements)
+                           if y != zero)
+    power = x
+    for _ in range(max(len(x), 1)):
+        if power == zero:
+            break
+        power = _mul_vec(p, consts, power, x)
+    return {"element": tuple(x), "unit": unit, "regular": regular,
+            "nilpotent": power == zero}
+
+
 def exhaustive_classify(R: GradedAlgebra):
     """Tables of unit / regular / nilpotent flags for every element of a
     finite algebra, by direct multiplication only."""
-    f = R.field
-    elements = list(_all_vectors(f, R.dim))
-    one = list(R.unit)
-    rows = []
-    for x in elements:
-        products = [_mul_vec(R, x, y) for y in elements]
-        unit = any(p == one for p in products)
-        regular = all(p != [f.zero] * R.dim
-                      for p, y in zip(products, elements)
-                      if y != [f.zero] * R.dim)
-        if R.dim == 0:
-            unit = regular = True
-        power = x[:]
-        nilpotent = False
-        for _ in range(max(R.dim, 1)):
-            if power == [f.zero] * R.dim:
-                nilpotent = True
-                break
-            power = _mul_vec(R, power, x)
-        if power == [f.zero] * R.dim:
-            nilpotent = True
-        rows.append({"element": tuple(x), "unit": unit,
-                     "regular": regular, "nilpotent": nilpotent})
-    return rows
+    elements = list(_all_vectors(R.field, R.dim))
+    consts, one = _structure_constants(R), list(R.unit)
+    return [_element_row(R.field.p, consts, elements, one, x)
+            for x in elements]
 
 
 def oracle_ring_class(R: GradedAlgebra):
-    """simple / entire / reduced flags from the exhaustive table,
-    looking only at nonzero homogeneous elements."""
+    """simple / entire / reduced flags from the rows of the nonzero
+    homogeneous elements, each multiplied by every element of R."""
     f = R.field
-    table = {r["element"]: r for r in exhaustive_classify(R)}
+    components = [[i for i in range(R.dim) if R.basis_degrees[i] == g]
+                  for g in R.degrees()]
+    homogeneous = sum(f.p ** len(idx) - 1 for idx in components)
+    if homogeneous * f.p ** R.dim > ENUM_LIMIT:
+        raise SizeGuardExceeded("ring oracle needs more than 2^20 "
+                                "element products")
+    elements = list(_all_vectors(f, R.dim))
+    consts, one = _structure_constants(R), list(R.unit)
     simple = entire = reduced = True
-    for g in R.degrees():
-        idx = [i for i in range(R.dim) if R.basis_degrees[i] == g]
+    for idx in components:
         for vals in product(f.elements(), repeat=len(idx)):
-            if all(v == 0 for v in vals):
+            if not any(vals):
                 continue
-            x = [f.zero] * R.dim
+            x = [0] * R.dim
             for i, v in zip(idx, vals):
                 x[i] = v
-            row = table[tuple(x)]
+            row = _element_row(f.p, consts, elements, one, x)
             simple = simple and row["unit"]
             entire = entire and row["regular"]
             reduced = reduced and not row["nilpotent"]
@@ -197,42 +204,35 @@ def enumerate_graded_substructures(M: GradedModule):
 
 def enumerate_morphisms(M: GradedModule, N: GradedModule):
     """All degree-preserving equivariant maps M -> N over a finite
-    field, by filtering every candidate matrix directly."""
+    field: every candidate matrix is kept exactly when it satisfies
+    u(x_i . v_j) = x_i . u(v_j), written once as one linear form in the
+    slot values per (i, j, k)."""
     f = M.field
     slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
              if N.basis_degrees[k] == M.basis_degrees[j]]
     if f.p ** len(slots) > ENUM_LIMIT:
         raise SizeGuardExceeded("morphism enumeration too large")
+    forms = []
+    for i in range(M.algebra.dim):
+        for j in range(M.dim):
+            for k in range(N.dim):
+                coeffs = [0] * len(slots)
+                for s, (ks, js) in enumerate(slots):
+                    if ks == k:  # u(x_i . v_j)_k = sum_t a_ijt u_kt
+                        coeffs[s] += M.action[i][j][js]
+                    if js == j:  # (x_i . u(v_j))_k = sum_t u_tj b_itk
+                        coeffs[s] -= N.action[i][ks][k]
+                form = [(s, c % f.p) for s, c in enumerate(coeffs)
+                        if c % f.p]
+                if form:
+                    forms.append(form)
     out = []
     for vals in product(f.elements(), repeat=len(slots)):
-        mat = [[f.zero] * M.dim for _ in range(N.dim)]
-        for (k, j), v in zip(slots, vals):
-            mat[k][j] = v
-        ok = True
-        for i in range(M.algebra.dim):
-            for j in range(M.dim):
-                # u(x_i . v_j) vs x_i . u(v_j)
-                lhs = [f.zero] * N.dim
-                for t in range(M.dim):
-                    a = M.action[i][j][t]
-                    if a == 0:
-                        continue
-                    for k in range(N.dim):
-                        lhs[k] = f.add(lhs[k], f.mul(a, mat[k][t]))
-                rhs = [f.zero] * N.dim
-                for k in range(N.dim):
-                    if mat[k][j] == 0:
-                        continue
-                    for t in range(N.dim):
-                        b = N.action[i][k][t]
-                        if b != 0:
-                            rhs[t] = f.add(rhs[t], f.mul(mat[k][j], b))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
+        if all(sum(c * vals[s] for s, c in form) % f.p == 0
+               for form in forms):
+            mat = [[f.zero] * M.dim for _ in range(N.dim)]
+            for (k, j), v in zip(slots, vals):
+                mat[k][j] = v
             out.append(tuple(tuple(r) for r in mat))
     return sorted(out)
 

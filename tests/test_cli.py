@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
 import gradex.cli as cli
+import gradex.gfunct as gf
 import gradex.samples as S
 from gradex.exactla import GF
 
@@ -343,6 +345,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert code == 3
         assert json.loads(err)["kind"] == "size-guard"
+
+    def test_ring_oracle_guard_fires_before_any_product(self, capsys):
+        # coarse F2[Z/12]: 4095 nonzero homogeneous elements times 4096
+        # elements is past the 2^20 products the ring oracle may make
+        R = gf.coarsen(S.group_algebra(2, 12), S.psi_Zmod_to_zero(12))
+        doc = json.dumps(cli.ring_to_json(R))
+        t0 = time.perf_counter()
+        code = cli.run(["classify", doc, "--oracle"])
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "size-guard"
 
     @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)])
     def test_large_prime_field(self, capsys, p, code):

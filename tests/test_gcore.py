@@ -361,12 +361,12 @@ class TestTraceForm:
         reference = [[sum((P[t][t] for t in range(n)), f.zero)
                       for P in (la.mat_mul(f, L[i], L[j]) for j in range(n))]
                      for i in range(n)]
-        grams, kernel_basis = [], la.kernel_basis
+        grams, trace_gram = [], gc._trace_gram
 
-        def captured(field, A):
-            grams.append(A)
-            return kernel_basis(field, A)
-        monkeypatch.setattr(la, "kernel_basis", captured)
+        def captured(R):
+            grams.append(trace_gram(R))
+            return grams[-1]
+        monkeypatch.setattr(gc, "_trace_gram", captured)
         gc.nilradical(R)
         assert grams[0] == reference
 

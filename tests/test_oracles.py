@@ -1,18 +1,144 @@
+import json
+import time
+from itertools import product
+
 import pytest
 
+import gradex.cli as cli
 import gradex.gcore as gc
+import gradex.gfunct as gf
 import gradex.gmod as gm
 import gradex.oracles as orc
 import gradex.samples as S
 from gradex.exactla import GF
 
 
-def quotient_by_x(R):
+def quotient_by_power(R, k):
+    """R / <x^k> for a truncated polynomial algebra."""
     M = gm.regular_module(R)
     gen = [0] * R.dim
-    gen[1] = 1
+    gen[k] = 1
     _, incl = gm.generated_submodule(M, [gen])
     return gm.cokernel(incl)
+
+
+# ---------------------------------------------------------------------------
+# references: the straightforward filters, multiplying and comparing each
+# candidate from scratch
+# ---------------------------------------------------------------------------
+
+def reference_mul(R, x, y):
+    f = R.field
+    out = [f.zero] * R.dim
+    for i in range(R.dim):
+        if x[i] == 0:
+            continue
+        for j in range(R.dim):
+            if y[j] == 0:
+                continue
+            c = f.mul(x[i], y[j])
+            for k in range(R.dim):
+                s = R.structure[i][j][k]
+                if s != 0:
+                    out[k] = f.add(out[k], f.mul(c, s))
+    return out
+
+
+def reference_classify(R):
+    f = R.field
+    zero = [f.zero] * R.dim
+    elements = [list(v) for v in product(f.elements(), repeat=R.dim)]
+    rows = []
+    for x in elements:
+        products = [reference_mul(R, x, y) for y in elements]
+        unit = any(p == list(R.unit) for p in products)
+        regular = all(p != zero for p, y in zip(products, elements)
+                      if y != zero)
+        if R.dim == 0:
+            unit = regular = True
+        power = x[:]
+        nilpotent = False
+        for _ in range(max(R.dim, 1)):
+            if power == zero:
+                nilpotent = True
+                break
+            power = reference_mul(R, power, x)
+        if power == zero:
+            nilpotent = True
+        rows.append({"element": tuple(x), "unit": unit,
+                     "regular": regular, "nilpotent": nilpotent})
+    return rows
+
+
+def reference_ring_class(R):
+    f = R.field
+    table = {r["element"]: r for r in reference_classify(R)}
+    simple = entire = reduced = True
+    for x, row in table.items():
+        degrees = {R.basis_degrees[i] for i in range(R.dim) if x[i] != 0}
+        if len(degrees) != 1:
+            continue  # zero or not homogeneous
+        simple = simple and row["unit"]
+        entire = entire and row["regular"]
+        reduced = reduced and not row["nilpotent"]
+    return {"simple": simple, "entire": entire, "reduced": reduced}
+
+
+def reference_morphisms(M, N):
+    f = M.field
+    slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
+             if N.basis_degrees[k] == M.basis_degrees[j]]
+    out = []
+    for vals in product(f.elements(), repeat=len(slots)):
+        mat = [[f.zero] * M.dim for _ in range(N.dim)]
+        for (k, j), v in zip(slots, vals):
+            mat[k][j] = v
+        ok = True
+        for i in range(M.algebra.dim):
+            for j in range(M.dim):
+                # u(x_i . v_j) vs x_i . u(v_j)
+                lhs = [f.zero] * N.dim
+                for t in range(M.dim):
+                    a = M.action[i][j][t]
+                    if a == 0:
+                        continue
+                    for k in range(N.dim):
+                        lhs[k] = f.add(lhs[k], f.mul(a, mat[k][t]))
+                rhs = [f.zero] * N.dim
+                for k in range(N.dim):
+                    if mat[k][j] == 0:
+                        continue
+                    for t in range(N.dim):
+                        b = N.action[i][k][t]
+                        if b != 0:
+                            rhs[t] = f.add(rhs[t], f.mul(mat[k][j], b))
+                if lhs != rhs:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            out.append(tuple(tuple(r) for r in mat))
+    return sorted(out)
+
+
+def oracle_rings():
+    """finite_corpus() and every coarsening in coarsening_pairs()."""
+    return S.finite_corpus() + [gf.coarsen(R, psi)
+                                for R, psi in S.coarsening_pairs()]
+
+
+def module_zoo(p, n):
+    """Modules over F_p[X]/(X^n): the zero module, free modules of rank
+    at most 2 with shifts 0 and 1, and the cyclic quotients R/(X^k)."""
+    R = S.truncated_polynomial_algebra(GF(p), n)
+    zero, one = R.group.zero, R.basis_degrees[1]
+    mods = [gm.zero_module(R)]
+    for shifts in ([zero], [one], [zero, zero], [zero, one]):
+        mods.append(gm.free_module(R, shifts)[0])
+    for k in range(1, n):
+        mods.append(quotient_by_power(R, k)[0])
+    return mods
 
 
 class TestExhaustiveClassify:
@@ -36,6 +162,23 @@ class TestExhaustiveClassify:
         R = S.truncated_polynomial_algebra(GF(3), 2)
         units = sum(r["unit"] for r in orc.exhaustive_classify(R))
         assert units == 6  # (a + bx) invertible iff a != 0
+
+
+class TestAgreementWithReferences:
+    @pytest.mark.parametrize("build", range(len(oracle_rings())))
+    def test_ring_tables_and_flags(self, build):
+        R = oracle_rings()[build]
+        assert orc.exhaustive_classify(R) == reference_classify(R)
+        assert orc.oracle_ring_class(R) == reference_ring_class(R)
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)], ids=["F2", "F3"])
+    def test_morphisms_of_every_ordered_pair(self, p, n):
+        mods = module_zoo(p, n)
+        for A in mods:
+            for B in mods:
+                assert orc.enumerate_morphisms(A, B) == \
+                    reference_morphisms(A, B), (A.basis_degrees,
+                                                B.basis_degrees)
 
 
 class TestRingClassConcordance:
@@ -85,18 +228,32 @@ class TestSubmoduleEnumeration:
 class TestMorphismEnumeration:
     def test_endomorphisms_of_quotient(self):
         R = S.dual_numbers(GF(2))
-        K, _ = quotient_by_x(R)
+        K, _ = quotient_by_power(R, 1)
         assert len(orc.enumerate_morphisms(K, K)) == 2  # 0 and identity
 
     def test_hom_counts_match_graded_hom(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
         M = gm.regular_module(R)
-        K, _ = quotient_by_x(R)
+        K, _ = quotient_by_power(R, 1)
         for A, B in [(M, M), (M, K), (K, M), (K, K)]:
             H, _ = gm.graded_hom(A, B)
             deg0 = sum(1 for d in H.basis_degrees
                        if d == R.group.zero)
             assert len(orc.enumerate_morphisms(A, B)) == 2 ** deg0, (A, B)
+
+    def test_oracle_diff_free_f2x4_within_budget(self, capsys):
+        # a guard against rebuilding both sides of the equivariance
+        # check for each of the 2^14 candidates (about 1.1 s)
+        R = S.truncated_polynomial_algebra(GF(2), 4)
+        F, _ = gm.free_module(R, [R.group.zero, R.basis_degrees[1]])
+        doc = json.dumps(cli.module_to_json(F))
+        t0 = time.perf_counter()
+        code = cli.run(["oracle-diff", doc])
+        assert time.perf_counter() - t0 < 0.3
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "object": "module", "hom_deg0_dim": 3,
+            "oracle_hom_count": 8, "agree": True}
 
     def test_guard(self):
         R = S.truncated_polynomial_algebra(GF(5), 2)
