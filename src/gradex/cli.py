@@ -492,11 +492,8 @@ def cmd_module(args):
         out["shifts"] = [[_degree_key(g.coords), m]
                          for g, m in rep.spec.entries]
     if args.oracle and M.field.is_finite:
-        try:
-            out["oracle_free"] = orc.oracle_free_search(M)
-            out["oracle_agrees"] = (rep.free == out["oracle_free"])
-        except SizeGuardExceeded:
-            out["oracle_free"] = "skipped: too large"
+        out["oracle_free"] = orc.oracle_free_search(M)
+        out["oracle_agrees"] = (rep.free == out["oracle_free"])
     return _emit(out, args.text)
 
 
@@ -618,29 +615,35 @@ DISPATCH = {
 }
 
 
-def _build_parser(default_seed):
+def _build_parser(name=None, default_seed=None):
+    """The top-level parser, with the subparser of ``name`` only (none
+    for the top-level help).  The metavar lists every subcommand, so
+    usage lines and help read the same whichever subparser is built."""
     top = argparse.ArgumentParser(prog="gradex", add_help=True)
-    sub = top.add_subparsers(dest="command")
-    cmd = {}
-    for name in DISPATCH:
-        p = cmd[name] = sub.add_parser(name)
-        p.add_argument("object", help="JSON file path or inline JSON")
-        fmt = p.add_mutually_exclusive_group()
-        fmt.add_argument("--json", dest="text", action="store_false",
-                         default=False)
-        fmt.add_argument("--text", dest="text", action="store_true")
+    sub = top.add_subparsers(dest="command",
+                             metavar="{" + ",".join(DISPATCH) + "}")
+    if name is None:
+        return top
+    p = sub.add_parser(name)
+    p.add_argument("object", help="JSON file path or inline JSON")
+    fmt = p.add_mutually_exclusive_group()
+    fmt.add_argument("--json", dest="text", action="store_false",
+                     default=False)
+    fmt.add_argument("--text", dest="text", action="store_true")
     # each option only on the subcommands that read it
-    for name in ("coarsen", "coarsen-compare"):
-        cmd[name].add_argument("--psi", required=True)
-    for name in ("restrict", "corestrict", "adjoint-check"):
-        cmd[name].add_argument("--phi", required=True)
-    for name in ("resolve", "pd", "id", "fd"):
-        cmd[name].add_argument("--cutoff", type=int, default=8)
-    cmd["coarsen-compare"].add_argument("--cutoff", type=int, default=6)
-    cmd["schanuel"].add_argument("--n", type=int, default=1)
-    for name in ("classify", "module"):
-        cmd[name].add_argument("--oracle", action="store_true")
-    cmd["module"].add_argument("--seed", type=int, default=default_seed)
+    if name in ("coarsen", "coarsen-compare"):
+        p.add_argument("--psi", required=True)
+    if name in ("restrict", "corestrict", "adjoint-check"):
+        p.add_argument("--phi", required=True)
+    if name in ("resolve", "pd", "id", "fd", "coarsen-compare"):
+        p.add_argument("--cutoff", type=int,
+                       default=6 if name == "coarsen-compare" else 8)
+    if name == "schanuel":
+        p.add_argument("--n", type=int, default=1)
+    if name in ("classify", "module"):
+        p.add_argument("--oracle", action="store_true")
+    if name == "module":
+        p.add_argument("--seed", type=int, default=default_seed)
     return top
 
 
@@ -657,14 +660,14 @@ def _env_seed():
 
 def run(argv):
     if not argv or argv[0] in ("-h", "--help"):
-        _build_parser(la.DEFAULT_SEED).print_help()
+        _build_parser().print_help()
         return 0
     if argv[0] not in DISPATCH:
         print(json.dumps({"error": f"unknown subcommand {argv[0]!r}"}),
               file=sys.stderr)
         return 1
     try:
-        parser = _build_parser(_env_seed())
+        parser = _build_parser(argv[0], _env_seed())
         try:
             args = parser.parse_args(argv)
         except SystemExit as e:

@@ -163,20 +163,31 @@ def eye(field, n):
 
 
 def mat_mul(field, A, B):
+    """A B, from the nonzero products only: each nonzero A[i][t] meets
+    the nonzero entries of row t of B, and over F_p each entry is
+    reduced once."""
     if A and B and len(A[0]) != len(B):
         raise DimensionError("matrix product shape mismatch")
-    n = len(A)
-    k = len(B)
     m = len(B[0]) if B else 0
-    return [[_dot(field, A[i], [B[t][j] for t in range(k)]) for j in range(m)]
-            for i in range(n)]
+    B_nz = [[(j, b) for j, b in enumerate(row) if b] for row in B]
+    p, zero = field.p, field.zero
+    C = []
+    for row in A:
+        c = [zero] * m
+        for a, b_nz in zip(row, B_nz):
+            if a:
+                for j, b in b_nz:
+                    c[j] += a * b
+        C.append([x % p for x in c] if p else c)
+    return C
 
 
 def _dot(field, u, v):
     s = field.zero
     for a, b in zip(u, v):
-        s = field.add(s, field.mul(a, b))
-    return s
+        if a and b:
+            s += a * b
+    return s % field.p if field.p else s
 
 
 def mat_vec_mul(field, A, v):
@@ -197,6 +208,17 @@ def is_zero_vec(v):
     return all(a == 0 for a in v)
 
 
+def _eliminate(p, row, f, pivot_nz):
+    """row -= f * pivot row, in place, on the pivot row's nonzero
+    columns ``pivot_nz`` ((column, entry) pairs) only."""
+    if p:
+        for j, x in pivot_nz:
+            row[j] = (row[j] - f * x) % p
+    else:
+        for j, x in pivot_nz:
+            row[j] -= f * x
+
+
 def rref(field, A):
     """Reduced row echelon form; returns (R, pivot_columns)."""
     R = [row[:] for row in A]
@@ -207,18 +229,21 @@ def rref(field, A):
     for c in range(m):
         pr = None
         for i in range(r, n):
-            if R[i][c] != 0:
+            if R[i][c]:
                 pr = i
                 break
         if pr is None:
             continue
         R[r], R[pr] = R[pr], R[r]
         inv = field.inv(R[r][c])
-        R[r] = [field.mul(inv, x) for x in R[r]]
+        # left of c the pivot row is zero
+        pivot_nz = [(j, field.mul(inv, x))
+                    for j, x in enumerate(R[r][c:], c) if x]
+        for j, x in pivot_nz:
+            R[r][j] = x
         for i in range(n):
-            if i != r and R[i][c] != 0:
-                f = R[i][c]
-                R[i] = [field.sub(R[i][j], field.mul(f, R[r][j])) for j in range(m)]
+            if i != r and R[i][c]:
+                _eliminate(field.p, R[i], R[i][c], pivot_nz)
         pivots.append(c)
         r += 1
         if r == n:
@@ -280,7 +305,7 @@ def det(field, A):
     for c in range(n):
         pr = None
         for i in range(c, n):
-            if M[i][c] != 0:
+            if M[i][c]:
                 pr = i
                 break
         if pr is None:
@@ -290,10 +315,11 @@ def det(field, A):
             d = field.neg(d)
         d = field.mul(d, M[c][c])
         inv = field.inv(M[c][c])
+        # columns up to c are not read again
+        pivot_nz = [(j, x) for j, x in enumerate(M[c][c + 1:], c + 1) if x]
         for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = field.mul(inv, M[i][c])
-                M[i] = [field.sub(M[i][j], field.mul(f, M[c][j])) for j in range(n)]
+            if M[i][c]:
+                _eliminate(field.p, M[i], field.mul(inv, M[i][c]), pivot_nz)
     return d
 
 
@@ -394,12 +420,15 @@ class IntertwinerResult:
     samples_used: int = 0
 
 
-def _space_member(field, particular, basis, ts, n):
+def _space_member(field, particular, basis, ts):
     M = [row[:] for row in particular]
     for t, K in zip(ts, basis):
-        for i in range(n):
-            for j in range(n):
-                M[i][j] = field.add(M[i][j], field.mul(field.of(t), K[i][j]))
+        t = field.of(t)
+        if t:
+            for M_i, K_i in zip(M, K):
+                for j, k in enumerate(K_i):
+                    if k:
+                        M_i[j] = field.add(M_i[j], field.mul(t, k))
     return M
 
 
@@ -409,8 +438,8 @@ def invertible_intertwiner(field, particular, basis, n, seed=DEFAULT_SEED):
     determinant has degree <= n in each t_i."""
     status, ts, tried = witness_search(
         field, len(basis), n,
-        lambda ts: det(field, _space_member(field, particular, basis, ts,
-                                            n)) != 0,
+        lambda ts: det(field, _space_member(field, particular, basis,
+                                            ts)) != 0,
         seed, INTERTWINER_BUDGET)
-    M = None if ts is None else _space_member(field, particular, basis, ts, n)
+    M = None if ts is None else _space_member(field, particular, basis, ts)
     return IntertwinerResult(status, M, tried)

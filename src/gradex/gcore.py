@@ -743,6 +743,7 @@ class AffineMonoid:
     by construction)."""
 
     MEMBERSHIP_BOUND = 32
+    MEMBERSHIP_POINTS = 2 ** 18
     SHARP_SEARCH_BOUND = 16
 
     def __init__(self, ambient_dim, generators):
@@ -822,7 +823,8 @@ class AffineMonoid:
 
     def contains(self, m, bound=MEMBERSHIP_BOUND):
         """Is m a natural combination of the generators?  True / False /
-        None (bound exhausted)."""
+        None (no combination with coefficient sum at most ``bound``
+        reaches m, or the walk outgrew MEMBERSHIP_POINTS points)."""
         m = tuple(int(x) for x in m)
         if all(x == 0 for x in m):
             return True
@@ -840,8 +842,19 @@ class AffineMonoid:
             cons.append((la.unit_vector(la.QQ, len(gens), i), Fraction(0)))
         if not _fourier_motzkin_feasible(cons):
             return False
-        if any(point == m for _, point in self.combinations(bound)):
-            return True
+        # the distinct points of coefficient sum 1, 2, ..., bound, one
+        # layer per sum: a point met in an earlier layer adds nothing
+        # new.  Past MEMBERSHIP_POINTS points the walk stops as at the
+        # bound.
+        seen, layer = {self.zero}, {self.zero}
+        for _ in range(bound):
+            layer = {tuple(x + y for x, y in zip(p, g))
+                     for p in layer for g in gens} - seen
+            if m in layer:
+                return True
+            seen |= layer
+            if len(seen) > self.MEMBERSHIP_POINTS:
+                break
         return None
 
     def is_invertible(self, m):

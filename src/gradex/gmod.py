@@ -287,7 +287,8 @@ def graded_hom(M: GradedModule, N: GradedModule):
         rows = []
         for i in range(R.dim):
             A, B = M.action_matrix(i), N.action_matrix(i)
-            # (F A - B F)[k][j] = 0 for all k, j: linear in the slots
+            # (F A - B F)[k][j] = 0 for all k, j: linear in the slots;
+            # zero rows leave the kernel (and the canonical rref) alone
             for k in range(N.dim):
                 for j in range(M.dim):
                     row = [f.zero] * len(slots)
@@ -296,7 +297,8 @@ def graded_hom(M: GradedModule, N: GradedModule):
                             row[s] = f.add(row[s], A[j2][j])
                         if j2 == j:
                             row[s] = f.sub(row[s], B[k][k2])
-                    rows.append(row)
+                    if any(row):
+                        rows.append(row)
         for sol in (la.kernel_basis(f, rows) if rows
                     else la.eye(f, len(slots))):
             F = la.zeros(f, N.dim, M.dim)

@@ -11,6 +11,7 @@ once per call, before the enumeration.
 
 from __future__ import annotations
 
+import math
 from itertools import combinations, product
 
 from .gcore import GradedAlgebra, SizeGuardExceeded
@@ -247,7 +248,8 @@ def oracle_free_search(M: GradedModule):
         return False
     r = M.dim // R.dim
     pool = [v for _, v in M.homogeneous_vectors(limit=2 ** 16)]
-    if len(pool) ** min(r, 2) > 2 ** 16:
+    if (len(pool) ** min(r, 2) > 2 ** 16
+            or math.comb(len(pool), r) > 2 ** 16):
         raise SizeGuardExceeded("freeness oracle pool too large")
     for combo in combinations(pool, r):
         if free_cover_from_generators(M, list(combo)).is_iso():

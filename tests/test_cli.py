@@ -503,3 +503,218 @@ class TestRoundTrip:
             R2 = cli.ring_from_json(doc)
             assert R2.structure == R.structure
             assert R2.basis_degrees == R.basis_degrees
+
+
+# argv -> stdout with COLUMNS=80, as printed when every call built all
+# fifteen subparsers
+HELP_TEXTS = {
+    ('-h',): (
+        'usage: gradex [-h]\n'
+        '              {classify,coarsen,restrict,corestrict,adjoint-check,'
+        'module,resolve,pd,id,fd,schanuel,coarsen-compare,spec,oracle-diff,'
+        'validate}\n'
+        '              ...\n'
+        '\n'
+        'positional arguments:\n'
+        '  {classify,coarsen,restrict,corestrict,adjoint-check,module,'
+        'resolve,pd,id,fd,schanuel,coarsen-compare,spec,oracle-diff,'
+        'validate}\n'
+        '\n'
+        'options:\n'
+        '  -h, --help            show this help message and exit\n'
+    ),
+    ('classify', '-h'): (
+        'usage: gradex classify [-h] [--json | --text] [--oracle] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --oracle\n'
+    ),
+    ('coarsen', '-h'): (
+        'usage: gradex coarsen [-h] [--json | --text] --psi PSI object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --psi PSI\n'
+    ),
+    ('restrict', '-h'): (
+        'usage: gradex restrict [-h] [--json | --text] --phi PHI object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --phi PHI\n'
+    ),
+    ('corestrict', '-h'): (
+        'usage: gradex corestrict [-h] [--json | --text] --phi PHI object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --phi PHI\n'
+    ),
+    ('adjoint-check', '-h'): (
+        'usage: gradex adjoint-check [-h] [--json | --text] --phi PHI object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --phi PHI\n'
+    ),
+    ('module', '-h'): (
+        'usage: gradex module [-h] [--json | --text] [--oracle] [--seed SEED]'
+        ' object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object       JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help   show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --oracle\n'
+        '  --seed SEED\n'
+    ),
+    ('resolve', '-h'): (
+        'usage: gradex resolve [-h] [--json | --text] [--cutoff CUTOFF] objec'
+        't\n'
+        '\n'
+        'positional arguments:\n'
+        '  object           JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --cutoff CUTOFF\n'
+    ),
+    ('pd', '-h'): (
+        'usage: gradex pd [-h] [--json | --text] [--cutoff CUTOFF] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object           JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --cutoff CUTOFF\n'
+    ),
+    ('id', '-h'): (
+        'usage: gradex id [-h] [--json | --text] [--cutoff CUTOFF] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object           JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --cutoff CUTOFF\n'
+    ),
+    ('fd', '-h'): (
+        'usage: gradex fd [-h] [--json | --text] [--cutoff CUTOFF] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object           JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --cutoff CUTOFF\n'
+    ),
+    ('schanuel', '-h'): (
+        'usage: gradex schanuel [-h] [--json | --text] [--n N] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --n N\n'
+    ),
+    ('coarsen-compare', '-h'): (
+        'usage: gradex coarsen-compare [-h] [--json | --text] --psi PSI\n'
+        '                              [--cutoff CUTOFF]\n'
+        '                              object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object           JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help       show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+        '  --psi PSI\n'
+        '  --cutoff CUTOFF\n'
+    ),
+    ('spec', '-h'): (
+        'usage: gradex spec [-h] [--json | --text] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+    ),
+    ('oracle-diff', '-h'): (
+        'usage: gradex oracle-diff [-h] [--json | --text] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+    ),
+    ('validate', '-h'): (
+        'usage: gradex validate [-h] [--json | --text] object\n'
+        '\n'
+        'positional arguments:\n'
+        '  object      JSON file path or inline JSON\n'
+        '\n'
+        'options:\n'
+        '  -h, --help  show this help message and exit\n'
+        '  --json\n'
+        '  --text\n'
+    ),
+}
+
+
+class TestHelp:
+    @pytest.mark.parametrize("argv", [[]] + [list(a) for a in HELP_TEXTS])
+    def test_help_texts_unchanged(self, argv, capsys, monkeypatch):
+        # each call builds only the named subcommand's parser; the texts
+        # must read as when all of them were built
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.run(argv) == 0
+        out, err = capsys.readouterr()
+        assert err == "" and out == HELP_TEXTS[tuple(argv) or ("-h",)]

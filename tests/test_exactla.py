@@ -1,5 +1,6 @@
 import time
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -181,6 +182,122 @@ class TestLinearAlgebra:
         for ci, b in zip(c, basis):
             total = la.vec_add(f, total, la.vec_scale(f, ci, b))
         assert total == [f.of(5), f.of(7)]
+
+
+# ---------------------------------------------------------------------------
+# dense references: every entry of every product and row update, as the
+# kernels computed before they skipped zeros
+# ---------------------------------------------------------------------------
+
+def dense_dot(f, u, v):
+    s = f.zero
+    for a, b in zip(u, v):
+        s = f.add(s, f.mul(a, b))
+    return s
+
+
+def dense_mat_mul(f, A, B):
+    m = len(B[0]) if B else 0
+    return [[dense_dot(f, row, [Bt[j] for Bt in B]) for j in range(m)]
+            for row in A]
+
+
+def dense_rref(f, A):
+    R = [row[:] for row in A]
+    n, m = len(R), len(R[0]) if R else 0
+    pivots, r = [], 0
+    for c in range(m):
+        pr = next((i for i in range(r, n) if R[i][c] != 0), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        inv = f.inv(R[r][c])
+        R[r] = [f.mul(inv, x) for x in R[r]]
+        for i in range(n):
+            if i != r and R[i][c] != 0:
+                g = R[i][c]
+                R[i] = [f.sub(R[i][j], f.mul(g, R[r][j])) for j in range(m)]
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return R, pivots
+
+
+def dense_kernel_basis(f, A):
+    m = len(A[0]) if A else 0
+    R, pivots = dense_rref(f, A)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = la.unit_vector(f, m, fc)
+        for r, pc in enumerate(pivots):
+            v[pc] = f.neg(R[r][fc])
+        basis.append(v)
+    return basis
+
+
+def leibniz_det(f, A):
+    """Sum over permutations, signed by their inversion count."""
+    n = len(A)
+    d = f.zero
+    for perm in permutations(range(n)):
+        term = f.one
+        for i, j in enumerate(perm):
+            term = f.mul(term, A[i][j])
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        d = f.add(d, f.neg(term) if inversions % 2 else term)
+    return d
+
+
+sparse_fields = st.sampled_from([la.QQ, la.GF(2), la.GF(3), la.GF(7)])
+
+
+@st.composite
+def sparse_matrix(draw, field, n, m):
+    """An n x m matrix ([] when n = 0), all zero, sparse or dense;
+    entries over Q include fractions."""
+    entry = small
+    if field.is_rational:
+        entry = st.one_of(small, st.fractions(-3, 3, max_denominator=4))
+    entry = {"zero": st.just(0),
+             "sparse": st.one_of(st.just(0), st.just(0), st.just(0), entry),
+             "dense": entry}[draw(st.sampled_from(["zero", "sparse",
+                                                   "dense"]))]
+    return [[field.of(draw(entry)) for _ in range(m)] for _ in range(n)]
+
+
+dims = st.integers(0, 4)
+
+
+class TestZeroSkippingAgainstDense:
+    @given(st.data(), sparse_fields, dims, dims, dims)
+    @settings(max_examples=200, deadline=None)
+    def test_mat_mul(self, data, field, n, k, m):
+        A = data.draw(sparse_matrix(field, n, k))
+        B = data.draw(sparse_matrix(field, k, m))
+        assert la.mat_mul(field, A, B) == dense_mat_mul(field, A, B)
+
+    @given(st.data(), sparse_fields, dims, dims)
+    @settings(max_examples=150, deadline=None)
+    def test_mat_vec_mul(self, data, field, n, k):
+        A = data.draw(sparse_matrix(field, n, k))
+        v, = data.draw(sparse_matrix(field, 1, k))
+        assert la.mat_vec_mul(field, A, v) == [dense_dot(field, row, v)
+                                               for row in A]
+
+    @given(st.data(), sparse_fields, dims, dims)
+    @settings(max_examples=200, deadline=None)
+    def test_rref_and_kernel(self, data, field, n, m):
+        A = data.draw(sparse_matrix(field, n, m))
+        assert la.rref(field, A) == dense_rref(field, A)
+        assert la.kernel_basis(field, A) == dense_kernel_basis(field, A)
+
+    @given(st.data(), sparse_fields, dims)
+    @settings(max_examples=150, deadline=None)
+    def test_det(self, data, field, n):
+        A = data.draw(sparse_matrix(field, n, n))
+        assert la.det(field, A) == leibniz_det(field, A)
 
 
 class TestIntertwiner:

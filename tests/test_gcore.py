@@ -282,6 +282,43 @@ class TestMonoids:
         monkeypatch.setattr(M, "combinations", no_walk)
         assert M.contains((0, -1)) is False
 
+    def test_unreachable_point_in_cone_is_undecided_quickly(self):
+        # 1 = 2a + 3b has no natural solution, but (1, 0) lies in the
+        # cone and the lattice; the tuple walk took about 13 s over C(38, 6)
+        # coefficient tuples, the distinct points of each sum are few
+        M = gc.AffineMonoid(2, [(2, 0), (0, 2), (2, 2), (4, 2), (2, 4),
+                                (3, 0)])
+        t0 = time.perf_counter()
+        assert M.contains((1, 0)) is None
+        assert time.perf_counter() - t0 < 1.0
+        assert M.contains((5, 2)) is True
+
+    def test_membership_walk_stops_past_its_point_budget(self,
+                                                         monkeypatch):
+        # 7 = 2 + 2 + 3 is first reached at coefficient sum 3, after the
+        # six points of sums 0 to 2 outgrew a budget of 3
+        M = gc.AffineMonoid(1, [(2,), (3,)])
+        assert M.contains((7,)) is True
+        monkeypatch.setattr(M, "MEMBERSHIP_POINTS", 3)
+        assert M.contains((7,)) is None
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda d: st.tuples(
+        st.just(d),
+        st.lists(st.tuples(*[st.integers(-3, 3)] * d), min_size=1,
+                 max_size=4),
+        st.tuples(*[st.integers(-6, 6)] * d),
+        st.integers(0, 6))))
+    def test_membership_agrees_with_tuple_walk(self, case):
+        d, gens, m, bound = case
+        M = gc.AffineMonoid(d, gens)
+        walk = any(point == m for _, point in M.combinations(bound))
+        answer = M.contains(m, bound)
+        if answer is False:
+            assert not walk
+        else:
+            assert answer == (True if walk or not any(m) else None)
+
     def test_laurent_units(self):
         L = S.laurent_algebra()
         x = L.monomial((1,))

@@ -189,6 +189,18 @@ class TestSchanuel:
         iso, verified = gh.schanuel_glue(res, res, 1)
         assert verified and iso.is_iso()
 
+    def test_second_kernels_over_q_within_budget(self):
+        # Q[x]/(x^4) modulo <x^2>, as `schanuel --n 2` runs it: over
+        # 30 s while products and eliminations touched every zero entry
+        M = gm.regular_module(S.truncated_polynomial_algebra(QQ, 4))
+        _, incl = gm.generated_submodule(M, [[0, 0, 1, 0]])
+        K = gm.cokernel(incl)[0]
+        t0 = time.perf_counter()
+        res_min = gh.resolution(K, cutoff=2)
+        res_big = gh.resolution(K, cutoff=2, minimal=False)
+        iso, verified = gh.schanuel_glue(res_min, res_big, 2)
+        assert time.perf_counter() - t0 < 5.0
+        assert verified
 
     @pytest.mark.parametrize("minimal", [True, False])
     @pytest.mark.parametrize("n", [1, 2])

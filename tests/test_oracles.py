@@ -262,6 +262,25 @@ class TestMorphismEnumeration:
             orc.enumerate_morphisms(F, F)
 
 
+class TestFreenessOracle:
+    def test_guard_bounds_the_tuples_walked(self, capsys):
+        # 8 copies of F2 in degree 0 over F2[X]/(X^2): a basis of r = 4
+        # generators from 255 nonzero vectors passes the 255^2 pair
+        # bound, but the walk would try C(255, 4) ~ 1.7e8 tuples
+        R = S.dual_numbers(GF(2))
+        doc = {"ring": cli.ring_to_json(R),
+               "basis": [{"degree": list(R.group.zero.coords)}] * 8,
+               "action": [[0, j, [[j, 1]]] for j in range(8)]}
+        M = cli.module_from_json(doc)
+        t0 = time.perf_counter()
+        with pytest.raises(gc.SizeGuardExceeded):
+            orc.oracle_free_search(M)
+        assert time.perf_counter() - t0 < 1.0
+        code = cli.run(["module", json.dumps(doc), "--oracle"])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["kind"] == "size-guard"
+
+
 class TestSmallSubmoduleOracle:
     def test_concordance_on_chain_ring(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
