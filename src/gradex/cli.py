@@ -72,6 +72,11 @@ def group_to_json(G: FGAbelianGroup):
     return {"free_rank": G.free_rank, "torsion": list(G.torsion_factors)}
 
 
+# the largest free_rank + len(torsion) a document may ask for: group work
+# (Smith normal form, kernels of grading maps) grows with the rank
+MAX_GROUP_RANK = 32
+
+
 def group_from_json(doc, path="group"):
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: expected an object")
@@ -80,7 +85,10 @@ def group_from_json(doc, path="group"):
     if not _is_int(free) or free < 0:
         raise ValidationError(_jp(path, 'free_rank') + ": must be a nonnegative "
                               "integer")
-    for i, d in enumerate(_list(tors, _jp(path, "torsion"))):
+    if free + len(_list(tors, _jp(path, "torsion"))) > MAX_GROUP_RANK:
+        raise ValidationError(f"{path or '$'}: free_rank plus the number of "
+                              f"torsion factors exceeds {MAX_GROUP_RANK}")
+    for i, d in enumerate(tors):
         if not _is_int(d) or d < 2:
             raise ValidationError(_jp(path, f'torsion[{i}]') + ": torsion factors "
                                   "must be integers >= 2")

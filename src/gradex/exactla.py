@@ -200,14 +200,6 @@ def vec_add(field, u, v):
     return [field.add(a, b) for a, b in zip(u, v)]
 
 
-def vec_scale(field, c, v):
-    return [field.mul(c, a) for a in v]
-
-
-def is_zero_vec(v):
-    return all(a == 0 for a in v)
-
-
 def _eliminate(p, row, f, pivot_nz):
     """row -= f * pivot row, in place, on the pivot row's nonzero
     columns ``pivot_nz`` ((column, entry) pairs) only."""

@@ -251,6 +251,23 @@ class _GradedSpace:
                 return basis
             basis = self.graded_span(basis + missing)
 
+    def quotient(self, sub):
+        """The quotient by a subspace closed under the action, given its
+        graded_span basis: (reps, proj, tensor).  reps are the
+        coordinates that lead no vector of sub (sub is in rref within
+        each degree, so their unit vectors complete it), ordered by
+        degree, then index; proj is the projection along span(sub) onto
+        their span; tensor[i][t] = proj(x_i . v_{reps[t]})."""
+        f, r = self.field, len(self.tensor)
+        lead = {next(j for j, c in enumerate(v) if c != 0) for v in sub}
+        reps = sorted((j for j in range(self.dim) if j not in lead),
+                      key=lambda j: (self.basis_degrees[j].coords, j))
+        proj = la.complement_projection(
+            f, sub, [la.unit_vector(f, self.dim, j) for j in reps])
+        tensor = [[la.mat_vec_mul(f, proj, list(self.tensor[i][j]))
+                   for j in reps] for i in range(r)]
+        return reps, proj, tensor
+
 
 # ---------------------------------------------------------------------------
 # structure-constant algebras
@@ -536,29 +553,16 @@ def ideal_from_gens(R: GradedAlgebra, gens) -> GradedIdeal:
     return GradedIdeal(R, R.submodule_span(vecs))
 
 
-def zero_ideal(R):
-    return GradedIdeal(R, [])
-
-
 def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim)."""
     f = R.field
-    # a.basis is in rref within each degree, so the coordinates that are
-    # not leading ones of it complete it to a basis; order them by
-    # degree, then index
-    lead = {next(j for j, c in enumerate(v) if c != 0) for v in a.basis}
-    rep_indices = sorted((j for j in range(R.dim) if j not in lead),
-                         key=lambda j: (R.basis_degrees[j].coords, j))
-    q = len(rep_indices)
-    reps = [la.unit_vector(f, R.dim, i) for i in rep_indices]
-    proj = la.complement_projection(f, a.vectors(), reps)
-    deg = [R.basis_degrees[i] for i in rep_indices]
-    structure = [[la.mat_vec_mul(f, proj, R.act_vec(reps[i], reps[j]))
-                  for j in range(q)] for i in range(q)]
-    unit = la.mat_vec_mul(f, proj, list(R.unit))
-    Q = GradedAlgebra(R.group, f, deg, structure, unit)
-    lift = [[reps[j][i] for j in range(q)] for i in range(R.dim)]
+    reps, proj, tensor = R.quotient(a.basis)
+    Q = GradedAlgebra(R.group, f, [R.basis_degrees[i] for i in reps],
+                      [tensor[i] for i in reps],
+                      la.mat_vec_mul(f, proj, list(R.unit)))
+    lift = [[f.one if i == j else f.zero for j in reps]
+            for i in range(R.dim)]
     return Q, proj, lift
 
 
@@ -869,13 +873,6 @@ class AffineMonoid:
 
     def __repr__(self):
         return f"AffineMonoid(dim={self.ambient_dim}, gens={self.generators})"
-
-
-def make_affine_monoid(d, generators):
-    M = AffineMonoid(d, generators)
-    report = M.sharpness()
-    group, _ = M.diff_group()
-    return M, report, group
 
 
 class MonoidAlgebra:

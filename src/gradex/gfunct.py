@@ -114,11 +114,6 @@ def coarsen(X, psi):
     raise FunctorError(f"cannot coarsen {type(X).__name__}")
 
 
-def coarsen_ideal(R: GradedAlgebra, a: GradedIdeal, psi: GroupHom):
-    Rc = coarsen_algebra(R, psi)
-    return Rc, GradedIdeal(Rc, [list(v) for v in a.vectors()])
-
-
 # ---------------------------------------------------------------------------
 # restriction / extension / corestriction
 # ---------------------------------------------------------------------------

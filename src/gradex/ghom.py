@@ -72,32 +72,28 @@ def mono_epi_duality_check(u: ModuleMorphism):
 # ---------------------------------------------------------------------------
 
 def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
-    """A morphism t with p o t = v (same target), or None.  Sought in
-    the degree-zero part of the graded Hom space."""
+    """A morphism t with p o t = v (same target), or None: one solve of
+    the degree-zero equivariance equations of t stacked on the
+    equations p t = v."""
     if p.target.dim != v.target.dim or p.target != v.target:
         raise ModuleError("lift needs a common target")
-    f = p.target.field
-    H, maps = gm.graded_hom(v.source, p.source)
-    zero = p.source.algebra.group.zero
-    deg0 = [maps[t] for t in range(H.dim) if H.basis_degrees[t] == zero]
-    if not deg0 and v.source.dim > 0:
-        return None
-    # solve sum c_t (p o h_t) = v entrywise
-    rows, rhs = [], []
-    composites = [la.mat_mul(f, p.matrix, h) for h in deg0]
-    for k in range(v.target.dim):
-        for j in range(v.source.dim):
-            rows.append([c[k][j] for c in composites])
-            rhs.append(v.matrix[k][j])
+    f, V, P = p.target.field, v.source, p.source
+    slots, rows = gm._hom_equations(V, P, V.group.zero)
+    rhs = [f.zero] * len(rows)
+    for r in range(v.target.dim):
+        for j in range(V.dim):
+            row = [p.matrix[r][k] if j2 == j else f.zero
+                   for k, j2 in slots]
+            if any(row) or v.matrix[r][j] != 0:
+                rows.append(row)
+                rhs.append(v.matrix[r][j])
     sol, = la.solve_linear(f, rows, [rhs])
     if sol is None:
         return None
-    t = la.zeros(f, p.source.dim, v.source.dim)
-    for c, h in zip(sol, deg0):
-        for k in range(p.source.dim):
-            for j in range(v.source.dim):
-                t[k][j] = f.add(t[k][j], f.mul(c, h[k][j]))
-    return ModuleMorphism(v.source, p.source, t)
+    t = la.zeros(f, P.dim, V.dim)
+    for (k, j), c in zip(slots, sol):
+        t[k][j] = c
+    return ModuleMorphism(V, P, t, check=False)
 
 
 def minimal_cover(M: GradedModule) -> ModuleMorphism:

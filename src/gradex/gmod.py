@@ -65,10 +65,6 @@ def regular_module(R: GradedAlgebra) -> GradedModule:
     return GradedModule(R, R.basis_degrees, R.structure)
 
 
-def zero_module(R: GradedAlgebra) -> GradedModule:
-    return GradedModule(R, [], [tuple() for _ in range(R.dim)])
-
-
 class ModuleMorphism:
     """Degree-preserving equivariant map between modules over the same
     algebra, as a matrix on basis coordinates."""
@@ -213,34 +209,18 @@ def image(u: ModuleMorphism):
     return _module_on_subspace(u.target, _image_span(u))
 
 
-def _complement_indices(f, sub, n):
-    """Indices j of the unit vectors that complete a basis of span(sub)
-    to one of f^n, taken greedily in index order: e_j is skipped exactly
-    when some vector of the span has its last nonzero coordinate at j."""
-    _, pivots = la.rref(f, [v[::-1] for v in sub])
-    ends = {n - 1 - p for p in pivots}
-    return [j for j in range(n) if j not in ends]
+def _quotient_module(M: GradedModule, sub):
+    """(M/span(sub), projection from M) for a submodule given by its
+    graded_span basis."""
+    reps, proj, action = M.quotient(sub)
+    Q = GradedModule(M.algebra, [M.basis_degrees[j] for j in reps], action)
+    return Q, proj
 
 
 def cokernel(u: ModuleMorphism):
     """(cokernel module, projection from the target)."""
-    T, f, R = u.target, u.target.field, u.target.algebra
-    img = _image_span(u)
-    js = _complement_indices(f, img, T.dim)
-    proj = la.complement_projection(
-        f, img, [la.unit_vector(f, T.dim, j) for j in js])
-    action = [[la.mat_vec_mul(f, proj, list(T.action[i][j])) for j in js]
-              for i in range(R.dim)]
-    C = GradedModule(R, [T.basis_degrees[j] for j in js], action)
-    return C, ModuleMorphism(T, C, proj, check=False)
-
-
-def hilbert_coarsen(h, psi: GroupHom):
-    out = {}
-    for d, n in h.items():
-        e = psi(d)
-        out[e] = out.get(e, 0) + n
-    return out
+    C, proj = _quotient_module(u.target, _image_span(u))
+    return C, ModuleMorphism(u.target, C, proj, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +246,31 @@ def _flatten(mat):
     return tuple(x for row in mat for x in row)
 
 
+def _hom_equations(M: GradedModule, N: GradedModule, g):
+    """The linear maps F: M -> N shifting degrees by g, as unknowns: the
+    slots (k, j) with deg N_k = deg M_j + g, and the nonzero rows of the
+    equivariance equations F A_i = B_i F (A_i, B_i the actions of x_i
+    on M and N) in those unknowns; zero rows leave the solution space
+    (and the canonical rref) alone."""
+    R, f = M.algebra, M.field
+    slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
+             if N.basis_degrees[k] == M.basis_degrees[j] + g]
+    rows = []
+    for i in range(R.dim):
+        A, B = M.action_matrix(i), N.action_matrix(i)
+        for k in range(N.dim):
+            for j in range(M.dim):
+                row = [f.zero] * len(slots)
+                for s, (k2, j2) in enumerate(slots):
+                    if k2 == k:
+                        row[s] = f.add(row[s], A[j2][j])
+                    if j2 == j:
+                        row[s] = f.sub(row[s], B[k][k2])
+                if any(row):
+                    rows.append(row)
+    return slots, rows
+
+
 def graded_hom(M: GradedModule, N: GradedModule):
     """The graded module of module morphisms M -> N; its component of
     degree g consists of the equivariant maps shifting degrees by g.
@@ -276,29 +281,10 @@ def graded_hom(M: GradedModule, N: GradedModule):
     R, f = M.algebra, M.field
     cand = sorted({(N.basis_degrees[k] - M.basis_degrees[j]).coords
                    for k in range(N.dim) for j in range(M.dim)})
-    group = R.group
     basis_mats, basis_degs = [], []
     for gc in cand:
-        g = group.element(gc)
-        slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
-                 if N.basis_degrees[k] == M.basis_degrees[j] + g]
-        if not slots:
-            continue
-        rows = []
-        for i in range(R.dim):
-            A, B = M.action_matrix(i), N.action_matrix(i)
-            # (F A - B F)[k][j] = 0 for all k, j: linear in the slots;
-            # zero rows leave the kernel (and the canonical rref) alone
-            for k in range(N.dim):
-                for j in range(M.dim):
-                    row = [f.zero] * len(slots)
-                    for s, (k2, j2) in enumerate(slots):
-                        if k2 == k:
-                            row[s] = f.add(row[s], A[j2][j])
-                        if j2 == j:
-                            row[s] = f.sub(row[s], B[k][k2])
-                    if any(row):
-                        rows.append(row)
+        g = R.group.element(gc)
+        slots, rows = _hom_equations(M, N, g)
         for sol in (la.kernel_basis(f, rows) if rows
                     else la.eye(f, len(slots))):
             F = la.zeros(f, N.dim, M.dim)
@@ -319,44 +305,30 @@ def graded_hom(M: GradedModule, N: GradedModule):
 
 
 def tensor(M: GradedModule, N: GradedModule):
-    """M tensor N over the algebra; returns (T, proj) with proj the
-    matrix from pure-tensor coordinates (index j*dim(N)+k) to T."""
+    """M tensor N over the algebra, the quotient of V = M tensor_K N
+    (x_i acting through M) by the graded span of x_i m (x) n - m (x) x_i n;
+    returns (T, proj) with proj the matrix from pure-tensor coordinates
+    (index j*dim(N)+k) to T."""
     if M.algebra != N.algebra:
         raise ModuleError("tensor over different algebras")
     R, f = M.algebra, M.field
     m, n = M.dim, N.dim
-    dims = m * n
+    action = [[[f.zero] * (m * n) for _ in range(m * n)]
+              for _ in range(R.dim)]
     rels = []
     for i in range(R.dim):
         for j in range(m):
-            xm = M.action[i][j]
             for k in range(n):
-                xn = N.action[i][k]
-                v = [f.zero] * dims
-                for j2 in range(m):
-                    v[j2 * n + k] = f.add(v[j2 * n + k], xm[j2])
-                for k2 in range(n):
-                    v[j * n + k2] = f.sub(v[j * n + k2], xn[k2])
-                if not la.is_zero_vec(v):
-                    rels.append(v)
-    rel_basis = la.span_basis(f, rels)
-    js = _complement_indices(f, rel_basis, dims)
-    proj = la.complement_projection(
-        f, rel_basis, [la.unit_vector(f, dims, idx) for idx in js])
-    degrees = [M.basis_degrees[idx // n] + N.basis_degrees[idx % n]
-               for idx in js]
-    action = []
-    for i in range(R.dim):
-        block = []
-        for idx in js:
-            j, k = divmod(idx, n)
-            w = [f.zero] * dims
-            for j2, c in enumerate(M.action[i][j]):
-                w[j2 * n + k] = c
-            block.append(la.mat_vec_mul(f, proj, w))
-        action.append(block)
-    T = GradedModule(R, degrees, action)
-    return T, proj
+                v = action[i][j * n + k]
+                for j2, c in enumerate(M.action[i][j]):
+                    v[j2 * n + k] = c
+                rel = v[:]
+                for k2, c in enumerate(N.action[i][k]):
+                    rel[j * n + k2] = f.sub(rel[j * n + k2], c)
+                rels.append(rel)
+    V = GradedModule(R, [dm + dn for dm in M.basis_degrees
+                         for dn in N.basis_degrees], action)
+    return _quotient_module(V, V.graded_span(rels))
 
 
 def adjunction_dims_check(M: GradedModule, N: GradedModule, P: GradedModule):

@@ -251,7 +251,7 @@ def test_9_radical_identities():
     for R in samples:
         primes = gc.spec_enumerate(R)
         assert gc.intersect_ideals(R, primes) == gc.nilradical(R), R
-        ideals = [gc.zero_ideal(R)]
+        ideals = [gc.GradedIdeal(R, [])]
         for j in range(R.dim):
             x = R.basis_element(j)
             ideals.append(gc.ideal_from_gens(R, [x]))

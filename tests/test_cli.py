@@ -427,6 +427,27 @@ class TestExitCodes:
         capsys.readouterr()
         assert code == 2
 
+    def test_group_rank_above_32_is_refused(self, capsys):
+        # a ring with an empty basis over Z^33 and psi: Z^33 -> 0 would
+        # run Smith normal form on the grading map
+        ring = {"group": {"free_rank": 33, "torsion": []}, "field": "Q",
+                "basis": [], "mul": [], "unit": []}
+        psi = {"source": {"free_rank": 33, "torsion": []},
+               "target": {"free_rank": 0, "torsion": []}, "matrix": []}
+        t0 = time.perf_counter()
+        code = cli.run(["coarsen", json.dumps(ring), "--psi",
+                        json.dumps(psi)])
+        assert time.perf_counter() - t0 < 1.0
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["kind"] == "validation"
+        assert err["error"].startswith("ring.group:")
+        code, out = run_json(capsys, ["validate", json.dumps(
+            {"free_rank": 31, "torsion": [2, 2]})])
+        assert code == 0 and out["ok"] is False
+        code, out = run_json(capsys, ["validate", json.dumps(
+            {"free_rank": 30, "torsion": [2, 2]})])
+        assert code == 0 and out["ok"] is True
+
     @pytest.mark.parametrize("text", ["5", "[1]", '"action"', "null"])
     def test_oracle_diff_non_object(self, tmp_path, capsys, text):
         p = tmp_path / "doc.json"

@@ -196,7 +196,7 @@ class TestIdealsAndQuotients:
 
     def test_radical_idempotent(self):
         for R in S.finite_corpus():
-            zero = gc.zero_ideal(R)
+            zero = gc.GradedIdeal(R, [])
             r1 = gc.radical(R, zero)
             r2 = gc.radical(R, r1)
             assert r1 == r2
@@ -206,7 +206,7 @@ class TestIdealsAndQuotients:
         a = gc.ideal_from_gens(R, [R.basis_element(1)])
         cls = gc.ideal_class(R, a)
         assert cls.maximal and cls.prime and cls.perfect
-        zero = gc.zero_ideal(R)
+        zero = gc.GradedIdeal(R, [])
         cls = gc.ideal_class(R, zero)
         assert not cls.prime and not cls.perfect
 
@@ -237,11 +237,11 @@ class TestSpectra:
 
 class TestMonoids:
     def test_sharpness(self):
-        M, rep, _ = gc.make_affine_monoid(2, [(1, 0), (0, 1)])
+        rep = gc.AffineMonoid(2, [(1, 0), (0, 1)]).sharpness()
         assert rep.sharp is True
-        M, rep, _ = gc.make_affine_monoid(1, [(1,), (-1,)])
+        rep = gc.AffineMonoid(1, [(1,), (-1,)]).sharpness()
         assert rep.sharp is False
-        M, rep, _ = gc.make_affine_monoid(2, [(1, 1), (1, -1)])
+        rep = gc.AffineMonoid(2, [(1, 1), (1, -1)]).sharpness()
         assert rep.sharp is True
 
     def test_membership(self):

@@ -79,7 +79,8 @@ class TestCoarsening:
     def test_coarsen_ideal(self):
         R = S.dual_numbers(GF(2))
         a = gc.ideal_from_gens(R, [R.basis_element(1)])
-        Rc, ac = gf.coarsen_ideal(R, a, S.psi_Z_to_zero())
+        Rc = gf.coarsen_algebra(R, S.psi_Z_to_zero())
+        ac = gc.GradedIdeal(Rc, [list(v) for v in a.vectors()])
         assert ac.dim == 1
         assert gc.ideal_class(Rc, ac).maximal
 

@@ -1,5 +1,6 @@
 import pytest
 
+import gradex.exactla as la
 import gradex.gmod as gm
 import gradex.gcore as gc
 import gradex.oracles as orc
@@ -79,6 +80,51 @@ class TestKernelImageCokernel:
                 for d, c in part.items():
                     rhs[d] = rhs.get(d, 0) + c
             assert lhs == rhs
+
+    def test_cokernel_keeps_coordinates_leading_no_image_vector(self):
+        # the image of the diagonal K -> K + K is spanned by e0 + e1,
+        # which leads at coordinate 0: coordinate 1 represents the
+        # cokernel, and the projection kills e0 + e1 and fixes e1
+        R = S.dual_numbers()
+        K, _ = quotient_by_x(R)
+        D, _, _ = gm.direct_sum(K, K)
+        C, proj = gm.cokernel(gm.ModuleMorphism(K, D, [[1], [1]]))
+        reps, P, _ = D.quotient(D.graded_span([[1, 1]]))
+        assert reps == [1] and proj.matrix == P
+        assert C.basis_degrees == (D.basis_degrees[1],)
+        assert proj([1, 1]) == [0]
+        assert proj([0, 1]) == [1]
+
+    def test_quotient_orders_coordinates_by_degree(self):
+        # the regular module of Q[x]/(x^2) with its basis listed as
+        # x, 1: the quotient by zero lists 1 (degree 0) before x
+        R = S.dual_numbers()
+        x, one = R.basis_degrees[1], R.basis_degrees[0]
+        M = gm.GradedModule(R, [x, one], [[[1, 0], [0, 1]],
+                                          [[0, 0], [1, 0]]])
+        reps, P, action = M.quotient([])
+        assert reps == [1, 0]
+        assert P == [[0, 1], [1, 0]]
+        C, _ = gm.cokernel(gm.ModuleMorphism(
+            gm.GradedModule(R, [], [() for _ in range(R.dim)]), M,
+            [[], []]))
+        assert C.basis_degrees == (one, x)
+
+    def test_tensor_projection_kills_relations(self):
+        R = S.dual_numbers()
+        M = gm.regular_module(R)
+        T, proj = gm.tensor(M, M)
+        n = M.dim
+        for i in range(R.dim):
+            for j in range(n):
+                for k in range(n):
+                    rel = [0] * (n * n)
+                    for j2, c in enumerate(M.action[i][j]):
+                        rel[j2 * n + k] += c
+                    for k2, c in enumerate(M.action[i][k]):
+                        rel[j * n + k2] -= c
+                    assert all(c == 0 for c in
+                               la.mat_vec_mul(M.field, proj, rel))
 
     def test_image_of_composite(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
@@ -238,7 +284,7 @@ class TestSmallSubmodules:
         rep = gm.small_submodule(gm.identity_module_morphism(M), "superfluous")
         assert rep.flag is False
         # the zero submodule is never essential when the socle is nonzero
-        Zm = gm.zero_module(R)
+        Zm = gm.GradedModule(R, [], [() for _ in range(R.dim)])
         zmap = gm.ModuleMorphism(Zm, M, [[] for _ in range(M.dim)])
         rep = gm.small_submodule(zmap, "essential")
         assert rep.flag is False
@@ -363,7 +409,8 @@ class TestPrincipalPresentations:
 class TestHilbertCoarsen:
     def test_pushforward(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        h = gm.regular_module(R).hilbert()
-        hc = gm.hilbert_coarsen(h, S.psi_Z_to_Zmod(2))
+        M = gm.regular_module(R)
+        hc = gm.coarsen_module(M, S.psi_Z_to_Zmod(2)).hilbert()
         assert hkey(hc) == {(0,): 2, (1,): 2}
-        assert hkey(gm.hilbert_coarsen(h, S.psi_Z_to_zero())) == {(): 4}
+        assert hkey(gm.coarsen_module(M, S.psi_Z_to_zero()).hilbert()) \
+            == {(): 4}

@@ -133,7 +133,7 @@ def module_zoo(p, n):
     at most 2 with shifts 0 and 1, and the cyclic quotients R/(X^k)."""
     R = S.truncated_polynomial_algebra(GF(p), n)
     zero, one = R.group.zero, R.basis_degrees[1]
-    mods = [gm.zero_module(R)]
+    mods = [gm.GradedModule(R, [], [() for _ in range(R.dim)])]
     for shifts in ([zero], [one], [zero, zero], [zero, one]):
         mods.append(gm.free_module(R, shifts)[0])
     for k in range(1, n):
@@ -302,7 +302,7 @@ class TestSmallSubmoduleOracle:
         ident = gm.identity_module_morphism(M)
         flag, witness = orc.oracle_small_submodule(ident, "superfluous")
         assert flag is False and witness is not None
-        Z = gm.zero_module(R)
+        Z = gm.GradedModule(R, [], [() for _ in range(R.dim)])
         zmap = gm.ModuleMorphism(Z, M, [[] for _ in range(M.dim)])
         flag, witness = orc.oracle_small_submodule(zmap, "essential")
         assert flag is False and witness is not None
