@@ -9,9 +9,10 @@ torsion analysis all run through the Smith normal form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from math import gcd, lcm
+
+from ._record import Record
 
 
 class GroupError(ValueError):
@@ -177,21 +178,21 @@ def lattice_column_basis(cols, n):
 # groups, elements, homomorphisms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FGAbelianGroup:
-    free_rank: int
-    torsion_factors: tuple
+class FGAbelianGroup(Record, frozen=True):
+    _fields = ("free_rank", "torsion_factors")
 
-    def __post_init__(self):
-        if self.free_rank < 0:
+    def __init__(self, free_rank, torsion_factors):
+        if free_rank < 0:
             raise GroupError("free rank must be nonnegative")
-        object.__setattr__(self, "torsion_factors", tuple(self.torsion_factors))
-        for d in self.torsion_factors:
+        torsion_factors = tuple(torsion_factors)
+        for d in torsion_factors:
             if d < 2:
                 raise GroupError(f"torsion factor {d} < 2")
-        for a, b in zip(self.torsion_factors, self.torsion_factors[1:]):
+        for a, b in zip(torsion_factors, torsion_factors[1:]):
             if b % a != 0:
                 raise GroupError(f"torsion factors {a}, {b} break divisibility")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion_factors", torsion_factors)
 
     @property
     def dim(self):
@@ -265,15 +266,14 @@ def Zmod(*ds):
     return FGAbelianGroup(0, tuple(ds))
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    group: FGAbelianGroup
-    coords: tuple
+class GroupElement(Record, frozen=True):
+    _fields = ("group", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.group.dim:
+    def __init__(self, group, coords):
+        if len(coords) != group.dim:
             raise GroupError("coordinate length mismatch")
-        object.__setattr__(self, "coords", self.group.reduce(self.coords))
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "coords", group.reduce(coords))
 
     def __add__(self, other):
         if other.group != self.group:
@@ -354,19 +354,19 @@ def _matrix_inverse_unimodular(U):
     return mat_mul(V, Uk)
 
 
-@dataclass(frozen=True)
-class GroupHom:
-    source: FGAbelianGroup
-    target: FGAbelianGroup
-    matrix: tuple  # rows of integers, target.dim x source.dim
+class GroupHom(Record, frozen=True):
+    # matrix: rows of integers, target.dim x source.dim
+    _fields = ("source", "target", "matrix")
 
-    def __post_init__(self):
-        mat = tuple(tuple(row) for row in self.matrix)
+    def __init__(self, source, target, matrix):
+        mat = tuple(tuple(row) for row in matrix)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
         object.__setattr__(self, "matrix", mat)
-        if len(mat) != self.target.dim or any(len(r) != self.source.dim for r in mat):
+        if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
             raise GroupError("hom matrix has wrong shape")
         # well-definedness: source relations must land in the target lattice
-        for col in self.source.relation_columns():
+        for col in source.relation_columns():
             img = mat_vec([list(r) for r in mat], col)
             if not self.target_lattice_contains(img):
                 raise GroupError("hom does not respect torsion relations")

@@ -10,9 +10,10 @@ its span are answered for a whole batch of vectors by one
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+
+from ._record import Record
 
 
 class FieldError(ValueError):
@@ -55,16 +56,16 @@ def _is_prime(p):
 _Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class ScalarField:
-    p: int  # 0 means Q
+class ScalarField(Record, frozen=True):
+    _fields = ("p",)  # 0 means Q
 
-    def __post_init__(self):
-        if self.p >= PRIME_BOUND:
-            raise FieldError(f"{self.p} is too large: primality is decided "
+    def __init__(self, p):
+        if p >= PRIME_BOUND:
+            raise FieldError(f"{p} is too large: primality is decided "
                              f"only below {PRIME_BOUND}")
-        if self.p != 0 and not _is_prime(self.p):
-            raise FieldError(f"{self.p} is not prime")
+        if p != 0 and not _is_prime(p):
+            raise FieldError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     @property
     def is_rational(self):
@@ -405,11 +406,10 @@ def _random_points(field, k, seed, budget):
             yield tuple(rng.randint(-bound, bound) for _ in range(k))
 
 
-@dataclass
-class IntertwinerResult:
-    status: str  # "found" | "proven_none" | "budget_exhausted"
-    matrix: list | None
-    samples_used: int = 0
+class IntertwinerResult(Record):
+    # status: "found" | "proven_none" | "budget_exhausted"
+    _fields = ("status", "matrix", "samples_used")
+    _defaults = {"samples_used": 0}
 
 
 def _space_member(field, particular, basis, ts):

@@ -20,7 +20,6 @@ action (``submodule_span``) and one matrix of an element's action
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations, product
@@ -28,6 +27,7 @@ from itertools import combinations, product
 from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
     integer_solve
 from . import exactla as la
+from ._record import Record
 
 
 class AlgebraError(ValueError):
@@ -349,10 +349,12 @@ class GradedAlgebra(_GradedSpace):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
 
 
-@dataclass(frozen=True)
-class AlgebraElement:
-    parent: GradedAlgebra
-    coords: tuple
+class AlgebraElement(Record, frozen=True):
+    _fields = ("parent", "coords")
+
+    def __init__(self, parent, coords):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def is_zero(self):
@@ -413,12 +415,8 @@ class AlgebraElement:
         return f"elt{self.coords}"
 
 
-@dataclass(frozen=True)
-class ElementClass:
-    unit: bool
-    regular: bool
-    nilpotent: bool
-    homogeneous: bool
+class ElementClass(Record, frozen=True):
+    _fields = ("unit", "regular", "nilpotent", "homogeneous")
 
 
 def classify_element(R: GradedAlgebra, x: AlgebraElement) -> ElementClass:
@@ -445,12 +443,8 @@ def classify_element(R: GradedAlgebra, x: AlgebraElement) -> ElementClass:
     return ElementClass(unit, regular, nilpotent, hom)
 
 
-@dataclass(frozen=True)
-class RingClass:
-    simple: bool | None
-    entire: bool | None
-    reduced: bool | None
-    method: str
+class RingClass(Record, frozen=True):
+    _fields = ("simple", "entire", "reduced", "method")
 
     def _chain_ok(self):
         if self.simple is True and self.entire is False:
@@ -617,12 +611,8 @@ def radical(R: GradedAlgebra, a: GradedIdeal) -> GradedIdeal:
         la.mat_vec_mul(R.field, lift, v) for v in nilradical(Q).vectors()])
 
 
-@dataclass(frozen=True)
-class IdealClass:
-    maximal: bool | None
-    prime: bool | None
-    perfect: bool | None
-    method: str
+class IdealClass(Record, frozen=True):
+    _fields = ("maximal", "prime", "perfect", "method")
 
 
 def ideal_class(R: GradedAlgebra, a: GradedIdeal) -> IdealClass:
@@ -681,30 +671,6 @@ def spec_enumerate(R: GradedAlgebra):
     return primes
 
 
-def intersect_ideals(R: GradedAlgebra, ideals):
-    """Intersection of graded ideals.  It is a graded subspace, so the
-    rref basis of the intersection is homogeneous."""
-    if not ideals:
-        raise AlgebraError("empty intersection")
-    basis = ideals[0].vectors()
-    for I in ideals[1:]:
-        basis = _intersect_subspaces(R.field, basis, I.vectors())
-    return GradedIdeal(R, basis)
-
-
-def _intersect_subspaces(f, B1, B2):
-    """rref basis of span(B1) meet span(B2): the B1 halves of the kernel
-    of [B1 | -B2], mapped through B1."""
-    if not B1 or not B2:
-        return []
-    k = len(B1)
-    A = [[b[i] for b in B1] + [f.neg(b[i]) for b in B2]
-         for i in range(len(B1[0]))]
-    B = [row[:k] for row in A]
-    return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
-                             for c in la.kernel_basis(f, A)])
-
-
 # ---------------------------------------------------------------------------
 # affine monoids and monoid algebras
 # ---------------------------------------------------------------------------
@@ -734,12 +700,9 @@ def _fourier_motzkin_feasible(cons):
     return all(rhs <= 0 for _, rhs in cons)
 
 
-@dataclass(frozen=True)
-class SharpnessReport:
-    sharp: bool | None
-    method: str
-    witness: tuple | None = None
-    bound: int | None = None
+class SharpnessReport(Record, frozen=True):
+    _fields = ("sharp", "method", "witness", "bound")
+    _defaults = {"witness": None, "bound": None}
 
 
 class AffineMonoid:
@@ -974,13 +937,12 @@ class MonoidAlgebra:
         return f"MonoidAlgebra({self.base!r}, {self.monoid!r}, mode={self.mode})"
 
 
-@dataclass(frozen=True)
-class MonoidAlgebraElement:
-    parent: MonoidAlgebra
-    terms: dict
+class MonoidAlgebraElement(Record, frozen=True):
+    _fields = ("parent", "terms")
 
-    def __post_init__(self):
-        object.__setattr__(self, "terms", dict(self.terms))
+    def __init__(self, parent, terms):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "terms", dict(terms))
 
     @property
     def is_zero(self):

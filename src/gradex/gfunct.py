@@ -9,12 +9,12 @@ all construction invariants on the way out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .abgroups import GroupHom, GroupError, hom_props
 from . import exactla as la
-from .gcore import (GradedAlgebra, GradedIdeal, MonoidAlgebra, AlgebraError,
+from ._record import Record
+from .gcore import (GradedAlgebra, MonoidAlgebra, AlgebraError,
                     SizeGuardExceeded, ideal_from_gens, quotient_ring,
                     classify_element)
 
@@ -163,15 +163,14 @@ def extend(S: GradedAlgebra, phi: GroupHom) -> GradedAlgebra:
     return GradedAlgebra(phi.target, S.field, degrees, S.structure, S.unit)
 
 
-@dataclass
-class CorestrictionResult:
-    algebra: GradedAlgebra          # R_((phi)), graded by the source of phi
-    ideal: GradedIdeal              # a_phi(R)
-    quotient: GradedAlgebra         # R / a_phi(R), still G-graded
-    alpha: AlgebraMorphism          # R ->> R / a_phi(R)
-    kept: list                      # quotient basis indices surviving restriction
-    proj: list                      # projection matrix R -> quotient
-    lift: list                      # section quotient -> R
+class CorestrictionResult(Record):
+    _fields = ("algebra",   # R_((phi)), graded by the source of phi
+               "ideal",     # a_phi(R)
+               "quotient",  # R / a_phi(R), still G-graded
+               "alpha",     # R ->> R / a_phi(R)
+               "kept",      # quotient basis indices surviving restriction
+               "proj",      # projection matrix R -> quotient
+               "lift")      # section quotient -> R
 
 
 def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:

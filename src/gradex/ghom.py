@@ -9,21 +9,21 @@ and dimensions and betti tables are read off it: the projective
 dimension is the first n whose cover splits.  For the finitely
 generated modules here flat equals projective, so the flat dimension
 is the same number; the injective dimension is the projective
-dimension of the dual.  ``injective_dimension_direct`` keeps its own
-cokernel walk as an independent cross-check.
+dimension of the dual.  ``oracles.injective_dimension_direct`` keeps
+its own cokernel walk as an independent cross-check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import islice
 
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
+from ._record import Record
 from .gcore import GradedAlgebra
 from . import gmod as gm
 from .gmod import (GradedModule, ModuleMorphism, FreeSpec, regular_module,
-                   free_cover_from_generators, direct_sum, kernel, cokernel,
+                   free_cover_from_generators, direct_sum, kernel,
                    radical_submodule, ModuleError, coarsen_module,
                    minimal_generators)
 
@@ -53,18 +53,6 @@ def injective_cogenerator(R: GradedAlgebra) -> GradedModule:
     """E = dual(R): injective, and a cogenerator on the
     finite-dimensional modules."""
     return dual(regular_module(R))
-
-
-def duality_involution_check(M: GradedModule):
-    """dual(dual(M)) equals M and the evaluation map is the identity."""
-    DD = dual(dual(M))
-    return DD == M
-
-
-def mono_epi_duality_check(u: ModuleMorphism):
-    """u is mono iff dual(u) is epi, and vice versa."""
-    du = dual_morphism(u)
-    return u.is_mono() == du.is_epi() and u.is_epi() == du.is_mono()
 
 
 # ---------------------------------------------------------------------------
@@ -117,37 +105,21 @@ def is_injective(M: GradedModule) -> bool:
 
 def is_flat(M: GradedModule) -> bool:
     """For finitely generated modules over these finite-dimensional
-    algebras, flat coincides with projective; the Lambek cross-check
-    below keeps this shortcut honest."""
+    algebras, flat coincides with projective; the tests keep this
+    shortcut honest with the Lambek cross-check."""
     return is_projective(M)
-
-
-def lambek_check(M: GradedModule):
-    """is_flat(M) must equal is_injective(HOM(M, E)) with E = dual(R)."""
-    E = injective_cogenerator(M.algebra)
-    H, _ = gm.graded_hom(M, E)
-    return is_flat(M) == is_injective(H)
-
-
-def cogenerator_faithfulness_check(M: GradedModule):
-    """HOM(-, E) kills no nonzero module."""
-    E = injective_cogenerator(M.algebra)
-    H, _ = gm.graded_hom(M, E)
-    return (M.dim == 0) == (H.dim == 0)
 
 
 # ---------------------------------------------------------------------------
 # free resolutions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class FreeResolution:
-    target: GradedModule
-    covers: list            # covers[i]: F_i ->> K_i  (K_0 = target)
-    incls: list             # incls[i]: K_{i+1} -> F_i
-    cutoff: int
-    minimal: bool
-    terminated: bool        # the last kernel is zero
+class FreeResolution(Record):
+    _fields = ("target",
+               "covers",      # covers[i]: F_i ->> K_i  (K_0 = target)
+               "incls",       # incls[i]: K_{i+1} -> F_i
+               "cutoff", "minimal",
+               "terminated")  # the last kernel is zero
 
     @property
     def length(self):
@@ -354,11 +326,10 @@ def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):
 # dimension reports
 # ---------------------------------------------------------------------------
 
-@dataclass
-class DimensionReport:
-    kind: str               # "projective" | "injective" | "flat"
-    value: int | None       # None encodes the lower bound ">= cutoff"
-    cutoff: int
+class DimensionReport(Record):
+    _fields = ("kind",    # "projective" | "injective" | "flat"
+               "value",   # None encodes the lower bound ">= cutoff"
+               "cutoff")
 
     @property
     def display(self):
@@ -384,33 +355,6 @@ def dimension(M: GradedModule, kind="projective", cutoff=8) -> DimensionReport:
     N = dual(M) if kind == "injective" else M
     covers = (p for p, _ in islice(_syzygies(N, True), cutoff + 1))
     return DimensionReport(kind, _first_split(covers, N), cutoff)
-
-
-def injective_dimension_direct(M: GradedModule, cutoff=8) -> DimensionReport:
-    """Cross-check: build the injective resolution with copies of
-    dual(free) directly instead of dualizing."""
-    K = M
-    for n in range(cutoff + 1):
-        if is_injective(K):
-            return DimensionReport("injective", n, cutoff)
-        p = minimal_cover(dual(K))
-        # dualize: K = dual(dual(K)) embeds into dual(F), an injective
-        emb = ModuleMorphism(K, dual(p.source),
-                             [[p.matrix[k][j] for k in range(p.target.dim)]
-                              for j in range(p.source.dim)])
-        K, _ = cokernel(emb)
-    return DimensionReport("injective", None, cutoff)
-
-
-def lambek_dimension_check(M: GradedModule, cutoff=8):
-    """id(HOM(M, E)) <= fd(M), compared as cutoff-bounded reports."""
-    E = injective_cogenerator(M.algebra)
-    H, _ = gm.graded_hom(M, E)
-    idh = dimension(H, "injective", cutoff)
-    fdm = dimension(M, "flat", cutoff)
-    if fdm.value is None:
-        return True
-    return idh.value is not None and idh.value <= fdm.value
 
 
 def _agreement(fine: DimensionReport, coarse: DimensionReport):

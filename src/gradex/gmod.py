@@ -16,10 +16,9 @@ bolted on afterwards.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
+from ._record import Record
 from .gcore import GradedAlgebra, _GradedSpace, nilradical
 
 
@@ -331,51 +330,14 @@ def tensor(M: GradedModule, N: GradedModule):
     return _quotient_module(V, V.graded_span(rels))
 
 
-def adjunction_dims_check(M: GradedModule, N: GradedModule, P: GradedModule):
-    """Currying bijection HOM(M tensor N, P) = HOM(M, HOM(N, P)):
-    compares graded dimensions and checks that currying is a
-    degree-preserving linear isomorphism."""
-    f = M.field
-    T, proj = tensor(M, N)
-    H1, maps1 = graded_hom(T, P)
-    HNP, mapsNP = graded_hom(N, P)
-    H2, maps2 = graded_hom(M, HNP)
-    if sorted((d.coords, c) for d, c in H1.hilbert().items()) != \
-            sorted((d.coords, c) for d, c in H2.hilbert().items()):
-        return {"ok": False, "reason": "graded dimensions differ"}
-    flatNP = [list(_flatten(F)) for F in mapsNP]
-    # F: T -> P curries to v_j |-> the map n_k |-> F(v_j tensor n_k)
-    FTs = [la.mat_mul(f, F, proj) for F in maps1]  # pure tensors -> P
-    cols = la.coords_in_basis(f, flatNP, [
-        [FT[r][j * N.dim + k] for r in range(P.dim) for k in range(N.dim)]
-        for FT in FTs for j in range(M.dim)])
-    if None in cols:
-        return {"ok": False, "reason": "curried map leaves HOM(N,P)"}
-    curried = [[x for c in cols[a * M.dim:(a + 1) * M.dim] for x in c]
-               for a in range(len(maps1))]
-    flat2 = []
-    for F in maps2:  # F: M -> HNP, matrix HNP.dim x M.dim
-        flat2.append([F[t][j] for j in range(M.dim) for t in range(HNP.dim)])
-    if not flat2:
-        return {"ok": len(curried) == 0, "dims": 0}
-    C = la.coords_in_basis(f, flat2, curried)
-    if None in C:
-        return {"ok": False, "reason": "currying misses HOM(M,HOM(N,P))"}
-    Cm = [[C[j][i] for j in range(len(C))] for i in range(len(flat2))]
-    ok = (len(C) == len(flat2)
-          and la.rank(f, Cm) == len(flat2)) if C else len(flat2) == 0
-    return {"ok": ok, "dims": len(flat2)}
-
-
 # ---------------------------------------------------------------------------
 # freeness and monogeneity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FreeSpec:
+class FreeSpec(Record, frozen=True):
     """Multiset of shifts realizing a free module + sum of R(g) copies;
     the generator sitting in R(g) has degree -g."""
-    entries: tuple  # ((GroupElement g, multiplicity), ...)
+    _fields = ("entries",)  # ((GroupElement g, multiplicity), ...)
 
     @staticmethod
     def from_generator_degrees(degrees):
@@ -427,14 +389,10 @@ def free_cover_from_generators(M: GradedModule, gens):
     return ModuleMorphism(F, M, matrix)
 
 
-@dataclass
-class FreenessReport:
-    free: bool | None          # None = undecided
-    spec: FreeSpec | None
-    rank: int | None
-    method: str
-    status: str = "decided"    # "decided" | "undecided"
-    witness: ModuleMorphism | None = None
+class FreenessReport(Record):
+    # free is None when undecided; status is "decided" | "undecided"
+    _fields = ("free", "spec", "rank", "method", "status", "witness")
+    _defaults = {"status": "decided", "witness": None}
 
 
 def _candidate_specs(M: GradedModule):
@@ -602,12 +560,9 @@ def socle_submodule(M: GradedModule):
     return M.graded_span(la.kernel_basis(f, rows))
 
 
-@dataclass
-class SmallReport:
-    flag: bool
-    mode: str
-    method: str
-    witness: list | None = None
+class SmallReport(Record):
+    _fields = ("flag", "mode", "method", "witness")
+    _defaults = {"witness": None}
 
 
 def small_submodule(u: ModuleMorphism, mode: str) -> SmallReport:
@@ -633,28 +588,28 @@ def small_submodule(u: ModuleMorphism, mode: str) -> SmallReport:
 # the one-variable polynomial side: K[X] with deg X of infinite order
 # ---------------------------------------------------------------------------
 
-@dataclass
-class PrincipalPresentation:
+class PrincipalPresentation(Record):
     """Homogeneous generators of a submodule of a free module over a
     one-variable polynomial ring whose variable degree has infinite
     order; every entry is a monomial c.X^k, encoded as (c, k)."""
-    field: object
-    var_degree: object            # GroupElement of infinite order
-    ambient_degrees: list         # degree of each ambient free generator
-    gens: list                    # columns; each a list of (c, k) per row
+    _fields = ("field",
+               "var_degree",       # GroupElement of infinite order
+               "ambient_degrees",  # degree of each ambient free generator
+               "gens")             # columns; each a list of (c, k) per row
 
-    def __post_init__(self):
-        if not self.var_degree.has_infinite_order():
+    def __init__(self, field, var_degree, ambient_degrees, gens):
+        if not var_degree.has_infinite_order():
             raise ModuleError("variable degree must have infinite order")
-        r = len(self.ambient_degrees)
-        for col in self.gens:
+        r = len(ambient_degrees)
+        for col in gens:
             if len(col) != r:
                 raise ModuleError("generator column has wrong length")
-            degs = {tuple((self.ambient_degrees[i]
-                           + self.var_degree.scale(k)).coords)
+            degs = {tuple((ambient_degrees[i] + var_degree.scale(k)).coords)
                     for i, (c, k) in enumerate(col) if c != 0}
             if len(degs) > 1:
                 raise ModuleError("generator column is not homogeneous")
+        self.field, self.var_degree = field, var_degree
+        self.ambient_degrees, self.gens = ambient_degrees, gens
 
 
 def _clear_pivot_line(f, lines, i0, j0, used):

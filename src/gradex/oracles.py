@@ -6,7 +6,9 @@ paths, so that criterion-based shortcuts elsewhere can be diffed
 against ground truth on finite-field samples.  Every candidate is still
 enumerated and tested; the conditions it is tested against (the
 nonzero structure constants, the equivariance forms) are written down
-once per call, before the enumeration.
+once per call, before the enumeration.  The injective dimension is the
+exception: it is recomputed by a second route through the module
+constructions, not by enumeration.
 """
 
 from __future__ import annotations
@@ -15,7 +17,9 @@ import math
 from itertools import combinations, product
 
 from .gcore import GradedAlgebra, SizeGuardExceeded
-from .gmod import GradedModule, ModuleMorphism, free_cover_from_generators
+from .ghom import DimensionReport, dual, is_injective, minimal_cover
+from .gmod import (GradedModule, ModuleMorphism, cokernel,
+                   free_cover_from_generators)
 
 ENUM_LIMIT = 2 ** 20
 SUBMODULE_LIMIT = 2 ** 16
@@ -290,3 +294,25 @@ def oracle_small_submodule(u: ModuleMorphism, mode: str):
                 return False, basis
         return True, None
     raise ValueError(f"unknown mode {mode!r}")
+
+
+# ---------------------------------------------------------------------------
+# injective dimension by a second route
+# ---------------------------------------------------------------------------
+
+def injective_dimension_direct(M: GradedModule, cutoff=8) -> DimensionReport:
+    """Cross-check of ``ghom.dimension(M, "injective")``, which resolves
+    dual(M): here the injective resolution is built directly, embedding
+    each cosyzygy into the dual of a free module and stepping to the
+    cokernel."""
+    K = M
+    for n in range(cutoff + 1):
+        if is_injective(K):
+            return DimensionReport("injective", n, cutoff)
+        p = minimal_cover(dual(K))
+        # dualize: K = dual(dual(K)) embeds into dual(F), an injective
+        emb = ModuleMorphism(K, dual(p.source),
+                             [[p.matrix[k][j] for k in range(p.target.dim)]
+                              for j in range(p.source.dim)])
+        K, _ = cokernel(emb)
+    return DimensionReport("injective", None, cutoff)

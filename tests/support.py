@@ -1,0 +1,146 @@
+"""Helpers shared by the test modules: the record-behaviour check, and
+cross-checks that only the tests run (duality, Lambek, the currying
+adjunction, intersections of ideals)."""
+
+import pytest
+
+import gradex.exactla as la
+import gradex.gcore as gc
+import gradex.ghom as gh
+import gradex.gmod as gm
+
+
+def assert_record(a, b, c, fields, other, frozen, hashable_fields=True):
+    """a and b are equal records and c differs from them in one field.
+    a equals neither ``other`` (a record of another class) nor the plain
+    tuple ``fields`` of its field values.  A frozen record refuses
+    assignment and deletion, and hashes like its equal twin when its field
+    values are hashable; a record that is not frozen is unhashable."""
+    assert a == b and not a != b
+    assert a != c and not a == c
+    assert a != other and other != a
+    assert a != fields and fields != a
+    cls = type(a)
+    if frozen:
+        assert cls.__hash__ is not None
+        if hashable_fields:
+            assert hash(a) == hash(b)
+        else:
+            with pytest.raises(TypeError):
+                hash(a)
+        name = next(iter(vars(a)))
+        value = getattr(a, name)
+        with pytest.raises(AttributeError):
+            setattr(a, name, value)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+        assert getattr(a, name) is value
+    else:
+        assert cls.__hash__ is None
+        with pytest.raises(TypeError):
+            hash(a)
+
+
+# ---------------------------------------------------------------------------
+# cross-checks of the homological layer
+# ---------------------------------------------------------------------------
+
+def duality_involution_check(M):
+    """dual(dual(M)) equals M and the evaluation map is the identity."""
+    DD = gh.dual(gh.dual(M))
+    return DD == M
+
+
+def mono_epi_duality_check(u):
+    """u is mono iff dual(u) is epi, and vice versa."""
+    du = gh.dual_morphism(u)
+    return u.is_mono() == du.is_epi() and u.is_epi() == du.is_mono()
+
+
+def lambek_check(M):
+    """is_flat(M) must equal is_injective(HOM(M, E)) with E = dual(R)."""
+    E = gh.injective_cogenerator(M.algebra)
+    H, _ = gm.graded_hom(M, E)
+    return gh.is_flat(M) == gh.is_injective(H)
+
+
+def cogenerator_faithfulness_check(M):
+    """HOM(-, E) kills no nonzero module."""
+    E = gh.injective_cogenerator(M.algebra)
+    H, _ = gm.graded_hom(M, E)
+    return (M.dim == 0) == (H.dim == 0)
+
+
+def lambek_dimension_check(M, cutoff=8):
+    """id(HOM(M, E)) <= fd(M), compared as cutoff-bounded reports."""
+    E = gh.injective_cogenerator(M.algebra)
+    H, _ = gm.graded_hom(M, E)
+    idh = gh.dimension(H, "injective", cutoff)
+    fdm = gh.dimension(M, "flat", cutoff)
+    if fdm.value is None:
+        return True
+    return idh.value is not None and idh.value <= fdm.value
+
+
+def adjunction_dims_check(M, N, P):
+    """Currying bijection HOM(M tensor N, P) = HOM(M, HOM(N, P)):
+    compares graded dimensions and checks that currying is a
+    degree-preserving linear isomorphism."""
+    f = M.field
+    T, proj = gm.tensor(M, N)
+    H1, maps1 = gm.graded_hom(T, P)
+    HNP, mapsNP = gm.graded_hom(N, P)
+    H2, maps2 = gm.graded_hom(M, HNP)
+    if sorted((d.coords, c) for d, c in H1.hilbert().items()) != \
+            sorted((d.coords, c) for d, c in H2.hilbert().items()):
+        return {"ok": False, "reason": "graded dimensions differ"}
+    flatNP = [[x for row in F for x in row] for F in mapsNP]
+    # F: T -> P curries to v_j |-> the map n_k |-> F(v_j tensor n_k)
+    FTs = [la.mat_mul(f, F, proj) for F in maps1]  # pure tensors -> P
+    cols = la.coords_in_basis(f, flatNP, [
+        [FT[r][j * N.dim + k] for r in range(P.dim) for k in range(N.dim)]
+        for FT in FTs for j in range(M.dim)])
+    if None in cols:
+        return {"ok": False, "reason": "curried map leaves HOM(N,P)"}
+    curried = [[x for c in cols[a * M.dim:(a + 1) * M.dim] for x in c]
+               for a in range(len(maps1))]
+    flat2 = []
+    for F in maps2:  # F: M -> HNP, matrix HNP.dim x M.dim
+        flat2.append([F[t][j] for j in range(M.dim) for t in range(HNP.dim)])
+    if not flat2:
+        return {"ok": len(curried) == 0, "dims": 0}
+    C = la.coords_in_basis(f, flat2, curried)
+    if None in C:
+        return {"ok": False, "reason": "currying misses HOM(M,HOM(N,P))"}
+    Cm = [[C[j][i] for j in range(len(C))] for i in range(len(flat2))]
+    ok = (len(C) == len(flat2)
+          and la.rank(f, Cm) == len(flat2)) if C else len(flat2) == 0
+    return {"ok": ok, "dims": len(flat2)}
+
+
+# ---------------------------------------------------------------------------
+# ideals
+# ---------------------------------------------------------------------------
+
+def intersect_ideals(R, ideals):
+    """Intersection of graded ideals.  It is a graded subspace, so the
+    rref basis of the intersection is homogeneous."""
+    if not ideals:
+        raise gc.AlgebraError("empty intersection")
+    basis = ideals[0].vectors()
+    for I in ideals[1:]:
+        basis = _intersect_subspaces(R.field, basis, I.vectors())
+    return gc.GradedIdeal(R, basis)
+
+
+def _intersect_subspaces(f, B1, B2):
+    """rref basis of span(B1) meet span(B2): the B1 halves of the kernel
+    of [B1 | -B2], mapped through B1."""
+    if not B1 or not B2:
+        return []
+    k = len(B1)
+    A = [[b[i] for b in B1] + [f.neg(b[i]) for b in B2]
+         for i in range(len(B1[0]))]
+    B = [row[:k] for row in A]
+    return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
+                             for c in la.kernel_basis(f, A)])

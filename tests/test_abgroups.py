@@ -3,6 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.abgroups as ag
 from gradex.exactla import QQ, det
+from gradex.gcore import AlgebraElement
+from support import assert_record
 
 
 small_matrices = st.lists(
@@ -122,3 +124,37 @@ class TestHoms:
         pi = ag.GroupHom(ag.Zmod(4), ag.Zmod(2), [[1]])
         comp = pi.compose(psi)
         assert comp(ag.Z(1).element((3,))).coords == (1,)
+
+
+class TestRecords:
+    """Equality, hashing, frozen-ness and repr of the group records."""
+
+    def test_group(self):
+        a = ag.FGAbelianGroup(1, (2,))
+        assert_record(a, ag.FGAbelianGroup(free_rank=1, torsion_factors=[2]),
+                      ag.FGAbelianGroup(1, (4,)), (1, (2,)),
+                      AlgebraElement(1, (2,)), frozen=True)
+        assert a.torsion_factors == (2,) and repr(a) == "Z x Z/2"
+        with pytest.raises(ag.GroupError):
+            ag.FGAbelianGroup(0, (4, 6))
+
+    def test_element(self):
+        G = ag.Zmod(2)
+        a = ag.GroupElement(G, (1,))
+        assert_record(a, ag.GroupElement(group=G, coords=(3,)),
+                      ag.GroupElement(G, (0,)), (G, (1,)),
+                      AlgebraElement(G, (1,)), frozen=True)
+        assert a.coords == (1,) and repr(a) == "(1,)"
+        assert {a: 0}[G.element((5,))] == 0
+        with pytest.raises(ag.GroupError):
+            ag.GroupElement(G, (1, 0))
+
+    def test_hom(self):
+        src, tgt = ag.Z(1), ag.Zmod(2)
+        a = ag.GroupHom(src, tgt, [[1]])
+        assert_record(a, ag.GroupHom(source=src, target=tgt, matrix=((1,),)),
+                      ag.GroupHom(src, tgt, [[0]]), (src, tgt, ((1,),)),
+                      ag.GroupHom(src, ag.Z(1), [[1]]), frozen=True)
+        assert repr(a) == "GroupHom(source=Z, target=Z/2, matrix=((1,),))"
+        with pytest.raises(ag.GroupError):
+            ag.GroupHom(tgt, src, [[1]])

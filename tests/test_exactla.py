@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gradex import exactla as la
+from support import assert_record
 
 
 fields = st.sampled_from([la.QQ, la.GF(2), la.GF(3), la.GF(5)])
@@ -338,3 +339,27 @@ class TestIntertwiner:
         r1 = la.invertible_intertwiner(f, particular, basis, 2)
         r2 = la.invertible_intertwiner(f, particular, basis, 2)
         assert r1.status == "found" and r1.matrix == r2.matrix
+
+
+class TestRecords:
+    """Equality, hashing, frozen-ness, defaults and repr of the records."""
+
+    def test_field(self):
+        a = la.GF(5)
+        assert_record(a, la.ScalarField(p=5), la.GF(7), (5,),
+                      la.IntertwinerResult(5, None), frozen=True)
+        assert a == la.ScalarField(5) and repr(a) == "F5"
+        assert repr(la.QQ) == "Q"
+        for p in (4, la.PRIME_BOUND):
+            with pytest.raises(la.FieldError):
+                la.ScalarField(p)
+
+    def test_intertwiner_result(self):
+        a = la.IntertwinerResult("found", [[1]])
+        assert_record(a, la.IntertwinerResult(status="found", matrix=[[1]],
+                                              samples_used=0),
+                      la.IntertwinerResult("found", [[1]], 3),
+                      ("found", [[1]], 0), la.GF(2), frozen=False)
+        assert a.samples_used == 0
+        assert repr(a) == ("IntertwinerResult(status='found', matrix=[[1]], "
+                           "samples_used=0)")

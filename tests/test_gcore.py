@@ -15,6 +15,7 @@ import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
+from support import assert_record, intersect_ideals
 
 
 class TestConstruction:
@@ -214,7 +215,7 @@ class TestIdealsAndQuotients:
         R = S.product_field_algebra()
         a = gc.ideal_from_gens(R, [R.basis_element(0)])
         b = gc.ideal_from_gens(R, [R.basis_element(1)])
-        assert gc.intersect_ideals(R, [a, b]).dim == 0
+        assert intersect_ideals(R, [a, b]).dim == 0
 
 
 class TestSpectra:
@@ -232,7 +233,7 @@ class TestSpectra:
             if R.field.p > 3 or R.dim > 4:
                 continue
             primes = gc.spec_enumerate(R)
-            assert gc.intersect_ideals(R, primes) == gc.nilradical(R)
+            assert intersect_ideals(R, primes) == gc.nilradical(R)
 
 
 class TestMonoids:
@@ -582,3 +583,68 @@ class TestSparseAxiomCheck:
                 (gc.UnitViolation, "unit"),
                 (gc.AssociativityViolation, "(x_"),
                 (gm.ModuleError, "unit"), (gm.ModuleError, "(x_")} <= seen
+
+
+class TestRecords:
+    """Equality, hashing, frozen-ness, defaults and repr of the records."""
+
+    def test_algebra_element(self):
+        R = S.dual_numbers(GF(2))
+        a = gc.AlgebraElement(R, (1, 0))
+        assert_record(a, R.element([1, 2]), R.element([0, 1]), (R, (1, 0)),
+                      gc.MonoidAlgebraElement(R, {}), frozen=True)
+        assert a == R.one and repr(a) == "elt(1, 0)"
+        assert gc.AlgebraElement(parent=R, coords=(1, 0)) == a
+
+    def test_element_and_ring_and_ideal_classes(self):
+        a = gc.ElementClass(True, True, False, True)
+        assert_record(a, gc.ElementClass(unit=True, regular=True,
+                                         nilpotent=False, homogeneous=True),
+                      gc.ElementClass(True, True, True, True),
+                      (True, True, False, True),
+                      gc.RingClass(True, True, False, True), frozen=True)
+        assert repr(a) == ("ElementClass(unit=True, regular=True, "
+                           "nilpotent=False, homogeneous=True)")
+        r = gc.RingClass(True, True, True, "m")
+        assert_record(r, gc.RingClass(simple=True, entire=True, reduced=True,
+                                      method="m"),
+                      gc.RingClass(None, True, True, "m"),
+                      (True, True, True, "m"),
+                      gc.IdealClass(True, True, True, "m"), frozen=True)
+        assert repr(r) == ("RingClass(simple=True, entire=True, reduced=True,"
+                           " method='m')")
+        i = gc.IdealClass(False, None, True, "m")
+        assert_record(i, gc.IdealClass(False, None, True, "m"),
+                      gc.IdealClass(False, None, True, "n"),
+                      (False, None, True, "m"),
+                      gc.RingClass(False, None, True, "m"), frozen=True)
+        assert repr(i) == ("IdealClass(maximal=False, prime=None, "
+                           "perfect=True, method='m')")
+        for args, kwargs in ((("m",), {}), ((1, 2, 3, "m", 5), {}),
+                             ((1, 2, 3, "m"), {"simple": 1}),
+                             ((1, 2, 3), {"mode": "m"})):
+            with pytest.raises(TypeError):
+                gc.RingClass(*args, **kwargs)
+
+    def test_sharpness_report(self):
+        a = gc.SharpnessReport(True, "trivial")
+        assert_record(a, gc.SharpnessReport(sharp=True, method="trivial",
+                                            witness=None, bound=None),
+                      gc.SharpnessReport(True, "trivial", bound=3),
+                      (True, "trivial", None, None),
+                      gc.IdealClass(True, "trivial", None, None), frozen=True)
+        assert a.witness is None and a.bound is None
+        assert repr(a) == ("SharpnessReport(sharp=True, method='trivial', "
+                           "witness=None, bound=None)")
+
+    def test_monoid_algebra_element(self):
+        base = S.dual_numbers(GF(2))
+        A = gc.MonoidAlgebra(base, gc.AffineMonoid(1, [(1,)]), mode="coarse")
+        terms = {(1,): base.one}
+        a = gc.MonoidAlgebraElement(A, terms)
+        terms[(2,)] = base.one
+        assert a.terms == {(1,): base.one}
+        assert_record(a, A.monomial((1,)), A.monomial((2,)),
+                      (A, {(1,): base.one}), gc.AlgebraElement(A, terms),
+                      frozen=True, hashable_fields=False)
+        assert repr(a) == "MAElt({(1,): elt(1, 0)})"

@@ -7,6 +7,7 @@ import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP, GroupHom
 from gradex.exactla import QQ, GF
+from support import assert_record
 
 
 class TestCoarsening:
@@ -252,3 +253,16 @@ class TestMonoidShortcuts:
         r1 = gf.monoid_corestriction_report(A, S.phi_doubling())
         r2 = gf.monoid_corestriction_report(A, S.phi_doubling())
         assert r1 == r2
+
+
+class TestRecords:
+    def test_corestriction_result(self):
+        fields = (1, 2, 3, 4, [0], [[1]], [[1]])
+        a = gf.CorestrictionResult(*fields)
+        assert_record(a, gf.CorestrictionResult(
+            algebra=1, ideal=2, quotient=3, alpha=4, kept=[0], proj=[[1]],
+            lift=[[1]]), gf.CorestrictionResult(1, 2, 3, 4, [], [[1]], [[1]]),
+            fields, Z(1), frozen=False)
+        assert repr(a) == ("CorestrictionResult(algebra=1, ideal=2, "
+                           "quotient=3, alpha=4, kept=[0], proj=[[1]], "
+                           "lift=[[1]])")

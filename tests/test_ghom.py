@@ -6,9 +6,13 @@ import gradex.exactla as la
 import gradex.ghom as gh
 import gradex.gmod as gm
 import gradex.gcore as gc
+import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import Z, Zmod
 from gradex.exactla import QQ, GF
+from support import (assert_record, cogenerator_faithfulness_check,
+                     duality_involution_check, lambek_check,
+                     lambek_dimension_check, mono_epi_duality_check)
 
 
 def hkey(h):
@@ -60,15 +64,15 @@ class TestDuality:
 
     def test_involution(self):
         for M in sample_modules():
-            assert gh.duality_involution_check(M)
+            assert duality_involution_check(M)
 
     def test_mono_epi_duality(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
         M = gm.regular_module(R)
         _, incl = gm.generated_submodule(M, [[0, 1, 0]])
-        assert gh.mono_epi_duality_check(incl)
+        assert mono_epi_duality_check(incl)
         K, proj = quotient_by_x(R)
-        assert gh.mono_epi_duality_check(proj)
+        assert mono_epi_duality_check(proj)
 
     def test_dual_morphism_transposes(self):
         R = S.dual_numbers(GF(2))
@@ -103,11 +107,11 @@ class TestInjectivesAndProjectives:
 
     def test_lambek_on_corpus(self):
         for M in sample_modules():
-            assert gh.lambek_check(M), M
+            assert lambek_check(M), M
 
     def test_cogenerator_faithful(self):
         for M in sample_modules():
-            assert gh.cogenerator_faithfulness_check(M), M
+            assert cogenerator_faithfulness_check(M), M
 
 
 def reference_lift(p, v):
@@ -307,12 +311,12 @@ class TestDimensions:
         K, _ = quotient_by_x(R)
         for mod in (M, K):
             via_dual = gh.dimension(mod, "injective", cutoff=3)
-            direct = gh.injective_dimension_direct(mod, cutoff=3)
+            direct = orc.injective_dimension_direct(mod, cutoff=3)
             assert via_dual.value == direct.value
 
     def test_lambek_dimension_inequality(self):
         for M in sample_modules():
-            assert gh.lambek_dimension_check(M, cutoff=3), M
+            assert lambek_dimension_check(M, cutoff=3), M
 
 
 class TestCoarsenDimensionCompare:
@@ -343,3 +347,27 @@ class TestCoarsenDimensionCompare:
         assert rep["ok"]
         assert rep["injective"] == {
             "skipped": "kernel of the coarsening map is infinite"}
+
+
+class TestRecords:
+    def test_free_resolution(self):
+        fields = (1, [2], [3], 4, True, False)
+        a = gh.FreeResolution(*fields)
+        assert_record(a, gh.FreeResolution(
+            target=1, covers=[2], incls=[3], cutoff=4, minimal=True,
+            terminated=False), gh.FreeResolution(1, [2], [3], 4, True, True),
+            fields, gh.DimensionReport("projective", 1, 4), frozen=False)
+        assert repr(a) == ("FreeResolution(target=1, covers=[2], incls=[3], "
+                           "cutoff=4, minimal=True, terminated=False)")
+
+    def test_dimension_report(self):
+        a = gh.DimensionReport("projective", None, 4)
+        assert_record(a, gh.DimensionReport(kind="projective", value=None,
+                                            cutoff=4),
+                      gh.DimensionReport("flat", None, 4),
+                      ("projective", None, 4),
+                      gh.FreeResolution("projective", None, 4, 0, 0, 0),
+                      frozen=False)
+        assert a.display == ">=4"
+        assert repr(a) == ("DimensionReport(kind='projective', value=None, "
+                           "cutoff=4)")

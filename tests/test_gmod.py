@@ -7,6 +7,7 @@ import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
+from support import adjunction_dims_check, assert_record
 
 
 def hkey(h):
@@ -170,7 +171,7 @@ class TestHomAndTensor:
         K, _ = quotient_by_x(R)
         for triple in [(M, K, M), (K, K, K), (M, M, K),
                        (gm.shift(M, Z(1).element((1,))), K, M)]:
-            rep = gm.adjunction_dims_check(*triple)
+            rep = adjunction_dims_check(*triple)
             assert rep["ok"], triple
 
 
@@ -414,3 +415,54 @@ class TestHilbertCoarsen:
         assert hkey(hc) == {(0,): 2, (1,): 2}
         assert hkey(gm.coarsen_module(M, S.psi_Z_to_zero()).hilbert()) \
             == {(): 4}
+
+
+class TestRecords:
+    """Equality, hashing, frozen-ness, defaults and repr of the records."""
+
+    def test_free_spec(self):
+        g = Z(1).element((1,))
+        a = gm.FreeSpec(((g, 2),))
+        assert_record(a, gm.FreeSpec.from_generator_degrees([-g, -g]),
+                      gm.FreeSpec(((g, 1),)), (((g, 2),),),
+                      gm.SmallReport(((g, 2),), "m", "m"), frozen=True)
+        assert repr(a) == "FreeSpec(entries=(((1,), 2),))"
+
+    def test_freeness_report(self):
+        a = gm.FreenessReport(True, None, 1, "m")
+        assert_record(a, gm.FreenessReport(free=True, spec=None, rank=1,
+                                           method="m", status="decided",
+                                           witness=None),
+                      gm.FreenessReport(True, None, 1, "m", "undecided"),
+                      (True, None, 1, "m", "decided", None),
+                      gm.SmallReport(True, None, 1, "m"), frozen=False)
+        assert a.status == "decided" and a.witness is None
+        assert repr(a) == ("FreenessReport(free=True, spec=None, rank=1, "
+                           "method='m', status='decided', witness=None)")
+
+    def test_small_report(self):
+        a = gm.SmallReport(True, "superfluous", "m")
+        assert_record(a, gm.SmallReport(flag=True, mode="superfluous",
+                                        method="m", witness=None),
+                      gm.SmallReport(False, "superfluous", "m"),
+                      (True, "superfluous", "m", None),
+                      gm.FreenessReport(True, "superfluous", "m", None),
+                      frozen=False)
+        assert a.witness is None
+        assert repr(a) == ("SmallReport(flag=True, mode='superfluous', "
+                           "method='m', witness=None)")
+
+    def test_principal_presentation(self):
+        X, zero = Z(1).element((1,)), Z(1).zero
+        fields = (QQ, X, [zero], [[(1, 2)]])
+        a = gm.PrincipalPresentation(*fields)
+        assert_record(a, gm.PrincipalPresentation(
+            field=QQ, var_degree=X, ambient_degrees=[zero],
+            gens=[[(1, 2)]]), gm.PrincipalPresentation(QQ, X, [zero], []),
+            fields, gm.SmallReport(*fields), frozen=False)
+        assert repr(a) == ("PrincipalPresentation(field=Q, var_degree=(1,), "
+                           "ambient_degrees=[(0,)], gens=[[(1, 2)]])")
+        for bad in ((QQ, zero, [zero], []), (QQ, X, [zero], [[]]),
+                    (QQ, X, [zero, zero], [[(1, 0), (1, 1)]])):
+            with pytest.raises(gm.ModuleError):
+                gm.PrincipalPresentation(*bad)
