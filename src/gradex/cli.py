@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .abgroups import FGAbelianGroup, GroupHom, GroupError
 from . import exactla as la
@@ -35,7 +34,7 @@ class ValidationError(ValueError):
 def scalar_out(field, c):
     if field.is_finite:
         return int(c)
-    return str(Fraction(c))
+    return str(la.QQ.of(c))
 
 
 def _jp(path, key):

@@ -1,6 +1,6 @@
 """Exact scalar fields (Q and prime fields) and dense linear algebra.
 
-Scalars are plain ``Fraction`` values over Q and least residues (ints in
+Scalars are ``Rational`` values over Q and least residues (ints in
 [0, p)) over F_p; matrices are lists of rows.  Everything is exact, no
 floating point anywhere.  Coordinates in one basis and membership in
 its span are answered for a whole batch of vectors by one
@@ -10,8 +10,9 @@ its span are answered for a whole batch of vectors by one
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+import sys
 from itertools import product
+from math import gcd
 
 from ._record import Record
 
@@ -52,8 +53,235 @@ def _is_prime(p):
     return True
 
 
-# shared (Fractions are immutable): equal entries then compare by identity
-_Q_ZERO, _Q_ONE = Fraction(0), Fraction(1)
+# ---------------------------------------------------------------------------
+# rational numbers
+# ---------------------------------------------------------------------------
+
+_new = object.__new__
+_HASH_MODULUS, _HASH_INF = sys.hash_info.modulus, sys.hash_info.inf
+
+
+def _q(n, d):
+    """The Rational n/d of coprime ints n and d > 0, unchecked."""
+    r = _new(Rational)
+    r.numerator = n
+    r.denominator = d
+    return r
+
+
+def _operand(b):
+    """b as a Rational when it is an int (bools included) or a
+    ``fractions.Fraction``, else None.  A Fraction exists only once its
+    module has been imported, so ``fractions`` is looked up, never
+    imported."""
+    if isinstance(b, int):
+        return _q(int(b), 1)
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(b, fractions.Fraction):
+        return _q(b.numerator, b.denominator)
+    return None
+
+
+def _sum(na, da, nb, db):
+    """na/da + nb/db in lowest terms (Henrici: gcds of the denominators
+    only), both given in lowest terms."""
+    if da == db:    # integer entries, the common case, need no gcd
+        if da == 1:
+            return _q(na + nb, 1)
+        n = na + nb
+        g = gcd(n, da)
+        return _q(n // g, da // g)
+    g = gcd(da, db)
+    if g == 1:
+        return _q(na * db + da * nb, da * db)
+    s = da // g
+    t = na * (db // g) + nb * s
+    g2 = gcd(t, g)
+    return _q(t // g2, s * (db // g2))
+
+
+class Rational:
+    """An exact rational number numerator/denominator, always in lowest
+    terms with denominator > 0; the attributes are never assigned after
+    construction.  It equals, hashes, orders and prints like the
+    ``fractions.Fraction`` of the same value, and mixes with ints and
+    Fractions in arithmetic and comparisons (not with floats).
+
+    Its operations are written out for the two-int representation
+    rather than dispatched through ``numbers.Rational``, and it needs no
+    import beyond ``math.gcd``.  It has no ``__init__`` and its
+    module-level helpers are private: bench/tracer.py wraps every
+    gradex ``__init__`` and public function, and a span on every scalar
+    operation would swamp the trace.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __new__(cls, numerator=0, denominator=1):
+        if numerator.__class__ is not int or \
+                denominator.__class__ is not int:
+            raise TypeError("a Rational is made from two ints")
+        if denominator == 0:
+            raise ZeroDivisionError(f"Rational({numerator}, 0)")
+        g = gcd(numerator, denominator)
+        if denominator < 0:
+            g = -g
+        return _q(numerator // g, denominator // g)
+
+    def __add__(a, b):
+        if b.__class__ is not Rational:
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        return _sum(a.numerator, a.denominator, b.numerator, b.denominator)
+
+    __radd__ = __add__
+
+    def __sub__(a, b):
+        if b.__class__ is not Rational:
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        return _sum(a.numerator, a.denominator, -b.numerator, b.denominator)
+
+    def __rsub__(a, b):
+        b = _operand(b)
+        return NotImplemented if b is None else b - a
+
+    def __mul__(a, b):
+        if b.__class__ is not Rational:
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        na, da, nb, db = a.numerator, a.denominator, b.numerator, \
+            b.denominator
+        if db == 1:     # an integer factor needs one gcd, or none
+            if da == 1:
+                return _q(na * nb, 1)
+            g = gcd(nb, da)
+            return _q(na * (nb // g), da // g)
+        if da == 1:
+            g = gcd(na, db)
+            return _q((na // g) * nb, db // g)
+        g1 = gcd(na, db)
+        g2 = gcd(nb, da)
+        return _q((na // g1) * (nb // g2), (da // g2) * (db // g1))
+
+    __rmul__ = __mul__
+
+    def __truediv__(a, b):
+        if b.__class__ is not Rational:
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        nb, db = b.numerator, b.denominator
+        if nb == 0:
+            raise ZeroDivisionError(f"Rational({a.numerator}, 0)")
+        if nb < 0:
+            nb, db = -nb, -db
+        return a * _q(db, nb)
+
+    def __rtruediv__(a, b):
+        b = _operand(b)
+        return NotImplemented if b is None else b / a
+
+    def __neg__(a):
+        return _q(-a.numerator, a.denominator)
+
+    def __abs__(a):
+        return a if a.numerator >= 0 else _q(-a.numerator, a.denominator)
+
+    def __bool__(a):
+        return a.numerator != 0
+
+    def __eq__(a, b):
+        if b.__class__ is not Rational:
+            if b.__class__ is int:
+                return a.denominator == 1 and a.numerator == b
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        return a.numerator == b.numerator and a.denominator == b.denominator
+
+    def __ne__(a, b):
+        if b.__class__ is not Rational:
+            if b.__class__ is int:
+                return a.denominator != 1 or a.numerator != b
+            b = _operand(b)
+            if b is None:
+                return NotImplemented
+        return a.numerator != b.numerator or a.denominator != b.denominator
+
+    def _cmp(a, b):
+        """a - b scaled by the positive denominators, or None."""
+        if b.__class__ is not Rational:
+            b = _operand(b)
+            if b is None:
+                return None
+        return a.numerator * b.denominator - b.numerator * a.denominator
+
+    def __lt__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c < 0
+
+    def __le__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c <= 0
+
+    def __gt__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c > 0
+
+    def __ge__(a, b):
+        c = a._cmp(b)
+        return NotImplemented if c is None else c >= 0
+
+    def __hash__(a):
+        # the numeric hash every equal int, Fraction and float has
+        n, d = a.numerator, a.denominator
+        if d == 1:
+            return hash(n)
+        try:
+            h = hash(hash(abs(n)) * pow(d, -1, _HASH_MODULUS))
+        except ValueError:
+            h = _HASH_INF
+        # (hash() itself turns -1 into -2)
+        return h if n >= 0 else -h
+
+    def __str__(a):
+        if a.denominator == 1:
+            return str(a.numerator)
+        return f"{a.numerator}/{a.denominator}"
+
+    def __repr__(a):
+        return f"Rational({a.numerator}, {a.denominator})"
+
+
+def _parse_rational(s):
+    """The Rational a string spells, or FieldError.  "[+-]digits" and
+    "[+-]digits/digits" are read here; any other string, and any digits
+    that int() refuses, go to ``fractions.Fraction``, imported only
+    then, so exactly the strings a Fraction accepts are accepted, with
+    its value."""
+    num, slash, den = s.partition("/")
+    if (num[1:] if num[:1] in ("+", "-") else num).isdigit() and (
+            not slash or den.isdigit()):
+        try:
+            n, d = int(num), int(den) if slash else 1
+        except ValueError:
+            d = 0
+        if d:
+            return Rational(n, d)
+    from fractions import Fraction
+    try:
+        x = Fraction(s)
+    except (ValueError, ZeroDivisionError):
+        raise FieldError(f"not an exact scalar: {s!r}") from None
+    return _q(x.numerator, x.denominator)
+
+
+# shared (Rationals are immutable): equal entries then compare by identity
+_Q_ZERO, _Q_ONE = _q(0, 1), _q(1, 1)
 
 
 class ScalarField(Record, frozen=True):
@@ -76,19 +304,22 @@ class ScalarField(Record, frozen=True):
         return self.p != 0
 
     def of(self, x):
-        """Exact value of an int, a Fraction or a string such as "1/2"
-        (over F_p, a/b is a times the inverse of b); no floats or bools."""
-        if x.__class__ not in (int, Fraction):
-            if not isinstance(x, str):
-                raise FieldError(f"not an exact scalar: {x!r}")
-            try:
-                x = Fraction(x)
-            except (ValueError, ZeroDivisionError):
-                raise FieldError(f"not an exact scalar: {x!r}") from None
+        """Exact value of an int, a Rational, a Fraction or a string such
+        as "1/2" (over F_p, a/b is a times the inverse of b); no floats
+        or bools."""
+        c = x.__class__
+        if c is int:
+            return x % self.p if self.p else _q(x, 1)
+        if c is not Rational:
+            if c is str:
+                x = _parse_rational(x)
+            else:
+                fractions = sys.modules.get("fractions")
+                if fractions is None or c is not fractions.Fraction:
+                    raise FieldError(f"not an exact scalar: {x!r}")
+                x = _q(x.numerator, x.denominator)
         if self.p == 0:
-            return x if x.__class__ is Fraction else Fraction(x)
-        if x.__class__ is int:
-            return x % self.p
+            return x
         if x.denominator % self.p == 0:
             raise FieldError(f"{x} has no value mod {self.p}")
         return x.numerator * pow(x.denominator, -1, self.p) % self.p
@@ -116,7 +347,11 @@ class ScalarField(Record, frozen=True):
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a) if self.p == 0 else pow(a, self.p - 2, self.p)
+        if self.p:
+            return pow(a, self.p - 2, self.p)
+        a = self.of(a)
+        n, d = a.numerator, a.denominator
+        return _q(d, n) if n > 0 else _q(-d, -n)
 
     def div(self, a, b):
         return self.mul(a, self.inv(b))

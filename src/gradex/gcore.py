@@ -20,7 +20,6 @@ action (``submodule_span``) and one matrix of an element's action
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property, wraps
 from itertools import combinations, product
 
@@ -84,7 +83,7 @@ class _GradedSpace:
             tuple(tuple(f.of(tensor[i][j][k]) for k in range(m))
                   for j in range(m)) for i in range(r))
         self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row)
-                                     if c != 0) for row in block)
+                                     if c) for row in block)
                          for block in self.tensor)
 
     def _check_module_axioms(self, R):
@@ -113,17 +112,28 @@ class _GradedSpace:
             out = {}
             for k, c in terms:
                 out[k] = f.add(out[k], c) if k in out else c
-            return {k: c for k, c in out.items() if c != 0}
-        for i in range(R.dim):
-            for i2 in range(R.dim):
-                for j in range(m):
-                    # (x_i x_i2) v_j against x_i (x_i2 v_j)
-                    if sparse_sum((k, f.mul(a, c))
-                                  for b, a in R._nz[i][i2]
-                                  for k, c in nz[b][j]) != \
-                            sparse_sum((k, f.mul(a, c))
-                                       for b, a in nz[i2][j]
-                                       for k, c in nz[i][b]):
+            return {k: c for k, c in out.items() if c}
+
+        def associative(i, i2, j):
+            # (x_i x_i2) v_j against x_i (x_i2 v_j)
+            return sparse_sum((k, f.mul(a, c))
+                              for b, a in R._nz[i][i2]
+                              for k, c in nz[b][j]) == \
+                sparse_sum((k, f.mul(a, c))
+                           for b, a in nz[i2][j] for k, c in nz[i][b])
+        # x_i2 for i2 in R._generators suffices: the x_i2 satisfying
+        # every (x_i x_i2) v_j = x_i (x_i2 v_j) form a subalgebra (for
+        # an algebra acting on itself, its middle nucleus), and those
+        # x_i2 generate R.  A failure is looked up again over every i2,
+        # so the first failing triple is named.
+        gens, rows, cols = R._generators, range(R.dim), range(m)
+        if all(associative(i, i2, j) for i in rows for i2 in gens
+               for j in cols):
+            return
+        for i in rows:
+            for i2 in rows:
+                for j in cols:
+                    if not associative(i, i2, j):
                         raise self._associativity_error(
                             f"(x_{i} x_{i2}) v_{j} != x_{i} (x_{i2} v_{j})")
 
@@ -236,20 +246,25 @@ class _GradedSpace:
             basis.extend(la.span_basis(self.field, by_degree[g]))
         return basis
 
-    def submodule_span(self, gens):
+    def submodule_span(self, gens, acting=None):
         """graded_span of the graded submodule generated by the vectors:
         their graded span, closed under the action of the acting
-        algebra's basis."""
+        algebra's basis vectors x_i (those with i in ``acting``, if
+        given).  Each round acts only on the vectors the last round
+        added, and the span is brought to its canonical basis once, at
+        the end."""
         f, r = self.field, len(self.tensor)
-        basis = self.graded_span(gens)
+        acting = range(r) if acting is None else acting
+        basis = spanning = new = self.graded_span(gens)
         while True:
             products = [self.act_vec(la.unit_vector(f, r, i), b)
-                        for b in basis for i in range(r)]
-            missing = [w for w, c in zip(products, la.coords_in_basis(
-                f, basis, products)) if c is None]
-            if not missing:
-                return basis
-            basis = self.graded_span(basis + missing)
+                        for b in new for i in acting]
+            new = [w for w, c in zip(products, la.coords_in_basis(
+                f, spanning, products)) if c is None]
+            if not new:
+                return basis if spanning is basis else \
+                    self.graded_span(spanning)
+            spanning = spanning + new
 
     def quotient(self, sub):
         """The quotient by a subspace closed under the action, given its
@@ -300,16 +315,35 @@ class GradedAlgebra(_GradedSpace):
         self._invariants = {}   # filled by _once_per_algebra
 
     def _check_ring_axioms(self):
-        c = self.structure
+        c, nz = self.structure, self._nz
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
-                for k in range(self.dim):
-                    if c[i][j][k] != c[j][i][k]:
-                        raise CommutativityViolation(
-                            f"c[{i}][{j}][{k}] != c[{j}][{i}][{k}]")
+                if nz[i][j] != nz[j][i]:
+                    k = next(k for k in range(self.dim)
+                             if c[i][j][k] != c[j][i][k])
+                    raise CommutativityViolation(
+                        f"c[{i}][{j}][{k}] != c[{j}][{i}][{k}]")
         if any(a != 0 and d != self.group.zero
                for d, a in zip(self.basis_degrees, self.unit)):
             raise UnitViolation("unit is not homogeneous of degree 0")
+
+    @cached_property
+    def _generators(self):
+        """Indices S of basis vectors generating the algebra, chosen
+        greedily: x_s joins S when it is not in the span of the
+        right-nested words x_s1 (x_s2 (... (x_sk 1))) in S so far.  Only
+        grading, commutativity and the unit need to hold, so the
+        associativity check of the algebra itself can use S."""
+        f, n = self.field, self.dim
+        S, words = [], self.graded_span([self.unit])
+        for s in range(n):
+            if len(words) == n:
+                break
+            if la.coords_in_basis(f, words,
+                                  [la.unit_vector(f, n, s)]) == [None]:
+                S.append(s)
+                words = self.submodule_span(words, S)
+        return tuple(S)
 
     # -- elements ------------------------------------------------------------
 
@@ -757,7 +791,7 @@ class AffineMonoid:
             return SharpnessReport(True, "trivial")
         # pointed iff some w has g . w >= 1 for every nonzero generator g
         if _fourier_motzkin_feasible(
-                [([Fraction(c) for c in g], Fraction(1)) for g in gens]):
+                [([la.QQ.of(c) for c in g], la.QQ.one) for g in gens]):
             return SharpnessReport(True, "pointed-cone")
         wit = next((c for c, point in
                     self.combinations(self.SHARP_SEARCH_BOUND)
@@ -802,11 +836,11 @@ class AffineMonoid:
         gens = [g for g in self.generators if any(x != 0 for x in g)]
         cons = []
         for t in range(self.ambient_dim):
-            coeffs = [Fraction(g[t]) for g in gens]
-            cons.append((coeffs, Fraction(m[t])))
-            cons.append(([-c for c in coeffs], Fraction(-m[t])))
+            coeffs = [la.QQ.of(g[t]) for g in gens]
+            cons.append((coeffs, la.QQ.of(m[t])))
+            cons.append(([-c for c in coeffs], la.QQ.of(-m[t])))
         for i in range(len(gens)):
-            cons.append((la.unit_vector(la.QQ, len(gens), i), Fraction(0)))
+            cons.append((la.unit_vector(la.QQ, len(gens), i), la.QQ.zero))
         if not _fourier_motzkin_feasible(cons):
             return False
         # the distinct points of coefficient sum 1, 2, ..., bound, one

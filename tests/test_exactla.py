@@ -1,6 +1,8 @@
+import operator
 import time
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -108,6 +110,133 @@ class TestFields:
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
             la.QQ.inv(Fraction(0))
+
+
+# small denominators meet often (equal denominators, a numerator equal
+# to an int operand); large ones exercise the gcd paths
+fractions_ = (st.fractions(min_value=-4, max_value=4, max_denominator=6)
+              | st.fractions(max_denominator=10 ** 6)
+              | st.builds(Fraction, st.integers(-10 ** 30, 10 ** 30),
+                          st.integers(1, 10 ** 30)))
+BINARY = [operator.add, operator.sub, operator.mul, operator.truediv]
+COMPARE = [operator.eq, operator.ne, operator.lt, operator.le, operator.gt,
+           operator.ge]
+# characters of the strings Fraction parses, and some it does not: a
+# non-ASCII decimal digit (Fraction reads it, like int does) and
+# digits that are not decimal (superscript two)
+SCALAR_CHARS = "0123456789+-/._eE \t\u0663\u00b2x"
+
+
+def is_normal_rational(x):
+    return (type(x) is la.Rational and x.denominator > 0
+            and gcd(x.numerator, x.denominator) == 1)
+
+
+class TestRational:
+    """``exactla.Rational`` against ``fractions.Fraction``."""
+
+    @given(fractions_, fractions_ | st.integers(-50, 50),
+           st.sampled_from(BINARY))
+    @settings(max_examples=400, deadline=None)
+    @example(Fraction(1, 4), Fraction(1, 4), operator.add)
+    @example(Fraction(1, 6), Fraction(-5, 6), operator.sub)
+    def test_arithmetic_agrees(self, a, b, op):
+        q = la.QQ.of(a)
+        qb = la.QQ.of(b)
+        if op is operator.truediv and b == 0:
+            for left, right in ((q, qb), (q, b), (a, qb)):
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+            return
+        want = op(a, b)
+        # Rational with Rational, with b (an int or a Fraction) on the
+        # right, and a Fraction on the left
+        for got in (op(q, qb), op(q, b), op(a, qb)):
+            assert is_normal_rational(got)
+            assert got == want and str(got) == str(want)
+            assert hash(got) == hash(want)
+        # b on the left
+        if a or op is not operator.truediv:
+            got = op(b, q)
+            assert is_normal_rational(got) and got == op(b, a)
+
+    @given(fractions_)
+    @settings(max_examples=200, deadline=None)
+    def test_unary_bool_hash_str_agree(self, a):
+        q = la.QQ.of(a)
+        assert is_normal_rational(q)
+        assert (q.numerator, q.denominator) == (a.numerator, a.denominator)
+        assert is_normal_rational(-q) and -q == -a
+        assert is_normal_rational(abs(q)) and abs(q) == abs(a)
+        assert bool(q) is bool(a)
+        assert hash(q) == hash(a)
+        assert str(q) == str(a)
+
+    @given(fractions_, fractions_ | st.integers(-50, 50),
+           st.sampled_from(COMPARE))
+    @settings(max_examples=400, deadline=None)
+    @example(Fraction(2), 2, operator.eq)
+    @example(Fraction(1, 2), 1, operator.ne)
+    def test_comparisons_agree(self, a, b, op):
+        q = la.QQ.of(a)
+        want = op(a, b)
+        for got in (op(q, la.QQ.of(b)), op(q, b), op(a, la.QQ.of(b))):
+            assert got is want
+        # the reflected side: an int or Fraction on the left
+        assert op(b, q) is op(b, a)
+
+    @pytest.mark.parametrize("x", [
+        Fraction(1, 2 ** 61 - 1), Fraction(-3, 2 * (2 ** 61 - 1)),
+        Fraction(-1, 2 ** 61),      # hashes to -2: -1 is reserved
+        Fraction(-1), Fraction(-2 ** 70, 3), Fraction(0)])
+    def test_hash_edge_cases(self, x):
+        assert hash(la.QQ.of(x)) == hash(x)
+        assert la.QQ.of(x) in {x} and x in {la.QQ.of(x)}
+
+    def test_constructor_normalises(self):
+        assert (la.Rational(6, -4).numerator,
+                la.Rational(6, -4).denominator) == (-3, 2)
+        assert la.Rational(0, -7).denominator == 1
+        assert repr(la.Rational(-3, 2)) == "Rational(-3, 2)"
+        with pytest.raises(ZeroDivisionError):
+            la.Rational(1, 0)
+        with pytest.raises(TypeError):
+            la.Rational(Fraction(1, 2))
+
+    def test_every_q_scalar_is_rational(self):
+        Q = la.QQ
+        for x in (Q.zero, Q.one, Q.of(3), Q.of(Fraction(3, 4)), Q.of("5/10"),
+                  Q.of("0.1"), Q.of(" 2 "), Q.inv(Fraction(2)), Q.inv(-3),
+                  Q.div(1, 3), Q.neg(Q.of(2))):
+            assert is_normal_rational(x)
+
+    @given(st.text(SCALAR_CHARS, max_size=12)
+           | st.from_regex(r"\A\s?[+-]?[0-9_]{0,4}([/.][0-9]{0,3})?\s?\Z"))
+    @settings(max_examples=500, deadline=None)
+    @example("1/0")
+    @example("1.5")
+    @example(" 2 ")
+    @example("-0/5")
+    @example("007/14")
+    @example("1_000")
+    @example("\u0663/4")
+    @example("\u00b2")
+    @example("+")
+    @example("")
+    @example("1" * 5000)
+    def test_parsing_accepts_what_fraction_accepts(self, s):
+        try:
+            want = Fraction(s)
+        except (ValueError, ZeroDivisionError):
+            want = None
+        if want is None:
+            with pytest.raises(la.FieldError):
+                la.QQ.of(s)
+        else:
+            got = la.QQ.of(s)
+            assert is_normal_rational(got) and got == want
+            if want.denominator % 7:
+                assert la.GF(7).of(s) == la.GF(7).of(want)
 
 
 class TestLinearAlgebra:

@@ -585,6 +585,60 @@ class TestSparseAxiomCheck:
                 (gm.ModuleError, "unit"), (gm.ModuleError, "(x_")} <= seen
 
 
+def field_power(field, n):
+    """K^n, trivially graded, in its idempotent basis e_0 .. e_{n-1}: two
+    idempotents generate it when n = 3."""
+    structure = [[[int(i == j == k) for k in range(n)] for j in range(n)]
+                 for i in range(n)]
+    return gc.GradedAlgebra(Z(1), field, [Z(1).zero] * n, structure, [1] * n)
+
+
+def square_zero_pair(field):
+    """K[x, y]/(x^2, y^2), graded by Z^2, in the basis 1, x, y, xy."""
+    G = Z(2)
+    mono = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    structure = [[[0] * 4 for _ in range(4)] for _ in range(4)]
+    for i, a in enumerate(mono):
+        for j, b in enumerate(mono):
+            c = (a[0] + b[0], a[1] + b[1])
+            if c in mono:
+                structure[i][j][mono.index(c)] = 1
+    return gc.GradedAlgebra(G, field, [G.element(m) for m in mono],
+                            structure, [1, 0, 0, 0])
+
+
+MULTI_GENERATOR_BASES = [field_power(QQ, 3), field_power(GF(3), 3),
+                         square_zero_pair(QQ), square_zero_pair(GF(2))]
+MULTI_GENERATOR_BASES += [gm.regular_module(R)
+                          for R in MULTI_GENERATOR_BASES[::2]]
+
+
+class TestAlgebraGenerators:
+    """The associativity check tries only the generators of
+    ``GradedAlgebra._generators`` in the middle of its triples."""
+
+    @pytest.mark.parametrize("R, count", [
+        (S.truncated_polynomial_algebra(QQ, 5), 1), (field_power(QQ, 3), 2),
+        (square_zero_pair(GF(2)), 2), (S.trivial_algebra(), 0)])
+    def test_generators_span_the_algebra(self, R, count):
+        assert len(R._generators) == count
+        assert len(R.submodule_span([list(R.unit)], R._generators)) == R.dim
+
+    def test_violations_beyond_the_first_generator(self):
+        # every single-entry change to 0 or 2 (and its mirror, for an
+        # algebra) of bases that need two generators
+        for base in MULTI_GENERATOR_BASES:
+            m, r = base.dim, len(base.tensor)
+            for i, j, k in product(range(r), range(m), range(m)):
+                for c in (0, 2):
+                    T = [[list(row) for row in block] for block in base.tensor]
+                    T[i][j][k] = base.field.of(c)
+                    if isinstance(base, gc.GradedAlgebra):
+                        T[j][i][k] = base.field.of(c)
+                    got, want = _both_outcomes(base, T)
+                    assert got == want, (base, i, j, k, c)
+
+
 class TestRecords:
     """Equality, hashing, frozen-ness, defaults and repr of the records."""
 

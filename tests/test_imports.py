@@ -31,6 +31,10 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert {"dataclasses", "inspect"} & newly_loaded() == set()
 
 
+def test_cli_import_loads_neither_fractions_nor_decimal_nor_numbers():
+    assert {"fractions", "decimal", "numbers"} & newly_loaded() == set()
+
+
 def test_cli_import_loads_only_gradex_and_the_standard_library():
     outside = {name for name in newly_loaded()
                if name != "gradex" and not name.startswith("gradex.")
