@@ -145,11 +145,10 @@ def _degrees_from_json(group, basis, path):
 
 
 def _sparse_tensor(n, entries, field, path, width=None):
-    """Dense tensor t[i][j][k] (i < n; j, k < width, default n) from the
-    entries [i, j, [[k, c]..]] of a ``mul`` or ``action`` list."""
+    """The entries (i, j, k, c) (i < n; j, k < width, default n) of a
+    ``mul`` or ``action`` list [i, j, [[k, c]..]], in the order given."""
     width = width if width is not None else n
-    structure = [[[field.zero] * width for _ in range(width)]
-                 for _ in range(n)]
+    out = []
     for t, item in enumerate(_list(entries, path)):
         if (not isinstance(item, list) or len(item) != 3
                 or not isinstance(item[2], list)):
@@ -165,8 +164,9 @@ def _sparse_tensor(n, entries, field, path, width=None):
             if not (_is_int(k) and 0 <= k < width):
                 raise ValidationError(f"{path}[{t}][2][{s}]: index {k!r} is "
                                       "not an integer in range")
-            structure[i][j][k] = _scalar(field, c, f"{path}[{t}][2][{s}][1]")
-    return structure
+            out.append(
+                (i, j, k, _scalar(field, c, f"{path}[{t}][2][{s}][1]")))
+    return out
 
 
 def ring_from_json(doc, path="ring"):
@@ -195,15 +195,13 @@ def ring_from_json(doc, path="ring"):
 
 
 def _sparse_tensor_to_json(space):
-    """The nonzero entries of a ring's or module's tensor, in the
-    [i, j, [[k, c]..]] form _sparse_tensor reads."""
+    """The entries of a ring or module, in the [i, j, [[k, c]..]] form
+    _sparse_tensor reads."""
     out = []
-    for i, block in enumerate(space.tensor):
-        for j, row in enumerate(block):
-            terms = [[k, scalar_out(space.field, c)]
-                     for k, c in enumerate(row) if c != 0]
-            if terms:
-                out.append([i, j, terms])
+    for i, j, k, c in space.entries():
+        if not out or out[-1][:2] != [i, j]:
+            out.append([i, j, []])
+        out[-1][2].append([k, scalar_out(space.field, c)])
     return out
 
 

@@ -483,9 +483,9 @@ def rank(field, A):
     return len(rref(field, A)[1])
 
 
-def kernel_basis(field, A):
-    """Basis of the right kernel, from the reduced echelon form."""
-    m = len(A[0]) if A else 0
+def kernel_basis(field, A, m):
+    """Basis of the right kernel of A, a matrix with m columns (and
+    possibly no rows), from the reduced echelon form."""
     R, pivots = rref(field, A)
     pivset = set(pivots)
     free = [c for c in range(m) if c not in pivset]

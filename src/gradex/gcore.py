@@ -8,8 +8,9 @@ are decided through theorems or exhaustive enumeration over finite fields,
 otherwise the answer is None ("undecided").
 
 Structure-constant algebras and the graded modules of ``gmod`` share one
-core, ``_GradedSpace``: a degree-labelled basis and one tensor for the
-action of the algebra's basis on it.  A ring is checked as its own
+core, ``_GradedSpace``: a degree-labelled basis and the action of the
+algebra's basis on it, given and kept as its nonzero structure constants
+(i, j, k, c), x_i . v_j = sum_k c v_k.  A ring is checked as its own
 regular module, plus commutativity and a homogeneous unit of degree 0.
 Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
@@ -63,10 +64,13 @@ HOMOGENEOUS_ENUM_LIMIT = 2 ** 20
 class _GradedSpace:
     """A space over ``field`` with basis vectors v_j labelled by degrees
     in ``group``, acted on by the basis x_i of a graded algebra through
-    one tensor: x_i . v_j = sum_k tensor[i][j][k] v_k.
+    structure constants: x_i . v_j = sum_k c v_k over the entries
+    (i, j, k, c).  Only the nonzero entries are kept, in ``_nz``: for
+    each (i, j), the pairs (k, c) sorted by k.  ``entries()`` reads them
+    back.
 
     The constructors of GradedAlgebra and GradedModule set group, field,
-    basis_degrees and dim, the tensor through _set_tensor (an algebra
+    basis_degrees and dim, the entries through _set_tensor (an algebra
     also its unit), then call _check_module_axioms with the acting
     algebra (an algebra acts on itself).  Each subclass names the
     exceptions raised for a basis degree outside the group
@@ -74,17 +78,25 @@ class _GradedSpace:
     (_unit_error) and a non-associative action (_associativity_error).
     """
 
-    def _set_tensor(self, tensor, r):
-        """Store the dense tensor (r acting basis vectors) and, for each
-        (i, j), the tuple of its nonzero (k, c) pairs, which the action
-        and the axiom check read."""
+    def _set_tensor(self, entries, r):
+        """Keep the nonzero entries (i, j, k, c), i < r acting basis
+        vectors, each c made a field value once.  A later (i, j, k)
+        replaces an earlier one."""
         f, m = self.field, self.dim
-        self.tensor = tuple(
-            tuple(tuple(f.of(tensor[i][j][k]) for k in range(m))
-                  for j in range(m)) for i in range(r))
-        self._nz = tuple(tuple(tuple((k, c) for k, c in enumerate(row)
-                                     if c) for row in block)
-                         for block in self.tensor)
+        rows = [[{} for _ in range(m)] for _ in range(r)]
+        for i, j, k, c in entries:
+            if not (0 <= i < r and 0 <= j < m and 0 <= k < m):
+                raise IndexError(f"tensor entry ({i},{j},{k}) out of range")
+            rows[i][j][k] = f.of(c)
+        self._nz = tuple(tuple(tuple(sorted((k, c) for k, c in row.items()
+                                            if c)) for row in block)
+                         for block in rows)
+
+    def entries(self):
+        """The nonzero structure constants (i, j, k, c), ordered by
+        (i, j, k)."""
+        return [(i, j, k, c) for i, block in enumerate(self._nz)
+                for j, row in enumerate(block) for k, c in row]
 
     def _check_module_axioms(self, R):
         """Grading first, then the subclass's own axioms, then the unit
@@ -215,8 +227,11 @@ class _GradedSpace:
 
     def action_matrix(self, i):
         """Matrix of x_i acting on the space (columns indexed by v_j)."""
-        return [[self.tensor[i][j][k] for j in range(self.dim)]
-                for k in range(self.dim)]
+        M = la.zeros(self.field, self.dim, self.dim)
+        for j, row in enumerate(self._nz[i]):
+            for k, c in row:
+                M[k][j] = c
+        return M
 
     def mult_matrix(self, xcoords):
         """Matrix of x acting on the space (columns indexed by v_j), x
@@ -253,7 +268,7 @@ class _GradedSpace:
         given).  Each round acts only on the vectors the last round
         added, and the span is brought to its canonical basis once, at
         the end."""
-        f, r = self.field, len(self.tensor)
+        f, r = self.field, len(self._nz)
         acting = range(r) if acting is None else acting
         basis = spanning = new = self.graded_span(gens)
         while True:
@@ -268,20 +283,24 @@ class _GradedSpace:
 
     def quotient(self, sub):
         """The quotient by a subspace closed under the action, given its
-        graded_span basis: (reps, proj, tensor).  reps are the
+        graded_span basis: (reps, proj, entries).  reps are the
         coordinates that lead no vector of sub (sub is in rref within
         each degree, so their unit vectors complete it), ordered by
         degree, then index; proj is the projection along span(sub) onto
-        their span; tensor[i][t] = proj(x_i . v_{reps[t]})."""
-        f, r = self.field, len(self.tensor)
+        their span; entries are the nonzero (i, t, k, c) with
+        proj(x_i . v_{reps[t]}) = sum_k c v_{reps[k]}."""
+        f, r = self.field, len(self._nz)
         lead = {next(j for j, c in enumerate(v) if c != 0) for v in sub}
         reps = sorted((j for j in range(self.dim) if j not in lead),
                       key=lambda j: (self.basis_degrees[j].coords, j))
         proj = la.complement_projection(
             f, sub, [la.unit_vector(f, self.dim, j) for j in reps])
-        tensor = [[la.mat_vec_mul(f, proj, list(self.tensor[i][j]))
-                   for j in reps] for i in range(r)]
-        return reps, proj, tensor
+        entries = []
+        for i in range(r):
+            P = la.mat_mul(f, proj, self.action_matrix(i))
+            entries.extend((i, t, k, row[j]) for t, j in enumerate(reps)
+                           for k, row in enumerate(P) if row[j])
+        return reps, proj, entries
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +310,9 @@ class _GradedSpace:
 class GradedAlgebra(_GradedSpace):
     """Finite-dimensional commutative algebra with a degree-labelled basis.
 
-    ``structure[i][j][k]`` is the coefficient of basis vector k in the
-    product of basis vectors i and j.  At construction the algebra is
+    ``structure`` is an iterable of (i, j, k, c): c is the coefficient
+    of basis vector k in the product of basis vectors i and j, and
+    entries not given are 0.  At construction the algebra is
     checked as its own regular module (grading, unit, associativity),
     plus commutativity and a homogeneous unit of degree 0.
     """
@@ -307,7 +327,6 @@ class GradedAlgebra(_GradedSpace):
         self.basis_degrees = tuple(basis_degrees)
         self.dim = n = len(self.basis_degrees)
         self._set_tensor(structure, n)
-        self.structure = self.tensor
         self.unit = tuple(field.of(c) for c in unit)
         if len(self.unit) != n:
             raise UnitViolation("unit vector has wrong length")
@@ -315,12 +334,13 @@ class GradedAlgebra(_GradedSpace):
         self._invariants = {}   # filled by _once_per_algebra
 
     def _check_ring_axioms(self):
-        c, nz = self.structure, self._nz
+        nz = self._nz
         for i in range(self.dim):
             for j in range(i + 1, self.dim):
                 if nz[i][j] != nz[j][i]:
-                    k = next(k for k in range(self.dim)
-                             if c[i][j][k] != c[j][i][k])
+                    a, b = dict(nz[i][j]), dict(nz[j][i])
+                    k = min(k for k in a.keys() | b.keys()
+                            if a.get(k) != b.get(k))
                     raise CommutativityViolation(
                         f"c[{i}][{j}][{k}] != c[{j}][{i}][{k}]")
         if any(a != 0 and d != self.group.zero
@@ -373,8 +393,7 @@ class GradedAlgebra(_GradedSpace):
         return (isinstance(other, GradedAlgebra)
                 and self.group == other.group and self.field == other.field
                 and self.basis_degrees == other.basis_degrees
-                and self.structure == other.structure
-                and self.unit == other.unit)
+                and self._nz == other._nz and self.unit == other.unit)
 
     def __hash__(self):
         return hash((self.group, self.field, self.basis_degrees))
@@ -585,9 +604,11 @@ def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim)."""
     f = R.field
-    reps, proj, tensor = R.quotient(a.basis)
+    reps, proj, entries = R.quotient(a.basis)
+    pos = {i: t for t, i in enumerate(reps)}
     Q = GradedAlgebra(R.group, f, [R.basis_degrees[i] for i in reps],
-                      [tensor[i] for i in reps],
+                      [(pos[i], t, k, c) for i, t, k, c in entries
+                       if i in pos],
                       la.mat_vec_mul(f, proj, list(R.unit)))
     lift = [[f.one if i == j else f.zero for j in reps]
             for i in range(R.dim)]
@@ -599,8 +620,10 @@ def _trace_gram(R: GradedAlgebra):
     = sum_k c_ij^k tr(L_k), tr(L_k) = sum_j c_kj^j, so row i is the trace
     row times L_i."""
     f, n = R.field, R.dim
-    traces = [sum((R.structure[k][j][j] for j in range(n)), f.zero)
-              for k in range(n)]
+    traces = [f.zero] * n
+    for k, j, j2, c in R.entries():
+        if j == j2:
+            traces[k] = f.add(traces[k], c)
     return [la.mat_mul(f, [traces], R.action_matrix(i))[0]
             for i in range(n)]
 
@@ -630,7 +653,8 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
     vecs = []
     for g in R.degrees():
         idx = R.component_indices(g)
-        for w in la.kernel_basis(f, [[row[c] for c in idx] for row in A]):
+        for w in la.kernel_basis(f, [[row[c] for c in idx] for row in A],
+                                 len(idx)):
             v = [f.zero] * n
             for c, x in zip(idx, w):
                 v[c] = x

@@ -55,12 +55,11 @@ class AlgebraMorphism:
                                    f"homogeneous of its degree")
         if self.apply_vec(list(A.unit)) != list(B.unit):
             raise FunctorError("morphism does not preserve the unit")
+        # u x_i = u(x_i) u as maps, x_i acting by multiplication
         for i in range(A.dim):
-            for j in range(A.dim):
-                lhs = self.apply_vec(list(A.structure[i][j]))
-                rhs = B.act_vec(cols[i], cols[j])
-                if lhs != rhs:
-                    raise FunctorError("morphism is not multiplicative")
+            if la.mat_mul(B.field, self.matrix, A.action_matrix(i)) != \
+                    la.mat_mul(B.field, B.mult_matrix(cols[i]), self.matrix):
+                raise FunctorError("morphism is not multiplicative")
 
     def apply_vec(self, v):
         return la.mat_vec_mul(self.target.field, self.matrix, v)
@@ -96,7 +95,7 @@ def coarsen_algebra(R: GradedAlgebra, psi: GroupHom) -> GradedAlgebra:
     """Same underlying algebra, degrees pushed through psi."""
     _require_epi(psi, R.group)
     degrees = [psi(d) for d in R.basis_degrees]
-    return GradedAlgebra(psi.target, R.field, degrees, R.structure, R.unit)
+    return GradedAlgebra(psi.target, R.field, degrees, R.entries(), R.unit)
 
 
 def coarsen(X, psi):
@@ -124,11 +123,6 @@ def _require_mono(phi):
         raise FunctorError("restriction requires a monomorphism")
 
 
-def degree_preimage(phi: GroupHom, d):
-    """The unique f with phi(f) = d, or None (phi a monomorphism)."""
-    return phi.preimage(d)
-
-
 def restrict_with_indices(R: GradedAlgebra, phi: GroupHom):
     """(restricted algebra over the source of phi, kept basis indices)."""
     _require_mono(phi)
@@ -137,16 +131,15 @@ def restrict_with_indices(R: GradedAlgebra, phi: GroupHom):
     kept = []
     new_degrees = []
     for i, d in enumerate(R.basis_degrees):
-        f = degree_preimage(phi, d)
+        f = phi.preimage(d)
         if f is not None:
             kept.append(i)
             new_degrees.append(f)
-    fld = R.field
-    n = len(kept)
-    structure = [[[R.structure[kept[i]][kept[j]][kept[k]] for k in range(n)]
-                  for j in range(n)] for i in range(n)]
+    pos = {i: t for t, i in enumerate(kept)}
+    structure = [(pos[i], pos[j], pos[k], c) for i, j, k, c in R.entries()
+                 if i in pos and j in pos and k in pos]
     unit = [R.unit[i] for i in kept]
-    S = GradedAlgebra(phi.source, fld, new_degrees, structure, unit)
+    S = GradedAlgebra(phi.source, R.field, new_degrees, structure, unit)
     return S, kept
 
 
@@ -160,7 +153,7 @@ def extend(S: GradedAlgebra, phi: GroupHom) -> GradedAlgebra:
     if phi.source != S.group:
         raise FunctorError("phi does not start at the grading group")
     degrees = [phi(d) for d in S.basis_degrees]
-    return GradedAlgebra(phi.target, S.field, degrees, S.structure, S.unit)
+    return GradedAlgebra(phi.target, S.field, degrees, S.entries(), S.unit)
 
 
 class CorestrictionResult(Record):
@@ -178,7 +171,7 @@ def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
     then restrict."""
     _require_mono(phi)
     outside = [R.basis_element(i) for i, d in enumerate(R.basis_degrees)
-               if degree_preimage(phi, d) is None]
+               if phi.preimage(d) is None]
     a_phi = ideal_from_gens(R, outside)
     Q, proj, lift = quotient_ring(R, a_phi)
     alpha = AlgebraMorphism(R, Q, proj)
@@ -378,19 +371,19 @@ def monoid_corestriction_report(MA: MonoidAlgebra, phi: GroupHom, bound=8):
     for m in MA.monoid.generators:
         if MA.monoid.is_invertible(m) is True:
             d = MA.monomial_degree(m)
-            if degree_preimage(phi, d) is None:
+            if phi.preimage(d) is None:
                 return {"result": "zero", "witness_exponent": m,
                         "witness_degree": tuple(d.coords)}
     # shortcut b): bounded degree-support criterion
     points = {point for _, point in MA.monoid.combinations(bound)}
     degs = {MA.monomial_degree(m, g)
             for m in points for g in MA.base.degrees()}
-    outside = sorted((d for d in degs if degree_preimage(phi, d) is None),
+    outside = sorted((d for d in degs if phi.preimage(d) is None),
                      key=lambda d: d.coords)
     for d1 in outside:
         for d2 in outside:
             s = d1 + d2
-            if s in degs and degree_preimage(phi, s) is not None:
+            if s in degs and phi.preimage(s) is not None:
                 return {"result": "differs", "witness_degrees":
                         (tuple(d1.coords), tuple(d2.coords))}
     return {"result": "equals_restriction", "bound": bound,

@@ -34,12 +34,10 @@ from .gmod import (GradedModule, ModuleMorphism, FreeSpec, regular_module,
 
 def dual(M: GradedModule) -> GradedModule:
     """Scalar dual with degrees negated; (x.f)(v) = f(x.v), so the
-    action tensor has its last two indices swapped.  dual(dual(M)) is M
-    on the nose, the evaluation map being the identity matrix."""
-    R = M.algebra
-    action = [[[M.action[i][k][j] for k in range(M.dim)]
-               for j in range(M.dim)] for i in range(R.dim)]
-    return GradedModule(R, [-d for d in M.basis_degrees], action)
+    action entries (i, j, k, c) become (i, k, j, c).  dual(dual(M)) is
+    M on the nose, the evaluation map being the identity matrix."""
+    return GradedModule(M.algebra, [-d for d in M.basis_degrees],
+                        [(i, k, j, c) for i, j, k, c in M.entries()])
 
 
 def dual_morphism(u: ModuleMorphism) -> ModuleMorphism:

@@ -2,16 +2,18 @@
 symbolic one-variable-polynomial side used for the principal-ring
 decomposition and the superfluous-inclusion counterexample.
 
-A module is a coordinate space with an action tensor.  It rests on the
-same core as an algebra (``gcore._GradedSpace``): degrees, the action on
-vectors, homogeneous enumeration and the one check of the module axioms
-are shared, and a ring is checked as its own regular module.  Submodules
-are canonical homogeneous bases from the same core (``graded_span``,
-``submodule_span``); a graded ideal of R is such a basis for the regular
-module.  Everything a morphism touches (kernels, images,
-cokernels, HOM, tensor) is built by exact linear algebra per degree, so
-the induced gradings come out of the construction instead of being
-bolted on afterwards.
+A module is a coordinate space with an action given by its nonzero
+structure constants (i, j, k, c), x_i . v_j = sum_k c v_k, and every
+construction writes the entries of its result directly.  It rests on
+the same core as an algebra (``gcore._GradedSpace``): the entries,
+degrees, the action on vectors, homogeneous enumeration and the one
+check of the module axioms are shared, and a ring is checked as its own
+regular module.  Submodules are canonical homogeneous bases from the
+same core (``graded_span``, ``submodule_span``); a graded ideal of R is
+such a basis for the regular module.  Everything a morphism touches
+(kernels, images, cokernels, HOM, tensor) is built by exact linear
+algebra per degree, so the induced gradings come out of the
+construction instead of being bolted on afterwards.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ class ModuleError(ValueError):
 # ---------------------------------------------------------------------------
 
 class GradedModule(_GradedSpace):
-    """Finite-dimensional graded module given by an action tensor:
-    x_i . v_j = sum_k action[i][j][k] v_k."""
+    """Finite-dimensional graded module given by the entries (i, j, k, c)
+    of its action, x_i . v_j = sum_k c v_k; entries not given are 0."""
 
     _degree_error = _unit_error = _associativity_error = ModuleError
 
@@ -43,17 +45,16 @@ class GradedModule(_GradedSpace):
         self.basis_degrees = tuple(basis_degrees)
         self.dim = len(self.basis_degrees)
         self._set_tensor(action, algebra.dim)
-        self.action = self.tensor
         self._check_module_axioms(algebra)
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)
                 and self.algebra == other.algebra
                 and self.basis_degrees == other.basis_degrees
-                and self.action == other.action)
+                and self._nz == other._nz)
 
     def __hash__(self):
-        return hash((self.algebra, self.basis_degrees, self.action))
+        return hash((self.algebra, self.basis_degrees, self._nz))
 
     def __repr__(self):
         return f"GradedModule(dim={self.dim} over {self.algebra!r})"
@@ -61,7 +62,7 @@ class GradedModule(_GradedSpace):
 
 def regular_module(R: GradedAlgebra) -> GradedModule:
     """R as a module over itself."""
-    return GradedModule(R, R.basis_degrees, R.structure)
+    return GradedModule(R, R.basis_degrees, R.entries())
 
 
 class ModuleMorphism:
@@ -107,9 +108,8 @@ class ModuleMorphism:
         return ModuleMorphism(other.source, self.target, M, check=False)
 
     def is_mono(self):
-        if not self.matrix:
-            return self.source.dim == 0
-        return len(la.kernel_basis(self.target.field, self.matrix)) == 0
+        return not la.kernel_basis(self.target.field, self.matrix,
+                                   self.source.dim)
 
     def is_epi(self):
         return la.rank(self.target.field, self.matrix) == self.target.dim
@@ -133,24 +133,18 @@ def identity_module_morphism(M):
 
 def shift(M: GradedModule, g) -> GradedModule:
     """The g-shift: component at h is the old component at g + h."""
-    return GradedModule(M.algebra, [d - g for d in M.basis_degrees], M.action)
+    return GradedModule(M.algebra, [d - g for d in M.basis_degrees],
+                        M.entries())
 
 
-def _block_action(R: GradedAlgebra, summands):
-    """Action tensor of a direct sum, from the action tensors of the
-    summands: for each x_i, their blocks down the diagonal in order."""
-    f = R.field
-    action = []
-    for i in range(R.dim):
-        n = sum(len(t[i]) for t in summands)
-        rows, start = [], 0
-        for t in summands:
-            for row in t[i]:
-                full = [f.zero] * n
-                full[start:start + len(row)] = row
-                rows.append(full)
-            start += len(t[i])
-        action.append(rows)
+def _block_action(summands):
+    """Action entries of a direct sum: those of each summand, its basis
+    indices shifted past the summands before it."""
+    action, start = [], 0
+    for X in summands:
+        action.extend((i, j + start, k + start, c)
+                      for i, j, k, c in X.entries())
+        start += X.dim
     return action
 
 
@@ -160,10 +154,18 @@ def direct_sum(M: GradedModule, N: GradedModule):
         raise ModuleError("direct sum over different algebras")
     R, m = M.algebra, M.dim
     D = GradedModule(R, M.basis_degrees + N.basis_degrees,
-                     _block_action(R, [M.action, N.action]))
+                     _block_action([M, N]))
     eye = la.eye(M.field, D.dim)
     return (D, ModuleMorphism(M, D, [r[:m] for r in eye], check=False),
             ModuleMorphism(N, D, [r[m:] for r in eye], check=False))
+
+
+def _coord_entries(coords, k):
+    """Action entries (i, j, t, c) on a basis b_0 .. b_{k-1} closed
+    under the action, from the coordinates of each x_i . b_j in that
+    basis, listed at position i * k + j."""
+    return [(p // k, p % k, t, c) for p, row in enumerate(coords)
+            for t, c in enumerate(row) if c]
 
 
 def _module_on_subspace(M: GradedModule, basis):
@@ -176,9 +178,7 @@ def _module_on_subspace(M: GradedModule, basis):
         for i in range(R.dim) for b in basis])
     if None in coords:
         raise ModuleError("subspace is not closed under the action")
-    k = len(basis)
-    S = GradedModule(R, degrees, [coords[i * k:(i + 1) * k]
-                                  for i in range(R.dim)])
+    S = GradedModule(R, degrees, _coord_entries(coords, len(basis)))
     incl = [[basis[j][k] for j in range(len(basis))] for k in range(M.dim)]
     return S, ModuleMorphism(S, M, incl, check=False)
 
@@ -192,7 +192,8 @@ def generated_submodule(M: GradedModule, gens):
 def kernel(u: ModuleMorphism):
     """(kernel module, inclusion into the source)."""
     f = u.source.field
-    basis = u.source.graded_span(la.kernel_basis(f, u.matrix))
+    basis = u.source.graded_span(la.kernel_basis(f, u.matrix,
+                                                 u.source.dim))
     return _module_on_subspace(u.source, basis)
 
 
@@ -229,7 +230,7 @@ def cokernel(u: ModuleMorphism):
 def coarsen_module(M: GradedModule, psi: GroupHom) -> GradedModule:
     from .gfunct import coarsen_algebra
     Rc = coarsen_algebra(M.algebra, psi)
-    return GradedModule(Rc, [psi(d) for d in M.basis_degrees], M.action)
+    return GradedModule(Rc, [psi(d) for d in M.basis_degrees], M.entries())
 
 
 def coarsen_morphism(u: ModuleMorphism, psi: GroupHom) -> ModuleMorphism:
@@ -284,8 +285,7 @@ def graded_hom(M: GradedModule, N: GradedModule):
     for gc in cand:
         g = R.group.element(gc)
         slots, rows = _hom_equations(M, N, g)
-        for sol in (la.kernel_basis(f, rows) if rows
-                    else la.eye(f, len(slots))):
+        for sol in la.kernel_basis(f, rows, len(slots)):
             F = la.zeros(f, N.dim, M.dim)
             for s, (k, j) in enumerate(slots):
                 F[k][j] = sol[s]
@@ -297,9 +297,7 @@ def graded_hom(M: GradedModule, N: GradedModule):
         for B in map(N.action_matrix, range(R.dim)) for F in basis_mats])
     if None in coords:
         raise ModuleError("HOM basis not closed under the action")
-    k = len(basis_mats)
-    H = GradedModule(R, basis_degs, [coords[i * k:(i + 1) * k]
-                                     for i in range(R.dim)])
+    H = GradedModule(R, basis_degs, _coord_entries(coords, len(basis_mats)))
     return H, basis_mats
 
 
@@ -312,21 +310,20 @@ def tensor(M: GradedModule, N: GradedModule):
         raise ModuleError("tensor over different algebras")
     R, f = M.algebra, M.field
     m, n = M.dim, N.dim
-    action = [[[f.zero] * (m * n) for _ in range(m * n)]
-              for _ in range(R.dim)]
     rels = []
     for i in range(R.dim):
         for j in range(m):
             for k in range(n):
-                v = action[i][j * n + k]
-                for j2, c in enumerate(M.action[i][j]):
-                    v[j2 * n + k] = c
-                rel = v[:]
-                for k2, c in enumerate(N.action[i][k]):
+                rel = [f.zero] * (m * n)
+                for j2, c in M._nz[i][j]:
+                    rel[j2 * n + k] = c
+                for k2, c in N._nz[i][k]:
                     rel[j * n + k2] = f.sub(rel[j * n + k2], c)
                 rels.append(rel)
     V = GradedModule(R, [dm + dn for dm in M.basis_degrees
-                         for dn in N.basis_degrees], action)
+                         for dn in N.basis_degrees],
+                     [(i, j * n + k, j2 * n + k, c)
+                      for i, j, j2, c in M.entries() for k in range(n)])
     return _quotient_module(V, V.graded_span(rels))
 
 
@@ -365,8 +362,7 @@ def free_module(R: GradedAlgebra, gen_degrees):
     degrees = [di + d for d in gen_degrees for di in R.basis_degrees]
     blocks = [list(range(t * R.dim, (t + 1) * R.dim))
               for t in range(len(gen_degrees))]
-    F = GradedModule(R, degrees,
-                     _block_action(R, [R.structure] * len(gen_degrees)))
+    F = GradedModule(R, degrees, _block_action([R] * len(gen_degrees)))
     return F, blocks
 
 
@@ -551,13 +547,10 @@ def radical_submodule(M: GradedModule):
 
 def socle_submodule(M: GradedModule):
     """Graded socle: vectors killed by the graded radical of R."""
-    f = M.field
     rows = []
     for v in nilradical(M.algebra).vectors():
         rows.extend(M.mult_matrix(v))
-    if not rows:
-        return M.graded_span(la.eye(f, M.dim))
-    return M.graded_span(la.kernel_basis(f, rows))
+    return M.graded_span(la.kernel_basis(M.field, rows, M.dim))
 
 
 class SmallReport(Record):

@@ -29,17 +29,9 @@ SUBMODULE_LIMIT = 2 ** 16
 # scalar-level helpers (deliberately re-implemented)
 # ---------------------------------------------------------------------------
 
-def _structure_constants(R: GradedAlgebra):
-    """The nonzero structure constants (i, j, k, c), x_i x_j = sum c x_k,
-    read off the dense tensor."""
-    return [(i, j, k, c) for i, plane in enumerate(R.structure)
-            for j, row in enumerate(plane)
-            for k, c in enumerate(row) if c != 0]
-
-
 def _mul_vec(p, consts, x, y):
-    """x y over F_p: plain-int sums over the nonzero structure constants,
-    reduced once per coordinate."""
+    """x y over F_p: plain-int sums over the nonzero structure constants
+    (i, j, k, c), x_i x_j = sum c x_k, reduced once per coordinate."""
     out = [0] * len(x)
     for i, j, k, c in consts:
         if x[i] and y[j]:
@@ -108,7 +100,7 @@ def exhaustive_classify(R: GradedAlgebra):
     """Tables of unit / regular / nilpotent flags for every element of a
     finite algebra, by direct multiplication only."""
     elements = list(_all_vectors(R.field, R.dim))
-    consts, one = _structure_constants(R), list(R.unit)
+    consts, one = R.entries(), list(R.unit)
     return [_element_row(R.field.p, consts, elements, one, x)
             for x in elements]
 
@@ -124,7 +116,7 @@ def oracle_ring_class(R: GradedAlgebra):
         raise SizeGuardExceeded("ring oracle needs more than 2^20 "
                                 "element products")
     elements = list(_all_vectors(f, R.dim))
-    consts, one = _structure_constants(R), list(R.unit)
+    consts, one = R.entries(), list(R.unit)
     simple = entire = reduced = True
     for idx in components:
         for vals in product(f.elements(), repeat=len(idx)):
@@ -166,7 +158,7 @@ def _component_subspaces(f, d):
 def enumerate_graded_substructures(M: GradedModule):
     """All graded submodules of a finite module, canonically ordered.
     Each submodule is a tuple of full-length basis vectors."""
-    f = M.field
+    f, consts = M.field, M.entries()
     degrees = sorted(M.degrees(), key=lambda d: d.coords)
     per_degree = []
     total = 1
@@ -188,19 +180,13 @@ def enumerate_graded_substructures(M: GradedModule):
                 basis.append(v)
         closed = True
         for b in basis:
-            for i in range(M.algebra.dim):
-                w = [f.zero] * M.dim
-                for j, c in enumerate(b):
-                    if c == 0:
-                        continue
-                    for k in range(M.dim):
-                        a = M.action[i][j][k]
-                        if a != 0:
-                            w[k] = f.add(w[k], f.mul(c, a))
-                if not _span_contains(f, basis, w):
-                    closed = False
-                    break
-            if not closed:
+            # w[i] = x_i . b
+            w = [[f.zero] * M.dim for _ in range(M.algebra.dim)]
+            for i, j, k, a in consts:
+                if b[j] != 0:
+                    w[i][k] = f.add(w[i][k], f.mul(b[j], a))
+            if not all(_span_contains(f, basis, v) for v in w):
+                closed = False
                 break
         if closed:
             out.append(tuple(tuple(v) for v in basis))
@@ -217,20 +203,21 @@ def enumerate_morphisms(M: GradedModule, N: GradedModule):
              if N.basis_degrees[k] == M.basis_degrees[j]]
     if f.p ** len(slots) > ENUM_LIMIT:
         raise SizeGuardExceeded("morphism enumeration too large")
-    forms = []
-    for i in range(M.algebra.dim):
+    slot = {kj: s for s, kj in enumerate(slots)}
+    coeffs = {}   # (i, j, k) -> {s: coefficient of slot s}
+    for i, j, t, a in M.entries():  # u(x_i . v_j)_k = sum_t a_ijt u_kt
+        for k in range(N.dim):
+            if (k, t) in slot:
+                form = coeffs.setdefault((i, j, k), {})
+                form[slot[k, t]] = form.get(slot[k, t], 0) + a
+    for i, t, k, b in N.entries():  # (x_i . u(v_j))_k = sum_t u_tj b_itk
         for j in range(M.dim):
-            for k in range(N.dim):
-                coeffs = [0] * len(slots)
-                for s, (ks, js) in enumerate(slots):
-                    if ks == k:  # u(x_i . v_j)_k = sum_t a_ijt u_kt
-                        coeffs[s] += M.action[i][j][js]
-                    if js == j:  # (x_i . u(v_j))_k = sum_t u_tj b_itk
-                        coeffs[s] -= N.action[i][ks][k]
-                form = [(s, c % f.p) for s, c in enumerate(coeffs)
-                        if c % f.p]
-                if form:
-                    forms.append(form)
+            if (t, j) in slot:
+                form = coeffs.setdefault((i, j, k), {})
+                form[slot[t, j]] = form.get(slot[t, j], 0) - b
+    forms = [[(s, c % f.p) for s, c in sorted(coeffs[ijk].items())
+              if c % f.p] for ijk in sorted(coeffs)]
+    forms = [form for form in forms if form]
     out = []
     for vals in product(f.elements(), repeat=len(slots)):
         if all(sum(c * vals[s] for s, c in form) % f.p == 0

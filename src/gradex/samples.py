@@ -9,7 +9,8 @@ from .gcore import GradedAlgebra, AffineMonoid, MonoidAlgebra
 
 def trivial_algebra(field=QQ, group=ZERO_GROUP):
     """The base field as a trivially graded algebra."""
-    return GradedAlgebra(group, field, [group.zero], [[[1]]], [1])
+    return GradedAlgebra(group, field, [group.zero], [(0, 0, 0, 1)],
+                         [1])
 
 
 def truncated_polynomial_algebra(field=QQ, n=2, group=None, var_degree=None):
@@ -19,11 +20,7 @@ def truncated_polynomial_algebra(field=QQ, n=2, group=None, var_degree=None):
     degrees = [group.zero]
     for k in range(1, n):
         degrees.append(degrees[-1] + g)
-    structure = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                structure[i][j][i + j] = 1
+    structure = [(i, j, i + j, 1) for i in range(n) for j in range(n - i)]
     unit = [1] + [0] * (n - 1)
     return GradedAlgebra(group, field, degrees, structure, unit)
 
@@ -38,13 +35,8 @@ def field_extension_algebra(field=QQ, n=2, a=-1):
     is irreducible (e.g. Q[i] for n=2, a=-1)."""
     group = Zmod(n)
     degrees = [group.element((k,)) for k in range(n)]
-    structure = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            if i + j < n:
-                structure[i][j][i + j] = 1
-            else:
-                structure[i][j][i + j - n] = a
+    structure = [(i, j, (i + j) % n, 1 if i + j < n else a)
+                 for i in range(n) for j in range(n)]
     unit = [1] + [0] * (n - 1)
     return GradedAlgebra(group, field, degrees, structure, unit)
 
@@ -59,10 +51,7 @@ def group_algebra(p, n):
     field = GF(p)
     group = Zmod(n)
     degrees = [group.element((k,)) for k in range(n)]
-    structure = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            structure[i][j][(i + j) % n] = 1
+    structure = [(i, j, (i + j) % n, 1) for i in range(n) for j in range(n)]
     unit = [1] + [0] * (n - 1)
     return GradedAlgebra(group, field, degrees, structure, unit)
 
@@ -71,7 +60,7 @@ def product_field_algebra(field=GF(2), group=None):
     """K x K, trivially graded (idempotent basis)."""
     group = group or Z(1)
     degrees = [group.zero, group.zero]
-    structure = [[[1, 0], [0, 0]], [[0, 0], [0, 1]]]
+    structure = [(0, 0, 0, 1), (1, 1, 1, 1)]
     unit = [1, 1]
     return GradedAlgebra(group, field, degrees, structure, unit)
 

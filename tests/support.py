@@ -1,6 +1,7 @@
-"""Helpers shared by the test modules: the record-behaviour check, and
-cross-checks that only the tests run (duality, Lambek, the currying
-adjunction, intersections of ideals)."""
+"""Helpers shared by the test modules: the record-behaviour check, dense
+tensor literals and views of structure constants, and cross-checks that
+only the tests run (duality, Lambek, the currying adjunction,
+intersections of ideals)."""
 
 import pytest
 
@@ -39,6 +40,28 @@ def assert_record(a, b, c, fields, other, frozen, hashable_fields=True):
         assert cls.__hash__ is None
         with pytest.raises(TypeError):
             hash(a)
+
+
+# ---------------------------------------------------------------------------
+# dense tensors
+# ---------------------------------------------------------------------------
+
+def entries(T):
+    """The entries (i, j, k, T[i][j][k]) of a dense tensor literal, zeros
+    included."""
+    return [(i, j, k, c) for i, block in enumerate(T)
+            for j, row in enumerate(block) for k, c in enumerate(row)]
+
+
+def dense(space):
+    """The dense tensor T[i][j][k] of a ring's or module's entries, as
+    lists."""
+    f, m = space.field, space.dim
+    r = getattr(space, "algebra", space).dim
+    T = [[[f.zero] * m for _ in range(m)] for _ in range(r)]
+    for i, j, k, c in space.entries():
+        T[i][j][k] = c
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -143,4 +166,4 @@ def _intersect_subspaces(f, B1, B2):
          for i in range(len(B1[0]))]
     B = [row[:k] for row in A]
     return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
-                             for c in la.kernel_basis(f, A)])
+                             for c in la.kernel_basis(f, A, k + len(B2))])

@@ -1,3 +1,4 @@
+import random
 import time
 from fractions import Fraction
 from itertools import islice, product
@@ -15,7 +16,7 @@ import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
-from support import assert_record, intersect_ideals
+from support import assert_record, dense, entries, intersect_ideals
 
 
 class TestConstruction:
@@ -23,30 +24,30 @@ class TestConstruction:
         with pytest.raises(gc.GradingViolation) as e:
             gc.GradedAlgebra(Z(1), QQ,
                              [Z(1).zero, Z(1).element((1,))],
-                             [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                             entries([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),
                              [1, 0])
         assert "(1,1,0)" in str(e.value) or "(1, 1, 0)" in str(e.value)
 
     def test_unit_must_be_degree_zero(self):
         with pytest.raises(gc.AlgebraError):
             gc.GradedAlgebra(Z(1), QQ, [Z(1).element((1,))],
-                             [[[1]]], [1])
+                             entries([[[1]]]), [1])
 
     def test_associativity_checked(self):
         # commutative and unital but (e1*e1)*e2 != e1*(e1*e2)
         with pytest.raises(gc.AssociativityViolation):
             gc.GradedAlgebra(ZERO_GROUP, GF(2),
                              [ZERO_GROUP.zero] * 3,
-                             [[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
-                              [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
-                              [[0, 0, 1], [1, 0, 0], [0, 0, 0]]],
+                             entries([[[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                      [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+                                      [[0, 0, 1], [1, 0, 0], [0, 0, 0]]]),
                              [1, 0, 0])
 
     def test_commutativity_checked(self):
         with pytest.raises(gc.CommutativityViolation):
             gc.GradedAlgebra(ZERO_GROUP, GF(2),
                              [ZERO_GROUP.zero] * 2,
-                             [[[1, 0], [0, 1]], [[1, 0], [0, 0]]],
+                             entries([[[1, 0], [0, 1]], [[1, 0], [0, 0]]]),
                              [1, 0])
 
     def test_zero_ring(self):
@@ -55,6 +56,61 @@ class TestConstruction:
         rc = gc.classify_ring(R)
         # zero ring: 1 = 0, so neither simple nor entire, but reduced
         assert (rc.simple, rc.entire, rc.reduced) == (False, False, True)
+
+
+class TestEntries:
+    """Rings and modules are built from, and keep, only their nonzero
+    structure constants (i, j, k, c)."""
+
+    def test_one_scalar_conversion_per_given_entry(self, monkeypatch):
+        # K[X]/(X^32): 528 given entries, where a dense tensor has 32^3
+        n = 32
+        structure = [(i, j, i + j, 1) for i in range(n) for j in range(n - i)]
+        unit = [1] + [0] * (n - 1)
+        G = Z(1)
+        calls, of = [], la.ScalarField.of
+
+        def counted(self, x):
+            calls.append(x)
+            return of(self, x)
+        monkeypatch.setattr(la.ScalarField, "of", counted)
+        monkeypatch.setattr(gc._GradedSpace, "_check_module_axioms",
+                            lambda self, R: None)
+        R = gc.GradedAlgebra(G, QQ, [G.element((k,)) for k in range(n)],
+                             structure, unit)
+        assert len(calls) <= len(structure) + len(unit)
+        assert len(R.entries()) == len(structure)
+
+    @pytest.mark.parametrize("entry", [(0, 0, -1, 1), (0, 2, 0, 1),
+                                       (2, 0, 0, 1), (-1, 0, 0, 1)])
+    def test_index_out_of_range(self, entry):
+        R = S.dual_numbers()
+        with pytest.raises(IndexError):
+            gc.GradedAlgebra(R.group, QQ, R.basis_degrees,
+                             R.entries() + [entry], R.unit)
+        with pytest.raises(IndexError):
+            gm.GradedModule(R, R.basis_degrees, R.entries() + [entry])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rebuilt_from_shuffled_entries(self, seed):
+        rng = random.Random(seed)
+        R3 = S.truncated_polynomial_algebra(GF(3), 3)
+        M = gm.regular_module(R3)
+        spaces = [S.truncated_polynomial_algebra(QQ, 6), S.group_algebra(3, 3),
+                  rescaled_truncated(5), mixed_basis(GF(3)), M,
+                  gm.tensor(M, M)[0], gm.direct_sum(M, gm.shift(
+                      M, R3.basis_degrees[1]))[0],
+                  mod_x2(R3, [0, 0, 1])]
+        for X in spaces:
+            E = X.entries()
+            rng.shuffle(E)
+            if isinstance(X, gc.GradedAlgebra):
+                Y = gc.GradedAlgebra(X.group, X.field, X.basis_degrees, E,
+                                     X.unit)
+            else:
+                Y = gm.GradedModule(X.algebra, X.basis_degrees, E)
+            assert Y == X and hash(Y) == hash(X)
+            assert Y.entries() == X.entries() == sorted(E)
 
 
 class TestElementClassification:
@@ -368,7 +424,7 @@ def in_basis(R, P):
     back = la.mat_inverse(f, [[P[j][i] for j in range(n)] for i in range(n)])
     structure = [[la.mat_vec_mul(f, back, R.act_vec(P[i], P[j]))
                   for j in range(n)] for i in range(n)]
-    return gc.GradedAlgebra(R.group, f, R.basis_degrees, structure,
+    return gc.GradedAlgebra(R.group, f, R.basis_degrees, entries(structure),
                             la.mat_vec_mul(f, back, list(R.unit)))
 
 
@@ -438,7 +494,8 @@ def dense_axiom_check(space, R):
     """The construction check written with dense loops over every tensor
     entry and dense vectors: the reference for the check that reads only
     nonzero structure constants."""
-    f, t, deg, m = space.field, space.tensor, space.basis_degrees, space.dim
+    f, t, deg, m = space.field, dense(space), space.basis_degrees, space.dim
+    xx = dense(R)
 
     def act(x, v):
         out = [f.zero] * m
@@ -470,7 +527,7 @@ def dense_axiom_check(space, R):
         x = la.unit_vector(f, R.dim, i)
         for i2 in range(R.dim):
             for j, e in enumerate(basis):
-                if act(R.tensor[i][i2], e) != act(x, t[i2][j]):
+                if act(xx[i][i2], e) != act(x, t[i2][j]):
                     raise space._associativity_error(
                         f"(x_{i} x_{i2}) v_{j} != x_{i} (x_{i2} v_{j})")
 
@@ -518,8 +575,8 @@ def _outcome(build):
 def _rebuild(base, tensor):
     if isinstance(base, gc.GradedAlgebra):
         return gc.GradedAlgebra(base.group, base.field, base.basis_degrees,
-                                tensor, base.unit)
-    return gm.GradedModule(base.algebra, base.basis_degrees, tensor)
+                                entries(tensor), base.unit)
+    return gm.GradedModule(base.algebra, base.basis_degrees, entries(tensor))
 
 
 def _both_outcomes(base, tensor):
@@ -541,7 +598,7 @@ def perturbed_tensors(draw):
     base = draw(st.sampled_from(AXIOM_BASES))
     R = getattr(base, "algebra", base)
     deg, m = base.basis_degrees, base.dim
-    T = [[list(row) for row in block] for block in base.tensor]
+    T = dense(base)
     for _ in range(draw(st.integers(1, 3))):
         i, j = draw(st.integers(0, R.dim - 1)), draw(st.integers(0, m - 1))
         graded = [k for k in range(m) if R.basis_degrees[i] + deg[j] == deg[k]]
@@ -568,10 +625,11 @@ class TestSparseAxiomCheck:
         # algebra): the outcomes agree and cover every kind of violation
         seen = set()
         for base in AXIOM_BASES:
-            m, r = base.dim, len(base.tensor)
+            D = dense(base)
+            m, r = base.dim, len(D)
             for i, j, k in product(range(r), range(m), range(m)):
                 for c in (0, 2):
-                    T = [[list(row) for row in block] for block in base.tensor]
+                    T = [[list(row) for row in block] for block in D]
                     T[i][j][k] = base.field.of(c)
                     if isinstance(base, gc.GradedAlgebra):
                         T[j][i][k] = base.field.of(c)
@@ -590,7 +648,8 @@ def field_power(field, n):
     idempotents generate it when n = 3."""
     structure = [[[int(i == j == k) for k in range(n)] for j in range(n)]
                  for i in range(n)]
-    return gc.GradedAlgebra(Z(1), field, [Z(1).zero] * n, structure, [1] * n)
+    return gc.GradedAlgebra(Z(1), field, [Z(1).zero] * n, entries(structure),
+                            [1] * n)
 
 
 def square_zero_pair(field):
@@ -604,7 +663,7 @@ def square_zero_pair(field):
             if c in mono:
                 structure[i][j][mono.index(c)] = 1
     return gc.GradedAlgebra(G, field, [G.element(m) for m in mono],
-                            structure, [1, 0, 0, 0])
+                            entries(structure), [1, 0, 0, 0])
 
 
 MULTI_GENERATOR_BASES = [field_power(QQ, 3), field_power(GF(3), 3),
@@ -628,10 +687,11 @@ class TestAlgebraGenerators:
         # every single-entry change to 0 or 2 (and its mirror, for an
         # algebra) of bases that need two generators
         for base in MULTI_GENERATOR_BASES:
-            m, r = base.dim, len(base.tensor)
+            D = dense(base)
+            m, r = base.dim, len(D)
             for i, j, k in product(range(r), range(m), range(m)):
                 for c in (0, 2):
-                    T = [[list(row) for row in block] for block in base.tensor]
+                    T = [[list(row) for row in block] for block in D]
                     T[i][j][k] = base.field.of(c)
                     if isinstance(base, gc.GradedAlgebra):
                         T[j][i][k] = base.field.of(c)

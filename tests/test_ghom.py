@@ -11,7 +11,7 @@ import gradex.samples as S
 from gradex.abgroups import Z, Zmod
 from gradex.exactla import QQ, GF
 from support import (assert_record, cogenerator_faithfulness_check,
-                     duality_involution_check, lambek_check,
+                     duality_involution_check, entries, lambek_check,
                      lambek_dimension_check, mono_epi_duality_check)
 
 
@@ -276,7 +276,7 @@ class TestDimensions:
     def test_matches_reference_walk(self, kind):
         R = S.product_field_algebra()
         modules = sample_modules() + [
-            gm.GradedModule(R, [Z(1).zero], [[[1]], [[0]]]),
+            gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[0]]])),
             quotient_by_x(S.truncated_polynomial_algebra(QQ, 3))[0]]
         for M in modules:
             for cutoff in range(4):
@@ -302,7 +302,7 @@ class TestDimensions:
     def test_finite_positive_dimension(self):
         # over K x K every module is projective: dimension 0 throughout
         R = S.product_field_algebra()
-        M = gm.GradedModule(R, [Z(1).zero], [[[1]], [[0]]])
+        M = gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[0]]]))
         assert gh.dimension(M, "projective", 4).value == 0
 
     def test_injective_direct_cross_check(self):

@@ -7,7 +7,7 @@ import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
-from support import adjunction_dims_check, assert_record
+from support import adjunction_dims_check, assert_record, dense, entries
 
 
 def hkey(h):
@@ -32,12 +32,12 @@ class TestConstruction:
     def test_grading_checked(self):
         R = S.dual_numbers()
         with pytest.raises(gc.GradingViolation):
-            gm.GradedModule(R, [Z(1).zero], [[[1]], [[1]]])
+            gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[1]]]))
 
     def test_unit_must_act_as_identity(self):
         R = S.dual_numbers()
         with pytest.raises(gm.ModuleError):
-            gm.GradedModule(R, [Z(1).zero], [[[0]], [[0]]])
+            gm.GradedModule(R, [Z(1).zero], entries([[[0]], [[0]]]))
 
     def test_regular_module(self):
         R = S.dual_numbers()
@@ -96,18 +96,28 @@ class TestKernelImageCokernel:
         assert proj([1, 1]) == [0]
         assert proj([0, 1]) == [1]
 
+    def test_kernel_of_a_map_into_the_zero_module(self):
+        # the matrix of M -> 0 has no rows, yet every column is free
+        R = S.dual_numbers()
+        M, Z0 = gm.regular_module(R), gm.GradedModule(R, [], [])
+        u = gm.ModuleMorphism(M, Z0, [])
+        K, incl = gm.kernel(u)
+        assert K.dim == 2 and incl.is_iso()
+        assert not u.is_mono() and u.is_epi()
+        assert gm.ModuleMorphism(Z0, M, [[], []]).is_mono()
+
     def test_quotient_orders_coordinates_by_degree(self):
         # the regular module of Q[x]/(x^2) with its basis listed as
         # x, 1: the quotient by zero lists 1 (degree 0) before x
         R = S.dual_numbers()
         x, one = R.basis_degrees[1], R.basis_degrees[0]
-        M = gm.GradedModule(R, [x, one], [[[1, 0], [0, 1]],
-                                          [[0, 0], [1, 0]]])
+        M = gm.GradedModule(R, [x, one], entries([[[1, 0], [0, 1]],
+                                                  [[0, 0], [1, 0]]]))
         reps, P, action = M.quotient([])
         assert reps == [1, 0]
         assert P == [[0, 1], [1, 0]]
         C, _ = gm.cokernel(gm.ModuleMorphism(
-            gm.GradedModule(R, [], [() for _ in range(R.dim)]), M,
+            gm.GradedModule(R, [], []), M,
             [[], []]))
         assert C.basis_degrees == (one, x)
 
@@ -115,14 +125,14 @@ class TestKernelImageCokernel:
         R = S.dual_numbers()
         M = gm.regular_module(R)
         T, proj = gm.tensor(M, M)
-        n = M.dim
+        n, A = M.dim, dense(M)
         for i in range(R.dim):
             for j in range(n):
                 for k in range(n):
                     rel = [0] * (n * n)
-                    for j2, c in enumerate(M.action[i][j]):
+                    for j2, c in enumerate(A[i][j]):
                         rel[j2 * n + k] += c
-                    for k2, c in enumerate(M.action[i][k]):
+                    for k2, c in enumerate(A[i][k]):
                         rel[j * n + k2] -= c
                     assert all(c == 0 for c in
                                la.mat_vec_mul(M.field, proj, rel))
@@ -218,7 +228,7 @@ class TestFreeness:
     def test_not_free_over_product_ring(self):
         R = S.product_field_algebra()
         # the first factor as a module: e0 acts as 1, e1 acts as 0
-        M = gm.GradedModule(R, [Z(1).zero], [[[1]], [[0]]])
+        M = gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[0]]]))
         rep = gm.freeness(M)
         assert rep.free is False
 
@@ -285,7 +295,7 @@ class TestSmallSubmodules:
         rep = gm.small_submodule(gm.identity_module_morphism(M), "superfluous")
         assert rep.flag is False
         # the zero submodule is never essential when the socle is nonzero
-        Zm = gm.GradedModule(R, [], [() for _ in range(R.dim)])
+        Zm = gm.GradedModule(R, [], [])
         zmap = gm.ModuleMorphism(Zm, M, [[] for _ in range(M.dim)])
         rep = gm.small_submodule(zmap, "essential")
         assert rep.flag is False

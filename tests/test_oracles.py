@@ -11,6 +11,7 @@ import gradex.gmod as gm
 import gradex.oracles as orc
 import gradex.samples as S
 from gradex.exactla import GF
+from support import dense
 
 
 def quotient_by_power(R, k):
@@ -27,7 +28,8 @@ def quotient_by_power(R, k):
 # candidate from scratch
 # ---------------------------------------------------------------------------
 
-def reference_mul(R, x, y):
+def reference_mul(R, T, x, y):
+    """x y in R, T the dense tensor of R."""
     f = R.field
     out = [f.zero] * R.dim
     for i in range(R.dim):
@@ -38,7 +40,7 @@ def reference_mul(R, x, y):
                 continue
             c = f.mul(x[i], y[j])
             for k in range(R.dim):
-                s = R.structure[i][j][k]
+                s = T[i][j][k]
                 if s != 0:
                     out[k] = f.add(out[k], f.mul(c, s))
     return out
@@ -48,9 +50,9 @@ def reference_classify(R):
     f = R.field
     zero = [f.zero] * R.dim
     elements = [list(v) for v in product(f.elements(), repeat=R.dim)]
-    rows = []
+    T, rows = dense(R), []
     for x in elements:
-        products = [reference_mul(R, x, y) for y in elements]
+        products = [reference_mul(R, T, x, y) for y in elements]
         unit = any(p == list(R.unit) for p in products)
         regular = all(p != zero for p, y in zip(products, elements)
                       if y != zero)
@@ -62,7 +64,7 @@ def reference_classify(R):
             if power == zero:
                 nilpotent = True
                 break
-            power = reference_mul(R, power, x)
+            power = reference_mul(R, T, power, x)
         if power == zero:
             nilpotent = True
         rows.append({"element": tuple(x), "unit": unit,
@@ -88,7 +90,7 @@ def reference_morphisms(M, N):
     f = M.field
     slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
              if N.basis_degrees[k] == M.basis_degrees[j]]
-    out = []
+    A, B, out = dense(M), dense(N), []
     for vals in product(f.elements(), repeat=len(slots)):
         mat = [[f.zero] * M.dim for _ in range(N.dim)]
         for (k, j), v in zip(slots, vals):
@@ -99,7 +101,7 @@ def reference_morphisms(M, N):
                 # u(x_i . v_j) vs x_i . u(v_j)
                 lhs = [f.zero] * N.dim
                 for t in range(M.dim):
-                    a = M.action[i][j][t]
+                    a = A[i][j][t]
                     if a == 0:
                         continue
                     for k in range(N.dim):
@@ -109,7 +111,7 @@ def reference_morphisms(M, N):
                     if mat[k][j] == 0:
                         continue
                     for t in range(N.dim):
-                        b = N.action[i][k][t]
+                        b = B[i][k][t]
                         if b != 0:
                             rhs[t] = f.add(rhs[t], f.mul(mat[k][j], b))
                 if lhs != rhs:
@@ -133,7 +135,7 @@ def module_zoo(p, n):
     at most 2 with shifts 0 and 1, and the cyclic quotients R/(X^k)."""
     R = S.truncated_polynomial_algebra(GF(p), n)
     zero, one = R.group.zero, R.basis_degrees[1]
-    mods = [gm.GradedModule(R, [], [() for _ in range(R.dim)])]
+    mods = [gm.GradedModule(R, [], [])]
     for shifts in ([zero], [one], [zero, zero], [zero, one]):
         mods.append(gm.free_module(R, shifts)[0])
     for k in range(1, n):
@@ -302,7 +304,7 @@ class TestSmallSubmoduleOracle:
         ident = gm.identity_module_morphism(M)
         flag, witness = orc.oracle_small_submodule(ident, "superfluous")
         assert flag is False and witness is not None
-        Z = gm.GradedModule(R, [], [() for _ in range(R.dim)])
+        Z = gm.GradedModule(R, [], [])
         zmap = gm.ModuleMorphism(Z, M, [[] for _ in range(M.dim)])
         flag, witness = orc.oracle_small_submodule(zmap, "essential")
         assert flag is False and witness is not None
