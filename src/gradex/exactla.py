@@ -349,7 +349,6 @@ class ScalarField(Record, frozen=True):
             raise ZeroDivisionError("inverse of zero")
         if self.p:
             return pow(a, self.p - 2, self.p)
-        a = self.of(a)
         n, d = a.numerator, a.denominator
         return _q(d, n) if n > 0 else _q(-d, -n)
 
@@ -430,10 +429,6 @@ def mat_vec_mul(field, A, v):
     if A and len(A[0]) != len(v):
         raise DimensionError("matrix-vector shape mismatch")
     return [_dot(field, row, v) for row in A]
-
-
-def vec_add(field, u, v):
-    return [field.add(a, b) for a, b in zip(u, v)]
 
 
 def _eliminate(p, row, f, pivot_nz):
@@ -647,8 +642,8 @@ class IntertwinerResult(Record):
     _defaults = {"samples_used": 0}
 
 
-def _space_member(field, particular, basis, ts):
-    M = [row[:] for row in particular]
+def _space_member(field, basis, n, ts):
+    M = zeros(field, n, n)
     for t, K in zip(ts, basis):
         t = field.of(t)
         if t:
@@ -659,14 +654,13 @@ def _space_member(field, particular, basis, ts):
     return M
 
 
-def invertible_intertwiner(field, particular, basis, n, seed=DEFAULT_SEED):
-    """Search the affine space {particular + sum t_i basis_i} of n x n
-    matrices for an invertible member with witness_search: the
-    determinant has degree <= n in each t_i."""
+def invertible_intertwiner(field, basis, n, seed=DEFAULT_SEED):
+    """Search the span {sum t_i basis_i} of n x n matrices for an
+    invertible member with witness_search: the determinant has degree
+    <= n in each t_i."""
     status, ts, tried = witness_search(
         field, len(basis), n,
-        lambda ts: det(field, _space_member(field, particular, basis,
-                                            ts)) != 0,
+        lambda ts: det(field, _space_member(field, basis, n, ts)) != 0,
         seed, INTERTWINER_BUDGET)
-    M = None if ts is None else _space_member(field, particular, basis, ts)
+    M = None if ts is None else _space_member(field, basis, n, ts)
     return IntertwinerResult(status, M, tried)

@@ -61,7 +61,38 @@ HOMOGENEOUS_ENUM_LIMIT = 2 ** 20
 # the core shared by algebras and modules
 # ---------------------------------------------------------------------------
 
-class _GradedSpace:
+class _Derivable:
+    """A value checked where its data enters.  ``__init__`` stores its
+    arguments with ``_setup`` and then proves the axioms; ``_derived``
+    only stores them.  gradex builds with ``_derived`` what it derives
+    from checked values by constructions that keep the axioms
+    (quotients, sums, duals, regradings, lifts), so each axiom is
+    proved once, on the data a caller handed in."""
+
+    @classmethod
+    def _derived(cls, *args):
+        obj = cls.__new__(cls)
+        obj._setup(*args)
+        return obj
+
+
+class _Morphism(_Derivable):
+    """A map between graded rings or modules, as a matrix on basis
+    coordinates (column j is the image of basis vector j)."""
+
+    def _setup(self, source, target, matrix):
+        self.source = source
+        self.target = target
+        f = target.field
+        self.matrix = [[f.of(x) for x in row] for row in matrix]
+
+    def compose(self, other):
+        """self o other."""
+        M = la.mat_mul(self.target.field, self.matrix, other.matrix)
+        return type(self)._derived(other.source, self.target, M)
+
+
+class _GradedSpace(_Derivable):
     """A space over ``field`` with basis vectors v_j labelled by degrees
     in ``group``, acted on by the basis x_i of a graded algebra through
     structure constants: x_i . v_j = sum_k c v_k over the entries
@@ -69,11 +100,11 @@ class _GradedSpace:
     each (i, j), the pairs (k, c) sorted by k.  ``entries()`` reads them
     back.
 
-    The constructors of GradedAlgebra and GradedModule set group, field,
+    The ``_setup`` of GradedAlgebra and GradedModule sets group, field,
     basis_degrees and dim, the entries through _set_tensor (an algebra
-    also its unit), then call _check_module_axioms with the acting
-    algebra (an algebra acts on itself).  Each subclass names the
-    exceptions raised for a basis degree outside the group
+    also its unit); their constructors then call _check_module_axioms
+    with the acting algebra (an algebra acts on itself).  Each subclass
+    names the exceptions raised for a basis degree outside the group
     (_degree_error), a unit that does not act as the identity
     (_unit_error) and a non-associative action (_associativity_error).
     """
@@ -322,15 +353,18 @@ class GradedAlgebra(_GradedSpace):
     _degree_error = GradingViolation
 
     def __init__(self, group, field, basis_degrees, structure, unit):
+        self._setup(group, field, basis_degrees, structure, unit)
+        if len(self.unit) != self.dim:
+            raise UnitViolation("unit vector has wrong length")
+        self._check_module_axioms(self)
+
+    def _setup(self, group, field, basis_degrees, structure, unit):
         self.group = group
         self.field = field
         self.basis_degrees = tuple(basis_degrees)
-        self.dim = n = len(self.basis_degrees)
-        self._set_tensor(structure, n)
+        self.dim = len(self.basis_degrees)
+        self._set_tensor(structure, self.dim)
         self.unit = tuple(field.of(c) for c in unit)
-        if len(self.unit) != n:
-            raise UnitViolation("unit vector has wrong length")
-        self._check_module_axioms(self)
         self._invariants = {}   # filled by _once_per_algebra
 
     def _check_ring_axioms(self):
@@ -602,14 +636,20 @@ def ideal_from_gens(R: GradedAlgebra, gens) -> GradedIdeal:
 
 def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
-    coordinate projection matrix (qdim x dim), lift a section (dim x qdim)."""
+    coordinate projection matrix (qdim x dim), lift a section (dim x qdim).
+    A hand-made GradedIdeal may be any graded subspace, so the one
+    condition Q needs, a closed under multiplication, is checked here."""
     f = R.field
+    if None in la.coords_in_basis(f, a.basis, [
+            R.act_vec(la.unit_vector(f, R.dim, i), b)
+            for i in range(R.dim) for b in a.basis]):
+        raise AlgebraError("quotient by a subspace that is not an ideal")
     reps, proj, entries = R.quotient(a.basis)
     pos = {i: t for t, i in enumerate(reps)}
-    Q = GradedAlgebra(R.group, f, [R.basis_degrees[i] for i in reps],
-                      [(pos[i], t, k, c) for i, t, k, c in entries
-                       if i in pos],
-                      la.mat_vec_mul(f, proj, list(R.unit)))
+    Q = GradedAlgebra._derived(R.group, f, [R.basis_degrees[i] for i in reps],
+                               [(pos[i], t, k, c) for i, t, k, c in entries
+                                if i in pos],
+                               la.mat_vec_mul(f, proj, list(R.unit)))
     lift = [[f.one if i == j else f.zero for j in reps]
             for i in range(R.dim)]
     return Q, proj, lift

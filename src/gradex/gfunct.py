@@ -3,8 +3,11 @@ corestriction triple along a monomorphism, with executable adjunction
 checks at desk scale.
 
 Functors act on values: each function takes a ring (or module, or
-morphism) and a group map and returns the regraded object, re-verifying
-all construction invariants on the way out.
+morphism) and a group map and returns the regraded object.  Regrading
+keeps the axioms, so the result is built without a second check
+(``_Derivable._derived``); only the group maps are checked, for being
+epi or mono.  The adjunction checks build their morphisms through the
+checked constructor, whose check is part of what they verify.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from . import exactla as la
 from ._record import Record
 from .gcore import (GradedAlgebra, MonoidAlgebra, AlgebraError,
                     SizeGuardExceeded, ideal_from_gens, quotient_ring,
-                    classify_element)
+                    classify_element, _Morphism)
 
 
 class FunctorError(ValueError):
@@ -27,24 +30,19 @@ class FunctorError(ValueError):
 # graded ring morphisms
 # ---------------------------------------------------------------------------
 
-class AlgebraMorphism:
+class AlgebraMorphism(_Morphism):
     """Degree-preserving unital ring morphism between graded algebras
     over the same grading group, as a matrix on basis coordinates."""
 
-    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, matrix,
-                 check=True):
-        self.source = source
-        self.target = target
-        f = target.field
-        self.matrix = [[f.of(x) for x in row] for row in matrix]
-        if len(self.matrix) != target.dim or any(
-                len(r) != source.dim for r in self.matrix):
-            raise FunctorError("morphism matrix has wrong shape")
-        if check:
-            self._check()
+    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, matrix):
+        self._setup(source, target, matrix)
+        self._check()
 
     def _check(self):
         A, B = self.source, self.target
+        if len(self.matrix) != B.dim or any(
+                len(r) != A.dim for r in self.matrix):
+            raise FunctorError("morphism matrix has wrong shape")
         if A.group != B.group:
             raise FunctorError("morphism between different grading groups")
         # column j is the image of basis vector j
@@ -67,16 +65,8 @@ class AlgebraMorphism:
     def __call__(self, x):
         return self.target.element(self.apply_vec(list(x.coords)))
 
-    def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
-        """self o other."""
-        M = la.mat_mul(self.target.field, self.matrix, other.matrix)
-        return AlgebraMorphism(other.source, self.target, M, check=False)
-
     def is_identity_matrix(self):
-        n = self.source.dim
-        if self.target.dim != n:
-            return False
-        return self.matrix == la.eye(self.target.field, n)
+        return self.matrix == la.eye(self.target.field, self.source.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +85,8 @@ def coarsen_algebra(R: GradedAlgebra, psi: GroupHom) -> GradedAlgebra:
     """Same underlying algebra, degrees pushed through psi."""
     _require_epi(psi, R.group)
     degrees = [psi(d) for d in R.basis_degrees]
-    return GradedAlgebra(psi.target, R.field, degrees, R.entries(), R.unit)
+    return GradedAlgebra._derived(psi.target, R.field, degrees, R.entries(),
+                                  R.unit)
 
 
 def coarsen(X, psi):
@@ -103,8 +94,9 @@ def coarsen(X, psi):
     if isinstance(X, GradedAlgebra):
         return coarsen_algebra(X, psi)
     if isinstance(X, AlgebraMorphism):
-        return AlgebraMorphism(coarsen_algebra(X.source, psi),
-                               coarsen_algebra(X.target, psi), X.matrix)
+        return AlgebraMorphism._derived(coarsen_algebra(X.source, psi),
+                                        coarsen_algebra(X.target, psi),
+                                        X.matrix)
     from . import gmod
     if isinstance(X, gmod.GradedModule):
         return gmod.coarsen_module(X, psi)
@@ -128,18 +120,13 @@ def restrict_with_indices(R: GradedAlgebra, phi: GroupHom):
     _require_mono(phi)
     if phi.target != R.group:
         raise FunctorError("phi does not land in the grading group")
-    kept = []
-    new_degrees = []
-    for i, d in enumerate(R.basis_degrees):
-        f = phi.preimage(d)
-        if f is not None:
-            kept.append(i)
-            new_degrees.append(f)
+    pre = [phi.preimage(d) for d in R.basis_degrees]
+    kept = [i for i, d in enumerate(pre) if d is not None]
     pos = {i: t for t, i in enumerate(kept)}
     structure = [(pos[i], pos[j], pos[k], c) for i, j, k, c in R.entries()
                  if i in pos and j in pos and k in pos]
-    unit = [R.unit[i] for i in kept]
-    S = GradedAlgebra(phi.source, R.field, new_degrees, structure, unit)
+    S = GradedAlgebra._derived(phi.source, R.field, [pre[i] for i in kept],
+                               structure, [R.unit[i] for i in kept])
     return S, kept
 
 
@@ -153,7 +140,8 @@ def extend(S: GradedAlgebra, phi: GroupHom) -> GradedAlgebra:
     if phi.source != S.group:
         raise FunctorError("phi does not start at the grading group")
     degrees = [phi(d) for d in S.basis_degrees]
-    return GradedAlgebra(phi.target, S.field, degrees, S.entries(), S.unit)
+    return GradedAlgebra._derived(phi.target, S.field, degrees, S.entries(),
+                                  S.unit)
 
 
 class CorestrictionResult(Record):
@@ -174,7 +162,7 @@ def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
                if phi.preimage(d) is None]
     a_phi = ideal_from_gens(R, outside)
     Q, proj, lift = quotient_ring(R, a_phi)
-    alpha = AlgebraMorphism(R, Q, proj)
+    alpha = AlgebraMorphism._derived(R, Q, proj)
     Rcor, kept = restrict_with_indices(Q, phi)
     return CorestrictionResult(Rcor, a_phi, Q, alpha, kept, proj, lift)
 
@@ -183,24 +171,19 @@ def restrict_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
     S1, kept1 = restrict_with_indices(h.source, phi)
     S2, kept2 = restrict_with_indices(h.target, phi)
     M = [[h.matrix[i][j] for j in kept1] for i in kept2]
-    return AlgebraMorphism(S1, S2, M)
+    return AlgebraMorphism._derived(S1, S2, M)
 
 
 def corestrict_morphism(h: AlgebraMorphism, phi: GroupHom,
-                        cor_src: CorestrictionResult | None = None,
-                        cor_tgt: CorestrictionResult | None = None):
+                        cor_src: CorestrictionResult | None = None):
     """Induced morphism on corestrictions (h maps a_phi into a_phi)."""
     cs = cor_src or corestrict(h.source, phi)
-    ct = cor_tgt or corestrict(h.target, phi)
+    ct = corestrict(h.target, phi)
     f = h.target.field
-    cols = []
-    for j in cs.kept:
-        v = [cs.lift[i][j] for i in range(h.source.dim)]
-        img = h.apply_vec(v)
-        q = la.mat_vec_mul(f, ct.proj, img)
-        cols.append([q[i] for i in ct.kept])
-    M = [[cols[j][i] for j in range(len(cs.kept))] for i in range(len(ct.kept))]
-    return AlgebraMorphism(cs.algebra, ct.algebra, M)
+    lift = [[row[j] for j in cs.kept] for row in cs.lift]
+    M = la.mat_mul(f, [ct.proj[i] for i in ct.kept],
+                   la.mat_mul(f, h.matrix, lift))
+    return AlgebraMorphism._derived(cs.algebra, ct.algebra, M)
 
 
 # ---------------------------------------------------------------------------

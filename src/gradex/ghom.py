@@ -36,15 +36,15 @@ def dual(M: GradedModule) -> GradedModule:
     """Scalar dual with degrees negated; (x.f)(v) = f(x.v), so the
     action entries (i, j, k, c) become (i, k, j, c).  dual(dual(M)) is
     M on the nose, the evaluation map being the identity matrix."""
-    return GradedModule(M.algebra, [-d for d in M.basis_degrees],
-                        [(i, k, j, c) for i, j, k, c in M.entries()])
+    return GradedModule._derived(M.algebra, [-d for d in M.basis_degrees],
+                                 [(i, k, j, c) for i, j, k, c in M.entries()])
 
 
 def dual_morphism(u: ModuleMorphism) -> ModuleMorphism:
     """Transpose: dual(target) -> dual(source)."""
     T = [[u.matrix[k][j] for k in range(u.target.dim)]
          for j in range(u.source.dim)]
-    return ModuleMorphism(dual(u.target), dual(u.source), T)
+    return ModuleMorphism._derived(dual(u.target), dual(u.source), T)
 
 
 def injective_cogenerator(R: GradedAlgebra) -> GradedModule:
@@ -79,7 +79,7 @@ def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
     t = la.zeros(f, P.dim, V.dim)
     for (k, j), c in zip(slots, sol):
         t[k][j] = c
-    return ModuleMorphism(V, P, t, check=False)
+    return ModuleMorphism._derived(V, P, t)
 
 
 def minimal_cover(M: GradedModule) -> ModuleMorphism:
@@ -220,49 +220,33 @@ def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
 # Schanuel
 # ---------------------------------------------------------------------------
 
-def _fibre_embedding(incl, lift, j_this, j_other, rincl):
-    """One side of the one-step Schanuel comparison: the map
-    ker + Q -> fibre product sending a kernel vector k to
-    j_this(incl k) and a vector q of the other cover Q to
-    j_this(lift q) + j_other(q).  Returns (ker + Q, the map,
-    injection of ker, injection of Q)."""
-    f = rincl.target.field
-    S, j_ker, j_cov = direct_sum(incl.source, lift.source)
-    into_D = [a + la.vec_add(f, b, c) for a, b, c in zip(
-        la.mat_mul(f, j_this.matrix, incl.matrix),
-        la.mat_mul(f, j_this.matrix, lift.matrix), j_other.matrix)]
-    cols = la.solve_linear(f, rincl.matrix,
-                           [[row[j] for row in into_D] for j in range(S.dim)])
-    if None in cols:
-        raise ModuleError("vector escapes the fibre product")
-    psi = ModuleMorphism(S, rincl.source, [[c[k] for c in cols]
-                                           for k in range(rincl.source.dim)])
-    return S, psi, j_ker, j_cov
-
-
 def _schanuel_base(M, coverA, inclA, coverB, inclB):
     """One-step Schanuel: from two epimorphisms alpha: P0 ->> M and
-    beta: Q0 ->> M with kernels K, L, build the fibre product and the
-    isomorphism K + Q0 = L + P0.  Returns (theta, lhs_data, rhs_data)
-    where the data triples are (module, first injection, second
-    injection)."""
+    beta: Q0 ->> M with kernels K, L, the isomorphism theta:
+    K + Q0 -> L + P0 through their fibre product.  With lifts tQ
+    (alpha tQ = beta) and tP (beta tP = alpha), theta(k, q) =
+    (inclB^-1 (q - tP p), p) for p = inclA k + tQ q.  Returns (theta,
+    lhs_data, rhs_data) where the data triples are (module, first
+    injection, second injection)."""
     f = M.field
-    D, jP, jQ = direct_sum(coverA.source, coverB.source)
-    diff = ModuleMorphism(D, M, [a + [f.neg(x) for x in b] for a, b in
-                                 zip(coverA.matrix, coverB.matrix)])
-    _, rincl = kernel(diff)
-    # sections of the two projections, via lifts through the epis
-    tQ = lift_through_epi(coverA, coverB)   # tQ: Q0 -> P0, alpha tQ = beta
-    tP = lift_through_epi(coverB, coverA)   # tP: P0 -> Q0, beta tP = alpha
+    tQ = lift_through_epi(coverA, coverB)
+    tP = lift_through_epi(coverB, coverA)
     if tQ is None or tP is None:
         raise ModuleError("free cover failed to lift through an epimorphism")
-    lhsD, psi1, jK, jQ0 = _fibre_embedding(inclA, tQ, jP, jQ, rincl)
-    rhsD, psi2, jL, jP0 = _fibre_embedding(inclB, tP, jQ, jP, rincl)
-    if not psi1.is_iso() or not psi2.is_iso():
-        raise ModuleError("fibre-product comparison maps are not invertible")
-    inv2 = la.mat_inverse(f, psi2.matrix)
-    theta = ModuleMorphism(lhsD, rhsD, la.mat_mul(f, inv2, psi1.matrix))
-    return theta, (lhsD, jK, jQ0), (rhsD, jL, jP0)
+    lhsD, jK, jQ0 = direct_sum(inclA.source, coverB.source)
+    rhsD, jL, jP0 = direct_sum(inclB.source, coverA.source)
+    p = [a + b for a, b in zip(inclA.matrix, tQ.matrix)]
+    q = [[f.zero] * inclA.source.dim + row
+         for row in la.eye(f, coverB.source.dim)]
+    rest = [[f.sub(a, b) for a, b in zip(qr, tr)]
+            for qr, tr in zip(q, la.mat_mul(f, tP.matrix, p))]
+    cols = la.solve_linear(f, inclB.matrix, [[row[j] for row in rest]
+                                             for j in range(lhsD.dim)])
+    if None in cols:  # inclB is not the kernel of beta
+        raise ModuleError("vector escapes the fibre product")
+    theta = [[c[k] for c in cols] for k in range(inclB.source.dim)] + p
+    return (ModuleMorphism._derived(lhsD, rhsD, theta), (lhsD, jK, jQ0),
+            (rhsD, jL, jP0))
 
 
 def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
@@ -297,9 +281,9 @@ def _pad(cover, incl, j_kernel, j_free, twist, target):
     FQ, jF, _ = direct_sum(cover.source, j_free.source)
     aug = [a + b for a, b in
            zip(la.mat_mul(f, j_kernel.matrix, cover.matrix), j_free.matrix)]
-    return (ModuleMorphism(FQ, target, la.mat_mul(f, twist, aug)),
-            ModuleMorphism(incl.source, FQ,
-                           la.mat_mul(f, jF.matrix, incl.matrix)))
+    return (ModuleMorphism._derived(FQ, target, la.mat_mul(f, twist, aug)),
+            ModuleMorphism._derived(incl.source, FQ,
+                                    la.mat_mul(f, jF.matrix, incl.matrix)))
 
 
 def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):

@@ -21,7 +21,7 @@ from __future__ import annotations
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, _GradedSpace, nilradical
+from .gcore import GradedAlgebra, _GradedSpace, _Morphism, nilradical
 
 
 class ModuleError(ValueError):
@@ -39,13 +39,16 @@ class GradedModule(_GradedSpace):
     _degree_error = _unit_error = _associativity_error = ModuleError
 
     def __init__(self, algebra: GradedAlgebra, basis_degrees, action):
+        self._setup(algebra, basis_degrees, action)
+        self._check_module_axioms(algebra)
+
+    def _setup(self, algebra, basis_degrees, action):
         self.algebra = algebra
         self.group = algebra.group
         self.field = algebra.field
         self.basis_degrees = tuple(basis_degrees)
         self.dim = len(self.basis_degrees)
         self._set_tensor(action, algebra.dim)
-        self._check_module_axioms(algebra)
 
     def __eq__(self, other):
         return (isinstance(other, GradedModule)
@@ -62,29 +65,24 @@ class GradedModule(_GradedSpace):
 
 def regular_module(R: GradedAlgebra) -> GradedModule:
     """R as a module over itself."""
-    return GradedModule(R, R.basis_degrees, R.entries())
+    return GradedModule._derived(R, R.basis_degrees, R.entries())
 
 
-class ModuleMorphism:
+class ModuleMorphism(_Morphism):
     """Degree-preserving equivariant map between modules over the same
     algebra, as a matrix on basis coordinates."""
 
-    def __init__(self, source: GradedModule, target: GradedModule, matrix,
-                 check=True):
+    def __init__(self, source: GradedModule, target: GradedModule, matrix):
         if source.algebra != target.algebra:
             raise ModuleError("morphism between modules over different algebras")
-        self.source = source
-        self.target = target
-        f = target.field
-        self.matrix = [[f.of(x) for x in row] for row in matrix]
-        if len(self.matrix) != target.dim or any(
-                len(r) != source.dim for r in self.matrix):
-            raise ModuleError("morphism matrix has wrong shape")
-        if check:
-            self._check()
+        self._setup(source, target, matrix)
+        self._check()
 
     def _check(self):
         S, T = self.source, self.target
+        if len(self.matrix) != T.dim or any(
+                len(r) != S.dim for r in self.matrix):
+            raise ModuleError("morphism matrix has wrong shape")
         for k in range(T.dim):
             for j in range(S.dim):
                 if self.matrix[k][j] != 0 and (T.basis_degrees[k]
@@ -101,11 +99,6 @@ class ModuleMorphism:
 
     def __call__(self, v):
         return la.mat_vec_mul(self.target.field, self.matrix, v)
-
-    def compose(self, other: "ModuleMorphism") -> "ModuleMorphism":
-        """self o other."""
-        M = la.mat_mul(self.target.field, self.matrix, other.matrix)
-        return ModuleMorphism(other.source, self.target, M, check=False)
 
     def is_mono(self):
         return not la.kernel_basis(self.target.field, self.matrix,
@@ -124,7 +117,7 @@ class ModuleMorphism:
 
 
 def identity_module_morphism(M):
-    return ModuleMorphism(M, M, la.eye(M.field, M.dim), check=False)
+    return ModuleMorphism._derived(M, M, la.eye(M.field, M.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +126,8 @@ def identity_module_morphism(M):
 
 def shift(M: GradedModule, g) -> GradedModule:
     """The g-shift: component at h is the old component at g + h."""
-    return GradedModule(M.algebra, [d - g for d in M.basis_degrees],
-                        M.entries())
+    return GradedModule._derived(M.algebra, [d - g for d in M.basis_degrees],
+                                 M.entries())
 
 
 def _block_action(summands):
@@ -153,11 +146,11 @@ def direct_sum(M: GradedModule, N: GradedModule):
     if M.algebra != N.algebra:
         raise ModuleError("direct sum over different algebras")
     R, m = M.algebra, M.dim
-    D = GradedModule(R, M.basis_degrees + N.basis_degrees,
-                     _block_action([M, N]))
+    D = GradedModule._derived(R, M.basis_degrees + N.basis_degrees,
+                              _block_action([M, N]))
     eye = la.eye(M.field, D.dim)
-    return (D, ModuleMorphism(M, D, [r[:m] for r in eye], check=False),
-            ModuleMorphism(N, D, [r[m:] for r in eye], check=False))
+    return (D, ModuleMorphism._derived(M, D, [r[:m] for r in eye]),
+            ModuleMorphism._derived(N, D, [r[m:] for r in eye]))
 
 
 def _coord_entries(coords, k):
@@ -176,11 +169,9 @@ def _module_on_subspace(M: GradedModule, basis):
     coords = la.coords_in_basis(f, basis, [
         M.act_vec(la.unit_vector(f, R.dim, i), b)
         for i in range(R.dim) for b in basis])
-    if None in coords:
-        raise ModuleError("subspace is not closed under the action")
-    S = GradedModule(R, degrees, _coord_entries(coords, len(basis)))
+    S = GradedModule._derived(R, degrees, _coord_entries(coords, len(basis)))
     incl = [[basis[j][k] for j in range(len(basis))] for k in range(M.dim)]
-    return S, ModuleMorphism(S, M, incl, check=False)
+    return S, ModuleMorphism._derived(S, M, incl)
 
 
 def generated_submodule(M: GradedModule, gens):
@@ -213,14 +204,15 @@ def _quotient_module(M: GradedModule, sub):
     """(M/span(sub), projection from M) for a submodule given by its
     graded_span basis."""
     reps, proj, action = M.quotient(sub)
-    Q = GradedModule(M.algebra, [M.basis_degrees[j] for j in reps], action)
+    Q = GradedModule._derived(M.algebra, [M.basis_degrees[j] for j in reps],
+                              action)
     return Q, proj
 
 
 def cokernel(u: ModuleMorphism):
     """(cokernel module, projection from the target)."""
     C, proj = _quotient_module(u.target, _image_span(u))
-    return C, ModuleMorphism(u.target, C, proj, check=False)
+    return C, ModuleMorphism._derived(u.target, C, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +222,13 @@ def cokernel(u: ModuleMorphism):
 def coarsen_module(M: GradedModule, psi: GroupHom) -> GradedModule:
     from .gfunct import coarsen_algebra
     Rc = coarsen_algebra(M.algebra, psi)
-    return GradedModule(Rc, [psi(d) for d in M.basis_degrees], M.entries())
+    return GradedModule._derived(Rc, [psi(d) for d in M.basis_degrees],
+                                 M.entries())
 
 
 def coarsen_morphism(u: ModuleMorphism, psi: GroupHom) -> ModuleMorphism:
-    return ModuleMorphism(coarsen_module(u.source, psi),
-                          coarsen_module(u.target, psi), u.matrix)
+    return ModuleMorphism._derived(coarsen_module(u.source, psi),
+                                   coarsen_module(u.target, psi), u.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +288,8 @@ def graded_hom(M: GradedModule, N: GradedModule):
     coords = la.coords_in_basis(f, flat, [
         list(_flatten(la.mat_mul(f, B, F)))
         for B in map(N.action_matrix, range(R.dim)) for F in basis_mats])
-    if None in coords:
-        raise ModuleError("HOM basis not closed under the action")
-    H = GradedModule(R, basis_degs, _coord_entries(coords, len(basis_mats)))
+    H = GradedModule._derived(R, basis_degs,
+                              _coord_entries(coords, len(basis_mats)))
     return H, basis_mats
 
 
@@ -320,10 +312,11 @@ def tensor(M: GradedModule, N: GradedModule):
                 for k2, c in N._nz[i][k]:
                     rel[j * n + k2] = f.sub(rel[j * n + k2], c)
                 rels.append(rel)
-    V = GradedModule(R, [dm + dn for dm in M.basis_degrees
-                         for dn in N.basis_degrees],
-                     [(i, j * n + k, j2 * n + k, c)
-                      for i, j, j2, c in M.entries() for k in range(n)])
+    V = GradedModule._derived(R, [dm + dn for dm in M.basis_degrees
+                                  for dn in N.basis_degrees],
+                              [(i, j * n + k, j2 * n + k, c)
+                               for i, j, j2, c in M.entries()
+                               for k in range(n)])
     return _quotient_module(V, V.graded_span(rels))
 
 
@@ -362,7 +355,8 @@ def free_module(R: GradedAlgebra, gen_degrees):
     degrees = [di + d for d in gen_degrees for di in R.basis_degrees]
     blocks = [list(range(t * R.dim, (t + 1) * R.dim))
               for t in range(len(gen_degrees))]
-    F = GradedModule(R, degrees, _block_action([R] * len(gen_degrees)))
+    F = GradedModule._derived(R, degrees,
+                              _block_action([R] * len(gen_degrees)))
     return F, blocks
 
 
@@ -382,7 +376,7 @@ def free_cover_from_generators(M: GradedModule, gens):
         for j in range(R.dim):
             cols[blocks[t][j]] = M.act_vec(la.unit_vector(f, R.dim, j), g)
     matrix = [[cols[c][k] for c in range(F.dim)] for k in range(M.dim)]
-    return ModuleMorphism(F, M, matrix)
+    return ModuleMorphism._derived(F, M, matrix)
 
 
 class FreenessReport(Record):
@@ -442,8 +436,7 @@ def _iso_search(M: GradedModule, gen_degrees, seed=la.DEFAULT_SEED):
             if H.basis_degrees[t] == R.group.zero]
     if not deg0:
         return la.IntertwinerResult("proven_none", None, 0), F
-    particular = la.zeros(f, M.dim, M.dim)
-    res = la.invertible_intertwiner(f, particular, deg0, M.dim, seed=seed)
+    res = la.invertible_intertwiner(f, deg0, M.dim, seed=seed)
     return res, F
 
 
@@ -475,7 +468,7 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
     for degs in candidates:
         res, F = _iso_search(M, degs, seed=seed)
         if res.status == "found":
-            u = ModuleMorphism(F, M, res.matrix, check=False)
+            u = ModuleMorphism._derived(F, M, res.matrix)
             spec = FreeSpec.from_generator_degrees(degs)
             return FreenessReport(True, spec, len(degs),
                                   "isomorphism search", witness=u)

@@ -1,4 +1,5 @@
 import operator
+import sys
 import time
 from fractions import Fraction
 from itertools import permutations
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from gradex import exactla as la
+from gradex.samples import truncated_polynomial_algebra
 from support import assert_record
 
 
@@ -23,6 +25,10 @@ def conv(field, rows):
     return [[field.of(x) for x in row] for row in rows]
 
 
+def vec_add(field, u, v):
+    return [field.add(a, b) for a, b in zip(u, v)]
+
+
 @st.composite
 def systems(draw):
     """(field, A, rhs): A is n x m (m = 0 when n = 0), and rhs mixes
@@ -35,7 +41,7 @@ def systems(draw):
                                   min_size=n, max_size=n)))
     images = [la.mat_vec_mul(field, A, conv(field, [x])[0]) for x in draw(
         st.lists(st.lists(small, min_size=m, max_size=m), max_size=3))]
-    shifted = [la.vec_add(field, b, la.unit_vector(field, n, i))
+    shifted = [vec_add(field, b, la.unit_vector(field, n, i))
                for b in (images if n else [])
                for i in draw(st.lists(st.integers(0, n - 1), max_size=2))]
     other = conv(field, draw(st.lists(st.lists(small, min_size=n, max_size=n),
@@ -110,6 +116,25 @@ class TestFields:
     def test_zero_inverse_rejected(self):
         with pytest.raises(ZeroDivisionError):
             la.QQ.inv(Fraction(0))
+
+    def test_inverse_converts_nothing(self, monkeypatch):
+        # every caller hands inv a field value: building K[x]/(x^32)
+        # inverts the pivots of many eliminations, with no of() among them
+        of_callers, inverted = [], []
+        of, inv = la.ScalarField.of, la.ScalarField.inv
+
+        def counted_of(self, x):
+            of_callers.append(sys._getframe(1).f_code.co_name)
+            return of(self, x)
+
+        def counted_inv(self, a):
+            inverted.append(a)
+            return inv(self, a)
+        monkeypatch.setattr(la.ScalarField, "of", counted_of)
+        monkeypatch.setattr(la.ScalarField, "inv", counted_inv)
+        truncated_polynomial_algebra(la.QQ, 32)
+        assert inverted and of_callers
+        assert "inv" not in of_callers
 
 
 # small denominators meet often (equal denominators, a numerator equal
@@ -309,7 +334,7 @@ class TestLinearAlgebra:
         c, = la.coords_in_basis(f, basis, [[f.of(5), f.of(7)]])
         total = [f.zero, f.zero]
         for ci, b in zip(c, basis):
-            total = la.vec_add(f, total, [f.mul(ci, a) for a in b])
+            total = vec_add(f, total, [f.mul(ci, a) for a in b])
         assert total == [f.of(5), f.of(7)]
 
 
@@ -431,40 +456,35 @@ class TestZeroSkippingAgainstDense:
 class TestIntertwiner:
     def test_found_over_finite_field(self):
         f = la.GF(2)
-        particular = la.zeros(f, 2, 2)
         basis = [la.eye(f, 2), [[0, 1], [1, 0]]]
-        res = la.invertible_intertwiner(f, particular, basis, 2)
+        res = la.invertible_intertwiner(f, basis, 2)
         assert res.status == "found"
         assert la.det(f, res.matrix) != 0
 
     def test_proven_none_exhaustive(self):
         f = la.GF(3)
-        particular = la.zeros(f, 2, 2)
         basis = [[[1, 0], [0, 0]]]  # rank never exceeds 1
-        res = la.invertible_intertwiner(f, particular, basis, 2)
+        res = la.invertible_intertwiner(f, basis, 2)
         assert res.status == "proven_none"
 
     def test_proven_none_rational_grid(self):
         f = la.QQ
-        particular = la.zeros(f, 2, 2)
         basis = [conv(f, [[1, 0], [0, 0]]), conv(f, [[0, 1], [0, 0]])]
-        res = la.invertible_intertwiner(f, particular, basis, 2)
+        res = la.invertible_intertwiner(f, basis, 2)
         assert res.status == "proven_none"
 
     def test_proven_none_by_grid_over_large_field(self):
         # 65537 points per parameter are too many to try; det(t E_00)
         # has degree <= 2 in t, so the grid {0, 1, 2} decides
         f = la.GF(65537)
-        res = la.invertible_intertwiner(f, la.zeros(f, 2, 2),
-                                        [[[1, 0], [0, 0]]], 2)
+        res = la.invertible_intertwiner(f, [[[1, 0], [0, 0]]], 2)
         assert res.status == "proven_none" and res.samples_used == 3
 
     def test_rational_found_deterministic(self):
         f = la.QQ
-        particular = conv(f, [[1, 0], [0, 0]])
-        basis = [conv(f, [[0, 0], [0, 1]])]
-        r1 = la.invertible_intertwiner(f, particular, basis, 2)
-        r2 = la.invertible_intertwiner(f, particular, basis, 2)
+        basis = [conv(f, [[1, 0], [0, 0]]), conv(f, [[0, 0], [0, 1]])]
+        r1 = la.invertible_intertwiner(f, basis, 2)
+        r2 = la.invertible_intertwiner(f, basis, 2)
         assert r1.status == "found" and r1.matrix == r2.matrix
 
 

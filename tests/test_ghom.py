@@ -158,7 +158,7 @@ class TestLifts:
             assert (t is None) == (reference_lift(p, v) is None)
             answers.add(t is None)
             if t is not None:
-                gm.ModuleMorphism(t.source, t.target, t.matrix, check=True)
+                gm.ModuleMorphism(t.source, t.target, t.matrix)
                 assert p.compose(t).matrix == v.matrix
         assert answers == {True, False}  # split and non-split covers
 
