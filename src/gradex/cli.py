@@ -690,7 +690,20 @@ def run(argv):
 
 
 def main():
-    sys.exit(run(sys.argv[1:]))
+    """The console entry: run, flush, then end the process with no
+    interpreter teardown and no atexit hooks.  A failed stdout flush
+    (a closed pipe) is a validation error like one inside run."""
+    code = run(sys.argv[1:])
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError as e:
+            print(json.dumps({"error": str(e), "kind": "validation"}),
+                  file=sys.stderr)
+            code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

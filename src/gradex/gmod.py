@@ -176,7 +176,8 @@ def _module_on_subspace(M: GradedModule, basis):
 
 def generated_submodule(M: GradedModule, gens):
     """Graded submodule generated by the given vectors; returns
-    (module, inclusion)."""
+    (module, inclusion).  Coordinates are made field values first."""
+    gens = [[M.field.of(c) for c in v] for v in gens]
     return _module_on_subspace(M, M.submodule_span(gens))
 
 

@@ -57,6 +57,24 @@ class TestConstruction:
         assert i1.is_mono() and i2.is_mono()
 
 
+class TestGeneratedSubmodule:
+    # generator coordinates are made field values where they enter
+    def test_coordinate_reduced_to_zero_over_f2(self):
+        sub, incl = ideal_module(S.dual_numbers(GF(2)), [0, 2])
+        assert sub.dim == 0 and incl.matrix == [[], []]
+
+    def test_coordinate_reduced_mod_3(self):
+        R = S.dual_numbers(GF(3))
+        sub4, incl4 = ideal_module(R, [0, 4])
+        sub1, incl1 = ideal_module(R, [0, 1])
+        assert sub4 == sub1 and incl4.matrix == incl1.matrix == [[0], [1]]
+        assert sub4.basis_degrees == (Z(1).element((1,)),)
+
+    def test_float_rejected(self):
+        with pytest.raises(la.FieldError):
+            ideal_module(S.dual_numbers(GF(2)), [0, 1.0])
+
+
 class TestKernelImageCokernel:
     def test_quotient_by_x(self):
         R = S.dual_numbers()

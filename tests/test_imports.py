@@ -1,14 +1,16 @@
 """What ``import gradex.cli`` loads into a fresh interpreter.
 
 Every CLI call is one process, so every module the import pulls in is
-paid for by every document.  These tests read ``sys.modules``, never a
-clock."""
+paid for by every document.  These tests read ``sys.modules`` and the
+``atexit`` registry, never a clock."""
 
 import json
 import os
 import pathlib
 import subprocess
 import sys
+
+from test_cli import RING_QX2
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -40,3 +42,23 @@ def test_cli_import_loads_only_gradex_and_the_standard_library():
                if name != "gradex" and not name.startswith("gradex.")
                and name.split(".")[0] not in sys.stdlib_module_names}
     assert outside == set()
+
+
+ATEXIT_PROBE = """
+import atexit, json, sys
+before = atexit._ncallbacks()
+import gradex.cli
+code = gradex.cli.run(sys.argv[1:])
+print(json.dumps([before, atexit._ncallbacks(), code]))
+"""
+
+
+def test_cli_registers_no_atexit_hook():
+    # the console entry ends with os._exit, which runs no atexit hook: an
+    # import or a run that registered one would lose it silently
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-c", ATEXIT_PROBE, "classify",
+                          json.dumps(RING_QX2)], env=env,
+                         capture_output=True, text=True, check=True)
+    before, after, code = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0 and after == before
