@@ -663,14 +663,25 @@ def _env_seed():
                               f"{text!r}") from None
 
 
+def _fail(code, **error):
+    """Print the error as one JSON line on stderr and return code.  A
+    stderr that cannot take the line (a pipe whose reader has gone, or
+    a closed descriptor: then sys.stderr is None, and print would write
+    to stdout) leaves the code as it is."""
+    if sys.stderr is not None:
+        try:
+            print(json.dumps(error), file=sys.stderr)
+        except OSError:
+            pass
+    return code
+
+
 def run(argv):
     if not argv or argv[0] in ("-h", "--help"):
         _build_parser().print_help()
         return 0
     if argv[0] not in DISPATCH:
-        print(json.dumps({"error": f"unknown subcommand {argv[0]!r}"}),
-              file=sys.stderr)
-        return 1
+        return _fail(1, error=f"unknown subcommand {argv[0]!r}")
     try:
         parser = _build_parser(argv[0], _env_seed())
         try:
@@ -679,14 +690,10 @@ def run(argv):
             return 2 if e.code not in (0, None) else 0
         return DISPATCH[args.command](args) or 0
     except SizeGuardExceeded as e:
-        print(json.dumps({"error": str(e), "kind": "size-guard"}),
-              file=sys.stderr)
-        return 3
+        return _fail(3, error=str(e), kind="size-guard")
     except (ValidationError, json.JSONDecodeError, OSError,
             GroupError, AlgebraError, gm.ModuleError, gf.FunctorError) as e:
-        print(json.dumps({"error": str(e), "kind": "validation"}),
-              file=sys.stderr)
-        return 2
+        return _fail(2, error=str(e), kind="validation")
 
 
 def main():
@@ -698,11 +705,12 @@ def main():
         try:
             sys.stdout.flush()
         except OSError as e:
-            print(json.dumps({"error": str(e), "kind": "validation"}),
-                  file=sys.stderr)
-            code = 2
+            code = _fail(2, error=str(e), kind="validation")
     if sys.stderr is not None:
-        sys.stderr.flush()
+        try:
+            sys.stderr.flush()
+        except OSError:
+            pass
     os._exit(code)
 
 

@@ -296,21 +296,23 @@ class _GradedSpace(_Derivable):
         """graded_span of the graded submodule generated by the vectors:
         their graded span, closed under the action of the acting
         algebra's basis vectors x_i (those with i in ``acting``, if
-        given).  Each round acts only on the vectors the last round
-        added, and the span is brought to its canonical basis once, at
-        the end."""
+        given).  Each round acts only on a basis of what the last round
+        added modulo the span before it: the rows of one rref of the
+        span and the products whose pivots are new.  The span is brought
+        to its canonical basis once, at the end."""
         f, r = self.field, len(self._nz)
         acting = range(r) if acting is None else acting
         basis = spanning = new = self.graded_span(gens)
+        pivots = {next(j for j, c in enumerate(v) if c != 0) for v in basis}
         while True:
             products = [self.act_vec(la.unit_vector(f, r, i), b)
                         for b in new for i in acting]
-            new = [w for w, c in zip(products, la.coords_in_basis(
-                f, spanning, products)) if c is None]
-            if not new:
+            rows, lead = la.rref(f, spanning + products)
+            if len(lead) == len(spanning):
                 return basis if spanning is basis else \
                     self.graded_span(spanning)
-            spanning = spanning + new
+            new = [v for v, p in zip(rows, lead) if p not in pivots]
+            spanning, pivots = rows[:len(lead)], set(lead)
 
     def quotient(self, sub):
         """The quotient by a subspace closed under the action, given its
@@ -460,24 +462,10 @@ class AlgebraElement(Record, frozen=True):
         sup = self.support_degrees()
         return sup == [] or sup == [g]
 
-    def homogeneous_components(self):
-        """Map degree -> homogeneous part."""
-        R = self.parent
-        return {g: R.element(v)
-                for g, v in R.homogeneous_components(self.coords).items()}
-
     def __add__(self, other):
         R = self.parent
         return R.element([R.field.add(a, b)
                           for a, b in zip(self.coords, other.coords)])
-
-    def __sub__(self, other):
-        R = self.parent
-        return R.element([R.field.sub(a, b)
-                          for a, b in zip(self.coords, other.coords)])
-
-    def __neg__(self):
-        return self.parent.element([self.parent.field.neg(a) for a in self.coords])
 
     def __mul__(self, other):
         R = self.parent
@@ -1042,36 +1030,11 @@ class MonoidAlgebraElement(Record, frozen=True):
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "terms", dict(terms))
 
-    @property
-    def is_zero(self):
-        return not self.terms
-
     def __add__(self, other):
         out = dict(self.terms)
         for m, r in other.terms.items():
             out[m] = out[m] + r if m in out else r
         return self.parent.element(out)
-
-    def __mul__(self, other):
-        out = {}
-        for m, r in self.terms.items():
-            for n, s in other.terms.items():
-                key = tuple(a + b for a, b in zip(m, n))
-                prod = r * s
-                out[key] = out[key] + prod if key in out else prod
-        return self.parent.element(out)
-
-    def degree_support(self):
-        """Degrees of the homogeneous pieces (computed lazily per element)."""
-        degs = set()
-        for m, r in self.terms.items():
-            for g in r.homogeneous_components():
-                degs.add(self.parent.monomial_degree(m, g))
-        return sorted(degs, key=lambda g: g.coords)
-
-    @property
-    def is_homogeneous(self):
-        return len(self.degree_support()) <= 1
 
     def __repr__(self):
         return f"MAElt({self.terms})"

@@ -3,19 +3,19 @@ graded duals, projective / injective / flat tests, free resolutions and
 betti tables, the explicit Schanuel isomorphism, and dimension reports
 that survive coarsening.
 
-One syzygy walk (``_syzygies``: cover K_n, step to its kernel K_{n+1})
-is the only cover-to-kernel loop.  Resolutions take its first steps,
-and dimensions and betti tables are read off it: the projective
-dimension is the first n whose cover splits.  For the finitely
-generated modules here flat equals projective, so the flat dimension
-is the same number; the injective dimension is the projective
-dimension of the dual.  ``oracles.injective_dimension_direct`` keeps
-its own cokernel walk as an independent cross-check.
+``resolution`` holds the only cover-to-kernel loop (cover K_n, step to
+its kernel K_{n+1}); betti tables are read off it.  Dimensions are
+decided by theorem, with one split test each: every algebra here is
+finite-dimensional and commutative, hence artinian, and over such a
+ring a finitely generated module of finite projective or injective
+dimension has dimension 0 (Auslander-Buchsbaum; Bass).  So a dimension
+is 0 when the module (or its dual, for the injective one) is
+projective, and infinite otherwise; a report's ``">=N"`` is a proven
+bound.  ``oracles.injective_dimension_direct`` keeps a cokernel walk as
+an independent cross-check.
 """
 
 from __future__ import annotations
-
-from itertools import islice
 
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
@@ -185,35 +185,19 @@ def _check_cutoff(cutoff):
         raise ModuleError(f"cutoff {cutoff} outside the range 0..32")
 
 
-def _syzygies(M: GradedModule, minimal):
-    """The syzygy walk: yields (p_n: F_n ->> K_n, incl_n: K_{n+1} -> F_n)
-    with K_0 = M, while K_n is nonzero.  The covers are minimal, or
-    spanned by every basis vector of K_n."""
-    K = M
-    while K.dim:
+def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
+    """The first cutoff + 1 steps (p_n: F_n ->> K_n, incl_n: K_{n+1} ->
+    F_n) with K_0 = M, fewer when a kernel is zero.  The covers are
+    minimal, or spanned by every basis vector of K_n."""
+    _check_cutoff(cutoff)
+    covers, incls, K = [], [], M
+    while K.dim and len(covers) <= cutoff:
         p = (minimal_cover(K) if minimal else
              free_cover_from_generators(K, la.eye(K.field, K.dim)))
         K, incl = kernel(p)
-        yield p, incl
-
-
-def _first_split(covers, M: GradedModule):
-    """The first n whose cover F_n ->> K_n splits, i.e. the first
-    projective syzygy: 0 for M = 0, None when no listed cover splits.
-    By Schanuel's lemma it is the same n for every projective
-    resolution of M."""
-    if M.dim == 0:
-        return 0
-    return next((n for n, p in enumerate(covers) if _splits(p)), None)
-
-
-def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
-    _check_cutoff(cutoff)
-    steps = list(islice(_syzygies(M, minimal), cutoff + 1))
-    covers = [p for p, _ in steps]
-    incls = [incl for _, incl in steps]
-    terminated = not incls or incls[-1].source.dim == 0
-    return FreeResolution(M, covers, incls, cutoff, minimal, terminated)
+        covers.append(p)
+        incls.append(incl)
+    return FreeResolution(M, covers, incls, cutoff, minimal, K.dim == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +294,7 @@ def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):
 
 class DimensionReport(Record):
     _fields = ("kind",    # "projective" | "injective" | "flat"
-               "value",   # None encodes the lower bound ">= cutoff"
+               "value",   # 0, or None: infinite, displayed ">= cutoff"
                "cutoff")
 
     @property
@@ -318,25 +302,21 @@ class DimensionReport(Record):
         return str(self.value) if self.value is not None else \
             f">={self.cutoff}"
 
-    def __eq__(self, other):
-        return (isinstance(other, DimensionReport)
-                and self.kind == other.kind and self.value == other.value
-                and self.cutoff == other.cutoff)
-
 
 def dimension(M: GradedModule, kind="projective", cutoff=8) -> DimensionReport:
-    """The first n <= cutoff whose syzygy K_n is projective, scanned
-    lazily along the one syzygy walk; it stops at the first split, so a
-    projective module that is not free (over K x K, say) costs one step
-    although its resolution never terminates.  Flat dimension is the
-    same number (see is_flat); injective dimension is the projective
-    dimension of the dual."""
+    """0 when M is projective (M's dual for ``injective``), else None:
+    the dimension is infinite.  The ring is commutative and artinian, so
+    a finite projective dimension is 0 (Auslander-Buchsbaum, Trans. AMS
+    85, 1957) and so is a finite injective dimension (Bass, Math. Z. 82,
+    1963).  A graded module is graded-projective iff it is projective
+    (Nastasescu-Van Oystaeyen, LNM 1836), so one graded split test
+    decides; for finitely generated modules flat is projective.  The
+    cutoff only sets the N of the displayed bound ">=N"."""
     if kind not in ("projective", "flat", "injective"):
         raise ModuleError(f"unknown dimension kind {kind!r}")
     _check_cutoff(cutoff)
     N = dual(M) if kind == "injective" else M
-    covers = (p for p, _ in islice(_syzygies(N, True), cutoff + 1))
-    return DimensionReport(kind, _first_split(covers, N), cutoff)
+    return DimensionReport(kind, 0 if is_projective(N) else None, cutoff)
 
 
 def _agreement(fine: DimensionReport, coarse: DimensionReport):
@@ -352,8 +332,10 @@ def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
         raise ModuleError("dimension comparison needs an epimorphism")
     Mc = coarsen_module(M, psi)
     res, resc = resolution(M, cutoff), resolution(Mc, cutoff)
-    # flat dimension is projective dimension (see is_flat)
-    pd = [DimensionReport("projective", _first_split(r.covers, r.target),
+    # pd by the split of the cover each resolution has built (see
+    # dimension); flat dimension is projective dimension (see is_flat)
+    pd = [DimensionReport("projective",
+                          0 if not r.covers or _splits(r.covers[0]) else None,
                           cutoff) for r in (res, resc)]
     report = {"projective": _agreement(*pd), "flat": _agreement(*pd)}
     _, _, _, finite, _ = kernel_data(psi)

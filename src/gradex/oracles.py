@@ -288,10 +288,10 @@ def oracle_small_submodule(u: ModuleMorphism, mode: str):
 # ---------------------------------------------------------------------------
 
 def injective_dimension_direct(M: GradedModule, cutoff=8) -> DimensionReport:
-    """Cross-check of ``ghom.dimension(M, "injective")``, which resolves
-    dual(M): here the injective resolution is built directly, embedding
-    each cosyzygy into the dual of a free module and stepping to the
-    cokernel."""
+    """Cross-check of ``ghom.dimension(M, "injective")``, which decides
+    by one split test of dual(M)'s cover: here the injective resolution
+    is walked directly, embedding each cosyzygy into the dual of a free
+    module and stepping to the cokernel, up to cutoff steps."""
     K = M
     for n in range(cutoff + 1):
         if is_injective(K):

@@ -48,8 +48,9 @@ def docs(tmp_path_factory):
 
 def gradex(argv, env, **kw):
     kw.setdefault("stdout", subprocess.PIPE)
+    kw.setdefault("stderr", subprocess.PIPE)
     return subprocess.run([sys.executable, "-m", "gradex.cli", *argv],
-                          env=env, stderr=subprocess.PIPE, timeout=60, **kw)
+                          env=env, timeout=60, **kw)
 
 
 def in_process(argv, capsys):
@@ -58,12 +59,13 @@ def in_process(argv, capsys):
     return code, out.encode(), err.encode()
 
 
-def into_closed_pipe(argv, env):
-    """Run with stdout a pipe whose read end is already closed."""
+def into_closed_pipe(argv, env, stream="stdout", **kw):
+    """Run with stdout (or stderr) a pipe whose read end is already
+    closed."""
     r, w = os.pipe()
     os.close(r)
     try:
-        return gradex(argv, env, stdout=w)
+        return gradex(argv, env, **{stream: w}, **kw)
     finally:
         os.close(w)
 
@@ -102,16 +104,33 @@ def test_large_report_arrives_whole_through_a_pipe(docs, env, capsys):
     assert len(out) > 64 * 1024 and proc.stdout == out
 
 
-@pytest.mark.parametrize("argv, code, kind", [
+FAILURES = [
     (["frobnicate", "x.json"], 1, None),
     (["classify", "broken.json"], 2, "validation"),
     (["spec", "f5x2.json"], 3, "size-guard"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, code, kind", FAILURES)
 def test_failures_print_one_json_line(argv, code, kind, docs, env):
     proc = gradex(argv, env, cwd=docs)
     assert proc.returncode == code and proc.stdout == b""
     err = one_json_line(proc.stderr)
     assert err.get("kind") == kind and err["error"]
+
+
+@pytest.mark.parametrize("closed", ["pipe", "descriptor"])
+@pytest.mark.parametrize("argv, code, kind", FAILURES)
+def test_failure_code_survives_a_closed_stderr(argv, code, kind, closed,
+                                               docs, env):
+    # the JSON error line has nowhere to go; the exit code stays, and
+    # with fd 2 closed the line does not land on stdout instead
+    if closed == "pipe":
+        proc = into_closed_pipe(argv, env, stream="stderr", cwd=docs)
+    else:
+        proc = gradex(argv, env, cwd=docs, stderr=None,
+                      preexec_fn=lambda: os.close(2))
+    assert proc.returncode == code and proc.stdout == b""
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["classify", "--help"]],

@@ -284,6 +284,20 @@ class TestSpectra:
         primes = gc.spec_enumerate(S.product_field_algebra())
         assert len(primes) == 2
 
+    def test_spec_acts_on_a_basis_of_each_new_span(self, monkeypatch):
+        # coarse F2[Z/6]: acting on every product that missed the span,
+        # submodule_span made 262k act_vec calls; acting on a basis of
+        # the new span modulo the old it makes about 98k
+        R = coarsen(S.group_algebra(2, 6), S.psi_Zmod_to_zero(6))
+        calls, act_vec = [0], gc._GradedSpace.act_vec
+
+        def counted(self, x, v):
+            calls[0] += 1
+            return act_vec(self, x, v)
+        monkeypatch.setattr(gc._GradedSpace, "act_vec", counted)
+        assert len(gc.spec_enumerate(R)) == 2
+        assert calls[0] <= 149_000
+
     def test_nil_is_intersection_of_spec(self):
         for R in S.finite_corpus():
             if R.field.p > 3 or R.dim > 4:

@@ -45,6 +45,22 @@ def quotient_by_x2_of_x3():
     return gm.cokernel(incl)[0]
 
 
+def cyclic_quotients(R):
+    """The regular module of R, each R/(b_i) for a basis vector b_i of R
+    (R/(x^k) over K[x]/(x^n)), and the first syzygy of each nonzero
+    one."""
+    M = gm.regular_module(R)
+    out = [M]
+    for i in range(R.dim):
+        _, incl = gm.generated_submodule(M, [la.unit_vector(R.field, R.dim,
+                                                            i)])
+        Q = gm.cokernel(incl)[0]
+        out.append(Q)
+        if Q.dim:
+            out.append(gm.kernel(gh.minimal_cover(Q))[0])
+    return out
+
+
 def reference_dimension(M, kind, cutoff):
     """Step with kernel(minimal_cover(K)) and stop at the first
     projective K; injective through the dual."""
@@ -274,15 +290,40 @@ class TestSchanuel:
 class TestDimensions:
     @pytest.mark.parametrize("kind", ["projective", "injective", "flat"])
     def test_matches_reference_walk(self, kind):
+        # K x K has projective modules that are not free; the group
+        # algebras F2[Z/2] and F3[Z/2] are graded fields
         R = S.product_field_algebra()
         modules = sample_modules() + [
             gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[0]]])),
             quotient_by_x(S.truncated_polynomial_algebra(QQ, 3))[0]]
+        for R in (S.truncated_polynomial_algebra(GF(2), 3),
+                  S.truncated_polynomial_algebra(GF(3), 3),
+                  S.truncated_polynomial_algebra(QQ, 4), S.dual_numbers(),
+                  S.product_field_algebra(GF(3)),
+                  S.product_field_algebra(QQ), S.group_algebra(2, 2),
+                  S.group_algebra(3, 2)):
+            modules += cyclic_quotients(R)
         for M in modules:
-            for cutoff in range(4):
+            for cutoff in range(5):
                 rep = gh.dimension(M, kind, cutoff)
                 assert rep.value == reference_dimension(M, kind, cutoff), \
                     (M, cutoff)
+                if kind == "injective":
+                    direct = orc.injective_dimension_direct(M, cutoff)
+                    assert rep.value == direct.value, (M, cutoff)
+
+    @pytest.mark.parametrize("kind", ["projective", "injective", "flat"])
+    def test_one_split_test_decides(self, kind, monkeypatch):
+        calls, minimal_cover = [], gh.minimal_cover
+
+        def counted(M):
+            calls.append(M)
+            return minimal_cover(M)
+        monkeypatch.setattr(gh, "minimal_cover", counted)
+        K, _ = quotient_by_x(S.truncated_polynomial_algebra(QQ, 3))
+        rep = gh.dimension(K, kind, 8)
+        assert rep.value is None and rep.display == ">=8"
+        assert len(calls) == 1
 
     def test_free_module_dimension_zero(self):
         R = S.dual_numbers()
@@ -299,7 +340,7 @@ class TestDimensions:
             assert rep.value is None
             assert rep.display == ">=3"
 
-    def test_finite_positive_dimension(self):
+    def test_projective_not_free_has_dimension_zero(self):
         # over K x K every module is projective: dimension 0 throughout
         R = S.product_field_algebra()
         M = gm.GradedModule(R, [Z(1).zero], entries([[[1]], [[0]]]))
