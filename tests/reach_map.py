@@ -19,11 +19,11 @@ exit code is pytest's.
 import os
 import pathlib
 import sys
+from inspect import CO_NEWLOCALS  # set on functions, not on class bodies
 
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-CO_NEWLOCALS = 0x2  # set on functions, not on module or class bodies
 
 
 def defined_functions():
