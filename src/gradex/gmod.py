@@ -244,22 +244,26 @@ def _hom_equations(M: GradedModule, N: GradedModule, g):
     """The linear maps F: M -> N shifting degrees by g, as unknowns: the
     slots (k, j) with deg N_k = deg M_j + g, and the nonzero rows of the
     equivariance equations F A_i = B_i F (A_i, B_i the actions of x_i
-    on M and N) in those unknowns; zero rows leave the solution space
-    (and the canonical rref) alone."""
+    on M and N) for x_i in a generating set of R.  They imply the rows
+    for every x_i, so the row space and its canonical rref are the same."""
     R, f = M.algebra, M.field
     slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
              if N.basis_degrees[k] == M.basis_degrees[j] + g]
+    by_k = [[] for _ in range(N.dim)]   # k -> [(s, t)] for slots (k, t)
+    by_j = [[] for _ in range(M.dim)]   # j -> [(s, t)] for slots (t, j)
+    for s, (k, j) in enumerate(slots):
+        by_k[k].append((s, j))
+        by_j[j].append((s, k))
     rows = []
-    for i in range(R.dim):
+    for i in R._generators:
         A, B = M.action_matrix(i), N.action_matrix(i)
         for k in range(N.dim):
             for j in range(M.dim):
                 row = [f.zero] * len(slots)
-                for s, (k2, j2) in enumerate(slots):
-                    if k2 == k:
-                        row[s] = f.add(row[s], A[j2][j])
-                    if j2 == j:
-                        row[s] = f.sub(row[s], B[k][k2])
+                for s, t in by_k[k]:
+                    row[s] = A[t][j]
+                for s, t in by_j[j]:
+                    row[s] = f.sub(row[s], B[k][t])
                 if any(row):
                     rows.append(row)
     return slots, rows

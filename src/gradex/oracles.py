@@ -3,12 +3,13 @@
 Everything here recomputes answers by direct enumeration and explicit
 multiplication, sharing only scalar arithmetic with the main code
 paths, so that criterion-based shortcuts elsewhere can be diffed
-against ground truth on finite-field samples.  Every candidate is still
-enumerated and tested; the conditions it is tested against (the
-nonzero structure constants, the equivariance forms) are written down
-once per call, before the enumeration.  The injective dimension is the
-exception: it is recomputed by a second route through the module
-constructions, not by enumeration.
+against ground truth on finite-field samples.  The conditions a
+candidate is tested against (the nonzero structure constants, the
+equivariance forms) are written down once per call, and no candidate
+is tested once its answer is known: the ring flags stop multiplying
+once decided, and the morphism search never extends a partial matrix
+that breaks a form.  The injective dimension is recomputed by a second
+route through the module constructions instead.
 """
 
 from __future__ import annotations
@@ -79,35 +80,11 @@ def _span_contains(f, rows, v):
 # element classification by direct search
 # ---------------------------------------------------------------------------
 
-def _element_row(p, consts, elements, one, x):
-    """unit / regular / nilpotent flags of x, from its product with
-    every element and from its powers."""
-    zero = [0] * len(x)
-    products = [_mul_vec(p, consts, x, y) for y in elements]
-    unit = not x or one in products
-    regular = not x or all(q != zero for q, y in zip(products, elements)
-                           if y != zero)
-    power = x
-    for _ in range(max(len(x), 1)):
-        if power == zero:
-            break
-        power = _mul_vec(p, consts, power, x)
-    return {"element": tuple(x), "unit": unit, "regular": regular,
-            "nilpotent": power == zero}
-
-
-def exhaustive_classify(R: GradedAlgebra):
-    """Tables of unit / regular / nilpotent flags for every element of a
-    finite algebra, by direct multiplication only."""
-    elements = list(_all_vectors(R.field, R.dim))
-    consts, one = R.entries(), list(R.unit)
-    return [_element_row(R.field.p, consts, elements, one, x)
-            for x in elements]
-
-
 def oracle_ring_class(R: GradedAlgebra):
-    """simple / entire / reduced flags from the rows of the nonzero
-    homogeneous elements, each multiplied by every element of R."""
+    """simple / entire / reduced flags from the nonzero homogeneous
+    elements x: one row of products of x by every element of R while
+    simple or entire is undecided (is x a unit, is x regular), then the
+    powers of x while reduced is (is x nilpotent)."""
     f = R.field
     components = [[i for i in range(R.dim) if R.basis_degrees[i] == g]
                   for g in R.degrees()]
@@ -116,19 +93,29 @@ def oracle_ring_class(R: GradedAlgebra):
         raise SizeGuardExceeded("ring oracle needs more than 2^20 "
                                 "element products")
     elements = list(_all_vectors(f, R.dim))
-    consts, one = R.entries(), list(R.unit)
+    consts, one, zero = R.entries(), list(R.unit), [0] * R.dim
     simple = entire = reduced = True
     for idx in components:
         for vals in product(f.elements(), repeat=len(idx)):
+            if not (simple or entire or reduced):
+                break
             if not any(vals):
                 continue
             x = [0] * R.dim
             for i, v in zip(idx, vals):
                 x[i] = v
-            row = _element_row(f.p, consts, elements, one, x)
-            simple = simple and row["unit"]
-            entire = entire and row["regular"]
-            reduced = reduced and not row["nilpotent"]
+            if simple or entire:
+                products = [_mul_vec(f.p, consts, x, y) for y in elements]
+                simple = simple and one in products
+                entire = entire and all(q != zero for q, y in
+                                        zip(products, elements) if y != zero)
+            if reduced:
+                power = x
+                for _ in range(R.dim):
+                    if power == zero:
+                        break
+                    power = _mul_vec(f.p, consts, power, x)
+                reduced = power != zero
     return {"simple": simple, "entire": entire, "reduced": reduced}
 
 
@@ -195,9 +182,9 @@ def enumerate_graded_substructures(M: GradedModule):
 
 def enumerate_morphisms(M: GradedModule, N: GradedModule):
     """All degree-preserving equivariant maps M -> N over a finite
-    field: every candidate matrix is kept exactly when it satisfies
-    u(x_i . v_j) = x_i . u(v_j), written once as one linear form in the
-    slot values per (i, j, k)."""
+    field, by a depth-first search over the slot values: u(x_i . v_j) =
+    x_i . u(v_j) is one linear form per (i, j, k), tested as soon as its
+    last slot has a value, and a prefix that breaks one is not extended."""
     f = M.field
     slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
              if N.basis_degrees[k] == M.basis_degrees[j]]
@@ -215,17 +202,24 @@ def enumerate_morphisms(M: GradedModule, N: GradedModule):
             if (t, j) in slot:
                 form = coeffs.setdefault((i, j, k), {})
                 form[slot[t, j]] = form.get(slot[t, j], 0) - b
-    forms = [[(s, c % f.p) for s, c in sorted(coeffs[ijk].items())
-              if c % f.p] for ijk in sorted(coeffs)]
-    forms = [form for form in forms if form]
-    out = []
-    for vals in product(f.elements(), repeat=len(slots)):
-        if all(sum(c * vals[s] for s, c in form) % f.p == 0
-               for form in forms):
-            mat = [[f.zero] * M.dim for _ in range(N.dim)]
-            for (k, j), v in zip(slots, vals):
-                mat[k][j] = v
+    closing = [[] for _ in slots]   # d -> the forms whose last slot is d
+    for form in coeffs.values():
+        form = [(s, c % f.p) for s, c in sorted(form.items()) if c % f.p]
+        if form:
+            closing[form[-1][0]].append([(*slots[s], c) for s, c in form])
+    mat, out = [[f.zero] * M.dim for _ in range(N.dim)], []
+
+    def extend(d):   # the slots before d hold a prefix that breaks no form
+        if d == len(slots):
             out.append(tuple(tuple(r) for r in mat))
+            return
+        k, j = slots[d]
+        for v in f.elements():
+            mat[k][j] = v
+            if all(sum(c * mat[a][b] for a, b, c in form) % f.p == 0
+                   for form in closing[d]):
+                extend(d + 1)
+    extend(0)
     return sorted(out)
 
 

@@ -1,7 +1,7 @@
 """Helpers shared by the test modules: the record-behaviour check, dense
 tensor literals and views of structure constants, and cross-checks that
 only the tests run (duality, Lambek, the currying adjunction,
-intersections of ideals)."""
+intersections of ideals, the element tables of a finite algebra)."""
 
 import pytest
 
@@ -9,6 +9,7 @@ import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.ghom as gh
 import gradex.gmod as gm
+import gradex.oracles as orc
 
 
 def assert_record(a, b, c, fields, other, frozen, hashable_fields=True):
@@ -167,3 +168,30 @@ def _intersect_subspaces(f, B1, B2):
     B = [row[:k] for row in A]
     return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
                              for c in la.kernel_basis(f, A, k + len(B2))])
+
+
+# ---------------------------------------------------------------------------
+# element tables
+# ---------------------------------------------------------------------------
+
+def exhaustive_classify(R):
+    """Tables of unit / regular / nilpotent flags for every element of a
+    finite algebra, by direct multiplication only: each element x is
+    multiplied by every element and by its own powers."""
+    p, consts, one = R.field.p, R.entries(), list(R.unit)
+    elements = list(orc._all_vectors(R.field, R.dim))
+    zero = [0] * R.dim
+    table = []
+    for x in elements:
+        products = [orc._mul_vec(p, consts, x, y) for y in elements]
+        unit = not x or one in products
+        regular = not x or all(q != zero for q, y in zip(products, elements)
+                               if y != zero)
+        power = x
+        for _ in range(max(len(x), 1)):
+            if power == zero:
+                break
+            power = orc._mul_vec(p, consts, power, x)
+        table.append({"element": tuple(x), "unit": unit, "regular": regular,
+                      "nilpotent": power == zero})
+    return table

@@ -1,6 +1,9 @@
 import time
+from functools import lru_cache
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradex.exactla as la
 import gradex.ghom as gh
@@ -177,6 +180,83 @@ class TestLifts:
                 gm.ModuleMorphism(t.source, t.target, t.matrix)
                 assert p.compose(t).matrix == v.matrix
         assert answers == {True, False}  # split and non-split covers
+
+
+def reference_hom_equations(M, N, g):
+    """The rows of F A_i = B_i F for every basis vector x_i of R, each
+    written by scanning every slot."""
+    R, f = M.algebra, M.field
+    slots = [(k, j) for k in range(N.dim) for j in range(M.dim)
+             if N.basis_degrees[k] == M.basis_degrees[j] + g]
+    rows = []
+    for i in range(R.dim):
+        A, B = M.action_matrix(i), N.action_matrix(i)
+        for k in range(N.dim):
+            for j in range(M.dim):
+                row = [f.zero] * len(slots)
+                for s, (k2, j2) in enumerate(slots):
+                    if k2 == k:
+                        row[s] = f.add(row[s], A[j2][j])
+                    if j2 == j:
+                        row[s] = f.sub(row[s], B[k][k2])
+                if any(row):
+                    rows.append(row)
+    return slots, rows
+
+
+@lru_cache(maxsize=None)
+def module_pairs():
+    """Ordered pairs of modules over one ring: over each sample ring R
+    (finite_corpus() and a few rings over Q), the cyclic quotients of R,
+    their first syzygies and a shift of R; and the pairs of
+    sample_modules() over a common ring."""
+    rings = S.finite_corpus() + [
+        S.truncated_polynomial_algebra(QQ, 4), S.dual_numbers(QQ),
+        S.gaussian_rationals(), S.product_field_algebra(QQ, Z(1))]
+    pools = []
+    for R in rings:
+        M = gm.regular_module(R)
+        pools.append(cyclic_quotients(R) + [gm.shift(M, R.basis_degrees[-1])])
+    samples = sample_modules()
+    pools += [samples[i:i + 3] for i in range(0, len(samples), 3)]
+    return [(M, N) for pool in pools for M in pool for N in pool]
+
+
+class TestHomEquationsOverGenerators:
+    """The rows of _hom_equations over a generating set of R have the
+    kernel of the rows over every basis vector of R, so the canonical
+    answers of graded_hom and lift_through_epi are those of the full
+    rows."""
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_kernel_and_lift(self, data):
+        M, N = data.draw(st.sampled_from(module_pairs()))
+        f, zero = M.field, M.group.zero
+        shifts = sorted({(b - a).coords for a in M.basis_degrees
+                         for b in N.basis_degrees}) or [zero.coords]
+        g = M.group.element(data.draw(st.sampled_from(shifts)))
+        slots, rows = gm._hom_equations(M, N, g)
+        ref_slots, ref_rows = reference_hom_equations(M, N, g)
+        assert slots == ref_slots
+        assert len(rows) <= len(ref_rows)
+        assert la.kernel_basis(f, rows, len(slots)) == \
+            la.kernel_basis(f, ref_rows, len(slots))
+        # a degree-0 map v: M -> N, lifted through the minimal cover of N
+        slots, rows = reference_hom_equations(M, N, zero)
+        v = la.zeros(f, N.dim, M.dim)
+        for sol in la.kernel_basis(f, rows, len(slots)):
+            c = f.of(data.draw(st.integers(-2, 2)))
+            for (k, j), x in zip(slots, sol):
+                v[k][j] = f.add(v[k][j], f.mul(c, x))
+        p = gh.minimal_cover(N)
+        v = gm.ModuleMorphism(M, N, v)
+        t = gh.lift_through_epi(p, v)
+        with patch.object(gm, "_hom_equations", reference_hom_equations):
+            ref = gh.lift_through_epi(p, v)
+        assert (t is None) == (ref is None)
+        if t is not None:
+            assert t.matrix == ref.matrix
 
 
 class TestResolutions:

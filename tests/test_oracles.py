@@ -11,7 +11,7 @@ import gradex.gmod as gm
 import gradex.oracles as orc
 import gradex.samples as S
 from gradex.exactla import GF
-from support import dense
+from support import dense, exhaustive_classify
 
 
 def quotient_by_power(R, k):
@@ -146,7 +146,7 @@ def module_zoo(p, n):
 class TestExhaustiveClassify:
     def test_dual_numbers_f2(self):
         R = S.dual_numbers(GF(2))
-        table = {r["element"]: r for r in orc.exhaustive_classify(R)}
+        table = {r["element"]: r for r in exhaustive_classify(R)}
         assert len(table) == 4
         assert table[(0, 1)] == {"element": (0, 1), "unit": False,
                                  "regular": False, "nilpotent": True}
@@ -156,13 +156,13 @@ class TestExhaustiveClassify:
 
     def test_group_algebra_f2_z2(self):
         R = S.group_algebra(2, 2)
-        table = {r["element"]: r for r in orc.exhaustive_classify(R)}
+        table = {r["element"]: r for r in exhaustive_classify(R)}
         assert table[(0, 1)]["unit"]
         assert table[(1, 1)]["nilpotent"] and not table[(1, 1)]["unit"]
 
     def test_unit_count_of_truncated_f3(self):
         R = S.truncated_polynomial_algebra(GF(3), 2)
-        units = sum(r["unit"] for r in orc.exhaustive_classify(R))
+        units = sum(r["unit"] for r in exhaustive_classify(R))
         assert units == 6  # (a + bx) invertible iff a != 0
 
 
@@ -170,7 +170,7 @@ class TestAgreementWithReferences:
     @pytest.mark.parametrize("build", range(len(oracle_rings())))
     def test_ring_tables_and_flags(self, build):
         R = oracle_rings()[build]
-        assert orc.exhaustive_classify(R) == reference_classify(R)
+        assert exhaustive_classify(R) == reference_classify(R)
         assert orc.oracle_ring_class(R) == reference_ring_class(R)
 
     @pytest.mark.parametrize("p, n", [(2, 3), (3, 2)], ids=["F2", "F3"])
@@ -262,6 +262,56 @@ class TestMorphismEnumeration:
         F, _ = gm.free_module(R, [R.group.zero] * 5)
         with pytest.raises(gc.SizeGuardExceeded):
             orc.enumerate_morphisms(F, F)
+
+    def test_twenty_slots_at_the_guard(self):
+        # F2[X]/(X^5)^2 with shifts 0: 2 * 2 * 5 = 20 slots, 2^20 =
+        # ENUM_LIMIT candidates, which the guard still admits
+        R = S.truncated_polynomial_algebra(GF(2), 5)
+        F, _ = gm.free_module(R, [R.group.zero, R.group.zero])
+        H, _ = gm.graded_hom(F, F)
+        deg0 = sum(1 for d in H.basis_degrees if d == R.group.zero)
+        assert deg0 == 4
+        assert len(orc.enumerate_morphisms(F, F)) == 2 ** deg0
+
+
+class TestRingOracleWork:
+    """_mul_vec calls of oracle_ring_class, counted: a row of products
+    only while simple or entire is undecided, powers only while reduced
+    is, nothing once all three are false."""
+
+    # calls per ring of oracle_rings() when every nonzero homogeneous
+    # element got a full row of products and its powers
+    FULL_SCAN = [3, 8, 11, 30, 73, 42, 12, 180, 33, 44, 12, 44, 18, 88,
+                 11, 73, 42, 8, 18, 17, 770]
+
+    @staticmethod
+    def count_products(monkeypatch):
+        calls = [0]
+        mul_vec = orc._mul_vec
+
+        def counting(*args):
+            calls[0] += 1
+            return mul_vec(*args)
+        monkeypatch.setattr(orc, "_mul_vec", counting)
+        return calls
+
+    def test_coarse_f3_z4_stops_once_decided(self, monkeypatch):
+        # 80 nonzero elements; a full scan makes 80 * (81 + 4) = 6800
+        # products, but the fourth element, e^2 + e^3, is a zero-divisor
+        R = gf.coarsen(S.group_algebra(3, 4), S.psi_Zmod_to_zero(4))
+        calls = self.count_products(monkeypatch)
+        assert orc.oracle_ring_class(R) == {
+            "simple": False, "entire": False, "reduced": True}
+        assert calls[0] <= 1000
+
+    def test_no_ring_needs_more_products(self, monkeypatch):
+        rings = oracle_rings()
+        assert len(rings) == len(self.FULL_SCAN)
+        calls = self.count_products(monkeypatch)
+        for R, full in zip(rings, self.FULL_SCAN):
+            calls[0] = 0
+            orc.oracle_ring_class(R)
+            assert calls[0] <= full, (R, calls[0], full)
 
 
 class TestFreenessOracle:
