@@ -7,10 +7,11 @@ error, 3 size-guard refusal.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .abgroups import FGAbelianGroup, GroupHom, GroupError
 from . import exactla as la
@@ -620,10 +621,27 @@ DISPATCH = {
 }
 
 
+# each subcommand's options besides --json/--text, in help order, as
+# (flag, kind, default): a bool is a switch, a str is required, and an
+# int without a default takes the seed
+_ORACLE = ("--oracle", bool, False)
+_PSI, _PHI = ("--psi", str, None), ("--phi", str, None)
+_CUTOFF = [("--cutoff", int, 8)]
+OPTIONS = {"classify": [_ORACLE], "coarsen": [_PSI], "restrict": [_PHI],
+           "corestrict": [_PHI], "adjoint-check": [_PHI],
+           "module": [_ORACLE, ("--seed", int, None)], "resolve": _CUTOFF,
+           "pd": _CUTOFF, "id": _CUTOFF, "fd": _CUTOFF,
+           "schanuel": [("--n", int, 1)],
+           "coarsen-compare": [_PSI, ("--cutoff", int, 6)],
+           "spec": [], "oracle-diff": [], "validate": []}
+
+
 def _build_parser(name=None, default_seed=None):
-    """The top-level parser, with the subparser of ``name`` only (none
-    for the top-level help).  The metavar lists every subcommand, so
-    usage lines and help read the same whichever subparser is built."""
+    """The top-level parser, or the parser of subcommand ``name`` built
+    from OPTIONS; gradex only prints their help.  The metavar lists
+    every subcommand, so usage lines read the same whichever subparser
+    is built."""
+    import argparse
     top = argparse.ArgumentParser(prog="gradex", add_help=True)
     sub = top.add_subparsers(dest="command",
                              metavar="{" + ",".join(DISPATCH) + "}")
@@ -635,21 +653,81 @@ def _build_parser(name=None, default_seed=None):
     fmt.add_argument("--json", dest="text", action="store_false",
                      default=False)
     fmt.add_argument("--text", dest="text", action="store_true")
-    # each option only on the subcommands that read it
-    if name in ("coarsen", "coarsen-compare"):
-        p.add_argument("--psi", required=True)
-    if name in ("restrict", "corestrict", "adjoint-check"):
-        p.add_argument("--phi", required=True)
-    if name in ("resolve", "pd", "id", "fd", "coarsen-compare"):
-        p.add_argument("--cutoff", type=int,
-                       default=6 if name == "coarsen-compare" else 8)
-    if name == "schanuel":
-        p.add_argument("--n", type=int, default=1)
-    if name in ("classify", "module"):
-        p.add_argument("--oracle", action="store_true")
-    if name == "module":
-        p.add_argument("--seed", type=int, default=default_seed)
-    return top
+    for flag, kind, default in OPTIONS[name]:
+        if kind is bool:
+            p.add_argument(flag, action="store_true")
+        elif kind is str:
+            p.add_argument(flag, required=True)
+        else:
+            p.add_argument(flag, type=int, default=(
+                default_seed if default is None else default))
+    return p
+
+
+# argparse's negative numbers, compiled on first use
+_NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
+
+
+def _parse_args(name, argv, seed):
+    """The arguments after subcommand ``name``, read as
+    ``_build_parser(name, seed).parse_args`` reads them except that an
+    abbreviated option is unrecognized.  An argv error raises
+    ValidationError with argparse's message."""
+    kinds = {"--json": bool, "--text": bool,
+             **{f: k for f, k, _ in OPTIONS[name]}}
+    flags = ("-h", "--help", *kinds)
+
+    def is_option(tok):
+        # as argparse reads it: a dash and more that starts or abbreviates
+        # a flag, or else is neither a negative number nor holds a space
+        head = tok.partition("=")[0] if tok[1:2] == "-" else tok
+        return len(tok) > 1 and tok[0] == "-" and (
+            tok[:2] in flags or any(f.startswith(head) for f in flags)
+            or not (" " in tok or re.match(_NEGATIVE, tok)))
+
+    args = {"object": None, "json": False, "text": False,
+            **{f[2:]: seed if k is int and d is None else d
+               for f, k, d in OPTIONS[name]}}
+    extras, at, rest, tokens = [], None, False, enumerate(argv)
+    for i, tok in tokens:
+        flag, eq, value = tok.partition("=")
+        if tok == "--" and not rest:   # argparse drops it next to the object
+            rest = True
+            if at not in (None, i - 1):
+                extras.append(tok)
+        elif rest or not is_option(tok):
+            if at is None:
+                args["object"], at = tok, i
+            else:
+                extras.append(tok)
+        elif flag not in kinds or eq and kinds[flag] is bool:
+            extras.append(tok)
+        elif kinds[flag] is bool:
+            args[flag[2:]] = True
+            if args["json"] and args["text"]:
+                other = "--text" if flag == "--json" else "--json"
+                raise ValidationError(f"argument {flag}: not allowed with "
+                                      f"argument {other}")
+        else:
+            # a missing value reads as --, which argparse never takes
+            value = value if eq else next(tokens, (i, "--"))[1]
+            if value == "--" or not eq and is_option(value):
+                raise ValidationError(f"argument {flag}: expected one "
+                                      "argument")
+            try:
+                args[flag[2:]] = kinds[flag](value)
+            except ValueError:
+                raise ValidationError(f"argument {flag}: invalid int value: "
+                                      f"{value!r}") from None
+    # only the object and the str options have no value by default
+    missing = [f for f in ("object", *kinds) if args[f.lstrip("-")] is None]
+    if missing:
+        raise ValidationError("the following arguments are required: "
+                              + ", ".join(missing))
+    if extras:
+        raise ValidationError("unrecognized arguments: " + " ".join(extras))
+    del args["json"]
+    return SimpleNamespace(**args)
 
 
 def _env_seed():
@@ -683,12 +761,11 @@ def run(argv):
     if argv[0] not in DISPATCH:
         return _fail(1, error=f"unknown subcommand {argv[0]!r}")
     try:
-        parser = _build_parser(argv[0], _env_seed())
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as e:
-            return 2 if e.code not in (0, None) else 0
-        return DISPATCH[args.command](args) or 0
+        seed = _env_seed()
+        if "-h" in argv or "--help" in argv:
+            _build_parser(argv[0]).print_help()
+            return 0
+        return DISPATCH[argv[0]](_parse_args(argv[0], argv[1:], seed)) or 0
     except SizeGuardExceeded as e:
         return _fail(3, error=str(e), kind="size-guard")
     except (ValidationError, json.JSONDecodeError, OSError,

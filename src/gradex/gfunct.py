@@ -85,8 +85,12 @@ def coarsen_algebra(R: GradedAlgebra, psi: GroupHom) -> GradedAlgebra:
     """Same underlying algebra, degrees pushed through psi."""
     _require_epi(psi, R.group)
     degrees = [psi(d) for d in R.basis_degrees]
-    return GradedAlgebra._derived(psi.target, R.field, degrees, R.entries(),
-                                  R.unit)
+    Rc = GradedAlgebra._derived(psi.target, R.field, degrees, R.entries(),
+                                R.unit)
+    # the same basis, multiplication and unit generate the same way
+    if "_generators" in vars(R):
+        Rc._generators = R._generators
+    return Rc
 
 
 def coarsen(X, psi):

@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradex.cli as cli
 import gradex.gfunct as gf
@@ -752,3 +755,113 @@ class TestHelp:
         assert cli.run(argv) == 0
         out, err = capsys.readouterr()
         assert err == "" and out == HELP_TEXTS[tuple(argv) or ("-h",)]
+
+
+# argv tokens after the subcommand: values that int() reads or not, some
+# led by a dash, and as noise the flags of every subcommand (so some are
+# foreign to the one drawn), unknown flags and abbreviations
+VALUES = st.sampled_from(["r.json", "{}", "7", "-1", "+3", " 4", "1_0", "x",
+                          "1.5", "-.5", "", "-", "-x", "-x y", "--"])
+INTS = st.one_of(st.integers(-40, 40).map(str), VALUES)
+FLAGS = sorted({f for opts in cli.OPTIONS.values() for f, _, _ in opts}
+               | {"--json", "--text"})
+NOISE = st.one_of(st.sampled_from(FLAGS + ["--field", "-x", "--o", "--ps",
+                                           "--cut", "--se", "--t", "--j"]),
+                  VALUES)
+
+
+@st.composite
+def argvs(draw):
+    """(subcommand, argv) from the subcommand's table: its options in
+    any order and with repeats, as --name value or --name=value, its
+    required options most of the time, one object most of the time, and
+    some noise."""
+    name = draw(st.sampled_from(sorted(cli.OPTIONS)))
+    table = [("--json", bool, None), ("--text", bool, None),
+             *cli.OPTIONS[name]]
+    parts = [[draw(VALUES)] for _ in range(draw(st.sampled_from(
+        [1, 1, 1, 0, 2])))]
+    given = draw(st.lists(st.sampled_from(table), max_size=4))
+    if draw(st.sampled_from([True, True, False])):
+        given += [o for o in table if o[1] is str]
+    for flag, kind, _ in given:
+        value = draw(INTS if kind is int else VALUES)
+        parts.append([flag] if kind is bool else draw(st.sampled_from(
+            [[flag, value], [f"{flag}={value}"]])))
+    parts += [[t] for t in draw(st.lists(NOISE, max_size=2))]
+    return name, [t for part in draw(st.permutations(parts)) for t in part]
+
+
+def differs(argv, name):
+    """Whether an option token before any -- abbreviates a flag of
+    subcommand name, or gives one of its flags the value --."""
+    flags = ["--help", "--json", "--text", *(f for f, _, _ in
+                                             cli.OPTIONS[name])]
+    options = argv[:argv.index("--")] if "--" in argv else argv
+    for head, _, value in (t.partition("=") for t in options
+                           if t.startswith("--")):
+        if len(head) > 2 and any(f != head and f.startswith(head)
+                                 for f in flags):
+            return True
+        if head in flags and value == "--":
+            return True
+    return False
+
+
+class TestArgvParser:
+    """``_parse_args`` against argparse, as ``_build_parser(name,
+    seed)`` (built for help texts) would parse the same argv: whenever
+    ``_parse_args`` accepts, argparse reads the same value for every
+    dest, and whenever argparse exits 2, ``run`` returns 2 with one JSON
+    error line.  The one deliberate difference: argparse accepts an
+    abbreviated option (``--cut 3`` for ``--cutoff 3``) and
+    ``_parse_args`` rejects it as unrecognized, so without an
+    abbreviation the two accept the same argvs.  Beside it, argparse
+    (3.11) reads ``--psi=--`` as an empty list, which no command can
+    load; ``_parse_args`` refuses it as a missing value.  -h and --help
+    are left out: anywhere after the subcommand they print help before
+    any parsing."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(argvs())
+    def test_agrees_with_argparse(self, drawn):
+        name, argv = drawn
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                expected = vars(cli._build_parser(name, 5).parse_args(argv))
+            except SystemExit as e:
+                assert e.code == 2
+                expected = None
+            try:
+                got = vars(cli._parse_args(name, argv, 5))
+            except cli.ValidationError:
+                got = None
+        if got is not None:
+            assert got == expected
+        elif expected is not None:
+            assert differs(argv, name)
+        if expected is None:
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert cli.run([name, *argv]) == 2
+            assert json.loads(err.getvalue())["kind"] == "validation"
+            assert err.getvalue().count("\n") == 1
+
+    @pytest.mark.parametrize("argv, read", [
+        (["x", "--cutoff", "-1"], {"object": "x", "text": False,
+                                   "cutoff": -1}),
+        (["--text", "--", "-x"], {"object": "-x", "text": True, "cutoff": 8}),
+        (["x", "--cutoff=x"], "argument --cutoff: invalid int value: 'x'"),
+        (["x", "--cutoff"], "argument --cutoff: expected one argument"),
+        (["x", "--cutoff=--"], "argument --cutoff: expected one argument"),
+        (["x", "--cut", "3"], "unrecognized arguments: --cut 3"),
+        (["--cutoff", "3"], "the following arguments are required: object"),
+    ])
+    def test_examples(self, argv, read):
+        if isinstance(read, dict):
+            assert vars(cli._parse_args("resolve", argv, 5)) == read
+        else:
+            with pytest.raises(cli.ValidationError) as e:
+                cli._parse_args("resolve", argv, 5)
+            assert str(e.value) == read

@@ -108,6 +108,13 @@ FAILURES = [
     (["frobnicate", "x.json"], 1, None),
     (["classify", "broken.json"], 2, "validation"),
     (["spec", "f5x2.json"], 3, "size-guard"),
+    # argv errors
+    (["classify", "ring.json", "--field", "Q"], 2, "validation"),
+    (["coarsen", "ring.json"], 2, "validation"),
+    (["resolve", "R.json", "--cutoff", "x"], 2, "validation"),
+    (["classify", "ring.json", "--json", "--text"], 2, "validation"),
+    (["classify", "ring.json", "extra.json"], 2, "validation"),
+    (["coarsen", "ring.json", "--psi=--"], 2, "validation"),
 ]
 
 

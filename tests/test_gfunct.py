@@ -85,6 +85,20 @@ class TestCoarsening:
         assert ac.dim == 1
         assert gc.ideal_class(Rc, ac).maximal
 
+    def test_coarsened_ring_has_the_same_generators(self):
+        for R, psi in S.coarsening_pairs():
+            assert gf.coarsen_algebra(R, psi)._generators == R._generators
+
+    def test_coarsening_reuses_computed_generators(self, monkeypatch):
+        R = S.truncated_polynomial_algebra(QQ, 6)
+        gens = R._generators
+
+        def recomputed(*args):
+            raise AssertionError("the closure ran again")
+        monkeypatch.setattr(gc._GradedSpace, "submodule_span", recomputed)
+        Rc = gf.coarsen_algebra(R, S.psi_Z_to_zero())
+        assert Rc._generators == gens
+
 
 class TestRestriction:
     def test_restrict_dual_numbers_along_doubling(self):

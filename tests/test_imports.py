@@ -37,6 +37,10 @@ def test_cli_import_loads_neither_fractions_nor_decimal_nor_numbers():
     assert {"fractions", "decimal", "numbers"} & newly_loaded() == set()
 
 
+def test_cli_import_loads_no_argument_parser():
+    assert {"argparse", "gettext", "locale"} & newly_loaded() == set()
+
+
 def test_cli_import_loads_only_gradex_and_the_standard_library():
     outside = {name for name in newly_loaded()
                if name != "gradex" and not name.startswith("gradex.")
@@ -62,3 +66,24 @@ def test_cli_registers_no_atexit_hook():
                          capture_output=True, text=True, check=True)
     before, after, code = json.loads(out.stdout.splitlines()[-1])
     assert code == 0 and after == before
+
+
+RUN_PROBE = """
+import json, sys
+before = set(sys.modules)
+import gradex.cli
+code = gradex.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+def test_classify_run_loads_no_argument_parser():
+    # argparse (with gettext and locale) only renders --help texts
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("GRADEX_SEED", None)
+    out = subprocess.run([sys.executable, "-c", RUN_PROBE, "classify",
+                          json.dumps(RING_QX2), "--oracle"], env=env,
+                         capture_output=True, text=True, check=True)
+    code, loaded = json.loads(out.stdout.splitlines()[-1])
+    assert code == 0
+    assert {"argparse", "gettext", "locale"} & set(loaded) == set()
