@@ -25,9 +25,10 @@ def main():
     print(f"  simple={coarse.simple} entire={coarse.entire} "
           f"reduced={coarse.reduced}")
 
-    w = Rc.basis_element(0) + Rc.basis_element(1)
-    print(f"  witness: (e0 + e1)^2 = 0 ? {(w * w).is_zero}")
-    print(f"  e0 + e1 homogeneous after coarsening? {w.is_homogeneous}")
+    w = Rc.element([1, 1])
+    print(f"  witness: (e0 + e1)^2 = 0 ? {not any(Rc.act_vec(w, w))}")
+    print(f"  e0 + e1 homogeneous after coarsening? "
+          f"{Rc.vec_degree(w) is not None}")
 
     print()
     print("When the kernel of the regrading map is torsion-free this")

@@ -525,8 +525,11 @@ def _dim_cmd(kind):
 def cmd_schanuel(args):
     M = module_from_json(_load(args.object))
     n = args.n
-    res1 = gh.resolution(M, cutoff=max(n, 1))
-    res2 = gh.resolution(M, cutoff=max(n, 1), minimal=False)
+    if not 1 <= n <= 32:
+        raise ValidationError(f"--n {n} outside the range 1..32")
+    # n steps each: the glue reads the first n covers and kernels
+    res1 = gh.resolution(M, cutoff=n - 1)
+    res2 = gh.resolution(M, cutoff=n - 1, minimal=False)
     if res1.length < n or res2.length < n:
         return _emit({"verified": True,
                       "note": "resolutions terminate before the glue "
@@ -570,11 +573,10 @@ def cmd_oracle_diff(args):
         M = module_from_json(doc)
         if not M.field.is_finite:
             raise ValidationError("module: oracle-diff needs a finite field")
-        main_H, _ = gm.graded_hom(M, M)
-        oracle_homs = orc.enumerate_morphisms(M, M)
         # compare the counts of degree-zero endomorphisms
-        zero = M.algebra.group.zero
-        deg0 = sum(1 for d in main_H.basis_degrees if d == zero)
+        slots, rows = gm._hom_equations(M, M, M.algebra.group.zero)
+        deg0 = len(la.kernel_basis(M.field, rows, len(slots)))
+        oracle_homs = orc.enumerate_morphisms(M, M)
         agree = M.field.p ** deg0 == len(oracle_homs)
         return _emit({"object": "module",
                       "hom_deg0_dim": deg0,
@@ -622,21 +624,20 @@ DISPATCH = {
 
 
 # each subcommand's options besides --json/--text, in help order, as
-# (flag, kind, default): a bool is a switch, a str is required, and an
-# int without a default takes the seed
+# (flag, kind, default): a bool is a switch and a str is required
 _ORACLE = ("--oracle", bool, False)
 _PSI, _PHI = ("--psi", str, None), ("--phi", str, None)
 _CUTOFF = [("--cutoff", int, 8)]
 OPTIONS = {"classify": [_ORACLE], "coarsen": [_PSI], "restrict": [_PHI],
            "corestrict": [_PHI], "adjoint-check": [_PHI],
-           "module": [_ORACLE, ("--seed", int, None)], "resolve": _CUTOFF,
-           "pd": _CUTOFF, "id": _CUTOFF, "fd": _CUTOFF,
+           "module": [_ORACLE, ("--seed", int, la.DEFAULT_SEED)],
+           "resolve": _CUTOFF, "pd": _CUTOFF, "id": _CUTOFF, "fd": _CUTOFF,
            "schanuel": [("--n", int, 1)],
            "coarsen-compare": [_PSI, ("--cutoff", int, 6)],
            "spec": [], "oracle-diff": [], "validate": []}
 
 
-def _build_parser(name=None, default_seed=None):
+def _build_parser(name=None):
     """The top-level parser, or the parser of subcommand ``name`` built
     from OPTIONS; gradex only prints their help.  The metavar lists
     every subcommand, so usage lines read the same whichever subparser
@@ -659,8 +660,7 @@ def _build_parser(name=None, default_seed=None):
         elif kind is str:
             p.add_argument(flag, required=True)
         else:
-            p.add_argument(flag, type=int, default=(
-                default_seed if default is None else default))
+            p.add_argument(flag, type=int, default=default)
     return p
 
 
@@ -668,9 +668,9 @@ def _build_parser(name=None, default_seed=None):
 _NEGATIVE = r"^-\d+$|^-\d*\.\d+$"
 
 
-def _parse_args(name, argv, seed):
+def _parse_args(name, argv):
     """The arguments after subcommand ``name``, read as
-    ``_build_parser(name, seed).parse_args`` reads them except that an
+    ``_build_parser(name).parse_args`` reads them except that an
     abbreviated option is unrecognized.  An argv error raises
     ValidationError with argparse's message."""
     kinds = {"--json": bool, "--text": bool,
@@ -686,8 +686,7 @@ def _parse_args(name, argv, seed):
             or not (" " in tok or re.match(_NEGATIVE, tok)))
 
     args = {"object": None, "json": False, "text": False,
-            **{f[2:]: seed if k is int and d is None else d
-               for f, k, d in OPTIONS[name]}}
+            **{f[2:]: d for f, _, d in OPTIONS[name]}}
     extras, at, rest, tokens = [], None, False, enumerate(argv)
     for i, tok in tokens:
         flag, eq, value = tok.partition("=")
@@ -730,17 +729,6 @@ def _parse_args(name, argv, seed):
     return SimpleNamespace(**args)
 
 
-def _env_seed():
-    text = os.environ.get("GRADEX_SEED")
-    if text is None:
-        return la.DEFAULT_SEED
-    try:
-        return int(text)
-    except ValueError:
-        raise ValidationError(f"GRADEX_SEED: expected an integer, got "
-                              f"{text!r}") from None
-
-
 def _fail(code, **error):
     """Print the error as one JSON line on stderr and return code.  A
     stderr that cannot take the line (a pipe whose reader has gone, or
@@ -761,11 +749,10 @@ def run(argv):
     if argv[0] not in DISPATCH:
         return _fail(1, error=f"unknown subcommand {argv[0]!r}")
     try:
-        seed = _env_seed()
         if "-h" in argv or "--help" in argv:
             _build_parser(argv[0]).print_help()
             return 0
-        return DISPATCH[argv[0]](_parse_args(argv[0], argv[1:], seed)) or 0
+        return DISPATCH[argv[0]](_parse_args(argv[0], argv[1:])) or 0
     except SizeGuardExceeded as e:
         return _fail(3, error=str(e), kind="size-guard")
     except (ValidationError, json.JSONDecodeError, OSError,

@@ -12,6 +12,9 @@ core, ``_GradedSpace``: a degree-labelled basis and the action of the
 algebra's basis on it, given and kept as its nonzero structure constants
 (i, j, k, c), x_i . v_j = sum_k c v_k.  A ring is checked as its own
 regular module, plus commutativity and a homogeneous unit of degree 0.
+An element of a ring is, as one of a module, the list of its
+coordinates in the basis: the core reads its degree (``vec_degree``)
+and its products (``act_vec``, ``mult_matrix``).
 Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
 canonical homogeneous basis (``graded_span``), one closure under the
@@ -236,7 +239,7 @@ class _GradedSpace(_Derivable):
                     coords = [f.zero] * self.dim
                     for i, v in zip(idx, vals):
                         coords[i] = v
-                    yield g, self.element(coords)
+                    yield g, coords
 
     # -- action ----------------------------------------------------------
 
@@ -401,30 +404,6 @@ class GradedAlgebra(_GradedSpace):
                 words = self.submodule_span(words, S)
         return tuple(S)
 
-    # -- elements ------------------------------------------------------------
-
-    def element(self, coords):
-        return AlgebraElement(self, tuple(self.field.of(c) for c in coords))
-
-    def basis_element(self, i):
-        return self.element(la.unit_vector(self.field, self.dim, i))
-
-    @property
-    def zero(self):
-        return self.element([self.field.zero] * self.dim)
-
-    @property
-    def one(self):
-        return self.element(self.unit)
-
-    def all_elements(self, limit=HOMOGENEOUS_ENUM_LIMIT):
-        if not self.field.is_finite:
-            raise AlgebraError("cannot enumerate elements over Q")
-        if self.field.p ** self.dim > limit:
-            raise SizeGuardExceeded("element count exceeds guard")
-        for vals in product(self.field.elements(), repeat=self.dim):
-            yield self.element(vals)
-
     def __eq__(self, other):
         return (isinstance(other, GradedAlgebra)
                 and self.group == other.group and self.field == other.field
@@ -438,84 +417,45 @@ class GradedAlgebra(_GradedSpace):
         return f"GradedAlgebra(dim={self.dim}, field={self.field}, group={self.group})"
 
 
-class AlgebraElement(Record, frozen=True):
-    _fields = ("parent", "coords")
-
-    def __init__(self, parent, coords):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def is_zero(self):
-        return all(c == 0 for c in self.coords)
-
-    def support_degrees(self):
-        return sorted({self.parent.basis_degrees[i]
-                       for i, c in enumerate(self.coords) if c != 0},
-                      key=lambda g: g.coords)
-
-    @property
-    def is_homogeneous(self):
-        return len(self.support_degrees()) <= 1
-
-    def is_homogeneous_of(self, g):
-        sup = self.support_degrees()
-        return sup == [] or sup == [g]
-
-    def __add__(self, other):
-        R = self.parent
-        return R.element([R.field.add(a, b)
-                          for a, b in zip(self.coords, other.coords)])
-
-    def __mul__(self, other):
-        R = self.parent
-        if isinstance(other, AlgebraElement):
-            return R.element(R.act_vec(self.coords, other.coords))
-        return R.element([R.field.mul(R.field.of(other), a) for a in self.coords])
-
-    __rmul__ = __mul__
-
-    def power(self, k):
-        """x^k by repeated squaring (k may be a large prime p)."""
-        out, base = self.parent.one, self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def __repr__(self):
-        return f"elt{self.coords}"
-
-
 class ElementClass(Record, frozen=True):
     _fields = ("unit", "regular", "nilpotent", "homogeneous")
 
 
-def classify_element(R: GradedAlgebra, x: AlgebraElement) -> ElementClass:
-    """Unit/regular/nilpotent/homogeneous flags via the multiplication
-    matrix; depends only on x and the underlying ring, except for the
-    homogeneity flag."""
-    n = R.dim
-    hom = x.is_homogeneous
+def classify_element(R: GradedAlgebra, x) -> ElementClass:
+    """Unit/regular/nilpotent/homogeneous flags of the element with
+    coordinates x via the multiplication matrix; depends only on x and
+    the underlying ring, except for the homogeneity flag (the zero
+    vector counts as homogeneous)."""
+    n, zero = R.dim, not any(x)
+    hom = zero or R.vec_degree(x) is not None
     if n == 0:
         return ElementClass(True, True, True, hom)
-    if x.is_zero:
+    if zero:
         return ElementClass(False, False, True, hom)
-    rk = la.rank(R.field, R.mult_matrix(x.coords))
-    unit = (rk == n)
+    unit = la.rank(R.field, R.mult_matrix(x)) == n
     regular = unit  # injective == bijective in finite dimension
     nilpotent = False
     if not regular:
-        power = x
+        xk = x
         for _ in range(n):
-            power = power * x
-            if power.is_zero:
+            xk = R.act_vec(xk, x)
+            if not any(xk):
                 nilpotent = True
                 break
     return ElementClass(unit, regular, nilpotent, hom)
+
+
+def power(R: GradedAlgebra, x, k):
+    """x^k by repeated squaring, x and x^k as coordinates (k may be a
+    large prime p)."""
+    out = list(R.unit)
+    while k:
+        if k & 1:
+            out = R.act_vec(out, x)
+        k >>= 1
+        if k:
+            x = R.act_vec(x, x)
+    return out
 
 
 class RingClass(Record, frozen=True):
@@ -562,7 +502,8 @@ def classify_ring(R: GradedAlgebra) -> RingClass:
         except SizeGuardExceeded:
             pass
     if method == "criterion" and all(c <= 1 for c in R.hilbert().values()):
-        simple = all(classify_element(R, R.basis_element(i)).unit
+        f = R.field
+        simple = all(classify_element(R, la.unit_vector(f, R.dim, i)).unit
                      for i in range(R.dim))
     out = RingClass(simple, simple, reduced, method)
     assert out._chain_ok()
@@ -573,19 +514,23 @@ def classify_ring(R: GradedAlgebra) -> RingClass:
 # graded ideals
 # ---------------------------------------------------------------------------
 
+def _homogeneous(R: GradedAlgebra, vectors, what):
+    """The coordinate vectors made field values, each zero or of one
+    degree."""
+    vecs = [R.element(v) for v in vectors]
+    if any(any(v) and R.vec_degree(v) is None for v in vecs):
+        raise AlgebraError(f"{what} is not homogeneous")
+    return vecs
+
+
 class GradedIdeal:
     """Graded ideal: a graded submodule of R regarded as a module over
     itself, stored as R.graded_span of homogeneous vectors."""
 
     def __init__(self, parent: GradedAlgebra, vectors):
         self.parent = parent
-        vecs = []
-        for v in vectors:
-            x = parent.element(v) if not isinstance(v, AlgebraElement) else v
-            if not x.is_homogeneous:
-                raise AlgebraError("ideal basis vector is not homogeneous")
-            vecs.append(x.coords)
-        self.basis = parent.graded_span(vecs)
+        self.basis = parent.graded_span(
+            _homogeneous(parent, vectors, "ideal basis vector"))
 
     @property
     def dim(self):
@@ -594,10 +539,10 @@ class GradedIdeal:
     def vectors(self):
         return list(self.basis)
 
-    def contains(self, x: AlgebraElement):
+    def contains(self, x):
         # the span of a homogeneous basis is graded
         return la.coords_in_basis(self.parent.field, self.basis,
-                                  [list(x.coords)])[0] is not None
+                                  [self.parent.element(x)])[0] is not None
 
     def __eq__(self, other):
         return (isinstance(other, GradedIdeal) and self.parent == other.parent
@@ -613,13 +558,8 @@ class GradedIdeal:
 def ideal_from_gens(R: GradedAlgebra, gens) -> GradedIdeal:
     """Smallest graded ideal containing the homogeneous generators: the
     submodule they generate in R regarded as a module over itself."""
-    vecs = []
-    for g in gens:
-        x = g if isinstance(g, AlgebraElement) else R.element(g)
-        if not x.is_homogeneous:
-            raise AlgebraError("ideal generator is not homogeneous")
-        vecs.append(x.coords)
-    return GradedIdeal(R, R.submodule_span(vecs))
+    return GradedIdeal(R, R.submodule_span(
+        _homogeneous(R, gens, "ideal generator")))
 
 
 def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
@@ -674,7 +614,7 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
         for _ in range(k):
             step = la.zeros(f, n, n)
             for j in range(n):
-                col = R.basis_element(j).power(f.p).coords
+                col = power(R, la.unit_vector(f, n, j), f.p)
                 for i in range(n):
                     step[i][j] = col[i]
             A = la.mat_mul(f, step, A)
@@ -926,7 +866,8 @@ class AffineMonoid:
 
 class MonoidAlgebra:
     """Algebra of an affine monoid over a graded base, in fine, coarse or
-    d-graded mode.  Elements are finite maps monoid element -> base element."""
+    d-graded mode.  An element is a finite mapping monoid tuple -> base
+    coordinates."""
 
     def __init__(self, base: GradedAlgebra, monoid: AffineMonoid, mode="fine",
                  dmatrix=None):
@@ -973,23 +914,6 @@ class MonoidAlgebra:
         coords = tuple(g.coords[:a]) + tuple(diffc) + tuple(g.coords[a:])
         return big.element(coords)
 
-    def element(self, terms):
-        """terms: mapping monoid tuple -> base element or coords."""
-        clean = {}
-        for m, r in terms.items():
-            x = r if isinstance(r, AlgebraElement) else self.base.element(r)
-            if not x.is_zero:
-                clean[tuple(int(v) for v in m)] = x
-        return MonoidAlgebraElement(self, clean)
-
-    def monomial(self, m, r=None):
-        r = self.base.one if r is None else r
-        return self.element({tuple(m): r})
-
-    @property
-    def one(self):
-        return self.monomial(self.monoid.zero)
-
     def classify_ring(self) -> RingClass:
         """Entirety/reducedness delegated to the base through the monoid
         algebra transfer theorems (torsionfreeness and cancellability hold
@@ -1001,40 +925,25 @@ class MonoidAlgebra:
         return RingClass(simple, base_cls.entire, base_cls.reduced,
                          f"transfer({base_cls.method})")
 
-    def is_unit(self, x: "MonoidAlgebraElement"):
-        """True/False/None; monomials decided directly, general elements
-        through the sharp-monoid unit theorem when the base is reduced."""
-        terms = x.terms
+    def is_unit(self, terms):
+        """True/False/None for the element given as a mapping monoid
+        tuple -> base coordinates, zero coefficients dropped; monomials
+        decided directly, general elements through the sharp-monoid unit
+        theorem when the base is reduced (then only a monomial can be a
+        unit)."""
+        B = self.base
+        terms = [(m, r) for m, r in ((m, B.element(c))
+                                     for m, c in terms.items()) if any(r)]
         if len(terms) == 1:
-            (m, r), = terms.items()
-            if not classify_element(self.base, r).unit:
+            (m, r), = terms
+            if not classify_element(B, r).unit:
                 return False
             inv = self.monoid.is_invertible(m)
             return None if inv is None else bool(inv)
-        base_cls = classify_ring(self.base)
-        sharp = self.monoid.sharpness().sharp
-        if base_cls.reduced is True and sharp is True:
-            if list(terms) == [self.monoid.zero]:
-                return classify_element(self.base, terms[self.monoid.zero]).unit
+        if classify_ring(B).reduced is True and \
+                self.monoid.sharpness().sharp is True:
             return False
         return None
 
     def __repr__(self):
         return f"MonoidAlgebra({self.base!r}, {self.monoid!r}, mode={self.mode})"
-
-
-class MonoidAlgebraElement(Record, frozen=True):
-    _fields = ("parent", "terms")
-
-    def __init__(self, parent, terms):
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "terms", dict(terms))
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for m, r in other.terms.items():
-            out[m] = out[m] + r if m in out else r
-        return self.parent.element(out)
-
-    def __repr__(self):
-        return f"MAElt({self.terms})"

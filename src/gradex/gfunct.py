@@ -19,7 +19,7 @@ from . import exactla as la
 from ._record import Record
 from .gcore import (GradedAlgebra, MonoidAlgebra, AlgebraError,
                     SizeGuardExceeded, ideal_from_gens, quotient_ring,
-                    classify_element, _Morphism)
+                    _Morphism)
 
 
 class FunctorError(ValueError):
@@ -48,7 +48,8 @@ class AlgebraMorphism(_Morphism):
         # column j is the image of basis vector j
         cols = [[row[j] for row in self.matrix] for j in range(A.dim)]
         for j in range(A.dim):
-            if not B.element(cols[j]).is_homogeneous_of(A.basis_degrees[j]):
+            if any(c != 0 and B.basis_degrees[k] != A.basis_degrees[j]
+                   for k, c in enumerate(cols[j])):
                 raise FunctorError(f"image of basis vector {j} is not "
                                    f"homogeneous of its degree")
         if self.apply_vec(list(A.unit)) != list(B.unit):
@@ -61,9 +62,6 @@ class AlgebraMorphism(_Morphism):
 
     def apply_vec(self, v):
         return la.mat_vec_mul(self.target.field, self.matrix, v)
-
-    def __call__(self, x):
-        return self.target.element(self.apply_vec(list(x.coords)))
 
     def is_identity_matrix(self):
         return self.matrix == la.eye(self.target.field, self.source.dim)
@@ -162,7 +160,8 @@ def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
     """Quotient by the ideal generated by components outside im(phi),
     then restrict."""
     _require_mono(phi)
-    outside = [R.basis_element(i) for i, d in enumerate(R.basis_degrees)
+    outside = [la.unit_vector(R.field, R.dim, i)
+               for i, d in enumerate(R.basis_degrees)
                if phi.preimage(d) is None]
     a_phi = ideal_from_gens(R, outside)
     Q, proj, lift = quotient_ring(R, a_phi)

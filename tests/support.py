@@ -1,7 +1,8 @@
-"""Helpers shared by the test modules: the record-behaviour check, dense
-tensor literals and views of structure constants, and cross-checks that
-only the tests run (duality, Lambek, the currying adjunction,
-intersections of ideals, the element tables of a finite algebra)."""
+"""Helpers shared by the test modules: the record-behaviour check and a
+plain record to compare against, dense tensor literals and views of
+structure constants, and cross-checks that only the tests run (duality,
+Lambek, the currying adjunction, intersections of ideals, the element
+tables of a finite algebra)."""
 
 import pytest
 
@@ -10,6 +11,12 @@ import gradex.gcore as gc
 import gradex.ghom as gh
 import gradex.gmod as gm
 import gradex.oracles as orc
+from gradex._record import Record
+
+
+class Pair(Record, frozen=True):
+    """A record of two fields, to tell other records of two fields from."""
+    _fields = ("first", "second")
 
 
 def assert_record(a, b, c, fields, other, frozen, hashable_fields=True):

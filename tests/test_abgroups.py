@@ -3,8 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.abgroups as ag
 from gradex.exactla import QQ, det
-from gradex.gcore import AlgebraElement
-from support import assert_record
+from support import Pair, assert_record
 
 
 small_matrices = st.lists(
@@ -133,7 +132,7 @@ class TestRecords:
         a = ag.FGAbelianGroup(1, (2,))
         assert_record(a, ag.FGAbelianGroup(free_rank=1, torsion_factors=[2]),
                       ag.FGAbelianGroup(1, (4,)), (1, (2,)),
-                      AlgebraElement(1, (2,)), frozen=True)
+                      Pair(1, (2,)), frozen=True)
         assert a.torsion_factors == (2,) and repr(a) == "Z x Z/2"
         with pytest.raises(ag.GroupError):
             ag.FGAbelianGroup(0, (4, 6))
@@ -143,7 +142,7 @@ class TestRecords:
         a = ag.GroupElement(G, (1,))
         assert_record(a, ag.GroupElement(group=G, coords=(3,)),
                       ag.GroupElement(G, (0,)), (G, (1,)),
-                      AlgebraElement(G, (1,)), frozen=True)
+                      Pair(G, (1,)), frozen=True)
         assert a.coords == (1,) and repr(a) == "(1,)"
         assert {a: 0}[G.element((5,))] == 0
         with pytest.raises(ag.GroupError):

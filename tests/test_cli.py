@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.cli as cli
 import gradex.gfunct as gf
+import gradex.ghom as gh
 import gradex.samples as S
 from gradex.exactla import GF
 from support import dense
@@ -198,6 +199,23 @@ class TestModules:
         code, out = run_json(capsys, ["schanuel", str(docs / "K.json"),
                                       "--n", "1"])
         assert code == 0 and out["verified"] is True
+
+    def test_schanuel_builds_the_steps_the_glue_reads(self, docs, capsys,
+                                                      monkeypatch):
+        # --n 2: two steps, so two kernels, for each of the two
+        # resolutions; none when --n is outside 1..32
+        calls, kernel = [], gh.kernel
+        monkeypatch.setattr(gh, "kernel", lambda p: calls.append(p)
+                            or kernel(p))
+        code, out = run_json(capsys, ["schanuel", str(docs / "K.json"),
+                                      "--n", "2"])
+        assert code == 0 and out["verified"] is True and out["n"] == 2
+        assert len(calls) == 4
+        for n in ("0", "33"):
+            code = cli.run(["schanuel", str(docs / "K.json"), "--n", n])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 2 and err["kind"] == "validation", n
+            assert len(calls) == 4, n
 
     def test_coarsen_compare(self, docs, capsys):
         code, out = run_json(capsys, ["coarsen-compare", str(docs / "K.json"),
@@ -472,19 +490,19 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert code == 2 and err["kind"] == "validation"
 
-    def test_env_seed_not_an_integer(self, docs, capsys, monkeypatch):
-        monkeypatch.setenv("GRADEX_SEED", "abc")
-        code = cli.run(["classify", str(docs / "ring.json")])
-        out, err = capsys.readouterr()
-        assert code == 2 and out == ""
-        err = json.loads(err)
-        assert err["kind"] == "validation" and "GRADEX_SEED" in err["error"]
-
     def test_schanuel_glue_length_at_least_one(self, docs, capsys):
         for n in ("-1", "0"):
             code = cli.run(["schanuel", str(docs / "K.json"), "--n", n])
             err = json.loads(capsys.readouterr().err)
             assert code == 2 and err["kind"] == "validation", n
+
+    def test_env_seed_not_an_integer(self, docs, capsys, monkeypatch):
+        # GRADEX_SEED is not read: a malformed value changes no exit code.
+        code = cli.run(["classify", str(docs / "ring.json")])
+        plain = capsys.readouterr()
+        monkeypatch.setenv("GRADEX_SEED", "abc")
+        code_env = cli.run(["classify", str(docs / "ring.json")])
+        assert (code, plain) == (0, capsys.readouterr()) and code_env == 0
 
 
 class TestDeterminism:
@@ -497,8 +515,11 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_env_seed(self, docs, capsys, monkeypatch):
+        # --seed alone picks the seed; GRADEX_SEED leaves the report as is.
+        argv = ["module", str(docs / "R.json")]
+        code, out = run_json(capsys, argv)
         monkeypatch.setenv("GRADEX_SEED", "12345")
-        code, out = run_json(capsys, ["module", str(docs / "R.json")])
+        assert run_json(capsys, argv) == (code, out)
         assert code == 0 and out["free"] is True
 
     def test_text_mode(self, docs, capsys):
@@ -809,8 +830,8 @@ def differs(argv, name):
 
 
 class TestArgvParser:
-    """``_parse_args`` against argparse, as ``_build_parser(name,
-    seed)`` (built for help texts) would parse the same argv: whenever
+    """``_parse_args`` against argparse, as ``_build_parser(name)``
+    (built for help texts) would parse the same argv: whenever
     ``_parse_args`` accepts, argparse reads the same value for every
     dest, and whenever argparse exits 2, ``run`` returns 2 with one JSON
     error line.  The one deliberate difference: argparse accepts an
@@ -829,12 +850,12 @@ class TestArgvParser:
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             try:
-                expected = vars(cli._build_parser(name, 5).parse_args(argv))
+                expected = vars(cli._build_parser(name).parse_args(argv))
             except SystemExit as e:
                 assert e.code == 2
                 expected = None
             try:
-                got = vars(cli._parse_args(name, argv, 5))
+                got = vars(cli._parse_args(name, argv))
             except cli.ValidationError:
                 got = None
         if got is not None:
@@ -860,8 +881,8 @@ class TestArgvParser:
     ])
     def test_examples(self, argv, read):
         if isinstance(read, dict):
-            assert vars(cli._parse_args("resolve", argv, 5)) == read
+            assert vars(cli._parse_args("resolve", argv)) == read
         else:
             with pytest.raises(cli.ValidationError) as e:
-                cli._parse_args("resolve", argv, 5)
+                cli._parse_args("resolve", argv)
             assert str(e.value) == read

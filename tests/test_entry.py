@@ -26,7 +26,7 @@ PIPE_ERROR = {"error": "[Errno 32] Broken pipe", "kind": "validation"}
 @pytest.fixture(params=[None, "1"], ids=["buffered", "unbuffered"])
 def env(request):
     env = {k: v for k, v in os.environ.items()
-           if k not in ("PYTHONUNBUFFERED", "GRADEX_SEED")}
+           if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(SRC), COLUMNS="80")
     if request.param:
         env["PYTHONUNBUFFERED"] = request.param
@@ -89,7 +89,6 @@ SUBCOMMANDS = [
 def test_stdout_is_byte_identical_to_run(argv, docs, env, capsys,
                                          monkeypatch):
     monkeypatch.chdir(docs)
-    monkeypatch.delenv("GRADEX_SEED", raising=False)
     proc = gradex(argv, env, cwd=docs)
     assert (proc.returncode, proc.stdout, proc.stderr) == \
         in_process(argv, capsys)

@@ -80,7 +80,6 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 def test_classify_run_loads_no_argument_parser():
     # argparse (with gettext and locale) only renders --help texts
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("GRADEX_SEED", None)
     out = subprocess.run([sys.executable, "-c", RUN_PROBE, "classify",
                           json.dumps(RING_QX2), "--oracle"], env=env,
                          capture_output=True, text=True, check=True)

@@ -12,6 +12,7 @@ import gradex.oracles as orc
 import gradex.samples as S
 from gradex.exactla import GF
 from support import dense, exhaustive_classify
+from test_ghom import sample_modules
 
 
 def quotient_by_power(R, k):
@@ -242,6 +243,19 @@ class TestMorphismEnumeration:
             deg0 = sum(1 for d in H.basis_degrees
                        if d == R.group.zero)
             assert len(orc.enumerate_morphisms(A, B)) == 2 ** deg0, (A, B)
+
+    @pytest.mark.parametrize("i", range(len(sample_modules())))
+    def test_oracle_diff_counts_degree0_hom(self, i, capsys):
+        # oracle-diff reads the count from one kernel of the degree-0
+        # equations; graded_hom builds every degree
+        M = sample_modules()[i]
+        H, _ = gm.graded_hom(M, M)
+        deg0 = sum(1 for d in H.basis_degrees if d == M.algebra.group.zero)
+        code = cli.run(["oracle-diff", json.dumps(cli.module_to_json(M))])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0 and out["agree"] is True
+        assert out["hom_deg0_dim"] == deg0
+        assert out["oracle_hom_count"] == M.field.p ** deg0
 
     def test_oracle_diff_free_f2x4_within_budget(self, capsys):
         # a guard against rebuilding both sides of the equivariance

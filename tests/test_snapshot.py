@@ -45,7 +45,6 @@ def test_report_matches_snapshot(workload, seed, doc, expected, tmp_path,
     for name, text in doc["files"].items():
         (tmp_path / name).write_text(text)
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("GRADEX_SEED", raising=False)
     code = cli.run(doc["argv"])
     out = capsys.readouterr().out
     assert code == 0

@@ -94,7 +94,6 @@ def test_axioms_checked_once_per_parsed_object(workload, tmp_path,
     monkeypatch.setattr(gf.AlgebraMorphism, "_check",
                         counted(gf.AlgebraMorphism._check,
                                 ring_morphism_checks, adjunction))
-    monkeypatch.delenv("GRADEX_SEED", raising=False)
     _run_corpus(workload, tmp_path, monkeypatch)
     capsys.readouterr()
     assert derived == []
@@ -381,8 +380,9 @@ def compose_ring_morphisms(draw):
 @derivation
 def quotient_ring(draw):
     R = ring(draw)
-    a = gc.ideal_from_gens(R, [R.basis_element(i) for i in draw(
-        st.lists(st.integers(0, R.dim - 1), max_size=2))])
+    a = gc.ideal_from_gens(R, [la.unit_vector(R.field, R.dim, i) for i in
+                               draw(st.lists(st.integers(0, R.dim - 1),
+                                             max_size=2))])
     return lambda: gc.quotient_ring(R, a)
 
 
