@@ -19,13 +19,14 @@ Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
 canonical homogeneous basis (``graded_span``), one closure under the
 action (``submodule_span``) and one matrix of an element's action
-(``mult_matrix``).
+(``mult_matrix``).  The graded spectrum is read off the idempotents of
+(R/nil R)_0.
 """
 
 from __future__ import annotations
 
 from functools import cached_property, wraps
-from itertools import combinations, product
+from itertools import product
 
 from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
     integer_solve
@@ -648,53 +649,32 @@ def ideal_class(R: GradedAlgebra, a: GradedIdeal) -> IdealClass:
 
 
 # ---------------------------------------------------------------------------
-# desk-scale graded spectrum over F_p
+# desk-scale graded spectrum over F_p, from the idempotents of (R/nil R)_0
 # ---------------------------------------------------------------------------
 
-def _all_subspaces(field, d):
-    """All subspaces of F_p^d as canonical rref bases (tuples of tuples),
-    each written down once: choose the pivot columns, then fill the
-    entries right of each pivot outside the pivot columns."""
-    out = []
-    for k in range(d + 1):
-        for pivots in combinations(range(d), k):
-            free = [(r, c) for r, p in enumerate(pivots)
-                    for c in range(p + 1, d) if c not in pivots]
-            for vals in product(field.elements(), repeat=len(free)):
-                rows = [la.unit_vector(field, d, p) for p in pivots]
-                for (r, c), v in zip(free, vals):
-                    rows[r][c] = v
-                out.append(tuple(map(tuple, rows)))
-    return sorted(out)
-
-
 def spec_enumerate(R: GradedAlgebra):
-    """All graded prime ideals over F_p, by enumerating graded subspaces."""
+    """All graded prime ideals over F_p, ordered by their bases degree by
+    degree.  R is finite-dimensional, so a graded prime P is
+    graded-maximal (a nonzero homogeneous element acts injectively on
+    R/P, hence bijectively) and contains N = nil(R).  Q = R/N is
+    reduced, so Q_0 is a product of fields, and each primitive
+    idempotent e of Q_0 cuts out a graded-simple factor eQ.  The graded
+    primes are the preimages of the (1 - e)Q."""
     if not R.field.is_finite or R.field.p > 3 or R.dim > 6:
         raise SizeGuardExceeded("spec_enumerate is limited to p <= 3, dim <= 6")
-    f = R.field
-    degs = R.degrees()
-    per_degree = []
-    for g in degs:
-        per_degree.append(_all_subspaces(f, len(R.component_indices(g))))
+    f, N = R.field, nilradical(R)
+    Q, _, lift = quotient_ring(R, N)
+    idem = [e for g, e in Q.homogeneous_vectors()
+            if g == Q.group.zero and Q.act_vec(e, e) == e]
     primes = []
-    for choice in product(*per_degree):
-        vecs = []
-        for g, basis in zip(degs, choice):
-            idx = R.component_indices(g)
-            for b in basis:
-                v = [f.zero] * R.dim
-                for pos, i in enumerate(idx):
-                    v[i] = b[pos]
-                vecs.append(v)
-        # an ideal is its own submodule span
-        if len(R.submodule_span(vecs)) != len(vecs):
-            continue
-        cand = GradedIdeal(R, vecs)
-        cls = ideal_class(R, cand)
-        if cls.prime:
-            primes.append(cand)
-    return primes
+    for e in idem:
+        if any(d != e and Q.act_vec(d, e) == d for d in idem):
+            continue   # e = d + (e - d) is not primitive
+        co = Q.submodule_span([[f.sub(a, b) for a, b in zip(Q.unit, e)]])
+        primes.append(GradedIdeal(R, N.vectors() + [
+            la.mat_vec_mul(f, lift, v) for v in co]))
+    return sorted(primes, key=lambda P: [
+        [v for v in P.basis if R.vec_degree(v) == g] for g in R.degrees()])
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +914,8 @@ class MonoidAlgebra:
         B = self.base
         terms = [(m, r) for m, r in ((m, B.element(c))
                                      for m, c in terms.items()) if any(r)]
+        if not terms:   # zero is a unit only in the zero ring
+            return B.dim == 0
         if len(terms) == 1:
             (m, r), = terms
             if not classify_element(B, r).unit:

@@ -48,7 +48,8 @@ def _all_vectors(f, n, limit=ENUM_LIMIT):
 
 
 def _eliminate(f, rows):
-    """Row reduce in place (fresh copy); returns the nonzero rows."""
+    """Row reduce in place (fresh copy); returns the nonzero rows in
+    reduced echelon form, read once every column has cleared them."""
     M = [r[:] for r in rows]
     out = []
     for col in range(len(M[0]) if M else 0):
@@ -66,7 +67,7 @@ def _eliminate(f, rows):
                 c = r[col]
                 for t in range(len(r)):
                     r[t] = f.sub(r[t], f.mul(c, piv[t]))
-        out.append(piv[:])
+        out.append(piv)
     return out
 
 

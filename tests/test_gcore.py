@@ -310,6 +310,38 @@ class TestSpectra:
         assert len(gc.spec_enumerate(R)) == 2
         assert calls[0] <= 149_000
 
+    def test_coarse_f3_z6_within_budget(self):
+        # F3[x]/(x^6 - 1) = F3[x]/((x - 1)^3 (x + 1)^3): two primes, one
+        # for each primitive idempotent of (R/nil R)_0 = F3 x F3
+        R = coarsen(S.group_algebra(3, 6), S.psi_Zmod_to_zero(6))
+        start = time.perf_counter()
+        assert len(gc.spec_enumerate(R)) == 2
+        assert time.perf_counter() - start < 1.0
+
+    def test_submodule_span_acts_once_per_basis_vector(self, monkeypatch):
+        # each round acts only on the rows with new pivots, so a call acts
+        # with each x_i in ``acting`` on at most len(result) vectors
+        rings = S.finite_corpus() + [
+            coarsen(S.group_algebra(p, 6), S.psi_Zmod_to_zero(6))
+            for p in (2, 3)]
+        rng = random.Random(0)
+        calls, act_vec = [0], gc._GradedSpace.act_vec
+
+        def counted(self, x, v):
+            calls[0] += 1
+            return act_vec(self, x, v)
+        monkeypatch.setattr(gc._GradedSpace, "act_vec", counted)
+        for R in rings:
+            for _ in range(20):
+                gens = [[rng.randrange(R.field.p) for _ in range(R.dim)]
+                        for _ in range(rng.randint(0, 3))]
+                acting = None if rng.random() < 0.5 else sorted(
+                    rng.sample(range(R.dim), rng.randint(0, R.dim)))
+                calls[0] = 0
+                span = R.submodule_span(gens, acting)
+                r = R.dim if acting is None else len(acting)
+                assert calls[0] <= len(span) * r, (R, gens, acting)
+
     def test_nil_is_intersection_of_spec(self):
         for R in S.finite_corpus():
             if R.field.p > 3 or R.dim > 4:
@@ -427,6 +459,13 @@ class TestMonoids:
         A = gc.MonoidAlgebra(S.dual_numbers(GF(2)),
                              gc.AffineMonoid(1, [(1,)]), mode="coarse")
         assert A.is_unit({(0,): [1, 0], (1,): [0, 2]}) is True
+
+    def test_zero_is_a_unit_only_in_the_zero_ring(self):
+        assert S.laurent_algebra(GF(3)).is_unit({(1,): [0]}) is False
+        assert S.laurent_algebra(QQ).is_unit({}) is False
+        zero_ring = gc.GradedAlgebra(ZERO_GROUP, GF(2), [], [], [])
+        A = gc.MonoidAlgebra(zero_ring, gc.AffineMonoid(1, [(1,)]))
+        assert A.is_unit({}) is True
 
     def test_monomial_with_nonunit_coeff(self):
         base = S.dual_numbers(GF(2))

@@ -227,6 +227,29 @@ class TestSubmoduleEnumeration:
             assert any(tuple(tuple(r) for r in orc._eliminate(
                 M.field, [list(v) for v in s])) == canon for s in subs)
 
+    @pytest.mark.parametrize("R", [
+        gf.coarsen(S.truncated_polynomial_algebra(GF(2), 3),
+                   S.psi_Z_to_zero()),
+        gf.coarsen(S.group_algebra(3, 3), S.psi_Zmod_to_zero(3))])
+    def test_each_submodule_listed_once(self, R):
+        # one entry per submodule, each its canonical basis
+        M = gm.regular_module(R)
+        subs = orc.enumerate_graded_substructures(M)
+        canon = {tuple(map(tuple, M.graded_span(s))) for s in subs}
+        assert len(set(subs)) == len(subs) == len(canon) == 4
+        assert set(subs) == canon
+
+    def test_spec_agrees_with_prime_ideals(self):
+        # the graded ideals of R are the submodules of its regular module
+        for R in oracle_rings() + [R for R, _ in S.coarsening_pairs()]:
+            primes = set()
+            for s in orc.enumerate_graded_substructures(gm.regular_module(R)):
+                a = gc.GradedIdeal(R, s)
+                if gc.ideal_class(R, a).prime:
+                    primes.add(tuple(map(tuple, a.basis)))
+            spec = [tuple(map(tuple, P.basis)) for P in gc.spec_enumerate(R)]
+            assert len(spec) == len(primes) and set(spec) == primes, R
+
 
 class TestMorphismEnumeration:
     def test_endomorphisms_of_quotient(self):
