@@ -43,7 +43,7 @@ def main():
     print()
     print("comparing two resolutions of K (one minimal, one padded):")
     res1 = gh.resolution(K, cutoff=2, minimal=True)
-    F, _ = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
+    F = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
     beta = gm.ModuleMorphism(F, K, [[1, 0, 0, 0]])
     L, inclL = gm.kernel(beta)
     p2 = gh.minimal_cover(L)

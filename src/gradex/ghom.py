@@ -5,12 +5,12 @@ that survive coarsening.
 
 ``resolution`` holds the only cover-to-kernel loop (cover K_n, step to
 its kernel K_{n+1}); betti tables are read off it.  Dimensions are
-decided by theorem, with one split test each: every algebra here is
-finite-dimensional and commutative, hence artinian, and over such a
-ring a finitely generated module of finite projective or injective
-dimension has dimension 0 (Auslander-Buchsbaum; Bass).  So a dimension
-is 0 when the module (or its dual, for the injective one) is
-projective, and infinite otherwise; a report's ``">=N"`` is a proven
+decided by theorem: every algebra here is finite-dimensional and
+commutative, hence artinian, and over such a ring a finitely generated
+module of finite projective or injective dimension has dimension 0
+(Auslander-Buchsbaum; Bass).  So a dimension is 0 when the module (or
+its dual, for the injective one) is projective, which Tor_1(-, R/nil R)
+decides, and infinite otherwise; a report's ``">=N"`` is a proven
 bound.  ``oracles.injective_dimension_direct`` keeps a cokernel walk as
 an independent cross-check.
 """
@@ -20,11 +20,10 @@ from __future__ import annotations
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra
-from . import gmod as gm
+from .gcore import GradedAlgebra, nilradical
 from .gmod import (GradedModule, ModuleMorphism, FreeSpec, regular_module,
-                   free_cover_from_generators, direct_sum, kernel,
-                   radical_submodule, ModuleError, coarsen_module,
+                   free_cover_from_generators, map_from_free, direct_sum,
+                   kernel, radical_submodule, ModuleError, coarsen_module,
                    minimal_generators)
 
 
@@ -54,47 +53,52 @@ def injective_cogenerator(R: GradedAlgebra) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# lifting, splitting, projectivity
+# lifting, projectivity
 # ---------------------------------------------------------------------------
 
 def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
-    """A morphism t with p o t = v (same target), or None: one solve of
-    the degree-zero equivariance equations of t stacked on the
-    equations p t = v."""
+    """A morphism t from the free source V of v with p o t = v (same
+    target), or None.  t sends each generator u of V, of degree d, to a
+    solution y in P_d of p(y) = v(u): one solve per generator."""
     if p.target.dim != v.target.dim or p.target != v.target:
         raise ModuleError("lift needs a common target")
-    f, V, P = p.target.field, v.source, p.source
-    slots, rows = gm._hom_equations(V, P, V.group.zero)
-    rhs = [f.zero] * len(rows)
-    for r in range(v.target.dim):
-        for j in range(V.dim):
-            row = [p.matrix[r][k] if j2 == j else f.zero
-                   for k, j2 in slots]
-            if any(row) or v.matrix[r][j] != 0:
-                rows.append(row)
-                rhs.append(v.matrix[r][j])
-    sol, = la.solve_linear(f, rows, [rhs])
-    if sol is None:
-        return None
-    t = la.zeros(f, P.dim, V.dim)
-    for (k, j), c in zip(slots, sol):
-        t[k][j] = c
-    return ModuleMorphism._derived(V, P, t)
+    V, P, M, f = v.source, p.source, p.target, p.target.field
+    if V.free_degrees is None:
+        raise ModuleError("lift needs a free source")
+    n, images = V.algebra.dim, []
+    for t, d in enumerate(V.free_degrees):
+        cols, rows = P.component_indices(d), M.component_indices(d)
+        vu = la.mat_vec_mul(f, [v.matrix[r][t * n:(t + 1) * n]
+                                for r in rows], V.algebra.unit)
+        sol, = la.solve_linear(f, [[p.matrix[r][k] for k in cols]
+                                   for r in rows], [vu])
+        if sol is None:
+            return None
+        y = dict(zip(cols, sol))
+        images.append([y.get(k, f.zero) for k in range(P.dim)])
+    return map_from_free(V, P, images)
 
 
 def minimal_cover(M: GradedModule) -> ModuleMorphism:
     return free_cover_from_generators(M, minimal_generators(M))
 
 
-def _splits(p: ModuleMorphism) -> bool:
-    """Does the identity of p's target lift through the epimorphism p?"""
-    identity = gm.identity_module_morphism(p.target)
-    return lift_through_epi(p, identity) is not None
+def _tor1_vanishes(p: ModuleMorphism) -> bool:
+    """Is Tor_1(M, R/N) = 0 for the free cover p: F ->> M, N = nil(R)?
+    With K = ker p, 0 -> Tor_1 -> K/NK -> F/NF -> M/NM -> 0 is exact, so
+    dim Tor_1 = dim NF - dim NK - dim NM; NF is one copy of N for each
+    generator of F."""
+    F, f = p.source, p.source.field
+    N, K = nilradical(F.algebra).vectors(), la.kernel_basis(f, p.matrix, F.dim)
+    NK = [F.act_vec(x, k) for x in N for k in K]
+    return len(F.free_degrees) * len(N) == \
+        la.rank(f, NK) + len(radical_submodule(p.target))
 
 
 def is_projective(M: GradedModule) -> bool:
-    """Does the free cover split?"""
-    return M.dim == 0 or _splits(minimal_cover(M))
+    """Is Tor_1(M, R/nil R) zero?  By graded Nakayama on each graded-local
+    block of R (R/nil R is a product of graded fields), iff projective."""
+    return M.dim == 0 or _tor1_vanishes(minimal_cover(M))
 
 
 def is_injective(M: GradedModule) -> bool:
@@ -124,13 +128,8 @@ class FreeResolution(Record):
         return len(self.covers)
 
     def step_spec(self, i) -> FreeSpec:
-        F = self.covers[i].source
-        # the cover places one block of algebra.dim basis vectors per
-        # generator, each shifted by the generator degree
-        R = self.target.algebra
-        degs = [F.basis_degrees[t] - R.basis_degrees[0]
-                for t in range(0, F.dim, max(R.dim, 1))]
-        return FreeSpec.from_generator_degrees(degs)
+        return FreeSpec.from_generator_degrees(
+            self.covers[i].source.free_degrees)
 
     def step_matrix(self, i):
         """Matrix F_i -> F_{i-1} (or F_0 -> target for i = 0)."""
@@ -309,9 +308,10 @@ def dimension(M: GradedModule, kind="projective", cutoff=8) -> DimensionReport:
     a finite projective dimension is 0 (Auslander-Buchsbaum, Trans. AMS
     85, 1957) and so is a finite injective dimension (Bass, Math. Z. 82,
     1963).  A graded module is graded-projective iff it is projective
-    (Nastasescu-Van Oystaeyen, LNM 1836), so one graded split test
-    decides; for finitely generated modules flat is projective.  The
-    cutoff only sets the N of the displayed bound ">=N"."""
+    (Nastasescu-Van Oystaeyen, LNM 1836), so the graded test
+    Tor_1(M, R/nil R) = 0 of is_projective decides; for finitely
+    generated modules flat is projective.  The cutoff only sets the N of
+    the displayed bound ">=N"."""
     if kind not in ("projective", "flat", "injective"):
         raise ModuleError(f"unknown dimension kind {kind!r}")
     _check_cutoff(cutoff)
@@ -332,10 +332,11 @@ def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
         raise ModuleError("dimension comparison needs an epimorphism")
     Mc = coarsen_module(M, psi)
     res, resc = resolution(M, cutoff), resolution(Mc, cutoff)
-    # pd by the split of the cover each resolution has built (see
-    # dimension); flat dimension is projective dimension (see is_flat)
-    pd = [DimensionReport("projective",
-                          0 if not r.covers or _splits(r.covers[0]) else None,
+    # pd by Tor_1(-, R/nil R) on the cover each resolution has built
+    # (see is_projective and dimension); flat dimension is projective
+    # dimension (see is_flat)
+    pd = [DimensionReport("projective", 0 if not r.covers
+                          or _tor1_vanishes(r.covers[0]) else None,
                           cutoff) for r in (res, resc)]
     report = {"projective": _agreement(*pd), "flat": _agreement(*pd)}
     _, _, _, finite, _ = kernel_data(psi)

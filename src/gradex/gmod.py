@@ -37,6 +37,7 @@ class GradedModule(_GradedSpace):
     of its action, x_i . v_j = sum_k c v_k; entries not given are 0."""
 
     _degree_error = _unit_error = _associativity_error = ModuleError
+    free_degrees = None   # the d_t of a free module + R(-d_t), if built so
 
     def __init__(self, algebra: GradedAlgebra, basis_degrees, action):
         self._setup(algebra, basis_degrees, action)
@@ -116,10 +117,6 @@ class ModuleMorphism(_Morphism):
                 f"over {self.source.algebra!r})")
 
 
-def identity_module_morphism(M):
-    return ModuleMorphism._derived(M, M, la.eye(M.field, M.dim))
-
-
 # ---------------------------------------------------------------------------
 # basic constructions
 # ---------------------------------------------------------------------------
@@ -148,6 +145,8 @@ def direct_sum(M: GradedModule, N: GradedModule):
     R, m = M.algebra, M.dim
     D = GradedModule._derived(R, M.basis_degrees + N.basis_degrees,
                               _block_action([M, N]))
+    if M.free_degrees is not None and N.free_degrees is not None:
+        D.free_degrees = M.free_degrees + N.free_degrees
     eye = la.eye(M.field, D.dim)
     return (D, ModuleMorphism._derived(M, D, [r[:m] for r in eye]),
             ModuleMorphism._derived(N, D, [r[m:] for r in eye]))
@@ -354,34 +353,33 @@ class FreeSpec(Record, frozen=True):
 
 
 def free_module(R: GradedAlgebra, gen_degrees):
-    """Free module with one copy of R per generator degree; returns
-    (F, blocks) where blocks[t] lists the basis indices of copy t and
-    the generator of copy t is index blocks[t][unit-support]."""
-    degrees = [di + d for d in gen_degrees for di in R.basis_degrees]
-    blocks = [list(range(t * R.dim, (t + 1) * R.dim))
-              for t in range(len(gen_degrees))]
-    F = GradedModule._derived(R, degrees,
+    """Free module with one copy of R per generator degree; copy t holds
+    the basis vectors x_j . u_t of its generator u_t."""
+    F = GradedModule._derived(R, [di + d for d in gen_degrees
+                                  for di in R.basis_degrees],
                               _block_action([R] * len(gen_degrees)))
-    return F, blocks
+    F.free_degrees = tuple(gen_degrees)
+    return F
+
+
+def map_from_free(F: GradedModule, N: GradedModule, images):
+    """The morphism from the free module F to N sending its t-th
+    generator to the vector images[t] of its degree: column (t, j) is
+    x_j . images[t]."""
+    f, r = N.field, F.algebra.dim
+    cols = [N.act_vec(la.unit_vector(f, r, j), v)
+            for v in images for j in range(r)]
+    return ModuleMorphism._derived(F, N, [[c[k] for c in cols]
+                                          for k in range(N.dim)])
 
 
 def free_cover_from_generators(M: GradedModule, gens):
     """Morphism from a free module onto the submodule generated by the
     given homogeneous vectors (onto M itself when they generate)."""
-    R, f = M.algebra, M.field
-    degs = []
-    for g in gens:
-        d = M.vec_degree(g)
-        if d is None:
-            raise ModuleError("free cover needs homogeneous generators")
-        degs.append(d)
-    F, blocks = free_module(R, degs)
-    cols = {}
-    for t, g in enumerate(gens):
-        for j in range(R.dim):
-            cols[blocks[t][j]] = M.act_vec(la.unit_vector(f, R.dim, j), g)
-    matrix = [[cols[c][k] for c in range(F.dim)] for k in range(M.dim)]
-    return ModuleMorphism._derived(F, M, matrix)
+    degs = [M.vec_degree(g) for g in gens]
+    if None in degs:
+        raise ModuleError("free cover needs homogeneous generators")
+    return map_from_free(free_module(M.algebra, degs), M, gens)
 
 
 class FreenessReport(Record):
@@ -433,7 +431,7 @@ def _iso_search(M: GradedModule, gen_degrees, seed=la.DEFAULT_SEED):
     """Search for an isomorphism from the free module on the given
     generator degrees onto M."""
     R, f = M.algebra, M.field
-    F, _ = free_module(R, gen_degrees)
+    F = free_module(R, gen_degrees)
     if F.dim != M.dim:
         return la.IntertwinerResult("proven_none", None, 0), F
     H, maps = graded_hom(F, M)

@@ -184,7 +184,7 @@ def test_6_schanuel():
     # the documented n = 1 instance: minimal cover R against the padded
     # cover R + R(-1) whose second copy maps to zero
     res1 = gh.resolution(K, cutoff=2, minimal=True)
-    F, blocks = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
+    F = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
     beta = gm.ModuleMorphism(F, K, [[1, 0, 0, 0]])
     L, inclL = gm.kernel(beta)
     p2 = gh.minimal_cover(L)

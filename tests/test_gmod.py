@@ -250,9 +250,20 @@ class TestFreeness:
         rep = gm.freeness(M)
         assert rep.free is False
 
+    def test_free_record_leaves_equality_alone(self):
+        # free_degrees records how a module was built; F equals the
+        # regular module it copies, and a direct sum keeps the record only
+        # when both summands have one
+        R = S.dual_numbers(GF(2))
+        F, M = gm.free_module(R, [R.group.zero]), gm.regular_module(R)
+        assert F.free_degrees == (R.group.zero,) and M.free_degrees is None
+        assert F == M and hash(F) == hash(M)
+        assert gm.direct_sum(F, F)[0].free_degrees == (R.group.zero,) * 2
+        assert gm.direct_sum(F, M)[0].free_degrees is None
+
     def test_rank_invariant_under_coarsening(self):
         R = S.dual_numbers(GF(2))
-        F, _ = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
+        F = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
         fine = gm.freeness(F)
         coarse = gm.freeness(gm.coarsen_module(F, S.psi_Z_to_Zmod(2)))
         assert fine.free is True and coarse.free is True
@@ -261,7 +272,7 @@ class TestFreeness:
     def test_free_spec_records_shifts(self):
         R = S.dual_numbers()
         g = Z(1).element((1,))
-        F, _ = gm.free_module(R, [g])
+        F = gm.free_module(R, [g])
         rep = gm.freeness(F)
         assert rep.spec.generator_degrees() == [g]
 
@@ -276,7 +287,7 @@ class TestMonogeneity:
         K, _ = quotient_by_x(R)
         assert gm.is_monogeneous(K) is True
         # two generators in distinct degrees still need two generators
-        F, _ = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
+        F = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
         assert gm.is_monogeneous(F) is False
 
     def test_rational_case(self):
@@ -287,7 +298,7 @@ class TestMonogeneity:
 
     def test_random_miss_is_undecided(self):
         # a component of dimension 4 over Q leaves only the random search
-        F, _ = gm.free_module(S.trivial_algebra(), [ZERO_GROUP.zero] * 4)
+        F = gm.free_module(S.trivial_algebra(), [ZERO_GROUP.zero] * 4)
         assert gm.is_monogeneous(F) is None
 
 
@@ -310,7 +321,8 @@ class TestSmallSubmodules:
         rep = gm.small_submodule(sincl, "essential")
         assert rep.flag is True
         # the identity is never superfluous on a nonzero module
-        rep = gm.small_submodule(gm.identity_module_morphism(M), "superfluous")
+        ident = gm.ModuleMorphism(M, M, la.eye(M.field, M.dim))
+        rep = gm.small_submodule(ident, "superfluous")
         assert rep.flag is False
         # the zero submodule is never essential when the socle is nonzero
         Zm = gm.GradedModule(R, [], [])

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 import gradex.cli as cli
+import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.gmod as gm
@@ -138,7 +139,7 @@ def module_zoo(p, n):
     zero, one = R.group.zero, R.basis_degrees[1]
     mods = [gm.GradedModule(R, [], [])]
     for shifts in ([zero], [one], [zero, zero], [zero, one]):
-        mods.append(gm.free_module(R, shifts)[0])
+        mods.append(gm.free_module(R, shifts))
     for k in range(1, n):
         mods.append(quotient_by_power(R, k)[0])
     return mods
@@ -284,7 +285,7 @@ class TestMorphismEnumeration:
         # a guard against rebuilding both sides of the equivariance
         # check for each of the 2^14 candidates (about 1.1 s)
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        F, _ = gm.free_module(R, [R.group.zero, R.basis_degrees[1]])
+        F = gm.free_module(R, [R.group.zero, R.basis_degrees[1]])
         doc = json.dumps(cli.module_to_json(F))
         t0 = time.perf_counter()
         code = cli.run(["oracle-diff", doc])
@@ -296,7 +297,7 @@ class TestMorphismEnumeration:
 
     def test_guard(self):
         R = S.truncated_polynomial_algebra(GF(5), 2)
-        F, _ = gm.free_module(R, [R.group.zero] * 5)
+        F = gm.free_module(R, [R.group.zero] * 5)
         with pytest.raises(gc.SizeGuardExceeded):
             orc.enumerate_morphisms(F, F)
 
@@ -304,7 +305,7 @@ class TestMorphismEnumeration:
         # F2[X]/(X^5)^2 with shifts 0: 2 * 2 * 5 = 20 slots, 2^20 =
         # ENUM_LIMIT candidates, which the guard still admits
         R = S.truncated_polynomial_algebra(GF(2), 5)
-        F, _ = gm.free_module(R, [R.group.zero, R.group.zero])
+        F = gm.free_module(R, [R.group.zero, R.group.zero])
         H, _ = gm.graded_hom(F, F)
         deg0 = sum(1 for d in H.basis_degrees if d == R.group.zero)
         assert deg0 == 4
@@ -388,7 +389,7 @@ class TestSmallSubmoduleOracle:
     def test_negative_cases(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
         M = gm.regular_module(R)
-        ident = gm.identity_module_morphism(M)
+        ident = gm.ModuleMorphism(M, M, la.eye(M.field, M.dim))
         flag, witness = orc.oracle_small_submodule(ident, "superfluous")
         assert flag is False and witness is not None
         Z = gm.GradedModule(R, [], [])

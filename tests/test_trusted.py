@@ -27,7 +27,8 @@ import gradex.gmod as gm
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, ZERO_GROUP
 from gradex.exactla import QQ
-from test_ghom import quotient_by_x, sample_modules
+from test_ghom import (free_lift_cases, padded_lift_cases, quotient_by_x,
+                       sample_modules)
 
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 sys.path.insert(0, str(BENCH))
@@ -396,15 +397,20 @@ def compose(draw):
 
 
 @derivation
-def identity(draw):
+def map_from_free(draw):
     M = module(draw)
-    return lambda: gm.identity_module_morphism(M)
+    images = unit_vectors(draw, M)
+    F = gm.free_module(M.algebra, [M.vec_degree(v) for v in images])
+    return lambda: gm.map_from_free(F, M, images)
 
 
 @derivation
 def lift_through_epi(draw):
-    # a cover by a free module lifts through every epimorphism
-    p, v = draw(st.permutations(module_morphisms(module(draw))[:2]))
+    # a free module lifts through every epimorphism: the minimal and the
+    # full cover of a module, and the padded covers of a Schanuel step
+    M = module(draw)
+    p, v = draw(st.sampled_from(free_lift_cases(M)[:2]
+                                + padded_lift_cases(M)[:2]))
     return lambda: gh.lift_through_epi(p, v)
 
 
