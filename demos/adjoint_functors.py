@@ -25,7 +25,7 @@ def main():
     print("Q[X]/(X^2) along the doubling map:")
     print(f"  restriction keeps {rst.dim} of {R.dim} basis vectors")
     print(f"  corestriction has dimension {cor.algebra.dim} and divides "
-          f"by an ideal of dimension {cor.ideal.dim}")
+          f"by an ideal of dimension {len(cor.ideal)}")
     print(f"  corestriction == restriction here? "
           f"{cor.algebra.basis_degrees == rst.basis_degrees}")
 

@@ -8,7 +8,7 @@ __version__ = "0.1.0"
 from .abgroups import FGAbelianGroup, GroupElement, GroupHom, Z, Zmod, \
     ZERO_GROUP
 from .exactla import QQ, GF, DEFAULT_SEED
-from .gcore import GradedAlgebra, GradedIdeal, AffineMonoid, MonoidAlgebra, \
+from .gcore import GradedAlgebra, AffineMonoid, MonoidAlgebra, \
     classify_element, classify_ring, nilradical, radical, spec_enumerate
 from .gfunct import coarsen, restrict, extend, corestrict, adjunction_check
 from .gmod import GradedModule, ModuleMorphism, regular_module, shift, \

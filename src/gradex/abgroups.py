@@ -367,7 +367,7 @@ class GroupHom(Record, frozen=True):
             raise GroupError("hom matrix has wrong shape")
         # well-definedness: source relations must land in the target lattice
         for col in source.relation_columns():
-            img = mat_vec([list(r) for r in mat], col)
+            img = mat_vec(mat, col)
             if not self.target_lattice_contains(img):
                 raise GroupError("hom does not respect torsion relations")
 
@@ -381,13 +381,13 @@ class GroupHom(Record, frozen=True):
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise GroupError("element not in the source group")
-        return self.target.element(mat_vec([list(r) for r in self.matrix], list(x.coords)))
+        return self.target.element(mat_vec(self.matrix, x.coords))
 
     def compose(self, other: "GroupHom") -> "GroupHom":
         """self o other."""
         if other.target != self.source:
             raise GroupError("homs do not compose")
-        M = mat_mul([list(r) for r in self.matrix], [list(r) for r in other.matrix])
+        M = mat_mul(self.matrix, other.matrix)
         return GroupHom(other.source, self.target, M)
 
     def preimage(self, y: GroupElement):

@@ -11,6 +11,7 @@ import json
 import os
 import re
 import sys
+from collections import Counter
 from types import SimpleNamespace
 
 from .abgroups import FGAbelianGroup, GroupHom, GroupError
@@ -448,9 +449,9 @@ def cmd_corestrict(args):
     cor = gf.corestrict(R, phi)
     if cor.algebra.dim == 0:
         return _emit({"corestriction": "zero ring",
-                      "ideal_dim": cor.ideal.dim}, args.text)
+                      "ideal_dim": len(cor.ideal)}, args.text)
     return _emit({"corestriction": ring_to_json(cor.algebra),
-                  "ideal_dim": cor.ideal.dim}, args.text)
+                  "ideal_dim": len(cor.ideal)}, args.text)
 
 
 def cmd_adjoint_check(args):
@@ -494,9 +495,10 @@ def cmd_module(args):
            "method": rep.method,
            "status": rep.status,
            "monogeneous": gm.is_monogeneous(M, seed=args.seed)}
-    if rep.spec is not None:
-        out["shifts"] = [[_degree_key(g.coords), m]
-                         for g, m in rep.spec.entries]
+    if rep.degrees is not None:
+        # the generator of degree d spans a copy of R(g), g = -d
+        out["shifts"] = [list(t) for t in _hilbert_json(
+            Counter(-d for d in rep.degrees)).items()]
     if args.oracle and M.field.is_finite:
         out["oracle_free"] = orc.oracle_free_search(M)
         out["oracle_agrees"] = (rep.free == out["oracle_free"])
@@ -559,11 +561,11 @@ def cmd_spec(args):
                               "finite-dimensional ring")
     primes = spec_enumerate(R)
     out = {"count": len(primes),
-           "primes": [{"dim": p.dim,
+           "primes": [{"dim": len(p),
                        "basis": [[scalar_out(R.field, c) for c in v]
-                                 for v in p.vectors()]}
+                                 for v in p]}
                       for p in primes],
-           "nilradical_dim": nilradical(R).dim}
+           "nilradical_dim": len(nilradical(R))}
     return _emit(out, args.text)
 
 

@@ -19,8 +19,12 @@ Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
 canonical homogeneous basis (``graded_span``), one closure under the
 action (``submodule_span``) and one matrix of an element's action
-(``mult_matrix``).  The graded spectrum is read off the idempotents of
-(R/nil R)_0.
+(``mult_matrix``).  An ideal is that basis, a list of coordinate
+vectors: ``nilradical``, ``ideal_from_gens``, ``radical`` and
+``spec_enumerate`` return it, and ``quotient_ring`` takes any list of
+homogeneous vectors, brings it to the canonical basis and checks that
+its span is closed under multiplication.  The graded spectrum is read
+off the idempotents of (R/nil R)_0.
 """
 
 from __future__ import annotations
@@ -493,7 +497,7 @@ def classify_ring(R: GradedAlgebra) -> RingClass:
     dimension <= 1 ("criterion"), else undecided."""
     if R.dim == 0:
         return RingClass(False, False, True, "zero-ring")
-    reduced = nilradical(R).dim == 0
+    reduced = not nilradical(R)
     simple, method = None, "criterion"
     if R.field.is_finite:
         try:
@@ -524,56 +528,23 @@ def _homogeneous(R: GradedAlgebra, vectors, what):
     return vecs
 
 
-class GradedIdeal:
-    """Graded ideal: a graded submodule of R regarded as a module over
-    itself, stored as R.graded_span of homogeneous vectors."""
-
-    def __init__(self, parent: GradedAlgebra, vectors):
-        self.parent = parent
-        self.basis = parent.graded_span(
-            _homogeneous(parent, vectors, "ideal basis vector"))
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    def vectors(self):
-        return list(self.basis)
-
-    def contains(self, x):
-        # the span of a homogeneous basis is graded
-        return la.coords_in_basis(self.parent.field, self.basis,
-                                  [self.parent.element(x)])[0] is not None
-
-    def __eq__(self, other):
-        return (isinstance(other, GradedIdeal) and self.parent == other.parent
-                and self.basis == other.basis)
-
-    def __hash__(self):
-        return hash(tuple(map(tuple, self.basis)))
-
-    def __repr__(self):
-        return f"GradedIdeal(dim={self.dim})"
-
-
-def ideal_from_gens(R: GradedAlgebra, gens) -> GradedIdeal:
+def ideal_from_gens(R: GradedAlgebra, gens):
     """Smallest graded ideal containing the homogeneous generators: the
     submodule they generate in R regarded as a module over itself."""
-    return GradedIdeal(R, R.submodule_span(
-        _homogeneous(R, gens, "ideal generator")))
+    return R.submodule_span(_homogeneous(R, gens, "ideal generator"))
 
 
-def quotient_ring(R: GradedAlgebra, a: GradedIdeal):
+def quotient_ring(R: GradedAlgebra, a):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim).
-    A hand-made GradedIdeal may be any graded subspace, so the one
-    condition Q needs, a closed under multiplication, is checked here."""
-    f = R.field
-    if None in la.coords_in_basis(f, a.basis, [
+    a may be any list of homogeneous vectors, so the one condition Q
+    needs, their span closed under multiplication, is checked here."""
+    f, a = R.field, R.graded_span(_homogeneous(R, a, "ideal basis vector"))
+    if None in la.coords_in_basis(f, a, [
             R.act_vec(la.unit_vector(f, R.dim, i), b)
-            for i in range(R.dim) for b in a.basis]):
+            for i in range(R.dim) for b in a]):
         raise AlgebraError("quotient by a subspace that is not an ideal")
-    reps, proj, entries = R.quotient(a.basis)
+    reps, proj, entries = R.quotient(a)
     pos = {i: t for t, i in enumerate(reps)}
     Q = GradedAlgebra._derived(R.group, f, [R.basis_degrees[i] for i in reps],
                                [(pos[i], t, k, c) for i, t, k, c in entries
@@ -598,12 +569,14 @@ def _trace_gram(R: GradedAlgebra):
 
 
 @_once_per_algebra
-def nilradical(R: GradedAlgebra) -> GradedIdeal:
-    """Graded ideal generated by the homogeneous nilpotents.  The
-    nilradical N is the kernel of a matrix A: over Q the Gram matrix of
-    the trace form (its radical), over F_p an iterated Frobenius.  A
-    homogeneous element is nilpotent iff it lies in N, so N meets R_g in
-    the kernel of A restricted to the columns of R_g."""
+def nilradical(R: GradedAlgebra):
+    """Graded ideal generated by the homogeneous nilpotents, as its
+    graded_span basis (one list per ring, shared by every caller, so
+    callers do not change it).  The nilradical N is the kernel of a
+    matrix A: over Q the Gram matrix of the trace form (its radical),
+    over F_p an iterated Frobenius.  A homogeneous element is nilpotent
+    iff it lies in N, so N meets R_g in the kernel of A restricted to
+    the columns of R_g."""
     f, n = R.field, R.dim
     if f.is_rational:
         A = _trace_gram(R)
@@ -628,21 +601,21 @@ def nilradical(R: GradedAlgebra) -> GradedIdeal:
             for c, x in zip(idx, w):
                 v[c] = x
             vecs.append(v)
-    return GradedIdeal(R, vecs)
+    return R.graded_span(vecs)
 
 
-def radical(R: GradedAlgebra, a: GradedIdeal) -> GradedIdeal:
+def radical(R: GradedAlgebra, a):
     """Preimage of nil(R/a) under the projection."""
     Q, _, lift = quotient_ring(R, a)
-    return ideal_from_gens(R, a.vectors() + [
-        la.mat_vec_mul(R.field, lift, v) for v in nilradical(Q).vectors()])
+    return ideal_from_gens(R, list(a) + [
+        la.mat_vec_mul(R.field, lift, v) for v in nilradical(Q)])
 
 
 class IdealClass(Record, frozen=True):
     _fields = ("maximal", "prime", "perfect", "method")
 
 
-def ideal_class(R: GradedAlgebra, a: GradedIdeal) -> IdealClass:
+def ideal_class(R: GradedAlgebra, a) -> IdealClass:
     Q, _, _ = quotient_ring(R, a)
     rc = classify_ring(Q)
     return IdealClass(rc.simple, rc.entire, rc.reduced, rc.method)
@@ -671,10 +644,10 @@ def spec_enumerate(R: GradedAlgebra):
         if any(d != e and Q.act_vec(d, e) == d for d in idem):
             continue   # e = d + (e - d) is not primitive
         co = Q.submodule_span([[f.sub(a, b) for a, b in zip(Q.unit, e)]])
-        primes.append(GradedIdeal(R, N.vectors() + [
+        primes.append(R.graded_span(N + [
             la.mat_vec_mul(f, lift, v) for v in co]))
     return sorted(primes, key=lambda P: [
-        [v for v in P.basis if R.vec_degree(v) == g] for g in R.degrees()])
+        [v for v in P if R.vec_degree(v) == g] for g in R.degrees()])
 
 
 # ---------------------------------------------------------------------------

@@ -148,12 +148,10 @@ def extend(S: GradedAlgebra, phi: GroupHom) -> GradedAlgebra:
 
 class CorestrictionResult(Record):
     _fields = ("algebra",   # R_((phi)), graded by the source of phi
-               "ideal",     # a_phi(R)
-               "quotient",  # R / a_phi(R), still G-graded
-               "alpha",     # R ->> R / a_phi(R)
+               "ideal",     # a_phi(R), as its graded_span basis
                "kept",      # quotient basis indices surviving restriction
-               "proj",      # projection matrix R -> quotient
-               "lift")      # section quotient -> R
+               "proj",      # projection matrix R -> R / a_phi(R)
+               "lift")      # section R / a_phi(R) -> R
 
 
 def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
@@ -165,9 +163,8 @@ def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
                if phi.preimage(d) is None]
     a_phi = ideal_from_gens(R, outside)
     Q, proj, lift = quotient_ring(R, a_phi)
-    alpha = AlgebraMorphism._derived(R, Q, proj)
     Rcor, kept = restrict_with_indices(Q, phi)
-    return CorestrictionResult(Rcor, a_phi, Q, alpha, kept, proj, lift)
+    return CorestrictionResult(Rcor, a_phi, kept, proj, lift)
 
 
 def restrict_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
@@ -257,7 +254,7 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
         # unit of (corestriction, extension) on an extended ring is the
         # identity: a_phi(S^(phi)) = 0
         cor = corestrict(ES, phi)
-        ok = (cor.ideal.dim == 0 and cor.algebra.dim == S.dim
+        ok = (not cor.ideal and cor.algebra.dim == S.dim
               and cor.algebra.basis_degrees == S.basis_degrees)
         results.append((f"unit on extension of {S!r}", ok))
         # unit of (extension, restriction) is the identity on the nose

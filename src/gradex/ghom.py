@@ -17,11 +17,13 @@ an independent cross-check.
 
 from __future__ import annotations
 
+from collections import Counter
+
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from ._record import Record
 from .gcore import GradedAlgebra, nilradical
-from .gmod import (GradedModule, ModuleMorphism, FreeSpec, regular_module,
+from .gmod import (GradedModule, ModuleMorphism, regular_module,
                    free_cover_from_generators, map_from_free, direct_sum,
                    kernel, radical_submodule, ModuleError, coarsen_module,
                    minimal_generators)
@@ -89,7 +91,7 @@ def _tor1_vanishes(p: ModuleMorphism) -> bool:
     dim Tor_1 = dim NF - dim NK - dim NM; NF is one copy of N for each
     generator of F."""
     F, f = p.source, p.source.field
-    N, K = nilradical(F.algebra).vectors(), la.kernel_basis(f, p.matrix, F.dim)
+    N, K = nilradical(F.algebra), la.kernel_basis(f, p.matrix, F.dim)
     NK = [F.act_vec(x, k) for x in N for k in K]
     return len(F.free_degrees) * len(N) == \
         la.rank(f, NK) + len(radical_submodule(p.target))
@@ -127,10 +129,6 @@ class FreeResolution(Record):
     def length(self):
         return len(self.covers)
 
-    def step_spec(self, i) -> FreeSpec:
-        return FreeSpec.from_generator_degrees(
-            self.covers[i].source.free_degrees)
-
     def step_matrix(self, i):
         """Matrix F_i -> F_{i-1} (or F_0 -> target for i = 0)."""
         if i == 0:
@@ -139,23 +137,15 @@ class FreeResolution(Record):
         return comp.matrix
 
     def betti(self):
-        out = []
-        for i in range(self.length):
-            spec = self.step_spec(i)
-            table = {}
-            for d in spec.generator_degrees():
-                key = tuple(d.coords)
-                table[key] = table.get(key, 0) + 1
-            out.append(table)
-        return out
+        return [dict(Counter(d.coords for d in p.source.free_degrees))
+                for p in self.covers]
 
     def verify(self):
         """Composites vanish and ranks account for every kernel."""
         f = self.target.field
+        d = [self.step_matrix(i) for i in range(self.length)]
         for i in range(1, self.length):
-            prev = self.step_matrix(i - 1)
-            cur = self.step_matrix(i)
-            prod = la.mat_mul(f, prev, cur)
+            prod = la.mat_mul(f, d[i - 1], d[i])
             if any(x != 0 for row in prod for x in row):
                 return False
         for i in range(self.length):
@@ -171,9 +161,8 @@ class FreeResolution(Record):
             for i in range(1, self.length):
                 Fprev = self.covers[i - 1].source
                 rad = radical_submodule(Fprev)
-                cols = self.step_matrix(i)
                 if None in la.coords_in_basis(f, rad, [
-                        [cols[k][j] for k in range(Fprev.dim)]
+                        [d[i][k][j] for k in range(Fprev.dim)]
                         for j in range(self.covers[i].source.dim)]):
                     return False
         return True

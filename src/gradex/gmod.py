@@ -10,9 +10,12 @@ degrees, the action on vectors, homogeneous enumeration and the one
 check of the module axioms are shared, and a ring is checked as its own
 regular module.  Submodules are canonical homogeneous bases from the
 same core (``graded_span``, ``submodule_span``); a graded ideal of R is
-such a basis for the regular module.  Everything a morphism touches
-(kernels, images, cokernels, HOM, tensor) is built by exact linear
-algebra per degree, so the induced gradings come out of the
+such a basis for the regular module.  A free module, the direct sum of
+the shifts R(-d_t), is known by its generator degrees d_t:
+``free_module`` records them as ``free_degrees``, and freeness reports,
+covers, lifts and Betti tables read them there.  Everything a morphism
+touches (kernels, images, cokernels, HOM, tensor) is built by exact
+linear algebra per degree, so the induced gradings come out of the
 construction instead of being bolted on afterwards.
 """
 
@@ -328,30 +331,6 @@ def tensor(M: GradedModule, N: GradedModule):
 # freeness and monogeneity
 # ---------------------------------------------------------------------------
 
-class FreeSpec(Record, frozen=True):
-    """Multiset of shifts realizing a free module + sum of R(g) copies;
-    the generator sitting in R(g) has degree -g."""
-    _fields = ("entries",)  # ((GroupElement g, multiplicity), ...)
-
-    @staticmethod
-    def from_generator_degrees(degrees):
-        counts = {}
-        for d in degrees:
-            counts[-d] = counts.get(-d, 0) + 1
-        entries = tuple(sorted(counts.items(), key=lambda t: t[0].coords))
-        return FreeSpec(entries)
-
-    def generator_degrees(self):
-        out = []
-        for g, mult in self.entries:
-            out.extend([-g] * mult)
-        return out
-
-    @property
-    def rank(self):
-        return sum(m for _, m in self.entries)
-
-
 def free_module(R: GradedAlgebra, gen_degrees):
     """Free module with one copy of R per generator degree; copy t holds
     the basis vectors x_j . u_t of its generator u_t."""
@@ -384,7 +363,8 @@ def free_cover_from_generators(M: GradedModule, gens):
 
 class FreenessReport(Record):
     # free is None when undecided; status is "decided" | "undecided"
-    _fields = ("free", "spec", "rank", "method", "status", "witness")
+    # degrees: the generator degrees of a basis, when free
+    _fields = ("free", "degrees", "rank", "method", "status", "witness")
     _defaults = {"status": "decided", "witness": None}
 
 
@@ -449,7 +429,7 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
     from .gcore import classify_ring
     R = M.algebra
     if M.dim == 0:
-        return FreenessReport(True, FreeSpec(()), 0, "zero module")
+        return FreenessReport(True, (), 0, "zero module")
     rc = classify_ring(R)
     if rc.simple:
         # the graded radical of a simple ring is 0, so minimal
@@ -459,10 +439,8 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
         if not u.is_iso():
             raise ModuleError("greedy basis extraction failed over a "
                               "simple ring")
-        spec = FreeSpec.from_generator_degrees(
-            [M.vec_degree(b) for b in basis])
-        return FreenessReport(True, spec, len(basis), "greedy basis",
-                              witness=u)
+        return FreenessReport(True, u.source.free_degrees, len(basis),
+                              "greedy basis", witness=u)
     candidates = _candidate_specs(M)
     if not candidates:
         return FreenessReport(False, None, None, "no shift multiset matches "
@@ -472,8 +450,7 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
         res, F = _iso_search(M, degs, seed=seed)
         if res.status == "found":
             u = ModuleMorphism._derived(F, M, res.matrix)
-            spec = FreeSpec.from_generator_degrees(degs)
-            return FreenessReport(True, spec, len(degs),
+            return FreenessReport(True, F.free_degrees, len(degs),
                                   "isomorphism search", witness=u)
         if res.status == "budget_exhausted":
             undecided = True
@@ -497,8 +474,9 @@ def minimal_generators(M: GradedModule):
             chosen.append(e)
             # redundancy is modulo the submodule generated so far, not
             # just its linear span: a generator may span several basis
-            # vectors through unit multiples
-            span = rad + M.submodule_span(chosen)
+            # vectors through unit multiples.  rad + sum R.e_t grows by
+            # R.e alone, so each generator is closed once
+            span += M.submodule_span([e])
     return chosen
 
 
@@ -536,7 +514,7 @@ def radical_submodule(M: GradedModule):
     """Graded radical nil(R).M: the intersection of the maximal graded
     submodules for these finite-dimensional algebras."""
     vecs = []
-    for v in nilradical(M.algebra).vectors():
+    for v in nilradical(M.algebra):
         vecs.extend(zip(*M.mult_matrix(v)))   # the columns x . v_j
     return M.graded_span(vecs)
 
@@ -544,7 +522,7 @@ def radical_submodule(M: GradedModule):
 def socle_submodule(M: GradedModule):
     """Graded socle: vectors killed by the graded radical of R."""
     rows = []
-    for v in nilradical(M.algebra).vectors():
+    for v in nilradical(M.algebra):
         rows.extend(M.mult_matrix(v))
     return M.graded_span(la.kernel_basis(M.field, rows, M.dim))
 

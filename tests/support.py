@@ -158,10 +158,11 @@ def intersect_ideals(R, ideals):
     rref basis of the intersection is homogeneous."""
     if not ideals:
         raise gc.AlgebraError("empty intersection")
-    basis = ideals[0].vectors()
+    basis = ideals[0]
     for I in ideals[1:]:
-        basis = _intersect_subspaces(R.field, basis, I.vectors())
-    return gc.GradedIdeal(R, basis)
+        basis = _intersect_subspaces(R.field, basis, I)
+    return R.graded_span(gc._homogeneous(R, basis, "intersection basis "
+                                                   "vector"))
 
 
 def _intersect_subspaces(f, B1, B2):

@@ -253,7 +253,7 @@ def test_9_radical_identities():
     for R in samples:
         primes = gc.spec_enumerate(R)
         assert intersect_ideals(R, primes) == gc.nilradical(R), R
-        ideals = [gc.GradedIdeal(R, [])]
+        ideals = [[]]
         for j in range(R.dim):
             x = [int(i == j) for i in range(R.dim)]
             ideals.append(gc.ideal_from_gens(R, [x]))

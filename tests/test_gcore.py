@@ -234,12 +234,12 @@ class TestIdealsAndQuotients:
         _, incl = gm.generated_submodule(gm.regular_module(R), gens)
         basis = [[row[j] for row in incl.matrix]
                  for j in range(incl.source.dim)]
-        assert gc.ideal_from_gens(R, gens).vectors() == basis
+        assert gc.ideal_from_gens(R, gens) == basis
 
     def test_principal_ideal_of_dual_numbers(self):
         R = S.dual_numbers()
         a = gc.ideal_from_gens(R, [[0, 1]])
-        assert a.dim == 1
+        assert len(a) == 1
         Q, proj, lift = gc.quotient_ring(R, a)
         assert Q.dim == 1
         rc = gc.classify_ring(Q)
@@ -248,15 +248,17 @@ class TestIdealsAndQuotients:
     def test_nilradical(self):
         R = S.dual_numbers()
         nil = gc.nilradical(R)
-        assert nil.dim == 1
-        assert nil.contains([0, 1]) and not nil.contains([1, 0])
-        assert gc.nilradical(S.gaussian_rationals()).dim == 0
+        assert len(nil) == 1
+        x, one = la.coords_in_basis(R.field, nil, [R.element([0, 1]),
+                                                   R.element([1, 0])])
+        assert x is not None and one is None
+        assert len(gc.nilradical(S.gaussian_rationals())) == 0
         # graded notions only see homogeneous elements: x+1 is nilpotent
         # in F2[X]/(X^2-1) but not homogeneous, and x itself is a unit, so
         # this ring is a graded field even though it is not reduced as an
         # ungraded ring
         R = S.field_extension_algebra(GF(2), 2, 1)
-        assert gc.nilradical(R).dim == 0
+        assert len(gc.nilradical(R)) == 0
         rc = gc.classify_ring(R)
         assert rc.simple and rc.reduced
         # yet classify_element detects the ungraded nilpotency
@@ -265,8 +267,7 @@ class TestIdealsAndQuotients:
 
     def test_radical_idempotent(self):
         for R in S.finite_corpus():
-            zero = gc.GradedIdeal(R, [])
-            r1 = gc.radical(R, zero)
+            r1 = gc.radical(R, [])
             r2 = gc.radical(R, r1)
             assert r1 == r2
 
@@ -275,34 +276,47 @@ class TestIdealsAndQuotients:
         a = gc.ideal_from_gens(R, [[0, 1]])
         cls = gc.ideal_class(R, a)
         assert cls.maximal and cls.prime and cls.perfect
-        zero = gc.GradedIdeal(R, [])
-        cls = gc.ideal_class(R, zero)
+        cls = gc.ideal_class(R, [])
         assert not cls.prime and not cls.perfect
+
+    def test_quotient_ring_checks_its_ideal(self):
+        R = S.truncated_polynomial_algebra(QQ, 3)
+        with pytest.raises(gc.AlgebraError, match="not homogeneous"):
+            gc.quotient_ring(R, [[1, 1, 0]])
+        # span{x} in K[x]/(x^3) misses x . x = x^2
+        with pytest.raises(gc.AlgebraError, match="not an ideal"):
+            gc.quotient_ring(R, [[0, 1, 0]])
+
+    def test_ideal_from_gens_needs_homogeneous_generators(self):
+        R = S.truncated_polynomial_algebra(QQ, 3)
+        with pytest.raises(gc.AlgebraError, match="not homogeneous"):
+            gc.ideal_from_gens(R, [[0, 1, 1]])
 
     def test_intersection(self):
         R = S.product_field_algebra()
         a = gc.ideal_from_gens(R, [[1, 0]])
         b = gc.ideal_from_gens(R, [[0, 1]])
-        assert intersect_ideals(R, [a, b]).dim == 0
+        assert len(intersect_ideals(R, [a, b])) == 0
 
 
 class TestSpectra:
     def test_spec_examples(self):
         R = S.truncated_polynomial_algebra(GF(2), 2)
         primes = gc.spec_enumerate(R)
-        assert len(primes) == 1 and primes[0].dim == 1
+        assert len(primes) == 1 and len(primes[0]) == 1
         primes = gc.spec_enumerate(S.group_algebra(2, 2))
-        assert len(primes) == 1 and primes[0].dim == 0
+        assert len(primes) == 1 and len(primes[0]) == 0
         primes = gc.spec_enumerate(S.product_field_algebra())
         assert len(primes) == 2
 
     def test_minimal_generators_act_on_a_basis_of_each_new_span(
             self, monkeypatch):
-        # minimal_generators closes its growing list of generators once
-        # per generator.  On two copies of each R/(1 + t^j), j = 2, 3, 4,
-        # 6, over coarse F2[Z/12] (dimension 30, 8 generators), acting on
-        # a basis of each new span modulo the old makes 1560 act_vec
-        # calls; acting on every product that missed the span made 3936
+        # minimal_generators closes each new generator once, adding its
+        # submodule to the span so far.  On two copies of each
+        # R/(1 + t^j), j = 2, 3, 4, 6, over coarse F2[Z/12] (dimension
+        # 30, 8 generators) that makes 456 act_vec calls; closing the
+        # growing list of generators again for each new one made 1560,
+        # and acting on every product that missed the span made 3936
         R = coarsen(S.group_algebra(2, 12), S.psi_Zmod_to_zero(12))
         M = gm.GradedModule(R, [], [])
         for j in (2, 3, 4, 6) * 2:
@@ -317,7 +331,7 @@ class TestSpectra:
             return act_vec(self, x, v)
         monkeypatch.setattr(gc._GradedSpace, "act_vec", counted)
         assert M.dim == 30 and len(gm.minimal_generators(M)) == 8
-        assert calls[0] <= 2000
+        assert calls[0] <= 600
 
     def test_coarse_f3_z6_within_budget(self):
         # F3[x]/(x^6 - 1) = F3[x]/((x - 1)^3 (x + 1)^3): two primes, one

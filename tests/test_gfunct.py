@@ -82,9 +82,8 @@ class TestCoarsening:
         R = S.dual_numbers(GF(2))
         a = gc.ideal_from_gens(R, [[0, 1]])
         Rc = gf.coarsen_algebra(R, S.psi_Z_to_zero())
-        ac = gc.GradedIdeal(Rc, [list(v) for v in a.vectors()])
-        assert ac.dim == 1
-        assert gc.ideal_class(Rc, ac).maximal
+        assert len(Rc.graded_span(a)) == 1
+        assert gc.ideal_class(Rc, a).maximal
 
     def test_coarsened_ring_has_the_same_generators(self):
         for R, psi in S.coarsening_pairs():
@@ -130,7 +129,7 @@ class TestCorestriction:
         R = S.dual_numbers()
         cor = gf.corestrict(R, S.phi_doubling())
         assert cor.algebra.dim == 1
-        assert cor.ideal.dim == 1  # a_phi(R) = <X>
+        assert len(cor.ideal) == 1  # a_phi(R) = <X>
         assert gc.classify_ring(cor.algebra).simple
 
     def test_zero_when_unit_outside_image(self):
@@ -139,12 +138,12 @@ class TestCorestriction:
         R = S.gaussian_rationals()
         cor = gf.corestrict(R, S.phi_zero_into(Zmod(2)))
         assert cor.algebra.dim == 0
-        assert cor.ideal.dim == R.dim
+        assert len(cor.ideal) == R.dim
 
     def test_identity_corestriction(self):
         R = S.dual_numbers(GF(3))
         cor = gf.corestrict(R, GroupHom(Z(1), Z(1), [[1]]))
-        assert cor.ideal.dim == 0
+        assert len(cor.ideal) == 0
         assert cor.algebra.dim == R.dim
         assert cor.algebra.basis_degrees == R.basis_degrees
 
@@ -279,12 +278,11 @@ class TestMonoidShortcuts:
 
 class TestRecords:
     def test_corestriction_result(self):
-        fields = (1, 2, 3, 4, [0], [[1]], [[1]])
+        fields = (1, 2, [0], [[1]], [[1]])
         a = gf.CorestrictionResult(*fields)
         assert_record(a, gf.CorestrictionResult(
-            algebra=1, ideal=2, quotient=3, alpha=4, kept=[0], proj=[[1]],
-            lift=[[1]]), gf.CorestrictionResult(1, 2, 3, 4, [], [[1]], [[1]]),
+            algebra=1, ideal=2, kept=[0], proj=[[1]], lift=[[1]]),
+            gf.CorestrictionResult(1, 2, [], [[1]], [[1]]),
             fields, Z(1), frozen=False)
         assert repr(a) == ("CorestrictionResult(algebra=1, ideal=2, "
-                           "quotient=3, alpha=4, kept=[0], proj=[[1]], "
-                           "lift=[[1]])")
+                           "kept=[0], proj=[[1]], lift=[[1]])")

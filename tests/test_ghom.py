@@ -358,7 +358,7 @@ class TestResolutions:
         K, _ = quotient_by_x(R)
         res = gh.resolution(K, cutoff=2, minimal=False)
         # non-minimal covers are bigger but still resolve
-        assert res.step_spec(0).rank >= 1
+        assert len(res.covers[0].source.free_degrees) >= 1
         f = K.field
         import gradex.exactla as la
         prod = la.mat_mul(f, res.step_matrix(0), res.step_matrix(1))

@@ -274,7 +274,7 @@ class TestFreeness:
         g = Z(1).element((1,))
         F = gm.free_module(R, [g])
         rep = gm.freeness(F)
-        assert rep.spec.generator_degrees() == [g]
+        assert list(rep.degrees) == [g]
 
 
 class TestMonogeneity:
@@ -460,24 +460,16 @@ class TestHilbertCoarsen:
 class TestRecords:
     """Equality, hashing, frozen-ness, defaults and repr of the records."""
 
-    def test_free_spec(self):
-        g = Z(1).element((1,))
-        a = gm.FreeSpec(((g, 2),))
-        assert_record(a, gm.FreeSpec.from_generator_degrees([-g, -g]),
-                      gm.FreeSpec(((g, 1),)), (((g, 2),),),
-                      gm.SmallReport(((g, 2),), "m", "m"), frozen=True)
-        assert repr(a) == "FreeSpec(entries=(((1,), 2),))"
-
     def test_freeness_report(self):
         a = gm.FreenessReport(True, None, 1, "m")
-        assert_record(a, gm.FreenessReport(free=True, spec=None, rank=1,
+        assert_record(a, gm.FreenessReport(free=True, degrees=None, rank=1,
                                            method="m", status="decided",
                                            witness=None),
                       gm.FreenessReport(True, None, 1, "m", "undecided"),
                       (True, None, 1, "m", "decided", None),
                       gm.SmallReport(True, None, 1, "m"), frozen=False)
         assert a.status == "decided" and a.witness is None
-        assert repr(a) == ("FreenessReport(free=True, spec=None, rank=1, "
+        assert repr(a) == ("FreenessReport(free=True, degrees=None, rank=1, "
                            "method='m', status='decided', witness=None)")
 
     def test_small_report(self):

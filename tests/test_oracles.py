@@ -245,10 +245,9 @@ class TestSubmoduleEnumeration:
         for R in oracle_rings() + [R for R, _ in S.coarsening_pairs()]:
             primes = set()
             for s in orc.enumerate_graded_substructures(gm.regular_module(R)):
-                a = gc.GradedIdeal(R, s)
-                if gc.ideal_class(R, a).prime:
-                    primes.add(tuple(map(tuple, a.basis)))
-            spec = [tuple(map(tuple, P.basis)) for P in gc.spec_enumerate(R)]
+                if gc.ideal_class(R, s).prime:
+                    primes.add(tuple(map(tuple, R.graded_span(s))))
+            spec = [tuple(map(tuple, P)) for P in gc.spec_enumerate(R)]
             assert len(spec) == len(primes) and set(spec) == primes, R
 
 

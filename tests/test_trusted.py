@@ -165,9 +165,10 @@ def monos_from(G):
 def ring_morphisms(R):
     """The identity of R and the projection onto a corestriction's
     quotient, both through the checked constructor."""
-    alpha = gf.corestrict(R, S.phi_zero_into(R.group)).alpha
+    cor = gf.corestrict(R, S.phi_zero_into(R.group))
+    Q, proj, _ = gc.quotient_ring(R, cor.ideal)
     return [gf.AlgebraMorphism(R, R, la.eye(R.field, R.dim)),
-            gf.AlgebraMorphism(R, alpha.target, alpha.matrix)]
+            gf.AlgebraMorphism(R, Q, proj)]
 
 
 def module_morphisms(M):
