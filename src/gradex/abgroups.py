@@ -164,7 +164,7 @@ def integer_solve(A, b):
 
 def lattice_column_basis(cols, n):
     """Basis of the lattice in Z^n spanned by the given columns."""
-    if not cols:
+    if not cols or not n:
         return []
     A = [[col[i] for col in cols] for i in range(n)]
     U, D, V = smith_normal_form(A)

@@ -338,12 +338,17 @@ def schema_validate(doc):
 
 def _load(arg):
     """Load JSON from a file path, or inline when the argument starts
-    with '{'."""
+    with '{'.  Text that is not UTF-8, or too deeply nested for the
+    parser, is malformed input."""
     text = arg
-    if not arg.lstrip().startswith("{"):
-        with open(arg) as fh:
-            text = fh.read()
-    return json.loads(text)
+    try:
+        if not arg.lstrip().startswith("{"):
+            with open(arg, encoding="utf-8") as fh:
+                text = fh.read()
+        return json.loads(text)
+    except (UnicodeDecodeError, RecursionError) as e:
+        raise ValidationError("$: " + ("not UTF-8 text" if isinstance(
+            e, UnicodeDecodeError) else "JSON nested too deeply")) from None
 
 
 def _degree_key(coords):

@@ -262,7 +262,8 @@ def _parse_rational(s):
     "[+-]digits/digits" are read here; any other string, and any digits
     that int() refuses, go to ``fractions.Fraction``, imported only
     then, so exactly the strings a Fraction accepts are accepted, with
-    its value."""
+    its value, except an exponent beyond the int-to-str digit limit,
+    for which Fraction would build 10^|exp| before any size guard."""
     num, slash, den = s.partition("/")
     if (num[1:] if num[:1] in ("+", "-") else num).isdigit() and (
             not slash or den.isdigit()):
@@ -272,6 +273,13 @@ def _parse_rational(s):
             d = 0
         if d:
             return Rational(n, d)
+    try:   # (a limit of 0 means none; 4300 digits is the default)
+        huge = abs(int(s.lower().partition("e")[2] or 0)) > (
+            sys.get_int_max_str_digits() or 4300)
+    except ValueError:   # no integer exponent: Fraction refuses it below
+        huge = False
+    if huge:
+        raise FieldError(f"exponent out of range: {s!r}")
     from fractions import Fraction
     try:
         x = Fraction(s)

@@ -4,8 +4,9 @@ Two representations: finite-dimensional structure-constant algebras over an
 exact field, and algebras of affine monoids over such a base.  There is no
 automatic conversion between the two; each operation documents which one it
 accepts.  Predicates quantifying over infinitely many homogeneous elements
-are decided through theorems or exhaustive enumeration over finite fields,
-otherwise the answer is None ("undecided").
+are decided through theorems, linear algebra over Q and Z (the units and
+sharpness of an affine monoid: ``_unit_indices``) or exhaustive enumeration
+over finite fields, otherwise the answer is None ("undecided").
 
 Structure-constant algebras and the graded modules of ``gmod`` share one
 core, ``_GradedSpace``: a degree-labelled basis and the action of the
@@ -538,11 +539,12 @@ def quotient_ring(R: GradedAlgebra, a):
     """(Q, proj, lift): Q = R/a with the induced grading, proj the
     coordinate projection matrix (qdim x dim), lift a section (dim x qdim).
     a may be any list of homogeneous vectors, so the one condition Q
-    needs, their span closed under multiplication, is checked here."""
+    needs, their span closed under multiplication, is checked here:
+    under R._generators, since the x with x a in a form a subalgebra."""
     f, a = R.field, R.graded_span(_homogeneous(R, a, "ideal basis vector"))
     if None in la.coords_in_basis(f, a, [
             R.act_vec(la.unit_vector(f, R.dim, i), b)
-            for i in range(R.dim) for b in a]):
+            for i in R._generators for b in a]):
         raise AlgebraError("quotient by a subspace that is not an ideal")
     reps, proj, entries = R.quotient(a)
     pos = {i: t for t, i in enumerate(reps)}
@@ -656,41 +658,43 @@ def spec_enumerate(R: GradedAlgebra):
 
 def _fourier_motzkin_feasible(cons):
     """Feasibility over Q of the constraints (coeffs, rhs), each meaning
-    coeffs . x >= rhs, by eliminating every variable in turn."""
-    nvars = len(cons[0][0]) if cons else 0
-    for v in range(nvars):
-        pos, neg, zero = [], [], []
-        for coeffs, rhs in cons:
-            c = coeffs[v]
-            if c > 0:
-                pos.append((coeffs, rhs))
-            elif c < 0:
-                neg.append((coeffs, rhs))
-            else:
-                zero.append((coeffs, rhs))
-        new = list(zero)
-        for pc, pr in pos:
-            for nc, nr in neg:
-                # eliminate v: combine with weights |nc[v]| and pc[v]
-                a, b = pc[v], -nc[v]
-                coeffs = [b * pc[i] + a * nc[i] for i in range(nvars)]
-                new.append((coeffs, b * pr + a * nr))
-        cons = new
+    coeffs . x >= rhs, by eliminating every variable in turn: next the
+    one that pairs the fewest constraints of opposite signs."""
+    left = set(range(len(cons[0][0]) if cons else 0))
+    while left:
+        v = min(left, key=lambda u: sum(c[u] > 0 for c, _ in cons)
+                * sum(c[u] < 0 for c, _ in cons))
+        left.remove(v)
+        pos = [(c, r) for c, r in cons if c[v] > 0]
+        neg = [(c, r) for c, r in cons if c[v] < 0]
+        # eliminate v: combine with weights |nc[v]| and pc[v]
+        cons = [(c, r) for c, r in cons if c[v] == 0] + [
+            ([-nc[v] * x + pc[v] * y for x, y in zip(pc, nc)],
+             -nc[v] * pr + pc[v] * nr) for pc, pr in pos for nc, nr in neg]
     return all(rhs <= 0 for _, rhs in cons)
 
 
+def _unit_indices(vectors, candidates):
+    """The i in ``candidates`` with v_i a unit of the monoid the integer
+    vectors v_j generate, i.e. c >= 0, c_i >= 1, sum_j c_j v_j = 0 is
+    feasible over Q (a rational c scales to a natural one; -v_i =
+    sum_j d_j v_j gives c = d + e_i).  By the theorem of the alternative
+    (Tucker) that holds iff no w has v_j . w >= 0 for all j and
+    v_i . w >= 1, a system in only dim v variables."""
+    rows = [list(map(la.QQ.of, v)) for v in vectors]
+    nonneg = [(row, la.QQ.zero) for row in rows]
+    return [i for i in candidates if not _fourier_motzkin_feasible(
+        nonneg + [(rows[i], la.QQ.one)])]
+
+
 class SharpnessReport(Record, frozen=True):
-    _fields = ("sharp", "method", "witness", "bound")
-    _defaults = {"witness": None, "bound": None}
+    _fields = ("sharp", "method", "witness")
+    _defaults = {"witness": None}
 
 
 class AffineMonoid:
     """Finitely generated submonoid of Z^d (cancellable and torsionfree
-    by construction)."""
-
-    MEMBERSHIP_BOUND = 32
-    MEMBERSHIP_POINTS = 2 ** 18
-    SHARP_SEARCH_BOUND = 16
+    by construction), its units decided by linear algebra."""
 
     def __init__(self, ambient_dim, generators):
         self.ambient_dim = ambient_dim
@@ -730,88 +734,25 @@ class AffineMonoid:
         sol = integer_solve(A, list(m))
         return tuple(sol) if sol is not None else None
 
-    def sharpness(self) -> SharpnessReport:
-        gens = [g for g in self.generators if any(x != 0 for x in g)]
-        if not gens:
-            return SharpnessReport(True, "trivial")
-        # pointed iff some w has g . w >= 1 for every nonzero generator g
-        if _fourier_motzkin_feasible(
-                [([la.QQ.of(c) for c in g], la.QQ.one) for g in gens]):
-            return SharpnessReport(True, "pointed-cone")
-        wit = next((c for c, point in
-                    self.combinations(self.SHARP_SEARCH_BOUND)
-                    if any(c) and point == self.zero), None)
-        if wit is not None:
-            return SharpnessReport(False, "witness", witness=wit)
-        return SharpnessReport(None, "bounded-search",
-                               bound=self.SHARP_SEARCH_BOUND)
-
-    def combinations(self, bound):
-        """Every (coefficients, point): natural coefficients of the
-        generators summing to at most ``bound``, by increasing sum and
-        lexicographically within one sum, and the point they combine
-        to."""
+    @cached_property
+    def units(self):
+        """The nonzero generators that are units of M, in order."""
         gens = self.generators
+        return tuple(gens[i] for i in _unit_indices(
+            gens, [i for i, g in enumerate(gens) if any(g)]))
 
-        def rec(i, remaining, coeffs, point):
-            if i == len(gens):
-                if remaining == 0:
-                    yield coeffs, point
-                return
-            # the last generator takes whatever the sum has left
-            for c in (range(remaining + 1) if i < len(gens) - 1
-                      else (remaining,)):
-                nxt = tuple(x + c * y for x, y in zip(point, gens[i]))
-                yield from rec(i + 1, remaining - c, coeffs + (c,), nxt)
-
-        for total in range(bound + 1):
-            yield from rec(0, total, (), self.zero)
-
-    def contains(self, m, bound=MEMBERSHIP_BOUND):
-        """Is m a natural combination of the generators?  True / False /
-        None (no combination with coefficient sum at most ``bound``
-        reaches m, or the walk outgrew MEMBERSHIP_POINTS points)."""
-        m = tuple(int(x) for x in m)
-        if all(x == 0 for x in m):
-            return True
-        if self.diff_coords(m) is None:
-            return False
-        # outside the rational cone (no lambda >= 0 with sum lambda_i g_i
-        # = m, each equality written as two inequalities) m is not in M
-        gens = [g for g in self.generators if any(x != 0 for x in g)]
-        cons = []
-        for t in range(self.ambient_dim):
-            coeffs = [la.QQ.of(g[t]) for g in gens]
-            cons.append((coeffs, la.QQ.of(m[t])))
-            cons.append(([-c for c in coeffs], la.QQ.of(-m[t])))
-        for i in range(len(gens)):
-            cons.append((la.unit_vector(la.QQ, len(gens), i), la.QQ.zero))
-        if not _fourier_motzkin_feasible(cons):
-            return False
-        # the distinct points of coefficient sum 1, 2, ..., bound, one
-        # layer per sum: a point met in an earlier layer adds nothing
-        # new.  Past MEMBERSHIP_POINTS points the walk stops as at the
-        # bound.
-        seen, layer = {self.zero}, {self.zero}
-        for _ in range(bound):
-            layer = {tuple(x + y for x, y in zip(p, g))
-                     for p in layer for g in gens} - seen
-            if m in layer:
-                return True
-            seen |= layer
-            if len(seen) > self.MEMBERSHIP_POINTS:
-                break
-        return None
+    def sharpness(self) -> SharpnessReport:
+        """M is sharp iff no generator is a unit."""
+        if self.units:
+            return SharpnessReport(False, "unit generator",
+                                   witness=self.units[0])
+        return SharpnessReport(True, "no unit generator")
 
     def is_invertible(self, m):
-        neg = tuple(-x for x in m)
-        a = self.contains(m)
-        b = self.contains(neg)
-        if a is False or b is False:
-            return False
-        if a is None or b is None:
-            return None
-        return True
+        """Is m a unit of M, i.e. in the span of the unit generators?  If
+        m + m' = 0 in M, every generator that m uses is a unit."""
+        A = [[u[r] for u in self.units] for r in range(self.ambient_dim)]
+        return integer_solve(A, [int(x) for x in m]) is not None
 
     def __repr__(self):
         return f"AffineMonoid(dim={self.ambient_dim}, gens={self.generators})"
@@ -891,12 +832,9 @@ class MonoidAlgebra:
             return B.dim == 0
         if len(terms) == 1:
             (m, r), = terms
-            if not classify_element(B, r).unit:
-                return False
-            inv = self.monoid.is_invertible(m)
-            return None if inv is None else bool(inv)
-        if classify_ring(B).reduced is True and \
-                self.monoid.sharpness().sharp is True:
+            return bool(classify_element(B, r).unit) and \
+                self.monoid.is_invertible(m)
+        if classify_ring(B).reduced is True and not self.monoid.units:
             return False
         return None
 

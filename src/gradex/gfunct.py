@@ -14,12 +14,12 @@ from __future__ import annotations
 
 from itertools import product
 
-from .abgroups import GroupHom, GroupError, hom_props
+from .abgroups import FGAbelianGroup, GroupHom, GroupError, hom_props
 from . import exactla as la
 from ._record import Record
 from .gcore import (GradedAlgebra, MonoidAlgebra, AlgebraError,
                     SizeGuardExceeded, ideal_from_gens, quotient_ring,
-                    _Morphism)
+                    _Morphism, _unit_indices)
 
 
 class FunctorError(ValueError):
@@ -342,32 +342,43 @@ def adjunction_check(phi: GroupHom, f_samples, g_samples,
 # monoid-algebra corestriction shortcuts
 # ---------------------------------------------------------------------------
 
-def monoid_corestriction_report(MA: MonoidAlgebra, phi: GroupHom, bound=8):
-    """Shortcut predicates for corestriction of a monoid algebra:
-    zero when a homogeneous unit has degree outside im(phi); equal to the
-    plain restriction when the bounded degree-support criterion holds."""
+def monoid_corestriction_report(MA: MonoidAlgebra, phi: GroupHom):
+    """How the corestriction of R = B[M] along phi compares with its
+    restriction, with H = im(phi) and q: G -> G/H, decided in order:
+    ``zero`` when a unit generator of M has degree outside H;
+    ``differs`` when q(m) != 0 is a unit of q(M) for a generator m, say
+    q(m) + q(m') = 0, so e_m e_m' is a nonzero element of a_phi in
+    degree H (q(m) is a unit iff its free part is a unit of the monoid
+    of free parts); ``undecided`` when a base degree lies outside H,
+    where base products may vanish; else ``equals_restriction``: r e_m
+    has degree in H iff q(m) = 0, so a_phi meets R_H only through a
+    nonzero unit of q(M)."""
     _require_mono(phi)
     G = MA.grading_group()
     if phi.target != G:
         raise FunctorError("phi does not match the monoid algebra grading")
-    # shortcut a): an invertible monomial with degree outside im(phi)
-    for m in MA.monoid.generators:
-        if MA.monoid.is_invertible(m) is True:
-            d = MA.monomial_degree(m)
-            if phi.preimage(d) is None:
-                return {"result": "zero", "witness_exponent": m,
-                        "witness_degree": tuple(d.coords)}
-    # shortcut b): bounded degree-support criterion
-    points = {point for _, point in MA.monoid.combinations(bound)}
-    degs = {MA.monomial_degree(m, g)
-            for m in points for g in MA.base.degrees()}
-    outside = sorted((d for d in degs if phi.preimage(d) is None),
-                     key=lambda d: d.coords)
-    for d1 in outside:
-        for d2 in outside:
-            s = d1 + d2
-            if s in degs and phi.preimage(s) is not None:
-                return {"result": "differs", "witness_degrees":
-                        (tuple(d1.coords), tuple(d2.coords))}
-    return {"result": "equals_restriction", "bound": bound,
-            "degrees_checked": len(degs)}
+    M = MA.monoid
+    for m in M.units:
+        d = MA.monomial_degree(m)
+        if phi.preimage(d) is None:
+            return {"result": "zero", "witness_exponent": m,
+                    "witness_degree": tuple(d.coords)}
+    Q, proj, _ = FGAbelianGroup.from_presentation(
+        G.dim, [list(col) for col in zip(*phi.matrix)] + G.relation_columns())
+    degs = [MA.monomial_degree(m) for m in M.generators]
+    images = list(map(GroupHom(G, Q, proj), degs))
+    # over the zero ring every e_m is 0
+    units = MA.base.dim and _unit_indices(
+        [q.coords[:Q.free_rank] for q in images],
+        [i for i, q in enumerate(images) if not q.is_zero])
+    if units:
+        i = units[0]
+        return {"result": "differs", "witness_exponent": M.generators[i],
+                "witness_degree": tuple(degs[i].coords),
+                "method": "unit of the image monoid in G/im(phi)"}
+    if any(phi.preimage(MA.monomial_degree(M.zero, g)) is None
+           for g in MA.base.degrees()):
+        return {"result": "undecided",
+                "method": "a base degree lies outside im(phi)"}
+    return {"result": "equals_restriction",
+            "method": "no nonzero unit of the image monoid in G/im(phi)"}

@@ -2,7 +2,8 @@
 plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
 Lambek, the currying adjunction, intersections of ideals, the element
-tables of a finite algebra)."""
+tables of a finite algebra, and the bounded walks over the points of an
+affine monoid that cross-check its linear-algebra unit criteria)."""
 
 import pytest
 
@@ -176,6 +177,68 @@ def _intersect_subspaces(f, B1, B2):
     B = [row[:k] for row in A]
     return la.span_basis(f, [la.mat_vec_mul(f, B, c[:k])
                              for c in la.kernel_basis(f, A, k + len(B2))])
+
+
+# ---------------------------------------------------------------------------
+# affine monoids: bounded reference walks
+# ---------------------------------------------------------------------------
+
+def combinations(M, bound):
+    """Every (coefficients, point): natural coefficients of the
+    generators of the affine monoid M summing to at most ``bound``, by
+    increasing sum and lexicographically within one sum, and the point
+    they combine to."""
+    gens = M.generators
+
+    def rec(i, remaining, coeffs, point):
+        if i == len(gens):
+            if remaining == 0:
+                yield coeffs, point
+            return
+        # the last generator takes whatever the sum has left
+        for c in (range(remaining + 1) if i < len(gens) - 1
+                  else (remaining,)):
+            nxt = tuple(x + c * y for x, y in zip(point, gens[i]))
+            yield from rec(i + 1, remaining - c, coeffs + (c,), nxt)
+
+    for total in range(bound + 1):
+        yield from rec(0, total, (), M.zero)
+
+
+def contains(M, m, bound=32, points=2 ** 18):
+    """Is m a natural combination of the generators of M?  True / False
+    / None (no combination with coefficient sum at most ``bound``
+    reaches m, or the walk outgrew ``points`` points)."""
+    m = tuple(int(x) for x in m)
+    if all(x == 0 for x in m):
+        return True
+    if M.diff_coords(m) is None:
+        return False
+    # outside the rational cone (no lambda >= 0 with sum lambda_i g_i
+    # = m, each equality written as two inequalities) m is not in M
+    gens = [g for g in M.generators if any(x != 0 for x in g)]
+    cons = []
+    for t in range(M.ambient_dim):
+        coeffs = [la.QQ.of(g[t]) for g in gens]
+        cons.append((coeffs, la.QQ.of(m[t])))
+        cons.append(([-c for c in coeffs], la.QQ.of(-m[t])))
+    for i in range(len(gens)):
+        cons.append((la.unit_vector(la.QQ, len(gens), i), la.QQ.zero))
+    if not gc._fourier_motzkin_feasible(cons):
+        return False
+    # the distinct points of coefficient sum 1, 2, ..., bound, one
+    # layer per sum: a point met in an earlier layer adds nothing new.
+    # Past ``points`` points the walk stops as at the bound.
+    seen, layer = {M.zero}, {M.zero}
+    for _ in range(bound):
+        layer = {tuple(x + y for x, y in zip(p, g))
+                 for p in layer for g in gens} - seen
+        if m in layer:
+            return True
+        seen |= layer
+        if len(seen) > points:
+            break
+    return None
 
 
 # ---------------------------------------------------------------------------

@@ -149,6 +149,38 @@ class TestFunctors:
         assert code == 0
         assert out == {"corestriction": "zero ring", "witness_degree": [1]}
 
+    def test_corestrict_monoid_beyond_the_old_walk(self, capsys):
+        # x . x^9 = x^10 lies in a_phi and in degree 10Z
+        code, out = run_json(capsys, [
+            "corestrict", '{"monoid":{"dim":1,"gens":[[1]]},"field":"Q"}',
+            "--phi", '{"source":{"free_rank":1},"target":{"free_rank":1},'
+                     '"matrix":[[10]]}'])
+        assert code == 0
+        assert out == {"corestriction": "differs", "detail": {
+            "method": "unit of the image monoid in G/im(phi)",
+            "witness_degree": [1], "witness_exponent": [1]}}
+
+    def test_corestrict_monoid_of_dimension_zero(self, capsys):
+        # the lattice of Z^0 has the empty basis
+        code, out = run_json(capsys, [
+            "corestrict", '{"monoid":{"dim":0,"gens":[[]]},"field":"Q"}',
+            "--phi", '{"source":{},"target":{},"matrix":[]}'])
+        assert code == 0 and out["corestriction"] == "equals_restriction"
+
+    @pytest.mark.parametrize("result", ["equals_restriction", "undecided"])
+    def test_corestrict_monoid_answers_with_a_method(self, capsys, result):
+        # deg X = 2 along the doubling map; over Q[y]/(y^2), deg y = 1,
+        # a base degree lies outside 2Z, over Q in degree 0 none does
+        base = RING_QX2 if result == "undecided" else dict(
+            RING_QX2, basis=[{"degree": [0]}], mul=[[0, 0, [[0, "1"]]]],
+            unit=["1"])
+        doc = {"monoid": {"dim": 1, "gens": [[1]]}, "mode": {"d": [[2]]},
+               "base": base}
+        code, out = run_json(capsys, ["corestrict", json.dumps(doc),
+                                      "--phi", json.dumps(PHI_DOUBLING)])
+        assert code == 0 and out["corestriction"] == result
+        assert list(out["detail"]) == ["method"]
+
     def test_adjoint_check(self, docs, capsys):
         code, out = run_json(capsys, ["adjoint-check", str(docs / "ring.json"),
                                       "--phi", str(docs / "phi2.json")])
@@ -368,6 +400,28 @@ class TestExitCodes:
         code = cli.run(["classify", str(docs / "broken.json")])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("content, error", [
+        (b"[" * 100000, "nested too deeply"),
+        (b'{"free_rank": "\xff"}', "not UTF-8"),
+    ], ids=["deep", "not-utf8"])
+    def test_unreadable_document(self, tmp_path, capsys, content, error):
+        p = tmp_path / "doc.json"
+        p.write_bytes(content)
+        for cmd in ("validate", "classify"):
+            code = cli.run([cmd, str(p)])
+            captured = capsys.readouterr()
+            err = json.loads(captured.err)
+            assert code == 2 and err["kind"] == "validation", cmd
+            assert error in err["error"] and not captured.out
+
+    def test_scalar_exponent_beyond_the_digit_limit(self, capsys):
+        # "1e5000" would be 10^5000, more digits than int-to-str allows
+        ring = dict(RING_QX2, unit=["1e5000", "0"])
+        code = cli.run(["classify", json.dumps(ring)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 2 and err["error"].startswith("ring.unit[0]:")
+        assert "exponent" in err["error"]
 
     def test_missing_file(self, docs, capsys):
         code = cli.run(["classify", str(docs / "nope.json")])

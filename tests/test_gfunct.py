@@ -1,6 +1,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gradex.abgroups as ag
 import gradex.gcore as gc
@@ -9,7 +10,7 @@ import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP, GroupHom
 from gradex.exactla import QQ, GF
-from support import assert_record, dense
+from support import assert_record, combinations, dense
 
 
 class TestCoarsening:
@@ -210,6 +211,18 @@ class TestMorphismEnumeration:
                     assert h.apply_vec(add(x, y)) == add(hx, hy)
 
 
+def walk_witness_pair(A, k, embed, bound):
+    """Do two monomials e_m1, e_m2 with coefficient sum at most bound
+    have deg m2 outside H and deg (m1 + m2) inside it?  H is k Z^e, or
+    k Z x 0 in Z^2 when ``embed``; degrees are compared modulo H."""
+    def mod_h(d):
+        return (d[0] % k, d[1]) if embed else tuple(x % k for x in d)
+    keys = {mod_h(A.monomial_degree(m).coords)
+            for _, m in combinations(A.monoid, bound)}
+    return any(any(r) and mod_h(tuple(-x for x in r)) in keys
+               for r in keys)
+
+
 class TestMonoidShortcuts:
     def test_laurent_corestriction_is_zero(self):
         L = S.laurent_algebra()
@@ -251,21 +264,83 @@ class TestMonoidShortcuts:
         ([(1, 0), (0, 1), (1, 1)], [[2, 4]]),
         ([(1, 0), (1, 2), (0, 3)], [[2, -2]]),
     ])
-    def test_degrees_checked_match_breadth_first_walk(self, gens, dmatrix):
+    def test_even_degrees_equal_the_restriction(self, gens, dmatrix):
+        # every monomial has even degree, so a_phi = 0
         base = S.trivial_algebra(QQ, Z(1))
         A = gc.MonoidAlgebra(base, gc.AffineMonoid(len(gens[0]), gens),
                              mode="d", dmatrix=dmatrix)
-        rep = gf.monoid_corestriction_report(A, S.phi_doubling(), bound=5)
+        rep = gf.monoid_corestriction_report(A, S.phi_doubling())
         assert rep["result"] == "equals_restriction"
-        # every monoid point reachable in at most 5 generator steps
-        seen = frontier = {A.monoid.zero}
-        for _ in range(5):
-            frontier = {tuple(a + b for a, b in zip(m, g))
-                        for m in frontier for g in A.monoid.generators}
-            seen = seen | frontier
-        degs = {A.monomial_degree(m, g) for m in seen
-                for g in base.degrees()}
-        assert rep["degrees_checked"] == len(degs)
+        assert not walk_witness_pair(A, 2, False, 5)
+
+    def test_index_beyond_the_old_walk_differs(self):
+        # x * x^9 = x^10 lies in a_phi and in degree 10Z, which a walk
+        # over the monomials of coefficient sum at most 8 never reaches
+        A = gc.MonoidAlgebra(S.trivial_algebra(QQ, Z(1)),
+                             gc.AffineMonoid(1, [(1,)]), mode="d",
+                             dmatrix=[[1]])
+        rep = gf.monoid_corestriction_report(A, GroupHom(Z(1), Z(1), [[10]]))
+        assert rep["result"] == "differs"
+        assert rep["witness_exponent"] == (1,)
+        assert rep["witness_degree"] == (1,)
+        assert walk_witness_pair(A, 10, False, 9)
+
+    def test_free_image_needs_an_opposite_generator(self):
+        # phi: Z -> Z^2 onto the first axis, so G/H = Z/3 x Z
+        base = S.trivial_algebra(QQ, Z(2))
+        phi = GroupHom(Z(1), Z(2), [[3], [0]])
+        one_way = gc.MonoidAlgebra(base, gc.AffineMonoid(
+            2, [(1, 0), (0, 1)]), mode="d", dmatrix=[[3, 0], [0, 1]])
+        rep = gf.monoid_corestriction_report(one_way, phi)
+        assert rep["result"] == "equals_restriction"
+        both = gc.MonoidAlgebra(base, gc.AffineMonoid(
+            2, [(1, 0), (0, 1), (1, 1)]), mode="d", dmatrix=[[3, 0], [0, 1]])
+        assert gf.monoid_corestriction_report(both, phi)["result"] == \
+            "equals_restriction"
+        back = gc.MonoidAlgebra(base, gc.AffineMonoid(
+            2, [(1, 0), (0, 1), (1, -2)]), mode="d", dmatrix=[[3, 0], [0, 1]])
+        rep = gf.monoid_corestriction_report(back, phi)
+        assert (rep["result"], rep["witness_exponent"]) == ("differs", (0, 1))
+
+    def test_base_degree_outside_the_image(self):
+        # over Q[y]/(y^2), deg y = 1, along the doubling map
+        base = S.dual_numbers()
+        even = gc.MonoidAlgebra(base, gc.AffineMonoid(1, [(1,)]), mode="d",
+                                dmatrix=[[2]])
+        rep = gf.monoid_corestriction_report(even, S.phi_doubling())
+        assert rep["result"] == "undecided" and "base degree" in \
+            rep["method"]
+        # the unit 1 = e_0 still gives the witness e_X e_X of degree 2
+        odd = gc.MonoidAlgebra(base, gc.AffineMonoid(1, [(1,)]), mode="d",
+                               dmatrix=[[1]])
+        rep = gf.monoid_corestriction_report(odd, S.phi_doubling())
+        assert rep["result"] == "differs"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 2).flatmap(lambda d: st.integers(1, 2).flatmap(
+        lambda e: st.tuples(
+            st.lists(st.tuples(*[st.integers(-4, 4)] * d), min_size=1,
+                     max_size=3),
+            st.lists(st.lists(st.integers(-4, 4), min_size=d, max_size=d),
+                     min_size=e, max_size=e),
+            st.integers(1, 25),
+            st.booleans() if e == 2 else st.just(False)))))
+    def test_degree_rule_agrees_with_the_walk(self, case):
+        # trivially based d-graded algebras along phi = x k on Z^e, or
+        # along Z -> Z^2 onto k times the first axis (embed)
+        gens, dmatrix, k, embed = case
+        e = len(dmatrix)
+        A = gc.MonoidAlgebra(S.trivial_algebra(QQ, Z(e)), gc.AffineMonoid(
+            len(gens[0]), gens), mode="d", dmatrix=dmatrix)
+        phi = (GroupHom(Z(1), Z(2), [[k], [0]]) if embed else
+               GroupHom(Z(e), Z(e), [[k * (i == j) for j in range(e)]
+                                     for i in range(e)]))
+        result = gf.monoid_corestriction_report(A, phi)["result"]
+        assert result != "undecided"
+        if walk_witness_pair(A, k, embed, 12):
+            assert result in ("differs", "zero")
+        if result == "equals_restriction":
+            assert not walk_witness_pair(A, k, embed, 12)
 
     def test_deterministic_report(self):
         base = S.trivial_algebra(QQ, Z(1))
