@@ -3,12 +3,17 @@
 Groups are stored as Z^r x Z/d_1 x ... x Z/d_k with d_1 | d_2 | ... | d_k
 and every d_i >= 2.  Elements carry free coordinates first, torsion
 coordinates last, the latter reduced to [0, d_i).  Homomorphisms are
-integer matrices acting on coordinate columns; kernel, image and
-torsion analysis all run through the Smith normal form.
+integer matrices acting on coordinate columns.  Each one factors
+[M | D_H], its matrix beside the target's relation columns, once in
+Smith normal form (an ``IntegerSystem``), and reads its preimages, the
+index of its image and its kernel from that form.  The relations of
+the target are diagonal in these coordinates, so whether a vector lies
+in their lattice is a reduction, with no factorisation at all.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
 
@@ -123,43 +128,32 @@ def smith_normal_form(A):
     return U, D, V
 
 
-def snf_diagonal(A):
-    _, D, _ = smith_normal_form(A)
-    return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
+class IntegerSystem:
+    """One Smith form U A V = D of an integer matrix A with m columns,
+    read for the diagonal of D, one integer solution of A x = b and a
+    basis of the integer kernel of A.  A may have no rows."""
 
+    def __init__(self, A, m):
+        self.U, D, self.V = smith_normal_form(A) if A else \
+            ([], [], _identity(m))
+        self.diagonal = [D[i][i] for i in range(min(len(A), m))]
 
-def integer_kernel_basis(A):
-    """Basis (list of columns) of the integer kernel of A."""
-    if not A or not A[0]:
-        m = len(A[0]) if A else 0
-        return [[1 if i == j else 0 for i in range(m)] for j in range(m)]
-    U, D, V = smith_normal_form(A)
-    n, m = len(A), len(A[0])
-    r = sum(1 for i in range(min(n, m)) if D[i][i] != 0)
-    basis = []
-    for j in range(r, m):
-        basis.append([V[i][j] for i in range(m)])
-    return basis
-
-
-def integer_solve(A, b):
-    """One integer solution x of A x = b, or None."""
-    if not A:
-        return [] if all(x == 0 for x in b) else None
-    U, D, V = smith_normal_form(A)
-    n, m = len(A), len(A[0])
-    c = mat_vec(U, b)
-    y = [0] * m
-    for i in range(n):
-        d = D[i][i] if i < min(n, m) else 0
-        if i < m and d != 0:
-            if c[i] % d != 0:
+    def solve(self, b):
+        """One integer x with A x = b, or None."""
+        y = [0] * len(self.V)
+        for i, c in enumerate(mat_vec(self.U, b)):
+            d = self.diagonal[i] if i < len(self.diagonal) else 0
+            if d and c % d == 0:
+                y[i] = c // d
+            elif c:
                 return None
-            y[i] = c[i] // d
-        else:
-            if c[i] != 0:
-                return None
-    return mat_vec(V, y)
+        return mat_vec(self.V, y)
+
+    def kernel(self):
+        """Basis (list of columns) of the integer kernel of A: the columns
+        of V past the nonzero diagonal, which comes first."""
+        r = sum(1 for d in self.diagonal if d)
+        return [list(col) for col in zip(*self.V)][r:]
 
 
 def lattice_column_basis(cols, n):
@@ -309,20 +303,6 @@ class GroupElement(Record, frozen=True):
         return f"{self.coords}"
 
 
-def _invariant_data(diag, n):
-    """From an SNF diagonal over n generators: indices of free and torsion
-    coordinates together with the kept factors."""
-    free_idx, tors_idx, factors = [], [], []
-    for i in range(n):
-        d = diag[i] if i < len(diag) else 0
-        if d == 0:
-            free_idx.append(i)
-        elif d >= 2:
-            tors_idx.append(i)
-            factors.append(d)
-    return free_idx, tors_idx, factors
-
-
 def _quotient_group(n, relation_cols):
     """Z^n / <relation_cols>; returns (group, projection matrix, lift matrix).
 
@@ -331,14 +311,16 @@ def _quotient_group(n, relation_cols):
     """
     if not relation_cols:
         return FGAbelianGroup(n, ()), _identity(n), _identity(n)
-    A = [[col[i] for col in relation_cols] for i in range(n)]
-    U, D, V = smith_normal_form(A)
-    diag = [D[i][i] for i in range(min(n, len(relation_cols)))]
-    free_idx, tors_idx, factors = _invariant_data(diag, n)
+    system = IntegerSystem([[col[i] for col in relation_cols]
+                            for i in range(n)], len(relation_cols))
+    # coordinate i is free for a zero diagonal entry, dropped for a unit
+    diag = system.diagonal + [0] * (n - len(system.diagonal))
+    free_idx = [i for i, d in enumerate(diag) if d == 0]
+    tors_idx = [i for i, d in enumerate(diag) if d >= 2]
     keep = free_idx + tors_idx
-    group = FGAbelianGroup(len(free_idx), tuple(factors))
-    proj = [U[i][:] for i in keep]
-    Uinv = _matrix_inverse_unimodular(U)
+    group = FGAbelianGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
+    proj = [system.U[i][:] for i in keep]
+    Uinv = _matrix_inverse_unimodular(system.U)
     lift = [[Uinv[i][j] for j in keep] for i in range(n)]
     return group, proj, lift
 
@@ -365,18 +347,22 @@ class GroupHom(Record, frozen=True):
         object.__setattr__(self, "matrix", mat)
         if len(mat) != target.dim or any(len(r) != source.dim for r in mat):
             raise GroupError("hom matrix has wrong shape")
-        # well-definedness: source relations must land in the target lattice
+        # well-definedness: source relations must land in the target
+        # lattice, which is diagonal in invariant-factor coordinates
         for col in source.relation_columns():
-            img = mat_vec(mat, col)
-            if not self.target_lattice_contains(img):
+            if any(target.reduce(mat_vec(mat, col))):
                 raise GroupError("hom does not respect torsion relations")
 
-    def target_lattice_contains(self, v):
+    @cached_property
+    def _system(self):
+        """[M | D_H], the matrix beside the target's relation columns, in
+        one Smith form: preimages, the image index and the kernel all
+        read it.  Written to __dict__, so equality and hashing keep to
+        the fields."""
         rel = self.target.relation_columns()
-        if not rel:
-            return all(x == 0 for x in v)
-        A = [[col[i] for col in rel] for i in range(self.target.dim)]
-        return integer_solve(A, v) is not None
+        return IntegerSystem([list(row) + [col[i] for col in rel]
+                              for i, row in enumerate(self.matrix)],
+                             self.source.dim + len(rel))
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
@@ -394,11 +380,7 @@ class GroupHom(Record, frozen=True):
         """Some x with self(x) = y, or None."""
         if y.group != self.target:
             raise GroupError("element not in the target group")
-        rel = self.target.relation_columns()
-        cols = [[self.matrix[i][j] for i in range(self.target.dim)]
-                for j in range(self.source.dim)] + rel
-        A = [[col[i] for col in cols] for i in range(self.target.dim)]
-        sol = integer_solve(A, list(y.coords))
+        sol = self._system.solve(list(y.coords))
         if sol is None:
             return None
         return self.source.element(sol[:self.source.dim])
@@ -409,62 +391,31 @@ def kernel_data(h: GroupHom):
 
     K is in invariant-factor form; incl is a monomorphism K -> source whose
     image is exactly ker(h)."""
-    n = h.source.dim
-    m = h.target.dim
-    M = [list(r) for r in h.matrix]
-    rel_H = h.target.relation_columns()
-    # preimage lattice P = {x : M x in L_H}, via the kernel of [M | B_H]
-    W = [[M[i][j] for j in range(n)] + [col[i] for col in rel_H] for i in range(m)]
-    if m == 0:
-        pre_cols = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    else:
-        ker = integer_kernel_basis(W)
-        pre_cols = [v[:n] for v in ker]
-    P = lattice_column_basis(pre_cols + h.source.relation_columns(), n)
+    n, rel_G = h.source.dim, h.source.relation_columns()
+    # preimage lattice P = {x : M x in L_H}: the kernel of [M | D_H], cut
+    # to its first n coordinates, with the source relations
+    P = lattice_column_basis([v[:n] for v in h._system.kernel()] + rel_G, n)
     s = len(P)
     if s == 0:
-        K = ZERO_GROUP
-        incl = GroupHom(K, h.source, [[] for _ in range(n)])
-        return K, incl, True, True, 1
+        return ZERO_GROUP, GroupHom(ZERO_GROUP, h.source, [[]] * n), \
+            True, True, 1
     B = [[P[j][i] for j in range(s)] for i in range(n)]  # n x s basis matrix
-    # express the source relations in the basis B
-    rel_G = h.source.relation_columns()
+    # K = P / L_G, so express the source relations in the basis B
     C_cols = []
-    for col in rel_G:
-        x = integer_solve(B, col)
-        if x is None:
+    if rel_G:
+        system = IntegerSystem(B, s)
+        C_cols = [system.solve(col) for col in rel_G]
+        if None in C_cols:
             raise GroupError("internal: relation outside preimage lattice")
-        C_cols.append(x)
-    if not C_cols:
-        diag = []
-        Bp = B
-    else:
-        C = [[col[i] for col in C_cols] for i in range(s)]
-        U2, D2, _ = smith_normal_form(C)
-        diag = [D2[i][i] for i in range(min(s, len(C_cols)))]
-        U2inv = _matrix_inverse_unimodular(U2)
-        Bp = mat_mul(B, U2inv)
-    free_idx, tors_idx, factors = _invariant_data(diag, s)
-    K = FGAbelianGroup(len(free_idx), tuple(factors))
-    keep = free_idx + tors_idx
-    incl_matrix = [[Bp[i][j] for j in keep] for i in range(n)]
-    incl = GroupHom(K, h.source, incl_matrix)
+    K, _, lift = _quotient_group(s, C_cols)
+    incl = GroupHom(K, h.source, mat_mul(B, lift))
     return K, incl, K.is_torsionfree, K.is_finite, K.order
 
 
 def image_index_data(h: GroupHom):
     """Invariant factors of target / image(h); all 1 means epimorphism."""
-    m = h.target.dim
-    cols = [[h.matrix[i][j] for i in range(m)] for j in range(h.source.dim)]
-    cols += h.target.relation_columns()
-    if m == 0:
-        return []
-    if not cols:
-        return [0] * m
-    A = [[col[i] for col in cols] for i in range(m)]
-    diag = snf_diagonal(A)
-    diag = diag + [0] * (m - len(diag))
-    return diag[:m]
+    diag = h._system.diagonal
+    return diag + [0] * (h.target.dim - len(diag))
 
 
 def hom_props(h: GroupHom):

@@ -33,8 +33,8 @@ from __future__ import annotations
 from functools import cached_property, wraps
 from itertools import product
 
-from .abgroups import FGAbelianGroup, GroupError, lattice_column_basis, \
-    integer_solve
+from .abgroups import FGAbelianGroup, GroupError, IntegerSystem, \
+    lattice_column_basis
 from . import exactla as la
 from ._record import Record
 
@@ -606,6 +606,22 @@ def nilradical(R: GradedAlgebra):
     return R.graded_span(vecs)
 
 
+@_once_per_algebra
+def nilradical_generators(R: GradedAlgebra):
+    """Basis vectors of N = nil(R) that lift a basis of N/N^2.  N is
+    nilpotent, so they generate N as an ideal (graded Nakayama): for a
+    submodule X, N.X is the sum of the g.X, and N kills X iff every g
+    does."""
+    f, N = R.field, nilradical(R)
+    square = R.graded_span([R.act_vec(x, y) for i, x in enumerate(N)
+                            for y in N[i:]])
+    gens = []
+    for v in N:
+        if la.rank(f, square + gens + [v]) > len(square) + len(gens):
+            gens.append(v)
+    return gens
+
+
 def radical(R: GradedAlgebra, a):
     """Preimage of nil(R/a) under the projection."""
     Q, _, lift = quotient_ring(R, a)
@@ -656,10 +672,15 @@ def spec_enumerate(R: GradedAlgebra):
 # affine monoids and monoid algebras
 # ---------------------------------------------------------------------------
 
+FOURIER_MOTZKIN_LIMIT = 2 ** 12
+
+
 def _fourier_motzkin_feasible(cons):
     """Feasibility over Q of the constraints (coeffs, rhs), each meaning
     coeffs . x >= rhs, by eliminating every variable in turn: next the
-    one that pairs the fewest constraints of opposite signs."""
+    one that pairs the fewest constraints of opposite signs.  A step can
+    square the number of constraints, so one that would hold more than
+    FOURIER_MOTZKIN_LIMIT is refused before it is formed."""
     left = set(range(len(cons[0][0]) if cons else 0))
     while left:
         v = min(left, key=lambda u: sum(c[u] > 0 for c, _ in cons)
@@ -667,8 +688,13 @@ def _fourier_motzkin_feasible(cons):
         left.remove(v)
         pos = [(c, r) for c, r in cons if c[v] > 0]
         neg = [(c, r) for c, r in cons if c[v] < 0]
+        zero = [(c, r) for c, r in cons if c[v] == 0]
+        size = len(zero) + len(pos) * len(neg)
+        if size > FOURIER_MOTZKIN_LIMIT:
+            raise SizeGuardExceeded(f"Fourier-Motzkin step of {size} "
+                                    f"constraints > {FOURIER_MOTZKIN_LIMIT}")
         # eliminate v: combine with weights |nc[v]| and pc[v]
-        cons = [(c, r) for c, r in cons if c[v] == 0] + [
+        cons = zero + [
             ([-nc[v] * x + pc[v] * y for x, y in zip(pc, nc)],
              -nc[v] * pr + pc[v] * nr) for pc, pr in pos for nc, nr in neg]
     return all(rhs <= 0 for _, rhs in cons)
@@ -723,15 +749,18 @@ class AffineMonoid:
                                      self.ambient_dim)
         return FGAbelianGroup(len(basis), ()), basis
 
+    def _smith_form(self, columns):
+        """One Smith form of the matrix with these columns in Z^d."""
+        return IntegerSystem([[c[r] for c in columns]
+                              for r in range(self.ambient_dim)], len(columns))
+
+    @cached_property
+    def _diff_system(self):
+        return self._smith_form(self._diff[1])
+
     def diff_coords(self, m):
         """Coordinates of m in the lattice basis of diff(M)."""
-        group, basis = self.diff_group()
-        if not basis:
-            if any(x != 0 for x in m):
-                return None
-            return ()
-        A = [[b[i] for b in basis] for i in range(self.ambient_dim)]
-        sol = integer_solve(A, list(m))
+        sol = self._diff_system.solve(list(m))
         return tuple(sol) if sol is not None else None
 
     @cached_property
@@ -740,6 +769,10 @@ class AffineMonoid:
         gens = self.generators
         return tuple(gens[i] for i in _unit_indices(
             gens, [i for i, g in enumerate(gens) if any(g)]))
+
+    @cached_property
+    def _unit_system(self):
+        return self._smith_form(self.units)
 
     def sharpness(self) -> SharpnessReport:
         """M is sharp iff no generator is a unit."""
@@ -751,8 +784,7 @@ class AffineMonoid:
     def is_invertible(self, m):
         """Is m a unit of M, i.e. in the span of the unit generators?  If
         m + m' = 0 in M, every generator that m uses is a unit."""
-        A = [[u[r] for u in self.units] for r in range(self.ambient_dim)]
-        return integer_solve(A, [int(x) for x in m]) is not None
+        return self._unit_system.solve([int(x) for x in m]) is not None
 
     def __repr__(self):
         return f"AffineMonoid(dim={self.ambient_dim}, gens={self.generators})"

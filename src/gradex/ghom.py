@@ -22,7 +22,7 @@ from collections import Counter
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, nilradical
+from .gcore import GradedAlgebra, nilradical, nilradical_generators
 from .gmod import (GradedModule, ModuleMorphism, regular_module,
                    free_cover_from_generators, map_from_free, direct_sum,
                    kernel, radical_submodule, ModuleError, coarsen_module,
@@ -89,11 +89,12 @@ def _tor1_vanishes(p: ModuleMorphism) -> bool:
     """Is Tor_1(M, R/N) = 0 for the free cover p: F ->> M, N = nil(R)?
     With K = ker p, 0 -> Tor_1 -> K/NK -> F/NF -> M/NM -> 0 is exact, so
     dim Tor_1 = dim NF - dim NK - dim NM; NF is one copy of N for each
-    generator of F."""
-    F, f = p.source, p.source.field
-    N, K = nilradical(F.algebra), la.kernel_basis(f, p.matrix, F.dim)
-    NK = [F.act_vec(x, k) for x in N for k in K]
-    return len(F.free_degrees) * len(N) == \
+    generator of F, and NK is spanned by the g.k for the ideal
+    generators g of N, since K is a submodule."""
+    F, f, R = p.source, p.source.field, p.source.algebra
+    K = la.kernel_basis(f, p.matrix, F.dim)
+    NK = [F.act_vec(g, k) for g in nilradical_generators(R) for k in K]
+    return len(F.free_degrees) * len(nilradical(R)) == \
         la.rank(f, NK) + len(radical_submodule(p.target))
 
 

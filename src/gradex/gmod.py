@@ -24,7 +24,8 @@ from __future__ import annotations
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, _GradedSpace, _Morphism, nilradical
+from .gcore import GradedAlgebra, _GradedSpace, _Morphism, \
+    nilradical_generators
 
 
 class ModuleError(ValueError):
@@ -514,16 +515,16 @@ def radical_submodule(M: GradedModule):
     """Graded radical nil(R).M: the intersection of the maximal graded
     submodules for these finite-dimensional algebras."""
     vecs = []
-    for v in nilradical(M.algebra):
-        vecs.extend(zip(*M.mult_matrix(v)))   # the columns x . v_j
+    for g in nilradical_generators(M.algebra):
+        vecs.extend(zip(*M.mult_matrix(g)))   # the columns g . v_j
     return M.graded_span(vecs)
 
 
 def socle_submodule(M: GradedModule):
     """Graded socle: vectors killed by the graded radical of R."""
     rows = []
-    for v in nilradical(M.algebra):
-        rows.extend(M.mult_matrix(v))
+    for g in nilradical_generators(M.algebra):
+        rows.extend(M.mult_matrix(g))
     return M.graded_span(la.kernel_basis(M.field, rows, M.dim))
 
 

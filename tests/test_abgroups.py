@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -118,11 +120,93 @@ class TestHoms:
             ag.fiber_filter(ag.GroupHom(ag.Z(1), ag.Z(1), [[2]]), degs,
                             ag.Z(1).element((0,)))
 
+    def test_preimage_into_the_zero_group(self):
+        for source in (ag.Z(1), ag.Zmod(2)):
+            h = ag.GroupHom(source, ag.ZERO_GROUP, [])
+            assert h.preimage(ag.ZERO_GROUP.zero) == source.zero
+
+    def test_maps_out_of_z(self):
+        G = ag.Zmod(2, 4)
+        h = ag.GroupHom(ag.Z(1), G, [[1], [1]])   # x -> (x mod 2, x mod 4)
+        assert ag.hom_props(h) == (False, False, False)
+        assert ag.image_index_data(h) == [1, 2]   # G / im h = Z/2
+        K, incl, tf, finite, order = ag.kernel_data(h)
+        assert (K, tf, finite, order) == (ag.Z(1), True, False, None)
+        assert incl.matrix in (((4,),), ((-4,),))
+        y = G.element((1, 3))
+        assert h(h.preimage(y)) == y
+        assert h.preimage(G.element((0, 1))) is None
+        # x -> (2x, x) is a monomorphism onto a subgroup of index 4
+        h = ag.GroupHom(ag.Z(1), ag.FGAbelianGroup(1, (2,)), [[2], [1]])
+        assert ag.hom_props(h) == (False, True, False)
+        assert ag.image_index_data(h) == [1, 4]
+        assert ag.kernel_data(h)[0] == ag.ZERO_GROUP
+        assert h.preimage(h.target.element((6, 1))).coords == (3,)
+        assert h.preimage(h.target.element((6, 0))) is None
+
+    def test_maps_into_z(self):
+        # (a, b) -> 2a + 3b is onto, with kernel spanned by (3, -2)
+        h = ag.GroupHom(ag.Z(2), ag.Z(1), [[2, 3]])
+        assert ag.hom_props(h) == (True, False, False)
+        K, incl, tf, finite, _ = ag.kernel_data(h)
+        assert K == ag.Z(1) and tf and not finite
+        assert incl.matrix in (((3,), (-2,)), ((-3,), (2,)))
+        for n in (-5, 1, 7):
+            assert h(h.preimage(ag.Z(1).element((n,)))).coords == (n,)
+        # a finite group maps to Z by zero only
+        h = ag.GroupHom(ag.Zmod(4), ag.Z(1), [[0]])
+        assert ag.hom_props(h) == (False, False, False)
+        assert ag.image_index_data(h) == [0]
+        assert ag.kernel_data(h)[0] == ag.Zmod(4)
+        assert h.preimage(ag.Z(1).element((0,))).coords == (0,)
+        assert h.preimage(ag.Z(1).element((1,))) is None
+
     def test_compose(self):
         psi = ag.GroupHom(ag.Z(1), ag.Zmod(4), [[1]])
         pi = ag.GroupHom(ag.Zmod(4), ag.Zmod(2), [[1]])
         comp = pi.compose(psi)
         assert comp(ag.Z(1).element((3,))).coords == (1,)
+
+
+def _chains(bound, prev=1):
+    """Every divisibility chain d_1 | d_2 | ... of factors >= 2 with
+    product at most ``bound``, the empty chain first."""
+    yield ()
+    for d in range(max(2, prev), bound + 1, prev):
+        for rest in _chains(bound // d, d):
+            yield (d,) + rest
+
+
+FINITE_GROUPS = [ag.Zmod(*c) for c in _chains(64)]
+
+
+@st.composite
+def finite_maps(draw):
+    """A map between finite groups of order at most 64: column j may be
+    any image that the order d_j of generator j kills."""
+    G = draw(st.sampled_from(FINITE_GROUPS))
+    H = draw(st.sampled_from(FINITE_GROUPS))
+    cols = [[draw(st.integers(0, e)) * (e // gcd(d, e))
+             for e in H.torsion_factors] for d in G.torsion_factors]
+    return ag.GroupHom(G, H, [[c[i] for c in cols] for i in range(H.dim)])
+
+
+class TestFiniteMapsByEnumeration:
+    @given(finite_maps())
+    @settings(max_examples=120, deadline=None)
+    def test_against_enumeration(self, h):
+        image = {h(x) for x in h.source.elements()}
+        kernel = {x for x in h.source.elements() if h(x).is_zero}
+        for y in h.target.elements():
+            x = h.preimage(y)
+            assert (x is None) is (y not in image)
+            assert x is None or h(x) == y
+        epi, mono, iso = ag.hom_props(h)
+        assert (epi, mono) == (len(image) == h.target.order,
+                               len(kernel) == 1)
+        K, incl, tf, finite, order = ag.kernel_data(h)
+        assert finite and order == K.order == len(kernel)
+        assert {incl(k) for k in K.elements()} == kernel
 
 
 class TestRecords:

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradex.abgroups as ag
 import gradex.cli as cli
 import gradex.gfunct as gf
 import gradex.ghom as gh
@@ -180,6 +181,28 @@ class TestFunctors:
                                       "--phi", json.dumps(PHI_DOUBLING)])
         assert code == 0 and out["corestriction"] == result
         assert list(out["detail"]) == ["method"]
+
+    @pytest.mark.parametrize("command, field, n", [
+        ("restrict", "Q", 12), ("adjoint-check", {"p": 2}, 6)])
+    def test_one_smith_form_per_group_map(self, capsys, monkeypatch,
+                                          command, field, n):
+        # every preimage and the mono test of the doubling map read one
+        # factorisation of [M | D_H]
+        calls, snf = [], ag.smith_normal_form
+
+        def counted(A):
+            calls.append(A)
+            return snf(A)
+        monkeypatch.setattr(ag, "smith_normal_form", counted)
+        ring = {"group": {"free_rank": 1}, "field": field,
+                "basis": [{"degree": [k]} for k in range(n)],
+                "mul": [[i, j, [[i + j, 1]]] for i in range(n)
+                        for j in range(n - i)],
+                "unit": [1] + [0] * (n - 1)}
+        assert cli.run([command, json.dumps(ring),
+                        "--phi", json.dumps(PHI_DOUBLING)]) == 0
+        capsys.readouterr()
+        assert len(calls) <= 2
 
     def test_adjoint_check(self, docs, capsys):
         code, out = run_json(capsys, ["adjoint-check", str(docs / "ring.json"),
@@ -444,6 +467,25 @@ class TestExitCodes:
         assert time.perf_counter() - t0 < 1.0
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "size-guard"
+
+    def test_fourier_motzkin_guard_fires_before_the_step(self, capsys):
+        # 14 generators in Z^4: unchecked, the unit test's elimination
+        # steps hold 34, 249, 13 547 and then 39.7 million constraints
+        doc = {"monoid": {"dim": 4, "gens": [
+            [-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2],
+            [-3, 0, -3, 3], [0, 0, 1, 3], [3, -3, 2, 0], [-1, 2, 3, -2],
+            [1, -3, -1, -3], [-3, -3, 2, 1], [-3, 0, 2, -2], [0, 2, -3, 1],
+            [-2, 3, 0, 0], [1, -2, -1, -2]]}, "mode": "fine", "field": "Q"}
+        phi = {"source": {"free_rank": 4}, "target": {"free_rank": 4},
+               "matrix": [[2, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                          [0, 0, 0, 1]]}
+        t0 = time.perf_counter()
+        code = cli.run(["corestrict", json.dumps(doc),
+                        "--phi", json.dumps(phi)])
+        assert time.perf_counter() - t0 < 2.0
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "size-guard" and "Fourier-Motzkin" in err["error"]
 
     @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)])
     def test_large_prime_field(self, capsys, p, code):

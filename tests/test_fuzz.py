@@ -1,15 +1,20 @@
 """Fuzzed CLI documents.  Hypothesis draws well-formed ring, module,
-monoid-algebra and homomorphism documents of dimension at most 4, and
+homomorphism and principal-presentation documents of dimension at most
+4, monoid-algebra documents of up to 16 generators in Z^4, and
 structure-aware mutations of them: a node of another type, an index out
 of range, a float, deep nesting, bytes that are not UTF-8, and a scalar
 with a huge decimal exponent.  On every one, each subcommand keeps the
 CLI contract: ``cli.run`` returns 0, 1, 2 or 3 and raises nothing, and
-``validate`` accepts every well-formed document.  The example budgets
-are fixed, so the suite costs the same few seconds on every run."""
+``validate`` accepts every well-formed document.  A ``corestrict`` call
+returns within CORESTRICT_BUDGET_S: on a monoid algebra its
+Fourier-Motzkin steps are refused (exit 3) before they grow past a
+size guard.  The example budgets are fixed, so the suite costs the same
+few seconds on every run."""
 
 import contextlib
 import io
 import json
+import time
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -17,14 +22,20 @@ import gradex.cli as cli
 
 TORSION = [[], [2], [3], [2, 2], [2, 4]]
 FIELDS = ["Q", {"p": 2}, {"p": 3}, {"p": 5}]
+# the slowest of 300 random corestrict documents on 0-16 generators in
+# Z^1..Z^4 took 0.35 s (Python 3.11, 2 shared vCPUs)
+CORESTRICT_BUDGET_S = 5.0
 
 
 def run(argv):
     """The exit code of one in-process CLI call, its output dropped."""
     out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.run(argv)
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    if argv[0] == "corestrict":
+        assert time.perf_counter() - t0 < CORESTRICT_BUDGET_S, argv
     return code
 
 
@@ -134,10 +145,13 @@ def psis(G):
 
 @st.composite
 def monoid_algebras(draw):
-    d = draw(st.integers(0, 4))
-    doc = {"monoid": {"dim": d, "gens": draw(st.lists(
-        st.lists(st.integers(-3, 3), min_size=d, max_size=d), max_size=3))},
-        "field": draw(st.sampled_from(FIELDS))}
+    # entries from a drawn Random: Hypothesis would favour zeros and
+    # repeats, which leave few distinct generators
+    d, n = draw(st.integers(0, 4)), draw(st.integers(0, 16))
+    rnd = draw(st.randoms(use_true_random=False))
+    doc = {"monoid": {"dim": d, "gens": [[rnd.randint(-3, 3) for _ in range(d)]
+                                         for _ in range(n)]},
+           "field": draw(st.sampled_from(FIELDS))}
     mode = draw(st.sampled_from(["fine", "coarse", "d", "base"]))
     if mode == "base":
         base = draw(rings())
@@ -151,6 +165,22 @@ def monoid_algebras(draw):
                                     max_size=d)) for _ in range(rows)]}
     doc["mode"] = mode
     return doc
+
+
+@st.composite
+def principals(draw):
+    """Generators over K[X] in a free module on degrees a_i deg X: column
+    t holds c X^(t - a_i) in row i, homogeneous of degree t deg X."""
+    G = {"free_rank": draw(st.integers(1, 2)),
+         "torsion": draw(st.sampled_from(TORSION[:3]))}
+    var = [draw(st.sampled_from([-2, -1, 1, 2]))] + degree(draw, G)[1:]
+    shifts = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    gens = [[[draw(st.integers(-2, 2)), t - a] for a in shifts]
+            for t in draw(st.lists(st.integers(max(shifts), 5),
+                                   max_size=3))]
+    return {"group": G, "field": draw(st.sampled_from(FIELDS)),
+            "var_degree": var, "ambient": [[a * c for c in var]
+                                           for a in shifts], "gens": gens}
 
 
 def grading_group(doc):
@@ -171,9 +201,13 @@ MODULE_CMDS = [["module"], ["module", "--oracle"], ["resolve", "--cutoff",
 def cases(draw):
     """(document, subcommand argv with --psi/--phi drawn for the
     document's grading group; the object goes after the subcommand)."""
-    kind = draw(st.sampled_from(["ring", "module", "monoid", "hom"]))
+    kind = draw(st.sampled_from(["ring", "module", "monoid", "hom",
+                                 "principal"]))
     if kind == "hom":
         return draw(homs()), ["validate"]
+    if kind == "principal":   # validate is the one reader of these
+        return draw(principals()), draw(st.sampled_from(
+            [["validate"], ["classify"], ["module"]]))
     doc = draw({"ring": rings(), "module": modules(),
                 "monoid": monoid_algebras()}[kind])
     if kind == "monoid":
@@ -268,3 +302,14 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path, mutation):
     for obj in objects:
         run(["validate", obj])
         run([argv[0], obj, *argv[1:]])
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_corestrict_on_monoid_algebras_keeps_the_budget(data):
+    # half the monoids have 8-16 generators, where an unguarded
+    # Fourier-Motzkin elimination can run for minutes
+    doc = data.draw(monoid_algebras())
+    phi = data.draw(phis(grading_group(doc)))
+    run(["corestrict", json.dumps(doc), "--phi", json.dumps(phi)])

@@ -482,6 +482,23 @@ class TestDimensions:
                     direct = orc.injective_dimension_direct(M, cutoff)
                     assert rep.value == direct.value, (M, cutoff)
 
+    def test_tor1_acts_with_the_ideal_generators_of_nil(self, monkeypatch):
+        # nil Q[x]/(x^8) = (x), so NK = x.K: 6 products for the kernel K
+        # of the cover of R/(x^2), not one per basis vector of N
+        R = S.truncated_polynomial_algebra(QQ, 8)
+        _, incl = gm.generated_submodule(gm.regular_module(R),
+                                         [[0, 0, 1, 0, 0, 0, 0, 0]])
+        p = gh.minimal_cover(gm.cokernel(incl)[0])
+        calls, act_vec = [], gm.GradedModule.act_vec
+
+        def counted(self, x, v):
+            if self is p.source:
+                calls.append(x)
+            return act_vec(self, x, v)
+        monkeypatch.setattr(gm.GradedModule, "act_vec", counted)
+        assert gh._tor1_vanishes(p) is False
+        assert len(calls) == 6
+
     @pytest.mark.parametrize("kind", ["projective", "injective", "flat"])
     def test_one_split_test_decides(self, kind, monkeypatch):
         calls, minimal_cover = [], gh.minimal_cover
