@@ -364,6 +364,31 @@ class GroupHom(Record, frozen=True):
                               for i, row in enumerate(self.matrix)],
                              self.source.dim + len(rel))
 
+    @cached_property
+    def _kernel(self):
+        """kernel_data of the map, kept like _system."""
+        n, rel_G = self.source.dim, self.source.relation_columns()
+        # preimage lattice P = {x : M x in L_H}: the kernel of [M | D_H],
+        # cut to its first n coordinates, with the source relations
+        P = lattice_column_basis([v[:n] for v in self._system.kernel()]
+                                 + rel_G, n)
+        s = len(P)
+        if s == 0:
+            return ZERO_GROUP, GroupHom(ZERO_GROUP, self.source,
+                                        [[]] * n), True, True, 1
+        B = [[P[j][i] for j in range(s)] for i in range(n)]  # n x s basis
+        # K = P / L_G, so express the source relations in the basis B
+        C_cols = []
+        if rel_G:
+            system = IntegerSystem(B, s)
+            C_cols = [system.solve(col) for col in rel_G]
+            if None in C_cols:
+                raise GroupError("internal: relation outside preimage "
+                                 "lattice")
+        K, _, lift = _quotient_group(s, C_cols)
+        incl = GroupHom(K, self.source, mat_mul(B, lift))
+        return K, incl, K.is_torsionfree, K.is_finite, K.order
+
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.source:
             raise GroupError("element not in the source group")
@@ -387,29 +412,10 @@ class GroupHom(Record, frozen=True):
 
 
 def kernel_data(h: GroupHom):
-    """(K, incl, torsionfree, finite, order) for the kernel of h.
-
-    K is in invariant-factor form; incl is a monomorphism K -> source whose
-    image is exactly ker(h)."""
-    n, rel_G = h.source.dim, h.source.relation_columns()
-    # preimage lattice P = {x : M x in L_H}: the kernel of [M | D_H], cut
-    # to its first n coordinates, with the source relations
-    P = lattice_column_basis([v[:n] for v in h._system.kernel()] + rel_G, n)
-    s = len(P)
-    if s == 0:
-        return ZERO_GROUP, GroupHom(ZERO_GROUP, h.source, [[]] * n), \
-            True, True, 1
-    B = [[P[j][i] for j in range(s)] for i in range(n)]  # n x s basis matrix
-    # K = P / L_G, so express the source relations in the basis B
-    C_cols = []
-    if rel_G:
-        system = IntegerSystem(B, s)
-        C_cols = [system.solve(col) for col in rel_G]
-        if None in C_cols:
-            raise GroupError("internal: relation outside preimage lattice")
-    K, _, lift = _quotient_group(s, C_cols)
-    incl = GroupHom(K, h.source, mat_mul(B, lift))
-    return K, incl, K.is_torsionfree, K.is_finite, K.order
+    """(K, incl, torsionfree, finite, order) for the kernel of h, computed
+    once per map (``GroupHom._kernel``).  K is in invariant-factor form;
+    incl is a monomorphism K -> source whose image is exactly ker(h)."""
+    return h._kernel
 
 
 def image_index_data(h: GroupHom):

@@ -14,7 +14,7 @@ import sys
 from collections import Counter
 from types import SimpleNamespace
 
-from .abgroups import FGAbelianGroup, GroupHom, GroupError
+from .abgroups import FGAbelianGroup, GroupHom, GroupError, ZERO_GROUP
 from . import exactla as la
 from .gcore import (GradedAlgebra, AlgebraError, GradingViolation,
                     SizeGuardExceeded, AffineMonoid, MonoidAlgebra,
@@ -229,9 +229,9 @@ def monoid_algebra_from_json(doc, path="ring"):
     field = field_from_json(doc.get("field", "Q"), _jp(path, "field"))
     if "base" in doc:
         base = ring_from_json(doc["base"], _jp(path, "base"))
-    else:
-        from .samples import trivial_algebra
-        base = trivial_algebra(field)
+    else:   # the base field, trivially graded
+        base = GradedAlgebra(ZERO_GROUP, field, [ZERO_GROUP.zero],
+                             [(0, 0, 0, 1)], [1])
     mode = doc.get("mode", "fine")
     if isinstance(mode, dict) and "d" in mode:
         at = _jp(path, "mode.d")

@@ -13,6 +13,9 @@ core, ``_GradedSpace``: a degree-labelled basis and the action of the
 algebra's basis on it, given and kept as its nonzero structure constants
 (i, j, k, c), x_i . v_j = sum_k c v_k.  A ring is checked as its own
 regular module, plus commutativity and a homogeneous unit of degree 0.
+A morphism of either has one check, ``_Morphism._check``, run on the
+generators of its source ring only: the elements its matrix commutes
+with form a subalgebra, which holds 1 (for a ring map, once F(1) = 1).
 An element of a ring is, as one of a module, the list of its
 coordinates in the basis: the core reads its degree (``vec_degree``)
 and its products (``act_vec``, ``mult_matrix``).
@@ -86,14 +89,41 @@ class _Derivable:
 
 
 class _Morphism(_Derivable):
-    """A map between graded rings or modules, as a matrix on basis
-    coordinates (column j is the image of basis vector j)."""
+    """A map between graded rings or modules, as a matrix F on basis
+    coordinates (column j is the image of basis vector j).  ``_check``
+    proves its shape, its degrees and F A_i = B_i F for the x_i in the
+    source ring's ``_generators`` (see the module docstring): A_i is
+    x_i acting on the source, B_i (``_image_action``) x_i on a target
+    module, F(x_i) on a target ring.  Each subclass adds preconditions
+    (``_require``; a ring map keeps the unit) and names ``_error``."""
+
+    def __init__(self, source, target, matrix):
+        self._setup(source, target, matrix)
+        self._check()
 
     def _setup(self, source, target, matrix):
         self.source = source
         self.target = target
         f = target.field
         self.matrix = [[f.of(x) for x in row] for row in matrix]
+
+    def _check(self):
+        S, T, F, f = self.source, self.target, self.matrix, self.target.field
+        if len(F) != T.dim or any(len(row) != S.dim for row in F):
+            raise self._error("morphism matrix has wrong shape")
+        self._require()
+        for k, row in enumerate(F):
+            for j, c in enumerate(row):
+                if c != 0 and T.basis_degrees[k] != S.basis_degrees[j]:
+                    raise self._error(f"morphism entry ({k},{j}) is not "
+                                      f"degree-preserving")
+        for i in getattr(S, "algebra", S)._generators:
+            if la.mat_mul(f, F, S.action_matrix(i)) != \
+                    la.mat_mul(f, self._image_action(i), F):
+                raise self._error(f"morphism does not commute with x_{i}")
+
+    def __call__(self, v):
+        return la.mat_vec_mul(self.target.field, self.matrix, v)
 
     def compose(self, other):
         """self o other."""

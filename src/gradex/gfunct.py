@@ -7,7 +7,9 @@ morphism) and a group map and returns the regraded object.  Regrading
 keeps the axioms, so the result is built without a second check
 (``_Derivable._derived``); only the group maps are checked, for being
 epi or mono.  The adjunction checks build their morphisms through the
-checked constructor, whose check is part of what they verify.
+checked constructor, whose check is part of what they verify: F(1) = 1
+and F(x a) = F(x) F(a) for the source's generators x
+(``gcore._Morphism._check``); such x form a subalgebra, holding 1.
 """
 
 from __future__ import annotations
@@ -32,39 +34,20 @@ class FunctorError(ValueError):
 
 class AlgebraMorphism(_Morphism):
     """Degree-preserving unital ring morphism between graded algebras
-    over the same grading group, as a matrix on basis coordinates."""
+    over the same grading group, as a matrix on basis coordinates;
+    ``_Morphism._check`` proves F(x_i a) = F(x_i) F(a) on the source's
+    generators x_i, which suffices once F(1) = 1."""
 
-    def __init__(self, source: GradedAlgebra, target: GradedAlgebra, matrix):
-        self._setup(source, target, matrix)
-        self._check()
+    _error = FunctorError
 
-    def _check(self):
-        A, B = self.source, self.target
-        if len(self.matrix) != B.dim or any(
-                len(r) != A.dim for r in self.matrix):
-            raise FunctorError("morphism matrix has wrong shape")
-        if A.group != B.group:
+    def _require(self):
+        if self.source.group != self.target.group:
             raise FunctorError("morphism between different grading groups")
-        # column j is the image of basis vector j
-        cols = [[row[j] for row in self.matrix] for j in range(A.dim)]
-        for j in range(A.dim):
-            if any(c != 0 and B.basis_degrees[k] != A.basis_degrees[j]
-                   for k, c in enumerate(cols[j])):
-                raise FunctorError(f"image of basis vector {j} is not "
-                                   f"homogeneous of its degree")
-        if self.apply_vec(list(A.unit)) != list(B.unit):
+        if self(self.source.unit) != list(self.target.unit):
             raise FunctorError("morphism does not preserve the unit")
-        # u x_i = u(x_i) u as maps, x_i acting by multiplication
-        for i in range(A.dim):
-            if la.mat_mul(B.field, self.matrix, A.action_matrix(i)) != \
-                    la.mat_mul(B.field, B.mult_matrix(cols[i]), self.matrix):
-                raise FunctorError("morphism is not multiplicative")
 
-    def apply_vec(self, v):
-        return la.mat_vec_mul(self.target.field, self.matrix, v)
-
-    def is_identity_matrix(self):
-        return self.matrix == la.eye(self.target.field, self.source.dim)
+    def _image_action(self, i):
+        return self.target.mult_matrix([row[i] for row in self.matrix])
 
 
 # ---------------------------------------------------------------------------
@@ -79,31 +62,30 @@ def _require_epi(psi, group):
         raise FunctorError("coarsening requires an epimorphism")
 
 
+def _regraded(R: GradedAlgebra, group, degrees) -> GradedAlgebra:
+    """R with new basis degrees: the same algebra, the same generators."""
+    Rg = GradedAlgebra._derived(group, R.field, degrees, R.entries(), R.unit)
+    if "_generators" in vars(R):
+        Rg._generators = R._generators
+    return Rg
+
+
 def coarsen_algebra(R: GradedAlgebra, psi: GroupHom) -> GradedAlgebra:
     """Same underlying algebra, degrees pushed through psi."""
     _require_epi(psi, R.group)
-    degrees = [psi(d) for d in R.basis_degrees]
-    Rc = GradedAlgebra._derived(psi.target, R.field, degrees, R.entries(),
-                                R.unit)
-    # the same basis, multiplication and unit generate the same way
-    if "_generators" in vars(R):
-        Rc._generators = R._generators
-    return Rc
+    return _regraded(R, psi.target, [psi(d) for d in R.basis_degrees])
 
 
 def coarsen(X, psi):
     """Coarsen an algebra, module or morphism along psi."""
+    if isinstance(X, _Morphism):
+        return type(X)._derived(coarsen(X.source, psi),
+                                coarsen(X.target, psi), X.matrix)
     if isinstance(X, GradedAlgebra):
         return coarsen_algebra(X, psi)
-    if isinstance(X, AlgebraMorphism):
-        return AlgebraMorphism._derived(coarsen_algebra(X.source, psi),
-                                        coarsen_algebra(X.target, psi),
-                                        X.matrix)
     from . import gmod
     if isinstance(X, gmod.GradedModule):
         return gmod.coarsen_module(X, psi)
-    if isinstance(X, gmod.ModuleMorphism):
-        return gmod.coarsen_morphism(X, psi)
     raise FunctorError(f"cannot coarsen {type(X).__name__}")
 
 
@@ -141,9 +123,7 @@ def extend(S: GradedAlgebra, phi: GroupHom) -> GradedAlgebra:
     _require_mono(phi)
     if phi.source != S.group:
         raise FunctorError("phi does not start at the grading group")
-    degrees = [phi(d) for d in S.basis_degrees]
-    return GradedAlgebra._derived(phi.target, S.field, degrees, S.entries(),
-                                  S.unit)
+    return _regraded(S, phi.target, [phi(d) for d in S.basis_degrees])
 
 
 class CorestrictionResult(Record):
@@ -201,12 +181,8 @@ def enumerate_ring_morphisms(A: GradedAlgebra, B: GradedAlgebra):
     f = B.field
     if not f.is_finite:
         raise AlgebraError("morphism enumeration needs a finite field")
-    slots = []
-    for j in range(A.dim):
-        d = A.basis_degrees[j]
-        for i in range(B.dim):
-            if B.basis_degrees[i] == d:
-                slots.append((i, j))
+    slots = [(i, j) for j in range(A.dim) for i in range(B.dim)
+             if B.basis_degrees[i] == A.basis_degrees[j]]
     if f.p ** len(slots) > MORPHISM_ENUM_LIMIT:
         raise SizeGuardExceeded("morphism search space too large")
     out = []
@@ -239,16 +215,15 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
                                   [cor.proj[k] for k in cor.kept])
         induced = corestrict_morphism(alpha_m, phi, cor_src=cor)
         results.append((f"C-E unit triangle on {R!r}",
-                        induced.is_identity_matrix()))
+                        induced.matrix == la.eye(R.field, cor.algebra.dim)))
         # left triangle of (extension, restriction): restricting the
         # counit (R_(phi))^(phi) -> R gives the identity of R_(phi)
         Rst, kept = restrict_with_indices(R, phi)
-        incl = la.zeros(R.field, R.dim, len(kept))
-        for col, i in enumerate(kept):
-            incl[i][col] = R.field.one
+        incl = [[row[i] for i in kept] for row in la.eye(R.field, R.dim)]
         incl_m = AlgebraMorphism(extend(Rst, phi), R, incl)
         results.append((f"E-R counit triangle on {R!r}",
-                        restrict_morphism(incl_m, phi).is_identity_matrix()))
+                        restrict_morphism(incl_m, phi).matrix
+                        == la.eye(R.field, Rst.dim)))
     for S in f_samples:
         ES = extend(S, phi)
         # unit of (corestriction, extension) on an extended ring is the
@@ -265,6 +240,13 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
     return results
 
 
+def _bijects(homs, transposed):
+    """Are the transposed matrices distinct and those of the homs?"""
+    keys = [tuple(map(tuple, M)) for M in transposed]
+    return (len(keys) == len(set(keys)) == len(homs)
+            and set(keys) == {tuple(map(tuple, h.matrix)) for h in homs})
+
+
 def hom_bijection_check(phi: GroupHom, R: GradedAlgebra, S: GradedAlgebra):
     """Over a finite field: verify |Hom(R_((phi)), S)| = |Hom(R, S^(phi))|
     and |Hom(S, R_(phi))| = |Hom(S^(phi), R)| by full enumeration, with
@@ -276,28 +258,18 @@ def hom_bijection_check(phi: GroupHom, R: GradedAlgebra, S: GradedAlgebra):
     left = enumerate_ring_morphisms(cor.algebra, S)
     right = enumerate_ring_morphisms(R, ES)
     # transpose f: R_((phi)) -> S to E(f) o alpha: R -> S^(phi)
-    transposed = []
-    for h in left:
-        ext_h = AlgebraMorphism(extend(cor.algebra, phi), ES, h.matrix)
-        alpha_m = AlgebraMorphism(R, extend(cor.algebra, phi),
-                                  [cor.proj[k] for k in cor.kept])
-        transposed.append(tuple(map(tuple, ext_h.compose(alpha_m).matrix)))
-    first_ok = (len(left) == len(right)
-                and set(transposed) == {tuple(map(tuple, h.matrix)) for h in right}
-                and len(set(transposed)) == len(left))
+    ext_cor = extend(cor.algebra, phi)
+    alpha_m = AlgebraMorphism(R, ext_cor, [cor.proj[k] for k in cor.kept])
+    first_ok = _bijects(right, [
+        AlgebraMorphism(ext_cor, ES, h.matrix).compose(alpha_m).matrix
+        for h in left])
     # second adjunction: Hom(S, R_(phi)) vs Hom(S^(phi), R)
     Rst, kept = restrict_with_indices(R, phi)
     left2 = enumerate_ring_morphisms(ES, R)
     right2 = enumerate_ring_morphisms(S, Rst)
-    transposed2 = []
-    for h in left2:
-        M = [[h.matrix[i][j] for j in range(S.dim)] for i in kept]
-        transposed2.append(tuple(map(tuple,
-                                     AlgebraMorphism(S, Rst, M).matrix)))
-    second_ok = (len(left2) == len(right2)
-                 and set(transposed2) == {tuple(map(tuple, h.matrix))
-                                          for h in right2}
-                 and len(set(transposed2)) == len(left2))
+    second_ok = _bijects(right2, [
+        AlgebraMorphism(S, Rst, [h.matrix[i] for i in kept]).matrix
+        for h in left2])
     return {"corestriction-extension": first_ok,
             "extension-restriction": second_ok,
             "hom_counts": (len(left), len(right), len(left2), len(right2))}

@@ -8,9 +8,12 @@ construction writes the entries of its result directly.  It rests on
 the same core as an algebra (``gcore._GradedSpace``): the entries,
 degrees, the action on vectors, homogeneous enumeration and the one
 check of the module axioms are shared, and a ring is checked as its own
-regular module.  Submodules are canonical homogeneous bases from the
-same core (``graded_span``, ``submodule_span``); a graded ideal of R is
-such a basis for the regular module.  A free module, the direct sum of
+regular module.  Module and ring morphisms share one check too
+(``gcore._Morphism``): F x_i = x_i F for the generators x_i of R
+suffices, since the x with F x = x F form a subalgebra of R with 1.
+Submodules are canonical homogeneous bases from the same core
+(``graded_span``, ``submodule_span``); a graded ideal of R is such a
+basis for the regular module.  A free module, the direct sum of
 the shifts R(-d_t), is known by its generator degrees d_t:
 ``free_module`` records them as ``free_degrees``, and freeness reports,
 covers, lifts and Betti tables read them there.  Everything a morphism
@@ -75,35 +78,17 @@ def regular_module(R: GradedAlgebra) -> GradedModule:
 
 class ModuleMorphism(_Morphism):
     """Degree-preserving equivariant map between modules over the same
-    algebra, as a matrix on basis coordinates."""
+    algebra, as a matrix on basis coordinates; ``_Morphism._check``
+    proves it on the algebra's generators."""
 
-    def __init__(self, source: GradedModule, target: GradedModule, matrix):
-        if source.algebra != target.algebra:
+    _error = ModuleError
+
+    def _require(self):
+        if self.source.algebra != self.target.algebra:
             raise ModuleError("morphism between modules over different algebras")
-        self._setup(source, target, matrix)
-        self._check()
 
-    def _check(self):
-        S, T = self.source, self.target
-        if len(self.matrix) != T.dim or any(
-                len(r) != S.dim for r in self.matrix):
-            raise ModuleError("morphism matrix has wrong shape")
-        for k in range(T.dim):
-            for j in range(S.dim):
-                if self.matrix[k][j] != 0 and (T.basis_degrees[k]
-                                               != S.basis_degrees[j]):
-                    raise ModuleError(
-                        f"morphism entry ({k},{j}) is not degree-preserving")
-        R = S.algebra
-        for i in range(R.dim):
-            A = S.action_matrix(i)
-            B = T.action_matrix(i)
-            if la.mat_mul(T.field, self.matrix, A) != \
-                    la.mat_mul(T.field, B, self.matrix):
-                raise ModuleError(f"morphism does not commute with x_{i}")
-
-    def __call__(self, v):
-        return la.mat_vec_mul(self.target.field, self.matrix, v)
+    def _image_action(self, i):
+        return self.target.action_matrix(i)
 
     def is_mono(self):
         return not la.kernel_basis(self.target.field, self.matrix,
@@ -228,11 +213,6 @@ def coarsen_module(M: GradedModule, psi: GroupHom) -> GradedModule:
     Rc = coarsen_algebra(M.algebra, psi)
     return GradedModule._derived(Rc, [psi(d) for d in M.basis_degrees],
                                  M.entries())
-
-
-def coarsen_morphism(u: ModuleMorphism, psi: GroupHom) -> ModuleMorphism:
-    return ModuleMorphism._derived(coarsen_module(u.source, psi),
-                                   coarsen_module(u.target, psi), u.matrix)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Helpers shared by the test modules: the record-behaviour check and a
 plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
-Lambek, the currying adjunction, intersections of ideals, the element
-tables of a finite algebra, and the bounded walks over the points of an
-affine monoid that cross-check its linear-algebra unit criteria)."""
+Lambek, the currying adjunction, the morphism axioms checked on every
+basis vector, intersections of ideals, the element tables of a finite
+algebra, and the bounded walks over the points of an affine monoid that
+cross-check its linear-algebra unit criteria)."""
 
 import pytest
 
@@ -148,6 +149,48 @@ def adjunction_dims_check(M, N, P):
     ok = (len(C) == len(flat2)
           and la.rank(f, Cm) == len(flat2)) if C else len(flat2) == 0
     return {"ok": ok, "dims": len(flat2)}
+
+
+# ---------------------------------------------------------------------------
+# morphisms: equivariance under every basis vector
+# ---------------------------------------------------------------------------
+
+def _shape_and_degrees(S, T, F):
+    return (len(F) == T.dim and all(len(row) == S.dim for row in F)
+            and all(c == 0 or T.basis_degrees[k] == S.basis_degrees[j]
+                    for k, row in enumerate(F) for j, c in enumerate(row)))
+
+
+def is_module_morphism(S, T, F):
+    """Is the matrix F a morphism S -> T of modules over one algebra:
+    the right shape, degree-preserving, and F A_i = B_i F for every
+    basis vector x_i of the algebra, A_i and B_i its actions on S and
+    T?"""
+    f = T.field
+    return (S.algebra == T.algebra and _shape_and_degrees(S, T, F)
+            and all(la.mat_mul(f, F, S.action_matrix(i))
+                    == la.mat_mul(f, T.action_matrix(i), F)
+                    for i in range(S.algebra.dim)))
+
+
+def is_ring_morphism(A, B, F):
+    """Is the matrix F a graded ring morphism A -> B: a common grading
+    group, the right shape, degree-preserving, unital, and F(x_i a) =
+    F(x_i) F(a) for every basis vector x_i of A?"""
+    f = B.field
+    if A.group != B.group or not _shape_and_degrees(A, B, F):
+        return False
+    return (la.mat_vec_mul(f, F, list(A.unit)) == list(B.unit)
+            and is_multiplicative(A, B, F))
+
+
+def is_multiplicative(A, B, F):
+    """F(x_i a) = F(x_i) F(a) for every basis vector x_i of A and every
+    a, F of the right shape."""
+    f = B.field
+    return all(la.mat_mul(f, F, A.action_matrix(i))
+               == la.mat_mul(f, B.mult_matrix([row[i] for row in F]), F)
+               for i in range(A.dim))
 
 
 # ---------------------------------------------------------------------------

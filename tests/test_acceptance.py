@@ -172,7 +172,7 @@ def test_5_superfluous_counterexample():
             _, incl = gm.generated_submodule(M, [gen])
             fine_flag, _ = orc.oracle_small_submodule(incl, "superfluous")
             coarse_flag, _ = orc.oracle_small_submodule(
-                gm.coarsen_morphism(incl, psi), "superfluous")
+                gf.coarsen(incl, psi), "superfluous")
             if coarse_flag:
                 assert fine_flag, (n, j)
 

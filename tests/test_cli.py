@@ -1,6 +1,8 @@
 import contextlib
 import io
 import json
+import pathlib
+import sys
 import time
 
 import pytest
@@ -13,6 +15,10 @@ import gradex.ghom as gh
 import gradex.samples as S
 from gradex.exactla import GF
 from support import dense
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+import corpus  # noqa: E402
 
 
 RING_QX2 = {
@@ -278,6 +284,23 @@ class TestModules:
                                       "--cutoff", "3"])
         assert code == 0
         assert out["ok"] is True and out["betti_equal"] is True
+
+    def test_coarsen_compare_keeps_the_kernel_of_psi(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # psi's kernel is computed once, however many epi tests read it:
+        # one Smith form of [M | D_H] and one of the kernel lattice
+        doc = next(d for d in corpus.corpus("homological",
+                                            corpus.DEFAULT_SEED)
+                   if d["id"] == "coarsen-compare-q3-x1-z2")
+        for name, text in doc["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        calls, snf = [], ag.smith_normal_form
+        monkeypatch.setattr(ag, "smith_normal_form",
+                            lambda A: calls.append(A) or snf(A))
+        assert cli.run(doc["argv"]) == 0
+        capsys.readouterr()
+        assert len(calls) == 2
 
 
 class TestSpecAndOracles:

@@ -3,6 +3,7 @@ import pytest
 import gradex.exactla as la
 import gradex.gmod as gm
 import gradex.gcore as gc
+import gradex.gfunct as gf
 import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
@@ -440,7 +441,7 @@ class TestPrincipalPresentations:
         psi = S.psi_Z_to_Zmod(2)
         for gen in ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
             sub, incl = ideal_module(R, gen)
-            coarse = gm.small_submodule(gm.coarsen_morphism(incl, psi),
+            coarse = gm.small_submodule(gf.coarsen(incl, psi),
                                         "superfluous")
             fine = gm.small_submodule(incl, "superfluous")
             if coarse.flag:

@@ -6,13 +6,17 @@ The counting test runs the seed-0 benchmark corpus through
 ``gradex.cli.run`` and finds each axiom check on a ring or module the
 CLI read, and nowhere else.  The property test re-checks, with the
 checked constructors, every ring, module and morphism that a derivation
-builds on the trusted path.
+builds on the trusted path.  The morphism check, which runs on the
+source ring's generators, is held to the same axioms checked on every
+basis vector.
 """
 
 import pathlib
+import random
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from unittest.mock import patch
 
 import pytest
@@ -26,7 +30,8 @@ import gradex.ghom as gh
 import gradex.gmod as gm
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, ZERO_GROUP
-from gradex.exactla import QQ
+from gradex.exactla import QQ, GF
+from support import is_module_morphism, is_multiplicative, is_ring_morphism
 from test_ghom import (free_lift_cases, padded_lift_cases, quotient_by_x,
                        sample_modules)
 
@@ -321,7 +326,7 @@ def coarsen_module(draw):
 def coarsen_morphism(draw):
     u = module_morphism(draw)
     psi = draw(st.sampled_from(epis(u.target.group)))
-    return lambda: gm.coarsen_morphism(u, psi)
+    return lambda: gf.coarsen(u, psi)
 
 
 @derivation
@@ -466,3 +471,105 @@ def test_trusted_derivations_pass_the_full_check(name, data):
     assert built  # the derivation took the trusted path
     for X in built:
         assert passes_full_check(X), (name, X)
+
+
+# ---------------------------------------------------------------------------
+# the morphism check on generators against the check on every basis vector
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def finite_rings():
+    """The finite-field sample rings, their coarsenings, and their
+    restrictions to degree 0 and along the doubling map, each once."""
+    out = list(S.finite_corpus())
+    out += [gf.coarsen(R, psi) for R, psi in S.coarsening_pairs()]
+    for R in S.finite_corpus():
+        out.append(gf.restrict(R, S.phi_zero_into(R.group)))
+        if R.group == Z(1):
+            out.append(gf.restrict(R, S.phi_doubling()))
+    return tuple(R for t, R in enumerate(out) if R not in out[:t])
+
+
+@lru_cache(maxsize=None)
+def finite_modules():
+    """Over each ring of finite_rings(): the regular module, its shift
+    by the degree of the last basis vector and its quotient by the
+    second basis vector; and the coarsenings of those over the sample
+    rings."""
+    out = []
+    for R in finite_rings():
+        M = gm.regular_module(R)
+        out += [M, gm.shift(M, R.basis_degrees[-1])]
+        if R.dim > 1:
+            out.append(quotient_by_x(R)[0])
+    for R, psi in S.coarsening_pairs():
+        out += [gf.coarsen(M, psi) for M in out if M.algebra == R]
+    return tuple(out)
+
+
+ENUMERATED_MATRICES = 2 ** 12
+RANDOM_MATRICES = 64
+
+
+def degree_matrices(X, Y, rng):
+    """Every degree-preserving matrix X -> Y when there are at most
+    ENUMERATED_MATRICES of them, else RANDOM_MATRICES drawn with rng."""
+    f = Y.field
+    slots = [(k, j) for k in range(Y.dim) for j in range(X.dim)
+             if Y.basis_degrees[k] == X.basis_degrees[j]]
+    elements = list(f.elements())
+    if len(elements) ** len(slots) <= ENUMERATED_MATRICES:
+        values = product(elements, repeat=len(slots))
+    else:
+        values = ([rng.choice(elements) for _ in slots]
+                  for _ in range(RANDOM_MATRICES))
+    for vals in values:
+        F = la.zeros(f, Y.dim, X.dim)
+        for (k, j), c in zip(slots, vals):
+            F[k][j] = c
+        yield F
+
+
+def accepts(cls, X, Y, F, error):
+    try:
+        cls(X, Y, F)
+    except error:
+        return False
+    return True
+
+
+def test_ring_morphism_check_agrees_with_every_basis_vector():
+    rng, accepted = random.Random(0), 0
+    for A in finite_rings():
+        for B in finite_rings():
+            if (A.group, A.field) != (B.group, B.field):
+                continue
+            for F in degree_matrices(A, B, rng):
+                ok = accepts(gf.AlgebraMorphism, A, B, F, gf.FunctorError)
+                assert ok == is_ring_morphism(A, B, F), (A, B, F)
+                accepted += ok
+    assert accepted >= len(finite_rings())   # the identities at least
+
+
+def test_module_morphism_check_agrees_with_every_basis_vector():
+    rng, accepted = random.Random(0), 0
+    for M in finite_modules():
+        for N in finite_modules():
+            if M.algebra != N.algebra:
+                continue
+            for F in degree_matrices(M, N, rng):
+                ok = accepts(gm.ModuleMorphism, M, N, F, gm.ModuleError)
+                assert ok == is_module_morphism(M, N, F), (M, N, F)
+                accepted += ok
+    assert accepted >= len(finite_modules())
+
+
+def test_non_unital_ring_map_is_refused():
+    # the projection of K x K onto its first factor commutes with every
+    # generator, but sends 1 to e_1: the maps commuting with it then
+    # form a subalgebra without 1, so the unit is checked on its own
+    R = S.product_field_algebra(GF(2), Z(1))
+    F = [[1, 0], [0, 0]]
+    assert is_multiplicative(R, R, F)
+    with pytest.raises(gf.FunctorError, match="unit"):
+        gf.AlgebraMorphism(R, R, F)
