@@ -76,6 +76,18 @@ def group_to_json(G: FGAbelianGroup):
 # the largest free_rank + len(torsion) a document may ask for: group work
 # (Smith normal form, kernels of grading maps) grows with the rank
 MAX_GROUP_RANK = 32
+# the most associativity triples (x_i x_j) v_k, r^2 m for a ring of
+# dimension r acting on m basis vectors, that a parsed ring or module
+# may ask its construction check for
+MAX_AXIOM_TRIPLES = 2 ** 20
+
+
+def _guard_axiom_check(r, m):
+    """Refuse a ring of dimension r acting on m basis vectors before its
+    entries are stored and checked."""
+    if r * r * m > MAX_AXIOM_TRIPLES:
+        raise SizeGuardExceeded(f"{r}^2 x {m} associativity triples > "
+                                f"{MAX_AXIOM_TRIPLES}")
 
 
 def group_from_json(doc, path="group"):
@@ -183,6 +195,7 @@ def ring_from_json(doc, path="ring"):
     field = field_from_json(doc["field"], _jp(path, "field"))
     degrees = _degrees_from_json(group, doc["basis"], _jp(path, "basis"))
     n = len(degrees)
+    _guard_axiom_check(n, n)
     structure = _sparse_tensor(n, doc["mul"], field, _jp(path, "mul"))
     if not isinstance(doc["unit"], list) or len(doc["unit"]) != n:
         raise ValidationError(_jp(path, 'unit') + f': expected {n} coordinates')
@@ -258,6 +271,7 @@ def module_from_json(doc, path="module"):
         raise ValidationError(_jp(path, 'ring') + ': modules need a '
                               "finite-dimensional ring")
     degrees = _degrees_from_json(R.group, doc["basis"], _jp(path, "basis"))
+    _guard_axiom_check(R.dim, len(degrees))
     action = _sparse_tensor(R.dim, doc["action"], R.field,
                             _jp(path, "action"), width=len(degrees))
     try:
@@ -338,17 +352,21 @@ def schema_validate(doc):
 
 def _load(arg):
     """Load JSON from a file path, or inline when the argument starts
-    with '{'.  Text that is not UTF-8, or too deeply nested for the
-    parser, is malformed input."""
+    with '{'.  Text that is not UTF-8, too deeply nested for the parser,
+    or holding an integer past Python's digit limit is malformed input."""
     text = arg
     try:
         if not arg.lstrip().startswith("{"):
             with open(arg, encoding="utf-8") as fh:
                 text = fh.read()
         return json.loads(text)
-    except (UnicodeDecodeError, RecursionError) as e:
-        raise ValidationError("$: " + ("not UTF-8 text" if isinstance(
-            e, UnicodeDecodeError) else "JSON nested too deeply")) from None
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as e:   # int(): past the digit limit
+        raise ValidationError("$: " + {
+            UnicodeDecodeError: "not UTF-8 text",
+            RecursionError: "JSON nested too deeply"}.get(
+                type(e), "an integer literal has too many digits")) from None
 
 
 def _degree_key(coords):
@@ -465,28 +483,18 @@ def cmd_adjoint_check(args):
     if isinstance(R, MonoidAlgebra):
         raise ValidationError("ring: adjoint-check needs a "
                               "finite-dimensional ring")
-    f_samples = [gf.restrict(R, phi)]
-    pairs = []
-    if R.field.is_finite:
-        pairs = [(R, f_samples[0])]
-    rep = gf.adjunction_check(phi, f_samples, [R], finite_field_pairs=pairs)
+    S = gf.restrict(R, phi)   # kept on R: the checks read this one
+    rep = gf.adjunction_check(phi, [S], [R], finite_field_pairs=[
+        (R, S)] if R.field.is_finite else [])
     out = {"ok": rep["ok"],
            "triangles": [{"check": lab, "ok": ok}
                          for lab, ok in rep["triangles"]],
-           "tensor_witness": {
-               "mismatch": rep["tensor_witness"]["mismatch"],
-               "tensor_degree0_dim_lower_bound":
-                   rep["tensor_witness"]["tensor_degree0_dim_lower_bound"],
-               "restricted_tensor_degree0_dim":
-                   rep["tensor_witness"]["restricted_tensor_degree0_dim"],
-               "reconstructed_instance":
-                   rep["tensor_witness"]["reconstructed_instance"]}}
+           "tensor_witness": {k: rep["tensor_witness"][k] for k in (
+               "mismatch", "tensor_degree0_dim_lower_bound",
+               "restricted_tensor_degree0_dim", "reconstructed_instance")}}
     if rep["hom_bijections"]:
-        out["hom_bijections"] = [
-            {"corestriction-extension": h["corestriction-extension"],
-             "extension-restriction": h["extension-restriction"],
-             "hom_counts": list(h["hom_counts"])}
-            for h in rep["hom_bijections"]]
+        out["hom_bijections"] = [dict(h, hom_counts=list(h["hom_counts"]))
+                                 for h in rep["hom_bijections"]]
     return _emit(out, args.text)
 
 

@@ -405,6 +405,12 @@ def eye(field, n):
     return M
 
 
+def eye_columns(field, n, cols):
+    """The columns ``cols`` of the n x n identity, without the rest."""
+    return [[field.one if i == j else field.zero for j in cols]
+            for i in range(n)]
+
+
 def mat_mul(field, A, B):
     """A B, from the nonzero products only: each nonzero A[i][t] meets
     the nonzero entries of row t of B, and over F_p each entry is

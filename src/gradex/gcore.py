@@ -79,7 +79,9 @@ class _Derivable:
     only stores them.  gradex builds with ``_derived`` what it derives
     from checked values by constructions that keep the axioms
     (quotients, sums, duals, regradings, lifts), so each axiom is
-    proved once, on the data a caller handed in."""
+    proved once, on the data a caller handed in.  A morphism's
+    ``__init__`` also makes its entries field values: a derived one
+    keeps, and may share, the matrix it is given; nothing mutates one."""
 
     @classmethod
     def _derived(cls, *args):
@@ -95,17 +97,20 @@ class _Morphism(_Derivable):
     source ring's ``_generators`` (see the module docstring): A_i is
     x_i acting on the source, B_i (``_image_action``) x_i on a target
     module, F(x_i) on a target ring.  Each subclass adds preconditions
-    (``_require``; a ring map keeps the unit) and names ``_error``."""
+    (``_require``; a ring map keeps the unit) and names ``_error``.
+    The checked constructor makes the entries field values; ``_derived``
+    keeps the matrix it is given."""
 
     def __init__(self, source, target, matrix):
-        self._setup(source, target, matrix)
+        f = target.field
+        self._setup(source, target, [[f.of(x) for x in row]
+                                     for row in matrix])
         self._check()
 
     def _setup(self, source, target, matrix):
         self.source = source
         self.target = target
-        f = target.field
-        self.matrix = [[f.of(x) for x in row] for row in matrix]
+        self.matrix = matrix
 
     def _check(self):
         S, T, F, f = self.source, self.target, self.matrix, self.target.field
@@ -406,7 +411,7 @@ class GradedAlgebra(_GradedSpace):
         self.dim = len(self.basis_degrees)
         self._set_tensor(structure, self.dim)
         self.unit = tuple(field.of(c) for c in unit)
-        self._invariants = {}   # filled by _once_per_algebra
+        self._invariants = {}   # filled by _kept
 
     def _check_ring_axioms(self):
         nz = self._nz
@@ -425,19 +430,22 @@ class GradedAlgebra(_GradedSpace):
     @cached_property
     def _generators(self):
         """Indices S of basis vectors generating the algebra, chosen
-        greedily: x_s joins S when it is not in the span of the
-        right-nested words x_s1 (x_s2 (... (x_sk 1))) in S so far.  Only
-        grading, commutativity and the unit need to hold, so the
+        greedily: x_s joins S when it is not in the span W of the
+        right-nested words x_s1 (x_s2 (... (x_sk 1))) in S so far.  W is
+        closed under the x_i in S, so it grows by the submodule that
+        x_s . W generates under S and x_s: each generator is closed once.
+        Only grading, commutativity and the unit need to hold, so the
         associativity check of the algebra itself can use S."""
         f, n = self.field, self.dim
         S, words = [], self.graded_span([self.unit])
         for s in range(n):
             if len(words) == n:
                 break
-            if la.coords_in_basis(f, words,
-                                  [la.unit_vector(f, n, s)]) == [None]:
+            x = la.unit_vector(f, n, s)
+            if la.coords_in_basis(f, words, [x]) == [None]:
                 S.append(s)
-                words = self.submodule_span(words, S)
+                words = la.span_basis(f, words + self.submodule_span(
+                    [self.act_vec(x, w) for w in words], S))
         return tuple(S)
 
     def __eq__(self, other):
@@ -505,14 +513,20 @@ class RingClass(Record, frozen=True):
         return True
 
 
+def _kept(fn, R, *args):
+    """fn(R, *args), kept in R._invariants after the first call: R is
+    immutable, and a global cache would compare whole tensors."""
+    key = (fn, *args)
+    if key not in R._invariants:
+        R._invariants[key] = fn(R, *args)
+    return R._invariants[key]
+
+
 def _once_per_algebra(fn):
-    """fn(R), kept in R._invariants after the first call: R is immutable,
-    and a global cache would compare whole tensors."""
+    """fn(R), computed once for each ring (``_kept``)."""
     @wraps(fn)
     def cached(R):
-        if fn.__name__ not in R._invariants:
-            R._invariants[fn.__name__] = fn(R)
-        return R._invariants[fn.__name__]
+        return _kept(fn, R)
     return cached
 
 
@@ -582,9 +596,7 @@ def quotient_ring(R: GradedAlgebra, a):
                                [(pos[i], t, k, c) for i, t, k, c in entries
                                 if i in pos],
                                la.mat_vec_mul(f, proj, list(R.unit)))
-    lift = [[f.one if i == j else f.zero for j in reps]
-            for i in range(R.dim)]
-    return Q, proj, lift
+    return Q, proj, la.eye_columns(f, R.dim, reps)
 
 
 def _trace_gram(R: GradedAlgebra):
@@ -612,18 +624,12 @@ def nilradical(R: GradedAlgebra):
     f, n = R.field, R.dim
     if f.is_rational:
         A = _trace_gram(R)
-    else:  # x -> x^(p^k) with p^k >= n
-        k = 1
-        while f.p ** k < n:
-            k += 1
-        A = la.eye(f, n)
-        for _ in range(k):
-            step = la.zeros(f, n, n)
-            for j in range(n):
-                col = power(R, la.unit_vector(f, n, j), f.p)
-                for i in range(n):
-                    step[i][j] = col[i]
-            A = la.mat_mul(f, step, A)
+    else:  # x -> x^(p^k) with p^k >= n, the k-th power of x -> x^p
+        step = [list(row) for row in zip(*(
+            power(R, la.unit_vector(f, n, j), f.p) for j in range(n)))]
+        A, q = step, f.p
+        while q < n:
+            A, q = la.mat_mul(f, step, A), q * f.p
     vecs = []
     for g in R.degrees():
         idx = R.component_indices(g)

@@ -134,8 +134,7 @@ class FreeResolution(Record):
         """Matrix F_i -> F_{i-1} (or F_0 -> target for i = 0)."""
         if i == 0:
             return self.covers[0].matrix
-        comp = self.incls[i - 1].compose(self.covers[i])
-        return comp.matrix
+        return self.incls[i - 1].compose(self.covers[i]).matrix
 
     def betti(self):
         return [dict(Counter(d.coords for d in p.source.free_degrees))
@@ -209,10 +208,9 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     lhsD, jK, jQ0 = direct_sum(inclA.source, coverB.source)
     rhsD, jL, jP0 = direct_sum(inclB.source, coverA.source)
     p = [a + b for a, b in zip(inclA.matrix, tQ.matrix)]
-    q = [[f.zero] * inclA.source.dim + row
-         for row in la.eye(f, coverB.source.dim)]
+    # q, the projection onto Q0, is jQ0 transposed
     rest = [[f.sub(a, b) for a, b in zip(qr, tr)]
-            for qr, tr in zip(q, la.mat_mul(f, tP.matrix, p))]
+            for qr, tr in zip(zip(*jQ0.matrix), la.mat_mul(f, tP.matrix, p))]
     cols = la.solve_linear(f, inclB.matrix, [[row[j] for row in rest]
                                              for j in range(lhsD.dim)])
     if None in cols:  # inclB is not the kernel of beta
@@ -233,45 +231,36 @@ def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
         raise ModuleError("resolutions do not resolve the same module")
     if res1.length < n or res2.length < n:
         raise ModuleError("resolutions shorter than the glue length")
-    coversA = res1.covers[:n]
-    inclsA = res1.incls[:n]
-    coversB = res2.covers[:n]
-    inclsB = res2.incls[:n]
-    iso = _schanuel_rec(res1.target, coversA, inclsA, coversB, inclsB)
-    lhs_h = sorted((tuple(d.coords), c)
-                   for d, c in iso.source.hilbert().items())
-    rhs_h = sorted((tuple(d.coords), c)
-                   for d, c in iso.target.hilbert().items())
-    verified = iso.is_iso() and lhs_h == rhs_h
-    return iso, verified
+    iso = _schanuel_rec(res1.target, res1.covers[:n], res1.incls[:n],
+                        res2.covers[:n], res2.incls[:n])
+    return iso, iso.is_iso() and iso.source.hilbert() == iso.target.hilbert()
 
 
-def _pad(cover, incl, j_kernel, j_free, twist, target):
+def _pad(cover, incl, j_kernel, j_free):
     """The next step of a resolution padded by a free summand Q of the
-    Schanuel sum ker + Q: the cover F + Q ->> ker + Q, carried onto
-    target by the matrix twist, and its kernel inclusion into F + Q."""
-    f = target.field
+    Schanuel sum ker + Q: the cover F + Q ->> ker + Q and its kernel
+    inclusion into F + Q."""
+    f = cover.target.field
     FQ, jF, _ = direct_sum(cover.source, j_free.source)
     aug = [a + b for a, b in
            zip(la.mat_mul(f, j_kernel.matrix, cover.matrix), j_free.matrix)]
-    return (ModuleMorphism._derived(FQ, target, la.mat_mul(f, twist, aug)),
+    return (ModuleMorphism._derived(FQ, j_kernel.target, aug),
             ModuleMorphism._derived(incl.source, FQ,
                                     la.mat_mul(f, jF.matrix, incl.matrix)))
 
 
 def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):
-    f = M.field
-    theta, (lhs, jK1, jQ0), (_, jL1, jP0) = _schanuel_base(
+    theta, (lhs, jK1, jQ0), (rhs, jL1, jP0) = _schanuel_base(
         M, coversA[0], inclsA[0], coversB[0], inclsB[0])
     if len(coversA) == 1:
         return theta
     # padded resolutions of M' = K1 + Q0:
     #   P1 + Q0 ->> K1 + Q0        with kernel K2 inside P1
     #   Q1 + P0 ->> L1 + P0 -theta^{-1}-> K1 + Q0   with kernel L2
-    augA, inclA2 = _pad(coversA[1], inclsA[1], jK1, jQ0,
-                        la.eye(f, lhs.dim), lhs)
-    augB, inclB2 = _pad(coversB[1], inclsB[1], jL1, jP0,
-                        la.mat_inverse(f, theta.matrix), lhs)
+    augA, inclA2 = _pad(coversA[1], inclsA[1], jK1, jQ0)
+    augB, inclB2 = _pad(coversB[1], inclsB[1], jL1, jP0)
+    augB = ModuleMorphism._derived(
+        rhs, lhs, la.mat_inverse(M.field, theta.matrix)).compose(augB)
     return _schanuel_rec(lhs,
                          [augA] + coversA[2:], [inclA2] + inclsA[2:],
                          [augB] + coversB[2:], [inclB2] + inclsB[2:])

@@ -136,9 +136,10 @@ def direct_sum(M: GradedModule, N: GradedModule):
                               _block_action([M, N]))
     if M.free_degrees is not None and N.free_degrees is not None:
         D.free_degrees = M.free_degrees + N.free_degrees
-    eye = la.eye(M.field, D.dim)
-    return (D, ModuleMorphism._derived(M, D, [r[:m] for r in eye]),
-            ModuleMorphism._derived(N, D, [r[m:] for r in eye]))
+    jM, jN = (la.eye_columns(M.field, D.dim, cols)
+              for cols in (range(m), range(m, D.dim)))
+    return (D, ModuleMorphism._derived(M, D, jM),
+            ModuleMorphism._derived(N, D, jN))
 
 
 def _coord_entries(coords, k):

@@ -2,9 +2,11 @@
 plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
 Lambek, the currying adjunction, the morphism axioms checked on every
-basis vector, intersections of ideals, the element tables of a finite
-algebra, and the bounded walks over the points of an affine monoid that
-cross-check its linear-algebra unit criteria)."""
+basis vector, algebra generators chosen by re-closing the whole span,
+intersections of ideals, the element tables of a finite algebra, and
+the bounded walks over the points of an affine monoid that cross-check
+its linear-algebra unit criteria), and a CLI document whose every basis
+vector but the unit is a generator."""
 
 import pytest
 
@@ -191,6 +193,37 @@ def is_multiplicative(A, B, F):
     return all(la.mat_mul(f, F, A.action_matrix(i))
                == la.mat_mul(f, B.mult_matrix([row[i] for row in F]), F)
                for i in range(A.dim))
+
+
+# ---------------------------------------------------------------------------
+# algebra generators: the span re-closed for each new generator
+# ---------------------------------------------------------------------------
+
+def reference_generators(R):
+    """The greedy generators of ``GradedAlgebra._generators``, the span of
+    the words in them closed again under every generator so far each
+    time one joins."""
+    f, n = R.field, R.dim
+    S, words = [], R.graded_span([R.unit])
+    for s in range(n):
+        if len(words) == n:
+            break
+        if la.coords_in_basis(f, words,
+                              [la.unit_vector(f, n, s)]) == [None]:
+            S.append(s)
+            words = R.submodule_span(words, S)
+    return tuple(S)
+
+
+def square_zero_document(n):
+    """The trivially graded F2 algebra of dimension n with unit x_0 and
+    x_i x_j = 0 for i, j >= 1, as a CLI document: each x_i with i >= 1
+    is one of its generators."""
+    return {"group": {"free_rank": 0, "torsion": []}, "field": {"p": 2},
+            "basis": [{"degree": []}] * n,
+            "mul": [[0, j, [[j, 1]]] for j in range(n)]
+            + [[j, 0, [[j, 1]]] for j in range(1, n)],
+            "unit": [1] + [0] * (n - 1)}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.samples as S
 from gradex.exactla import GF
-from support import dense
+from support import dense, square_zero_document
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
                        / "bench"))
@@ -209,6 +209,43 @@ class TestFunctors:
                         "--phi", json.dumps(PHI_DOUBLING)]) == 0
         capsys.readouterr()
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("workload, doc_id", [
+        ("finite-fields", "adjoint-check-f2x6-double"),
+        ("finite-fields", "adjoint-check-f3x4-double"),
+        ("rings-q", "adjoint-check-qx6-double")])
+    def test_adjoint_check_applies_each_functor_to_each_ring_once(
+            self, tmp_path, capsys, monkeypatch, workload, doc_id):
+        # the calls made outside another functor (a corestriction
+        # restricts its quotient); on f2x6-double, building the images
+        # for each check ran corestrict 4 times, restrict_with_indices
+        # 6 times and extend 5 times, on 3, 3 and 4 distinct rings
+        doc = next(d for d in corpus.corpus(workload, corpus.DEFAULT_SEED)
+                   if d["id"] == doc_id)
+        for name, text in doc["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        applied, depth = {}, [0]
+
+        def recorded(name, fn):
+            def call(R, phi):
+                if not depth[0]:
+                    applied.setdefault(name, []).append(R)
+                depth[0] += 1
+                try:
+                    return fn(R, phi)
+                finally:
+                    depth[0] -= 1
+            return call
+        for name in ("corestrict", "restrict_with_indices", "extend"):
+            monkeypatch.setattr(gf, name, recorded(name, getattr(gf, name)))
+        assert cli.run(doc["argv"]) == 0
+        capsys.readouterr()
+        assert sorted(applied) == ["corestrict", "extend",
+                                   "restrict_with_indices"]
+        for name, rings in applied.items():
+            assert all(R != S for t, R in enumerate(rings)
+                       for S in rings[t + 1:]), name
 
     def test_adjoint_check(self, docs, capsys):
         code, out = run_json(capsys, ["adjoint-check", str(docs / "ring.json"),
@@ -509,6 +546,42 @@ class TestExitCodes:
         assert code == 3
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "size-guard" and "Fourier-Motzkin" in err["error"]
+
+    def test_integer_literal_beyond_the_digit_limit(self, tmp_path, capsys):
+        # json.loads refuses an int of more than 4300 digits with a
+        # ValueError that is not a JSONDecodeError
+        text = ('{"group": {"free_rank": 0}, "field": {"p": 1' + "0" * 4999
+                + '}, "basis": [[]], "mul": [[0, 0, [[0, 1]]]], "unit": [1]}')
+        p = tmp_path / "doc.json"
+        p.write_text(text)
+        for argv in (["classify", text], ["validate", str(p)]):
+            code = cli.run(argv)
+            captured = capsys.readouterr()
+            err = json.loads(captured.err)
+            assert code == 2 and err["kind"] == "validation", argv
+            assert err["error"].startswith("$: ") and "digits" in err["error"]
+            assert not captured.out
+
+    def test_axiom_check_guard_fires_before_the_entries_are_read(
+            self, capsys):
+        # 150^2 x 150 associativity triples are past 2^20: the check of
+        # that ring ran for about 50 s before this guard; so are 32^2 x
+        # 1025 for a module over a ring of dimension 32
+        ring = square_zero_document(150)
+        module = {"ring": square_zero_document(32), "action": [],
+                  "basis": [{"degree": []}] * 1025}
+        for cmd, doc in (("validate", ring), ("classify", ring),
+                         ("validate", module), ("module", module)):
+            t0 = time.perf_counter()
+            code = cli.run([cmd, json.dumps(doc)])
+            assert time.perf_counter() - t0 < 1.0, cmd
+            err = json.loads(capsys.readouterr().err)
+            assert code == 3 and err["kind"] == "size-guard", cmd
+            assert "associativity triples" in err["error"]
+        # 64^3 triples are within it, and the ring is checked
+        code = cli.run(["validate", json.dumps(square_zero_document(64))])
+        assert code == 0 and json.loads(capsys.readouterr().out) == {
+            "ok": True, "violations": []}
 
     @pytest.mark.parametrize("p, code", [(2 ** 61 - 1, 0), (2 ** 89 - 1, 2)])
     def test_large_prime_field(self, capsys, p, code):

@@ -2,10 +2,13 @@
 homomorphism and principal-presentation documents of dimension at most
 4, monoid-algebra documents of up to 16 generators in Z^4, and
 structure-aware mutations of them: a node of another type, an index out
-of range, a float, deep nesting, bytes that are not UTF-8, and a scalar
-with a huge decimal exponent.  On every one, each subcommand keeps the
-CLI contract: ``cli.run`` returns 0, 1, 2 or 3 and raises nothing, and
-``validate`` accepts every well-formed document.  A ``corestrict`` call
+of range, a float, deep nesting, bytes that are not UTF-8, a scalar
+with a huge decimal exponent, and an integer literal past Python's
+4300-digit limit.  On every one, each subcommand keeps the CLI contract:
+``cli.run`` returns 0, 1, 2 or 3 and raises nothing, and ``validate``
+accepts every well-formed document.  Over a finite field, wherever the
+main path and a brute-force oracle both answer (``classify --oracle``,
+``module --oracle``, ``oracle-diff``), they agree.  A ``corestrict`` call
 returns within CORESTRICT_BUDGET_S: on a monoid algebra its
 Fourier-Motzkin steps are refused (exit 3) before they grow past a
 size guard.  The example budgets are fixed, so the suite costs the same
@@ -28,7 +31,7 @@ CORESTRICT_BUDGET_S = 5.0
 
 
 def run(argv):
-    """The exit code of one in-process CLI call, its output dropped."""
+    """The exit code and the standard output of one in-process CLI call."""
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -36,7 +39,7 @@ def run(argv):
     assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
     if argv[0] == "corestrict":
         assert time.perf_counter() - t0 < CORESTRICT_BUDGET_S, argv
-    return code
+    return code, out.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +200,11 @@ MODULE_CMDS = [["module"], ["module", "--oracle"], ["resolve", "--cutoff",
                ["coarsen-compare", "psi", "--cutoff", "2"], ["oracle-diff"]]
 
 
+# the subcommands that compare the main path with a brute-force oracle
+ORACLE_CMDS = [["classify", "--oracle"], ["module", "--oracle"],
+               ["oracle-diff"]]
+
+
 @st.composite
 def cases(draw):
     """(document, subcommand argv with --psi/--phi drawn for the
@@ -259,16 +267,20 @@ REPLACEMENTS = st.one_of(
 
 @st.composite
 def mutations(draw):
-    """A drawn case with one node replaced, or its text made too deep
-    or not UTF-8: (the document's bytes, its subcommand argv)."""
+    """A drawn case with one node replaced, by a drawn value or by an
+    integer literal of more than 4300 digits (which json.dumps cannot
+    write), or its text made too deep or not UTF-8: (the document's
+    bytes, its subcommand argv)."""
     doc, argv = draw(cases())
-    how = draw(st.sampled_from(["node", "node", "node", "deep", "bytes"]))
+    how = draw(st.sampled_from(["node", "node", "node", "long", "deep",
+                                "bytes"]))
     if how == "deep":
         return b'{"group": ' + b"[" * 100000, argv
-    if how == "node":
+    if how in ("node", "long"):
         doc = replace(doc, draw(st.sampled_from(list(nodes(doc)))),
-                      draw(REPLACEMENTS))
-        return json.dumps(doc).encode(), argv
+                      draw(REPLACEMENTS) if how == "node" else "LONG")
+        digits = b"7" * draw(st.integers(4301, 6000))
+        return json.dumps(doc).encode().replace(b'"LONG"', digits), argv
     text = json.dumps(doc).encode()
     at = draw(st.integers(0, len(text)))
     return text[:at] + b"\xff\xfe" + text[at:], argv
@@ -280,11 +292,16 @@ def mutations(draw):
 def test_well_formed_documents_validate_and_run(case):
     doc, argv = case
     text = json.dumps(doc)
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert cli.run(["validate", text]) == 0
-    assert json.loads(out.getvalue()) == {"ok": True, "violations": []}
-    run([argv[0], text, *argv[1:]])
+    code, out = run(["validate", text])
+    assert code == 0 and json.loads(out) == {"ok": True, "violations": []}
+    code, out = run([argv[0], text, *argv[1:]])
+    if code == 0 and argv in ORACLE_CMDS:
+        report = json.loads(out)
+        # the keys appear where an oracle ran (a finite field); module
+        # compares only where its main path decided
+        if report.get("free", True) is not None:
+            assert report.get("oracle_agrees", True) is True, (doc, argv)
+        assert report.get("agree", True) is True, (doc, argv)
 
 
 @settings(max_examples=200, deadline=None,

@@ -1,3 +1,4 @@
+import json
 import random
 import time
 from fractions import Fraction
@@ -8,6 +9,7 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gradex.cli as cli
 import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gmod as gm
@@ -17,7 +19,7 @@ from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
 from support import assert_record, combinations, contains, dense, \
-    entries, intersect_ideals
+    entries, intersect_ideals, reference_generators, square_zero_document
 
 
 class TestConstruction:
@@ -828,6 +830,35 @@ class TestAlgebraGenerators:
     def test_generators_span_the_algebra(self, R, count):
         assert len(R._generators) == count
         assert len(R.submodule_span([list(R.unit)], R._generators)) == R.dim
+
+    def test_generators_match_the_span_closed_again_for_each(self):
+        # the span of the words grows by what each new generator adds;
+        # closing the whole span again for each one chooses the same
+        rings = S.finite_corpus() + MULTI_GENERATOR_BASES[:4] + [
+            S.truncated_polynomial_algebra(QQ, 5), S.gaussian_rationals(),
+            S.trivial_algebra(), cli.ring_from_json(square_zero_document(9))]
+        for R in rings:
+            assert R._generators == reference_generators(R), R
+
+    def test_validate_closes_each_generator_once(self, monkeypatch, capsys):
+        # dimension 100 with 99 generators: each new x_s acts on the s
+        # words so far, and the s generators then act on x_s, 9900
+        # act_vec calls, and the unit check makes 100 more; closing the
+        # whole span again for each generator made 333,400
+        parsed, calls, act_vec = [], [0], gc._GradedSpace.act_vec
+        ring_from_json = cli.ring_from_json
+
+        def counted(self, x, v):
+            calls[0] += 1
+            return act_vec(self, x, v)
+        monkeypatch.setattr(gc._GradedSpace, "act_vec", counted)
+        monkeypatch.setattr(cli, "ring_from_json", lambda *args:
+                            parsed.append(ring_from_json(*args)) or parsed[-1])
+        doc = json.dumps(square_zero_document(100))
+        assert cli.run(["validate", doc]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        assert calls[0] <= 10000
+        assert parsed[0]._generators == tuple(range(1, 100))
 
     def test_violations_beyond_the_first_generator(self):
         # every single-entry change to 0 or 2 (and its mirror, for an

@@ -203,13 +203,13 @@ def padded_lift_cases(M):
     res_big = gh.resolution(M, cutoff=1, minimal=False)
     if res_min.length < 2 or res_big.length < 2:
         return []
-    theta, (lhs, jK1, jQ0), (_, jL1, jP0) = gh._schanuel_base(
+    theta, (lhs, jK1, jQ0), (rhs, jL1, jP0) = gh._schanuel_base(
         M, res_min.covers[0], res_min.incls[0], res_big.covers[0],
         res_big.incls[0])
-    augA, _ = gh._pad(res_min.covers[1], res_min.incls[1], jK1, jQ0,
-                      la.eye(f, lhs.dim), lhs)
-    augB, _ = gh._pad(res_big.covers[1], res_big.incls[1], jL1, jP0,
-                      la.mat_inverse(f, theta.matrix), lhs)
+    augA, _ = gh._pad(res_min.covers[1], res_min.incls[1], jK1, jQ0)
+    augB, _ = gh._pad(res_big.covers[1], res_big.incls[1], jL1, jP0)
+    augB = gm.ModuleMorphism._derived(
+        rhs, lhs, la.mat_inverse(f, theta.matrix)).compose(augB)
     part = gm.free_cover_from_generators(lhs, la.eye(f, lhs.dim)[-1:])
     return [(augA, augB), (augB, augA), (part, augA)]
 

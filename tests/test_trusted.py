@@ -4,13 +4,16 @@ built without a second check (``_Derivable._derived``).
 
 The counting test runs the seed-0 benchmark corpus through
 ``gradex.cli.run`` and finds each axiom check on a ring or module the
-CLI read, and nowhere else.  The property test re-checks, with the
+CLI read, and nowhere else.  A derived morphism keeps the matrix it is
+handed, which holds field values; the checked constructor makes the
+caller's entries field values.  The property test re-checks, with the
 checked constructors, every ring, module and morphism that a derivation
 builds on the trusted path.  The morphism check, which runs on the
 source ring's generators, is held to the same axioms checked on every
 basis vector.
 """
 
+import json
 import pathlib
 import random
 import sys
@@ -109,6 +112,51 @@ def test_axioms_checked_once_per_parsed_object(workload, tmp_path,
     # ring morphisms are checked only where the check is the point: the
     # adjunction checks' enumerations and triangle identities
     assert all(ring_morphism_checks)
+
+
+def is_field_value(f, x):
+    """An int in 0..p-1 over F_p, a Rational over Q."""
+    return x.__class__ is f.zero.__class__ and f.of(x) == x
+
+
+@pytest.mark.parametrize("doc_id", ["schanuel1-f2x4-x2", "schanuel1-q4-x1",
+                                    "schanuel2-q3-x1"])
+def test_derived_morphisms_keep_their_matrices(doc_id, tmp_path,
+                                               monkeypatch, capsys):
+    # at --n 2: every morphism built without a check keeps the matrix
+    # object it is handed, and the constructions hand it field values
+    doc = next(d for d in corpus.corpus("homological", corpus.DEFAULT_SEED)
+               if d["id"] == doc_id)
+    for name, text in doc["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    kept, derived = [], gc._Derivable.__dict__["_derived"].__func__
+
+    def recording(cls, *args):
+        obj = derived(cls, *args)
+        if issubclass(cls, gc._Morphism):
+            kept.append((obj, args[2]))
+        return obj
+    monkeypatch.setattr(gc._Derivable, "_derived", classmethod(recording))
+    assert cli.run(doc["argv"][:-1] + ["2"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+    assert kept
+    for u, matrix in kept:
+        f = u.target.field
+        assert u.matrix is matrix
+        assert all(is_field_value(f, x) for row in matrix for x in row)
+
+
+def test_checked_morphisms_make_their_entries_field_values():
+    for f in (QQ, GF(3)):
+        R = S.dual_numbers(f)
+        M, c = gm.regular_module(R), f.of("-1/2")
+        u = gm.ModuleMorphism(M, M, [["-1/2", 0], [0, "-1/2"]])
+        h = gf.AlgebraMorphism(R, R, [[1, "0"], [0, "1"]])
+        assert u.matrix == [[c, f.zero], [f.zero, c]]
+        assert h.matrix == la.eye(f, 2)
+        assert all(is_field_value(f, x) for g in (u, h)
+                   for row in g.matrix for x in row)
 
 
 # ---------------------------------------------------------------------------
