@@ -5,8 +5,8 @@ exact field, and algebras of affine monoids over such a base.  There is no
 automatic conversion between the two; each operation documents which one it
 accepts.  Predicates quantifying over infinitely many homogeneous elements
 are decided through theorems, linear algebra over Q and Z (the units and
-sharpness of an affine monoid: ``_unit_indices``) or exhaustive enumeration
-over finite fields, otherwise the answer is None ("undecided").
+sharpness of an affine monoid: one LP, ``_unit_indices``) or exhaustive
+enumeration over finite fields, otherwise the answer is None ("undecided").
 
 Structure-constant algebras and the graded modules of ``gmod`` share one
 core, ``_GradedSpace``: a degree-labelled basis and the action of the
@@ -211,11 +211,11 @@ class _GradedSpace(_Derivable):
         # x_i2 for i2 in R._generators suffices: the x_i2 satisfying
         # every (x_i x_i2) v_j = x_i (x_i2 v_j) form a subalgebra (for
         # an algebra acting on itself, its middle nucleus), and those
-        # x_i2 generate R.  A failure is looked up again over every i2,
-        # so the first failing triple is named.
+        # x_i2 generate R; both sides vanish where x_i x_i2 = x_i2 v_j = 0.
+        # A failure is looked up again over every i2, naming the first.
         gens, rows, cols = R._generators, range(R.dim), range(m)
         if all(associative(i, i2, j) for i in rows for i2 in gens
-               for j in cols):
+               for j in cols if R._nz[i][i2] or nz[i2][j]):
             return
         for i in rows:
             for i2 in rows:
@@ -708,45 +708,46 @@ def spec_enumerate(R: GradedAlgebra):
 # affine monoids and monoid algebras
 # ---------------------------------------------------------------------------
 
-FOURIER_MOTZKIN_LIMIT = 2 ** 12
-
-
-def _fourier_motzkin_feasible(cons):
-    """Feasibility over Q of the constraints (coeffs, rhs), each meaning
-    coeffs . x >= rhs, by eliminating every variable in turn: next the
-    one that pairs the fewest constraints of opposite signs.  A step can
-    square the number of constraints, so one that would hold more than
-    FOURIER_MOTZKIN_LIMIT is refused before it is formed."""
-    left = set(range(len(cons[0][0]) if cons else 0))
-    while left:
-        v = min(left, key=lambda u: sum(c[u] > 0 for c, _ in cons)
-                * sum(c[u] < 0 for c, _ in cons))
-        left.remove(v)
-        pos = [(c, r) for c, r in cons if c[v] > 0]
-        neg = [(c, r) for c, r in cons if c[v] < 0]
-        zero = [(c, r) for c, r in cons if c[v] == 0]
-        size = len(zero) + len(pos) * len(neg)
-        if size > FOURIER_MOTZKIN_LIMIT:
-            raise SizeGuardExceeded(f"Fourier-Motzkin step of {size} "
-                                    f"constraints > {FOURIER_MOTZKIN_LIMIT}")
-        # eliminate v: combine with weights |nc[v]| and pc[v]
-        cons = zero + [
-            ([-nc[v] * x + pc[v] * y for x, y in zip(pc, nc)],
-             -nc[v] * pr + pc[v] * nr) for pc, pr in pos for nc, nr in neg]
-    return all(rhs <= 0 for _, rhs in cons)
-
-
 def _unit_indices(vectors, candidates):
     """The i in ``candidates`` with v_i a unit of the monoid the integer
-    vectors v_j generate, i.e. c >= 0, c_i >= 1, sum_j c_j v_j = 0 is
-    feasible over Q (a rational c scales to a natural one; -v_i =
-    sum_j d_j v_j gives c = d + e_i).  By the theorem of the alternative
-    (Tucker) that holds iff no w has v_j . w >= 0 for all j and
-    v_i . w >= 1, a system in only dim v variables."""
-    rows = [list(map(la.QQ.of, v)) for v in vectors]
-    nonneg = [(row, la.QQ.zero) for row in rows]
-    return [i for i in candidates if not _fourier_motzkin_feasible(
-        nonneg + [(rows[i], la.QQ.one)])]
+    vectors v_j generate: c_i > 0 for some c >= 0 with sum_j c_j v_j = 0
+    (-v_i = sum_j d_j v_j gives c = d + e_i).  A sum of such c serves
+    them all, so one LP finds them: maximise sum_i y_i over c = s + y,
+    sum_j c_j v_j = 0, s >= 0 and 0 <= y <= 1; at an optimum y_i = 1
+    exactly at the units.  One rref gives x_P = -B x_F (y_i repeats the
+    column of s_i, so it is free), and each constraint on x_F >= 0 reads
+    a . x <= b with b in {0, 1}: the all-slack basis is feasible.  The
+    simplex pivots exactly by Bland's rule, which cannot cycle."""
+    f, k = la.QQ, len(candidates)
+    cols = list(vectors) + [vectors[i] for i in candidates]
+    E, piv = la.rref(f, [list(map(f.of, row)) for row in zip(*cols)])
+    free = [j for j in range(len(cols)) if j not in piv]
+    n, ys = len(free), len(free) - k     # x_F holds y last
+    # a row [b, a] is a . x <= b: x_P >= 0, then y <= 1
+    A = [[f.zero] + [row[g] for g in free] for row in E[:len(piv)]] + \
+        [[f.one] + e for e in la.eye(f, n)[ys:]]
+    m = len(A)
+    # with slack columns, and last the objective row [value, -cost]
+    T = [a + e for a, e in zip(A, la.eye(f, m))] + \
+        [[f.zero] * (ys + 1) + [-f.one] * k + [f.zero] * m]
+    basic = list(range(n + 1, n + m + 1))
+    # Bland: the least columns enter and leave (T[-1][0] >= 0 is the value)
+    while any(a < 0 for a in T[-1]):
+        j = next(j for j, a in enumerate(T[-1]) if a < 0)
+        # the objective is at most k, so some row bounds the step
+        r = min((T[r][0] / T[r][j], basic[r], r)
+                for r in range(m) if T[r][j] > 0)[2]
+        inv = f.one / T[r][j]
+        prow = T[r] = [a * inv for a in T[r]]
+        nzp = [(c, x) for c, x in enumerate(prow) if x]
+        for row in T:
+            a = row[j]
+            if row is not prow and a:
+                for c, x in nzp:
+                    row[c] -= a * x
+        basic[r] = j
+    ones = {b for b, row in zip(basic, T) if row[0] == 1}
+    return [i for t, i in enumerate(candidates) if ys + 1 + t in ones]
 
 
 class SharpnessReport(Record, frozen=True):
@@ -756,18 +757,14 @@ class SharpnessReport(Record, frozen=True):
 
 class AffineMonoid:
     """Finitely generated submonoid of Z^d (cancellable and torsionfree
-    by construction), its units decided by linear algebra."""
+    by construction), its unit generators read off one LP."""
 
     def __init__(self, ambient_dim, generators):
         self.ambient_dim = ambient_dim
-        seen = []
-        for g in generators:
-            t = tuple(int(x) for x in g)
-            if len(t) != ambient_dim:
-                raise GroupError("generator has wrong dimension")
-            if t not in seen:
-                seen.append(t)
-        self.generators = tuple(seen)
+        gens = [tuple(int(x) for x in g) for g in generators]
+        if any(len(t) != ambient_dim for t in gens):
+            raise GroupError("generator has wrong dimension")
+        self.generators = tuple(dict.fromkeys(gens))
 
     @property
     def zero(self):

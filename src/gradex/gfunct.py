@@ -6,12 +6,13 @@ Functors act on values: each function takes a ring (or module, or
 morphism) and a group map and returns the regraded object.  Regrading
 keeps the axioms, so the result is built without a second check
 (``_Derivable._derived``); only the group maps are checked, for being
-epi or mono.  The adjunction checks build their morphisms through the
-checked constructor, whose check is part of what they verify: F(1) = 1
-and F(x a) = F(x) F(a) for the source's generators x
+epi or mono.  The adjunction checks build units and counits through
+the checked constructor, whose check is part of what they verify:
+F(1) = 1 and F(x a) = F(x) F(a) for the source's generators x
 (``gcore._Morphism._check``); such x form a subalgebra, holding 1.
-The functor images they and the morphism functors read are kept on the
-ring (``gcore._kept``), so each functor is applied to each ring once.
+The Hom-set checks enumerate, so check, every morphism, and ``_bijects``
+finds each transpose, a bare matrix, among them.  Functor images and
+units are kept on the ring (``gcore._kept``), so each is built once.
 """
 
 from __future__ import annotations
@@ -211,15 +212,12 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
     list of (label, ok) pairs."""
     results = []
     for R in g_samples:
-        cor = _kept(corestrict, R, phi)
         # left triangle of (corestriction, extension): corestricting the
         # unit R ->> (R_((phi)))^(phi) must give the identity of R_((phi))
-        ext_cor = _kept(extend, cor.algebra, phi)
-        alpha_m = AlgebraMorphism(R, ext_cor,
-                                  [cor.proj[k] for k in cor.kept])
+        alpha = _kept(_corestriction_unit, R, phi)
         results.append((f"C-E unit triangle on {R!r}",
-                        corestrict_morphism(alpha_m, phi).matrix
-                        == la.eye(R.field, cor.algebra.dim)))
+                        corestrict_morphism(alpha, phi).matrix
+                        == la.eye(R.field, alpha.target.dim)))
         # left triangle of (extension, restriction): restricting the
         # counit (R_(phi))^(phi) -> R gives the identity of R_(phi)
         Rst, kept = _kept(restrict_with_indices, R, phi)
@@ -243,6 +241,14 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
     return results
 
 
+def _corestriction_unit(R: GradedAlgebra, phi: GroupHom) -> AlgebraMorphism:
+    """The unit R ->> (R_((phi)))^(phi) of corestriction -| extension,
+    checked once per ring when kept (``_kept``)."""
+    cor = _kept(corestrict, R, phi)
+    return AlgebraMorphism(R, _kept(extend, cor.algebra, phi),
+                           [cor.proj[k] for k in cor.kept])
+
+
 def _bijects(homs, transposed):
     """Are the transposed matrices distinct and those of the homs?"""
     keys = [tuple(map(tuple, M)) for M in transposed]
@@ -262,18 +268,15 @@ def hom_bijection_check(phi: GroupHom, R: GradedAlgebra, S: GradedAlgebra):
     left = enumerate_ring_morphisms(cor.algebra, S)
     right = enumerate_ring_morphisms(R, ES)
     # transpose f: R_((phi)) -> S to E(f) o alpha: R -> S^(phi)
-    ext_cor = _kept(extend, cor.algebra, phi)
-    alpha_m = AlgebraMorphism(R, ext_cor, [cor.proj[k] for k in cor.kept])
-    first_ok = _bijects(right, [
-        AlgebraMorphism(ext_cor, ES, h.matrix).compose(alpha_m).matrix
-        for h in left])
+    alpha = _kept(_corestriction_unit, R, phi)
+    first_ok = _bijects(right, [la.mat_mul(R.field, h.matrix, alpha.matrix)
+                                for h in left])
     # second adjunction: Hom(S, R_(phi)) vs Hom(S^(phi), R)
     Rst, kept = _kept(restrict_with_indices, R, phi)
     left2 = enumerate_ring_morphisms(ES, R)
     right2 = enumerate_ring_morphisms(S, Rst)
-    second_ok = _bijects(right2, [
-        AlgebraMorphism(S, Rst, [h.matrix[i] for i in kept]).matrix
-        for h in left2])
+    second_ok = _bijects(right2, [[h.matrix[i] for i in kept]
+                                  for h in left2])
     return {"corestriction-extension": first_ok,
             "extension-restriction": second_ok,
             "hom_counts": (len(left), len(right), len(left2), len(right2))}

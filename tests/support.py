@@ -3,10 +3,10 @@ plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
 Lambek, the currying adjunction, the morphism axioms checked on every
 basis vector, algebra generators chosen by re-closing the whole span,
-intersections of ideals, the element tables of a finite algebra, and
-the bounded walks over the points of an affine monoid that cross-check
-its linear-algebra unit criteria), and a CLI document whose every basis
-vector but the unit is a generator."""
+intersections of ideals, the element tables of a finite algebra, and,
+for an affine monoid, the Fourier-Motzkin elimination that its unit LP
+is held to and the bounded walks over its points), and a CLI document
+whose every basis vector but the unit is a generator."""
 
 import pytest
 
@@ -256,7 +256,7 @@ def _intersect_subspaces(f, B1, B2):
 
 
 # ---------------------------------------------------------------------------
-# affine monoids: bounded reference walks
+# affine monoids: Fourier-Motzkin elimination and bounded walks
 # ---------------------------------------------------------------------------
 
 def combinations(M, bound):
@@ -281,6 +281,49 @@ def combinations(M, bound):
         yield from rec(0, total, (), M.zero)
 
 
+FOURIER_MOTZKIN_LIMIT = 2 ** 12
+
+
+class EliminationTooLarge(Exception):
+    """A Fourier-Motzkin step would hold more than its limit."""
+
+
+def fourier_motzkin_feasible(cons):
+    """Feasibility over Q of the constraints (coeffs, rhs), each meaning
+    coeffs . x >= rhs, by eliminating every variable in turn: next the
+    one that pairs the fewest constraints of opposite signs.  A step can
+    square the number of constraints, so one that would hold more than
+    FOURIER_MOTZKIN_LIMIT raises EliminationTooLarge before it is
+    formed."""
+    left = set(range(len(cons[0][0]) if cons else 0))
+    while left:
+        v = min(left, key=lambda u: sum(c[u] > 0 for c, _ in cons)
+                * sum(c[u] < 0 for c, _ in cons))
+        left.remove(v)
+        pos = [(c, r) for c, r in cons if c[v] > 0]
+        neg = [(c, r) for c, r in cons if c[v] < 0]
+        zero = [(c, r) for c, r in cons if c[v] == 0]
+        size = len(zero) + len(pos) * len(neg)
+        if size > FOURIER_MOTZKIN_LIMIT:
+            raise EliminationTooLarge(f"step of {size} constraints")
+        # eliminate v: combine with weights |nc[v]| and pc[v]
+        cons = zero + [
+            ([-nc[v] * x + pc[v] * y for x, y in zip(pc, nc)],
+             -nc[v] * pr + pc[v] * nr) for pc, pr in pos for nc, nr in neg]
+    return all(rhs <= 0 for _, rhs in cons)
+
+
+def reference_unit_indices(vectors, candidates):
+    """The i in ``candidates`` with v_i a unit of the monoid the vectors
+    generate, one elimination each: by Tucker's theorem of the
+    alternative, v_i is a unit iff no w has v_j . w >= 0 for all j and
+    v_i . w >= 1, a system in only dim v variables."""
+    rows = [list(map(la.QQ.of, v)) for v in vectors]
+    nonneg = [(row, la.QQ.zero) for row in rows]
+    return [i for i in candidates if not fourier_motzkin_feasible(
+        nonneg + [(rows[i], la.QQ.one)])]
+
+
 def contains(M, m, bound=32, points=2 ** 18):
     """Is m a natural combination of the generators of M?  True / False
     / None (no combination with coefficient sum at most ``bound``
@@ -300,7 +343,7 @@ def contains(M, m, bound=32, points=2 ** 18):
         cons.append(([-c for c in coeffs], la.QQ.of(-m[t])))
     for i in range(len(gens)):
         cons.append((la.unit_vector(la.QQ, len(gens), i), la.QQ.zero))
-    if not gc._fourier_motzkin_feasible(cons):
+    if not fourier_motzkin_feasible(cons):
         return False
     # the distinct points of coefficient sum 1, 2, ..., bound, one
     # layer per sum: a point met in an earlier layer adds nothing new.

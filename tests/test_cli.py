@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.abgroups as ag
 import gradex.cli as cli
+import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.samples as S
@@ -246,6 +247,31 @@ class TestFunctors:
         for name, rings in applied.items():
             assert all(R != S for t, R in enumerate(rings)
                        for S in rings[t + 1:]), name
+
+    def test_adjoint_check_checks_each_ring_map_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the unit R ->> E(C(R)) is kept on R, and the transposes are
+        # bare matrices that must lie among the enumerated (so checked)
+        # morphisms: on f2x6-double one map is checked twice, the
+        # counit triangle's inclusion E(S) -> R, which the enumeration of
+        # Hom(E(S), R) also meets.  Checking each transpose and the unit
+        # again made 32 checks of 28 maps
+        doc = next(d for d in corpus.corpus("finite-fields",
+                                            corpus.DEFAULT_SEED)
+                   if d["id"] == "adjoint-check-f2x6-double")
+        for name, text in doc["files"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        checked, check = [], gc._Morphism._check
+
+        def recorded(self):
+            checked.append((self.source, self.target, self.matrix))
+            return check(self)
+        monkeypatch.setattr(gc._Morphism, "_check", recorded)
+        assert cli.run(doc["argv"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"] is True
+        keys = [(id(S), id(T), tuple(map(tuple, F))) for S, T, F in checked]
+        assert len(keys) - len(set(keys)) == 1
 
     def test_adjoint_check(self, docs, capsys):
         code, out = run_json(capsys, ["adjoint-check", str(docs / "ring.json"),
@@ -528,9 +554,12 @@ class TestExitCodes:
         assert code == 3
         assert json.loads(capsys.readouterr().err)["kind"] == "size-guard"
 
-    def test_fourier_motzkin_guard_fires_before_the_step(self, capsys):
-        # 14 generators in Z^4: unchecked, the unit test's elimination
-        # steps hold 34, 249, 13 547 and then 39.7 million constraints
+    def test_monoid_past_the_old_elimination_bound_is_answered(self,
+                                                                capsys):
+        # 14 generators in Z^4: one Fourier-Motzkin elimination per
+        # generator held 34, 249, 13 547 and then 39.7 million
+        # constraints, and a guard refused it; the unit LP finds every
+        # generator a unit
         doc = {"monoid": {"dim": 4, "gens": [
             [-2, 1, 3, 3], [3, -3, -1, -3], [0, 3, 0, 0], [2, 0, 3, -2],
             [-3, 0, -3, 3], [0, 0, 1, 3], [3, -3, 2, 0], [-1, 2, 3, -2],
@@ -543,9 +572,33 @@ class TestExitCodes:
         code = cli.run(["corestrict", json.dumps(doc),
                         "--phi", json.dumps(phi)])
         assert time.perf_counter() - t0 < 2.0
-        assert code == 3
-        err = json.loads(capsys.readouterr().err)
-        assert err["kind"] == "size-guard" and "Fourier-Motzkin" in err["error"]
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "corestriction": "zero ring", "witness_degree": [-3, -3, 14, 66]}
+
+    @pytest.mark.parametrize("n, dim, code", [
+        (64, 4, 0), (32, 8, 0), (1, 256, 0), (0, 256, 0), (65, 1, 3),
+        (33, 8, 3), (2, 129, 3), (0, 257, 3), (20000, 2, 3)])
+    def test_monoid_guard_fires_before_the_monoid_is_built(
+            self, capsys, monkeypatch, n, dim, code):
+        # at most 64 generators and 256 generator entries; past them the
+        # document is refused before its generators are read.  Without
+        # the guard, 20,000 generators in Z^2 took about 6 s in classify,
+        # most of it removing duplicates
+        gens = [[(i * 7 + t) % 5 - 2 for t in range(dim)] for i in range(n)]
+        doc = json.dumps({"monoid": {"dim": dim, "gens": gens},
+                          "mode": "coarse", "field": "Q"})
+        if code == 3:
+            monkeypatch.setattr(cli, "AffineMonoid", None)
+        for argv in (["classify", doc], ["corestrict", doc, "--phi",
+                                         '{"source":{},"target":{},'
+                                         '"matrix":[]}']):
+            t0 = time.perf_counter()
+            assert cli.run(argv) == code, argv[0]
+            assert time.perf_counter() - t0 < 1.0, argv[0]
+            err = capsys.readouterr().err
+            if code == 3:
+                assert json.loads(err)["kind"] == "size-guard"
 
     def test_integer_literal_beyond_the_digit_limit(self, tmp_path, capsys):
         # json.loads refuses an int of more than 4300 digits with a

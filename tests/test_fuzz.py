@@ -1,6 +1,6 @@
 """Fuzzed CLI documents.  Hypothesis draws well-formed ring, module,
 homomorphism and principal-presentation documents of dimension at most
-4, monoid-algebra documents of up to 16 generators in Z^4, and
+4, monoid-algebra documents of up to 32 generators in Z^4, and
 structure-aware mutations of them: a node of another type, an index out
 of range, a float, deep nesting, bytes that are not UTF-8, a scalar
 with a huge decimal exponent, and an integer literal past Python's
@@ -9,10 +9,9 @@ with a huge decimal exponent, and an integer literal past Python's
 accepts every well-formed document.  Over a finite field, wherever the
 main path and a brute-force oracle both answer (``classify --oracle``,
 ``module --oracle``, ``oracle-diff``), they agree.  A ``corestrict`` call
-returns within CORESTRICT_BUDGET_S: on a monoid algebra its
-Fourier-Motzkin steps are refused (exit 3) before they grow past a
-size guard.  The example budgets are fixed, so the suite costs the same
-few seconds on every run."""
+returns within CORESTRICT_BUDGET_S, and on a drawn monoid algebra it
+answers: no size guard refuses its unit LP.  The example budgets are
+fixed, so the suite costs the same few seconds on every run."""
 
 import contextlib
 import io
@@ -25,8 +24,8 @@ import gradex.cli as cli
 
 TORSION = [[], [2], [3], [2, 2], [2, 4]]
 FIELDS = ["Q", {"p": 2}, {"p": 3}, {"p": 5}]
-# the slowest of 300 random corestrict documents on 0-16 generators in
-# Z^1..Z^4 took 0.35 s (Python 3.11, 2 shared vCPUs)
+# the slowest of 300 random corestrict documents on 0-32 generators in
+# Z^0..Z^4 took 0.04 s (Python 3.11, 2 shared vCPUs)
 CORESTRICT_BUDGET_S = 5.0
 
 
@@ -150,7 +149,7 @@ def psis(G):
 def monoid_algebras(draw):
     # entries from a drawn Random: Hypothesis would favour zeros and
     # repeats, which leave few distinct generators
-    d, n = draw(st.integers(0, 4)), draw(st.integers(0, 16))
+    d, n = draw(st.integers(0, 4)), draw(st.integers(0, 32))
     rnd = draw(st.randoms(use_true_random=False))
     doc = {"monoid": {"dim": d, "gens": [[rnd.randint(-3, 3) for _ in range(d)]
                                          for _ in range(n)]},
@@ -325,8 +324,8 @@ def test_mutated_documents_keep_the_exit_contract(tmp_path, mutation):
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.data())
 def test_corestrict_on_monoid_algebras_keeps_the_budget(data):
-    # half the monoids have 8-16 generators, where an unguarded
-    # Fourier-Motzkin elimination can run for minutes
+    # up to 32 generators in Z^4: the unit LP answers every one
     doc = data.draw(monoid_algebras())
     phi = data.draw(phis(grading_group(doc)))
-    run(["corestrict", json.dumps(doc), "--phi", json.dumps(phi)])
+    code, _ = run(["corestrict", json.dumps(doc), "--phi", json.dumps(phi)])
+    assert code != 3, doc

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from fractions import Fraction
 from itertools import islice, product
@@ -18,8 +19,9 @@ import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
-from support import assert_record, combinations, contains, dense, \
-    entries, intersect_ideals, reference_generators, square_zero_document
+from support import EliminationTooLarge, assert_record, combinations, \
+    contains, dense, entries, intersect_ideals, reference_generators, \
+    reference_unit_indices, square_zero_document
 
 
 class TestConstruction:
@@ -494,6 +496,22 @@ class TestMonoids:
         assert rep.sharp is not None and rep.method in (
             "unit generator", "no unit generator")
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+        st.just(d), st.lists(st.tuples(*[st.integers(-3, 3)] * d),
+                             max_size=10))))
+    def test_units_agree_with_fourier_motzkin(self, case):
+        # the one LP against one elimination per generator, wherever
+        # no elimination step holds more than 2^12 constraints
+        d, gens = case
+        M = gc.AffineMonoid(d, gens)
+        nonzero = [i for i, g in enumerate(M.generators) if any(g)]
+        try:
+            ref = reference_unit_indices(M.generators, nonzero)
+        except EliminationTooLarge:
+            return
+        assert M.units == tuple(M.generators[i] for i in ref)
+
     def test_units_decided_where_the_walk_gives_up(self):
         # -(100) = 100 (-1) needs coefficient sum 100; the walk of sum
         # at most 32 leaves it open, the unit criterion does not
@@ -859,6 +877,24 @@ class TestAlgebraGenerators:
         assert json.loads(capsys.readouterr().out)["ok"] is True
         assert calls[0] <= 10000
         assert parsed[0]._generators == tuple(range(1, 100))
+
+    def test_construction_check_skips_the_triples_that_vanish(self):
+        # x_i x_i2 = 0 and x_i2 v_j = 0 make both sides of a triple 0:
+        # on the square-zero ring of dimension 30, with generators
+        # x_1..x_29, only the triples with i = 0 or j = 0 are walked,
+        # 29 x (30 + 29); walking every one took 29 x 30 x 30 = 26,100
+        calls, previous = [0], sys.getprofile()
+
+        def count(frame, event, arg):
+            if event == "call" and frame.f_code.co_name == "associative":
+                calls[0] += 1
+        sys.setprofile(count)
+        try:
+            R = cli.ring_from_json(square_zero_document(30))
+        finally:
+            sys.setprofile(previous)
+        assert R._generators == tuple(range(1, 30))
+        assert calls[0] == 29 * (30 + 29)
 
     def test_violations_beyond_the_first_generator(self):
         # every single-entry change to 0 or 2 (and its mirror, for an
