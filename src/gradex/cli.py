@@ -518,7 +518,7 @@ def cmd_module(args):
            "rank": rep.rank,
            "method": rep.method,
            "status": rep.status,
-           "monogeneous": gm.is_monogeneous(M, seed=args.seed)}
+           "monogeneous": gm.is_monogeneous(M)}
     if rep.degrees is not None:
         # the generator of degree d spans a copy of R(g), g = -d
         out["shifts"] = [list(t) for t in _hilbert_json(

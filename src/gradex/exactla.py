@@ -578,19 +578,6 @@ def span_basis(field, vectors):
     return [R[i] for i in range(len(pivots))]
 
 
-def complement_projection(field, basis, reps):
-    """Matrix P (len(reps) x n) of the projection onto span(reps) along
-    span(basis): every x is sum_i a_i basis_i + sum_t (P x)_t reps_t.
-    Together the vectors must form a basis of field^n; the matrix with
-    them as columns is inverted once."""
-    cols = list(basis) + list(reps)
-    inv = mat_inverse(field, [[v[r] for v in cols] for r in range(len(cols))])
-    if inv is None:
-        raise DimensionError("subspace basis and representatives do not "
-                             "form a basis")
-    return inv[len(basis):]
-
-
 def coords_in_basis(field, basis, vectors):
     """Coordinates of each vector in the given basis, or None: one
     solve_linear against the matrix with the basis as columns."""
@@ -600,42 +587,12 @@ def coords_in_basis(field, basis, vectors):
 
 
 # ---------------------------------------------------------------------------
-# full-rank witnesses in a linear family, and invertible intertwiners
+# invertible intertwiners: an invertible member of a linear family
 # ---------------------------------------------------------------------------
 
 DEFAULT_SEED = 20230817
 EXHAUSTIVE_LIMIT = 2 ** 16
 INTERTWINER_BUDGET = 2000
-
-
-def witness_search(field, k, degree, test, seed, budget):
-    """Search field^k for a point at which ``test`` holds, where ``test``
-    fails exactly on the common zeros of polynomials of degree at most
-    ``degree`` in each coordinate (such as the minors of a matrix whose
-    entries are affine in the point).  Returns (status, point,
-    points_tried), status "found", "proven_none" or "budget_exhausted".
-
-    Over F_p every point is tried when there are at most
-    EXHAUSTIVE_LIMIT.  Otherwise, for k <= 3, the grid {0..degree}^k
-    decides when it has at most EXHAUSTIVE_LIMIT points: a polynomial of
-    degree <= degree in each variable that vanishes on it is zero
-    (Alon's Combinatorial Nullstellensatz); over F_p it is reached only
-    when p > degree, so its points are distinct.  Otherwise ``budget``
-    random points are drawn, and a miss is "budget_exhausted", never a
-    no.
-    """
-    decided = True
-    if field.is_finite and field.p ** k <= EXHAUSTIVE_LIMIT:
-        points = product(field.elements(), repeat=k)
-    elif k <= 3 and (degree + 1) ** k <= EXHAUSTIVE_LIMIT:
-        points = product(range(degree + 1), repeat=k)
-    else:
-        points, decided = _random_points(field, k, seed, budget), False
-    tried = 0
-    for tried, ts in enumerate(points, 1):
-        if test(ts):
-            return "found", ts, tried
-    return ("proven_none" if decided else "budget_exhausted"), None, tried
 
 
 def _random_points(field, k, seed, budget):
@@ -669,12 +626,32 @@ def _space_member(field, basis, n, ts):
 
 
 def invertible_intertwiner(field, basis, n, seed=DEFAULT_SEED):
-    """Search the span {sum t_i basis_i} of n x n matrices for an
-    invertible member with witness_search: the determinant has degree
-    <= n in each t_i."""
-    status, ts, tried = witness_search(
-        field, len(basis), n,
-        lambda ts: det(field, _space_member(field, basis, n, ts)) != 0,
-        seed, INTERTWINER_BUDGET)
-    M = None if ts is None else _space_member(field, basis, n, ts)
-    return IntertwinerResult(status, M, tried)
+    """Search the span {sum_i t_i basis_i} of n x n matrices for an
+    invertible member: (status, matrix, points tried), status "found",
+    "proven_none" or "budget_exhausted".  The determinant has degree at
+    most n in each t_i.
+
+    Over F_p every point t is tried when there are at most
+    EXHAUSTIVE_LIMIT.  Otherwise, for at most 3 parameters, the grid
+    {0..n}^k decides when it has at most EXHAUSTIVE_LIMIT points: a
+    polynomial of degree <= n in each variable that vanishes on it is
+    zero (Alon's Combinatorial Nullstellensatz); over F_p it is reached
+    only when p > n, so its points are distinct.  Otherwise
+    INTERTWINER_BUDGET random points are drawn, and a miss is
+    "budget_exhausted", never a no.
+    """
+    k, decided = len(basis), True
+    if field.is_finite and field.p ** k <= EXHAUSTIVE_LIMIT:
+        points = product(field.elements(), repeat=k)
+    elif k <= 3 and (n + 1) ** k <= EXHAUSTIVE_LIMIT:
+        points = product(range(n + 1), repeat=k)
+    else:
+        points = _random_points(field, k, seed, INTERTWINER_BUDGET)
+        decided = False
+    tried = 0
+    for tried, ts in enumerate(points, 1):
+        M = _space_member(field, basis, n, ts)
+        if det(field, M) != 0:
+            return IntertwinerResult("found", M, tried)
+    return IntertwinerResult("proven_none" if decided else
+                             "budget_exhausted", None, tried)

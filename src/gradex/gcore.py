@@ -367,11 +367,19 @@ class _GradedSpace(_Derivable):
         their span; entries are the nonzero (i, t, k, c) with
         proj(x_i . v_{reps[t]}) = sum_k c v_{reps[k]}."""
         f, r = self.field, len(self._nz)
-        lead = {next(j for j, c in enumerate(v) if c != 0) for v in sub}
-        reps = sorted((j for j in range(self.dim) if j not in lead),
+        lead = [next(j for j, c in enumerate(v) if c != 0) for v in sub]
+        reps = sorted(set(range(self.dim)).difference(lead),
                       key=lambda j: (self.basis_degrees[j].coords, j))
-        proj = la.complement_projection(
-            f, sub, [la.unit_vector(f, self.dim, j) for j in reps])
+        # each v in sub is 1 at its lead and 0 at every other lead, so
+        # x - sum_v x_lead(v) v vanishes at the leads: its entries at
+        # reps are proj x
+        proj = []
+        for j in reps:
+            row = la.unit_vector(f, self.dim, j)
+            for p, v in zip(lead, sub):
+                if v[j]:
+                    row[p] = f.neg(v[j])
+            proj.append(row)
         entries = []
         for i in range(r):
             P = la.mat_mul(f, proj, self.action_matrix(i))

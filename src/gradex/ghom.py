@@ -148,14 +148,9 @@ class FreeResolution(Record):
             prod = la.mat_mul(f, d[i - 1], d[i])
             if any(x != 0 for row in prod for x in row):
                 return False
-        for i in range(self.length):
-            Fi = self.covers[i].source
-            Ki = self.covers[i].target
-            ker_dim = (self.incls[i].source.dim if i < len(self.incls)
-                       else Fi.dim - Ki.dim)
-            if la.rank(f, self.covers[i].matrix) != Ki.dim:
-                return False
-            if i < len(self.incls) and Fi.dim - Ki.dim != ker_dim:
+        for p, incl in zip(self.covers, self.incls):
+            if la.rank(f, p.matrix) != p.target.dim or \
+                    p.source.dim - p.target.dim != incl.source.dim:
                 return False
         if self.minimal:
             for i in range(1, self.length):

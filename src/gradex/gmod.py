@@ -27,7 +27,7 @@ from __future__ import annotations
 from .abgroups import GroupHom, hom_props
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, _GradedSpace, _Morphism, \
+from .gcore import GradedAlgebra, _GradedSpace, _Morphism, classify_ring, \
     nilradical_generators
 
 
@@ -408,7 +408,6 @@ def _iso_search(M: GradedModule, gen_degrees, seed=la.DEFAULT_SEED):
 def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
     """Decide whether M is free, producing the shift multiset and an
     explicit basis witness when it is."""
-    from .gcore import classify_ring
     R = M.algebra
     if M.dim == 0:
         return FreenessReport(True, (), 0, "zero module")
@@ -462,30 +461,26 @@ def minimal_generators(M: GradedModule):
     return chosen
 
 
-def is_monogeneous(M: GradedModule, seed=la.DEFAULT_SEED):
-    """Is M generated by a single homogeneous element?  None when only a
-    random search ran in some degree and found no generator."""
-    R, f = M.algebra, M.field
+def is_monogeneous(M: GradedModule):
+    """Is M generated by a single homogeneous element?  By graded
+    Nakayama (nil R is nilpotent) M is iff Q = M/(nil R)M is, and Q is
+    generated in degree g iff (a) Q_g generates Q and (b) Q_g is cyclic
+    over R_0.  R_0 acts on Q_g through a quotient A of the reduced ring
+    R_0/(nil R)_0, a product of fields, and a faithful A-module is
+    cyclic iff its dimension is dim A."""
     if M.dim == 0:
         return True
-    undecided = False
-    for g in M.degrees():
-        idx = M.component_indices(g)
-
-        # m generates M iff the x_i . m span M; they are linear in m, so
-        # the maximal minors have degree <= dim in m's coordinates
-        def generates(vals):
-            m = [f.zero] * M.dim
-            for j, c in zip(idx, vals):
-                m[j] = f.of(c)
-            return la.rank(f, [M.act_vec(la.unit_vector(f, R.dim, i), m)
-                               for i in range(R.dim)]) == M.dim
-        status, _, _ = la.witness_search(f, len(idx), M.dim, generates,
-                                         seed, 200)
-        if status == "found":
+    R, f = M.algebra, M.field
+    Q, _ = _quotient_module(M, radical_submodule(M))
+    acts = [Q.action_matrix(i) for i in R.component_indices(R.group.zero)]
+    for g in Q.degrees():
+        idx = Q.component_indices(g)
+        if len(Q.submodule_span([la.unit_vector(f, Q.dim, j)
+                                 for j in idx])) == Q.dim and \
+                la.rank(f, [[A[r][c] for r in idx for c in idx]
+                            for A in acts]) == len(idx):
             return True
-        undecided = undecided or status == "budget_exhausted"
-    return None if undecided else False
+    return False
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
 Lambek, the currying adjunction, the morphism axioms checked on every
 basis vector, algebra generators chosen by re-closing the whole span,
-intersections of ideals, the element tables of a finite algebra, and,
+intersections of ideals, a walk over every homogeneous element for a
+single generator, the element tables of a finite algebra, and,
 for an affine monoid, the Fourier-Motzkin elimination that its unit LP
 is held to and the bounded walks over its points), and a CLI document
 whose every basis vector but the unit is a generator."""
@@ -361,8 +362,19 @@ def contains(M, m, bound=32, points=2 ** 18):
 
 
 # ---------------------------------------------------------------------------
-# element tables
+# generators and element tables
 # ---------------------------------------------------------------------------
+
+def monogeneous_by_walk(M, limit=gc.HOMOGENEOUS_ENUM_LIMIT):
+    """Over F_p: is M generated by one homogeneous element?  Every
+    nonzero homogeneous m is tried, as a generator when the x_i . m span
+    M; more than ``limit`` candidates raise SizeGuardExceeded."""
+    f, R = M.field, M.algebra
+    xs = [la.unit_vector(f, R.dim, i) for i in range(R.dim)]
+    return M.dim == 0 or any(
+        la.rank(f, [M.act_vec(x, m) for x in xs]) == M.dim
+        for _, m in M.homogeneous_vectors(limit))
+
 
 def exhaustive_classify(R):
     """Tables of unit / regular / nilpotent flags for every element of a

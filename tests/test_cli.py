@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import pathlib
+import random
 import sys
 import time
 
@@ -301,6 +302,18 @@ class TestModules:
         assert code == 0
         assert out["free"] is True
         assert out["oracle_agrees"] is True
+
+    def test_free_module_of_rank_3_within_budget(self, capsys):
+        # Q[x]/(x^4) with shifts 0, 1, 2 takes about 0.03 s with
+        # Nakayama's rank tests for a generator, and took 0.35-0.45 s
+        # with a search of the Alon grid (Python 3.11, 2 shared vCPUs)
+        obj = corpus.free_module(corpus.truncated_poly("Q", 4), [0, 1, 2])
+        doc = json.dumps(corpus.render(obj, random.Random(0)))
+        t0 = time.perf_counter()
+        code, out = run_json(capsys, ["module", doc])
+        assert time.perf_counter() - t0 < 0.15
+        assert code == 0 and out["free"] is True and out["rank"] == 3
+        assert out["monogeneous"] is False
 
     def test_resolve(self, docs, capsys):
         code, out = run_json(capsys, ["resolve", str(docs / "K.json"),

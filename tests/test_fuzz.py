@@ -8,7 +8,10 @@ with a huge decimal exponent, and an integer literal past Python's
 ``cli.run`` returns 0, 1, 2 or 3 and raises nothing, and ``validate``
 accepts every well-formed document.  Over a finite field, wherever the
 main path and a brute-force oracle both answer (``classify --oracle``,
-``module --oracle``, ``oracle-diff``), they agree.  A ``corestrict`` call
+``module --oracle``, ``oracle-diff``), they agree, and every ``module``
+report's ``monogeneous`` is a boolean equal to a walk over every
+homogeneous element, wherever that walk has at most WALK_LIMIT
+candidates.  A ``corestrict`` call
 returns within CORESTRICT_BUDGET_S, and on a drawn monoid algebra it
 answers: no size guard refuses its unit LP.  The example budgets are
 fixed, so the suite costs the same few seconds on every run."""
@@ -21,12 +24,15 @@ import time
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gradex.cli as cli
+from gradex.gcore import SizeGuardExceeded
+from support import monogeneous_by_walk
 
 TORSION = [[], [2], [3], [2, 2], [2, 4]]
 FIELDS = ["Q", {"p": 2}, {"p": 3}, {"p": 5}]
 # the slowest of 300 random corestrict documents on 0-32 generators in
 # Z^0..Z^4 took 0.04 s (Python 3.11, 2 shared vCPUs)
 CORESTRICT_BUDGET_S = 5.0
+WALK_LIMIT = 2 ** 12
 
 
 def run(argv):
@@ -301,6 +307,15 @@ def test_well_formed_documents_validate_and_run(case):
         if report.get("free", True) is not None:
             assert report.get("oracle_agrees", True) is True, (doc, argv)
         assert report.get("agree", True) is True, (doc, argv)
+    if code == 0 and argv[0] == "module":
+        M = cli.module_from_json(doc)
+        if M.field.is_finite:
+            got = json.loads(out)["monogeneous"]
+            assert isinstance(got, bool), (doc, got)
+            try:
+                assert got is monogeneous_by_walk(M, WALK_LIMIT), doc
+            except SizeGuardExceeded:
+                pass
 
 
 @settings(max_examples=200, deadline=None,

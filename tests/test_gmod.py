@@ -4,11 +4,14 @@ import gradex.exactla as la
 import gradex.gmod as gm
 import gradex.gcore as gc
 import gradex.gfunct as gf
+import gradex.ghom as gh
 import gradex.oracles as orc
 import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
-from support import adjunction_dims_check, assert_record, dense, entries
+from support import (adjunction_dims_check, assert_record, dense, entries,
+                     monogeneous_by_walk)
+from test_oracles import quotient_by_power
 
 
 def hkey(h):
@@ -278,6 +281,41 @@ class TestFreeness:
         assert list(rep.degrees) == [g]
 
 
+def finite_rings():
+    """The finite sample corpus, its coarsenings, and F_2[Z/4], F_3[Z/4]
+    and F_2[Z/6]."""
+    return (S.finite_corpus()
+            + [gf.coarsen(R, psi) for R, psi in S.coarsening_pairs()]
+            + [S.group_algebra(2, 4), S.group_algebra(3, 4),
+               S.group_algebra(2, 6)])
+
+
+def monogeneity_family(R):
+    """The regular module M, a shift, sums, the submodule and quotient
+    by each basis vector, the sum of M with each quotient, and the duals
+    of all of these."""
+    M = gm.regular_module(R)
+    g = R.group.element((1,) + (0,) * (R.group.dim - 1)) if R.group.dim \
+        else R.group.zero
+    Ms = gm.shift(M, g)
+    mods = [M, Ms, gm.direct_sum(M, M)[0], gm.direct_sum(M, Ms)[0]]
+    for k in range(R.dim):
+        Q = quotient_by_power(R, k)[0]
+        mods += [gm.generated_submodule(
+            M, [la.unit_vector(R.field, R.dim, k)])[0], Q,
+            gm.direct_sum(M, Q)[0]]
+    return mods + [gh.dual(X) for X in mods]
+
+
+def factor_sum(g):
+    """e_0 R + e_1 R(-g) over R = Q x Q, the second summand moved to
+    degree g: R itself when g = 0."""
+    R = S.product_field_algebra(QQ)
+    M = gm.regular_module(R)
+    e0, e1 = (gm.generated_submodule(M, [v])[0] for v in ([1, 0], [0, 1]))
+    return gm.direct_sum(e0, gm.shift(e1, -g))[0]
+
+
 class TestMonogeneity:
     def test_examples(self):
         R = S.dual_numbers(GF(2))
@@ -297,10 +335,43 @@ class TestMonogeneity:
         D, _, _ = gm.direct_sum(gm.regular_module(R), gm.regular_module(R))
         assert gm.is_monogeneous(D) is False
 
-    def test_random_miss_is_undecided(self):
-        # a component of dimension 4 over Q leaves only the random search
+    def test_four_copies_of_q_need_four_generators(self):
+        # one component of dimension 4, on which R_0 = Q acts through an
+        # algebra of dimension 1
         F = gm.free_module(S.trivial_algebra(), [ZERO_GROUP.zero] * 4)
-        assert gm.is_monogeneous(F) is None
+        assert gm.is_monogeneous(F) is False
+
+    @pytest.mark.parametrize("ring", range(len(finite_rings())))
+    def test_agrees_with_the_walk(self, ring):
+        for M in monogeneity_family(finite_rings()[ring]):
+            assert gm.is_monogeneous(M) is monogeneous_by_walk(M), M
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: gm.regular_module(S.product_field_algebra(QQ)), True),
+        (lambda: factor_sum(Z(1).zero), True),
+        (lambda: factor_sum(Z(1).element((1,))), False),
+        (lambda: gm.direct_sum(*[factor_sum(Z(1).zero)] * 2)[0], False),
+        (lambda: gm.free_module(S.truncated_polynomial_algebra(QQ, 4),
+                                [Z(1).element((s,)) for s in (0, 1, 2)]),
+         False),
+        (lambda: quotient_by_power(S.truncated_polynomial_algebra(QQ, 4),
+                                   2)[0], True),
+        (lambda: gm.regular_module(S.gaussian_rationals()), True),
+        (lambda: gm.free_module(S.gaussian_rationals(),
+                                [Zmod(2).zero, Zmod(2).element((1,))]),
+         False),
+        (lambda: gm.regular_module(gf.coarsen(S.gaussian_rationals(),
+                                              S.psi_Zmod_to_zero(2))), True),
+        (lambda: gm.free_module(gf.coarsen(S.gaussian_rationals(),
+                                           S.psi_Zmod_to_zero(2)),
+                                [ZERO_GROUP.zero] * 2), False),
+    ], ids=["QxQ", "QxQ-as-factors", "QxQ-factors-apart", "QxQ-squared",
+            "Qx4-free-012", "Qx4-mod-x2", "Q[i]", "Q[i]-free-01",
+            "Q[i]-coarse", "Q[i]-coarse-free-00"])
+    def test_over_q(self, build, expected):
+        # Q x Q is not graded-local: a generator of e_0 R + e_1 R has a
+        # part in each block, so it exists only when both lie in one degree
+        assert gm.is_monogeneous(build()) is expected
 
 
 class TestSmallSubmodules:
