@@ -405,12 +405,6 @@ def eye(field, n):
     return M
 
 
-def eye_columns(field, n, cols):
-    """The columns ``cols`` of the n x n identity, without the rest."""
-    return [[field.one if i == j else field.zero for j in cols]
-            for i in range(n)]
-
-
 def mat_mul(field, A, B):
     """A B, from the nonzero products only: each nonzero A[i][t] meets
     the nonzero entries of row t of B, and over F_p each entry is
@@ -493,8 +487,9 @@ def rank(field, A):
 
 
 def kernel_basis(field, A, m):
-    """Basis of the right kernel of A, a matrix with m columns (and
-    possibly no rows), from the reduced echelon form."""
+    """Basis of the right kernel of A (m columns, maybe no rows) from the
+    rref: per free column c, in order, a vector that is 1 at c and 0
+    right of it (its pivots lie left); every other one is 0 at c."""
     R, pivots = rref(field, A)
     pivset = set(pivots)
     free = [c for c in range(m) if c not in pivset]
@@ -558,16 +553,6 @@ def det(field, A):
             if M[i][c]:
                 _eliminate(field.p, M[i], field.mul(inv, M[i][c]), pivot_nz)
     return d
-
-
-def mat_inverse(field, A):
-    n = len(A)
-    I = eye(field, n)
-    aug = [A[i][:] + I[i] for i in range(n)]
-    R, pivots = rref(field, aug)
-    if pivots != list(range(n)):
-        return None
-    return [R[i][n:] for i in range(n)]
 
 
 def span_basis(field, vectors):

@@ -277,10 +277,7 @@ class _GradedSpace(_Derivable):
             idx = self.component_indices(g)
             for vals in product(f.elements(), repeat=len(idx)):
                 if any(v != 0 for v in vals):
-                    coords = [f.zero] * self.dim
-                    for i, v in zip(idx, vals):
-                        coords[i] = v
-                    yield g, coords
+                    yield g, _scatter(f, self.dim, idx, vals)
 
     # -- action ----------------------------------------------------------
 
@@ -323,6 +320,12 @@ class _GradedSpace(_Derivable):
 
     # -- subobjects --------------------------------------------------------
 
+    @staticmethod
+    def leads(basis):
+        """The first nonzero coordinate of each vector.  A graded_span
+        basis is 1 at its own lead and 0 at the others."""
+        return [next(j for j, c in enumerate(v) if c) for v in basis]
+
     def graded_span(self, vectors):
         """Canonical homogeneous basis of the graded span of the vectors:
         per degree, in degree order, the rref basis of their homogeneous
@@ -347,7 +350,7 @@ class _GradedSpace(_Derivable):
         f, r = self.field, len(self._nz)
         acting = range(r) if acting is None else acting
         basis = spanning = new = self.graded_span(gens)
-        pivots = {next(j for j, c in enumerate(v) if c != 0) for v in basis}
+        pivots = set(self.leads(basis))
         while True:
             products = [self.act_vec(la.unit_vector(f, r, i), b)
                         for b in new for i in acting]
@@ -367,12 +370,11 @@ class _GradedSpace(_Derivable):
         their span; entries are the nonzero (i, t, k, c) with
         proj(x_i . v_{reps[t]}) = sum_k c v_{reps[k]}."""
         f, r = self.field, len(self._nz)
-        lead = [next(j for j, c in enumerate(v) if c != 0) for v in sub]
+        lead = self.leads(sub)
         reps = sorted(set(range(self.dim)).difference(lead),
                       key=lambda j: (self.basis_degrees[j].coords, j))
-        # each v in sub is 1 at its lead and 0 at every other lead, so
-        # x - sum_v x_lead(v) v vanishes at the leads: its entries at
-        # reps are proj x
+        # x - sum_v x_lead(v) v vanishes at the leads (see leads): its
+        # entries at reps are proj x
         proj = []
         for j in reps:
             row = la.unit_vector(f, self.dim, j)
@@ -588,8 +590,8 @@ def ideal_from_gens(R: GradedAlgebra, gens):
 
 
 def quotient_ring(R: GradedAlgebra, a):
-    """(Q, proj, lift): Q = R/a with the induced grading, proj the
-    coordinate projection matrix (qdim x dim), lift a section (dim x qdim).
+    """(Q, proj, reps): Q = R/a with the induced grading, proj the
+    projection matrix (qdim x dim), reps the indices of R lifting Q's basis.
     a may be any list of homogeneous vectors, so the one condition Q
     needs, their span closed under multiplication, is checked here:
     under R._generators, since the x with x a in a form a subalgebra."""
@@ -604,7 +606,15 @@ def quotient_ring(R: GradedAlgebra, a):
                                [(pos[i], t, k, c) for i, t, k, c in entries
                                 if i in pos],
                                la.mat_vec_mul(f, proj, list(R.unit)))
-    return Q, proj, la.eye_columns(f, R.dim, reps)
+    return Q, proj, reps
+
+
+def _scatter(field, n, idx, w):
+    """The vector of length n with w[t] at idx[t] and 0 elsewhere."""
+    v = [field.zero] * n
+    for j, c in zip(idx, w):
+        v[j] = c
+    return v
 
 
 def _trace_gram(R: GradedAlgebra):
@@ -641,12 +651,8 @@ def nilradical(R: GradedAlgebra):
     vecs = []
     for g in R.degrees():
         idx = R.component_indices(g)
-        for w in la.kernel_basis(f, [[row[c] for c in idx] for row in A],
-                                 len(idx)):
-            v = [f.zero] * n
-            for c, x in zip(idx, w):
-                v[c] = x
-            vecs.append(v)
+        vecs += [_scatter(f, n, idx, w) for w in la.kernel_basis(
+            f, [[row[c] for c in idx] for row in A], len(idx))]
     return R.graded_span(vecs)
 
 
@@ -668,9 +674,9 @@ def nilradical_generators(R: GradedAlgebra):
 
 def radical(R: GradedAlgebra, a):
     """Preimage of nil(R/a) under the projection."""
-    Q, _, lift = quotient_ring(R, a)
+    Q, _, reps = quotient_ring(R, a)
     return ideal_from_gens(R, list(a) + [
-        la.mat_vec_mul(R.field, lift, v) for v in nilradical(Q)])
+        _scatter(R.field, R.dim, reps, v) for v in nilradical(Q)])
 
 
 class IdealClass(Record, frozen=True):
@@ -698,7 +704,7 @@ def spec_enumerate(R: GradedAlgebra):
     if not R.field.is_finite or R.field.p > 3 or R.dim > 6:
         raise SizeGuardExceeded("spec_enumerate is limited to p <= 3, dim <= 6")
     f, N = R.field, nilradical(R)
-    Q, _, lift = quotient_ring(R, N)
+    Q, _, reps = quotient_ring(R, N)
     idem = [e for g, e in Q.homogeneous_vectors()
             if g == Q.group.zero and Q.act_vec(e, e) == e]
     primes = []
@@ -707,7 +713,7 @@ def spec_enumerate(R: GradedAlgebra):
             continue   # e = d + (e - d) is not primitive
         co = Q.submodule_span([[f.sub(a, b) for a, b in zip(Q.unit, e)]])
         primes.append(R.graded_span(N + [
-            la.mat_vec_mul(f, lift, v) for v in co]))
+            _scatter(f, R.dim, reps, v) for v in co]))
     return sorted(primes, key=lambda P: [
         [v for v in P if R.vec_degree(v) == g] for g in R.degrees()])
 

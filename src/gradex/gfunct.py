@@ -135,7 +135,7 @@ class CorestrictionResult(Record):
                "ideal",     # a_phi(R), as its graded_span basis
                "kept",      # quotient basis indices surviving restriction
                "proj",      # projection matrix R -> R / a_phi(R)
-               "lift")      # section R / a_phi(R) -> R
+               "reps")      # indices of R lifting the basis of R / a_phi(R)
 
 
 def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
@@ -146,9 +146,9 @@ def corestrict(R: GradedAlgebra, phi: GroupHom) -> CorestrictionResult:
                for i, d in enumerate(R.basis_degrees)
                if phi.preimage(d) is None]
     a_phi = ideal_from_gens(R, outside)
-    Q, proj, lift = quotient_ring(R, a_phi)
+    Q, proj, reps = quotient_ring(R, a_phi)
     Rcor, kept = restrict_with_indices(Q, phi)
-    return CorestrictionResult(Rcor, a_phi, kept, proj, lift)
+    return CorestrictionResult(Rcor, a_phi, kept, proj, reps)
 
 
 def restrict_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
@@ -163,10 +163,8 @@ def corestrict_morphism(h: AlgebraMorphism, phi: GroupHom) -> AlgebraMorphism:
     """Induced morphism on the corestrictions kept on h's rings (h maps
     a_phi into a_phi)."""
     cs, ct = (_kept(corestrict, X, phi) for X in (h.source, h.target))
-    f = h.target.field
-    lift = [[row[j] for j in cs.kept] for row in cs.lift]
-    M = la.mat_mul(f, [ct.proj[i] for i in ct.kept],
-                   la.mat_mul(f, h.matrix, lift))
+    M = la.mat_mul(h.target.field, [ct.proj[i] for i in ct.kept],
+                   [[row[cs.reps[j]] for j in cs.kept] for row in h.matrix])
     return AlgebraMorphism._derived(cs.algebra, ct.algebra, M)
 
 
@@ -222,7 +220,8 @@ def triangle_identities(phi: GroupHom, g_samples, f_samples):
         # counit (R_(phi))^(phi) -> R gives the identity of R_(phi)
         Rst, kept = _kept(restrict_with_indices, R, phi)
         incl_m = AlgebraMorphism(_kept(extend, Rst, phi), R,
-                                 la.eye_columns(R.field, R.dim, kept))
+                                 [[row[j] for j in kept]
+                                  for row in la.eye(R.field, R.dim)])
         results.append((f"E-R counit triangle on {R!r}",
                         restrict_morphism(incl_m, phi).matrix
                         == la.eye(R.field, Rst.dim)))

@@ -4,7 +4,9 @@ betti tables, the explicit Schanuel isomorphism, and dimension reports
 that survive coarsening.
 
 ``resolution`` holds the only cover-to-kernel loop (cover K_n, step to
-its kernel K_{n+1}); betti tables are read off it.  Dimensions are
+its kernel K_{n+1}); betti tables are read off it.  ``schanuel_glue``
+writes its maps as blocks over direct sums, and solves where it
+applies an inverse (of inclB, and of theta).  Dimensions are
 decided by theorem: every algebra here is finite-dimensional and
 commutative, hence artinian, and over such a ring a finitely generated
 module of finite projective or injective dimension has dimension 0
@@ -22,7 +24,7 @@ from collections import Counter
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, nilradical, nilradical_generators
+from .gcore import GradedAlgebra, _scatter, nilradical, nilradical_generators
 from .gmod import (GradedModule, ModuleMorphism, regular_module,
                    free_cover_from_generators, map_from_free, direct_sum,
                    kernel, radical_submodule, ModuleError, coarsen_module,
@@ -76,8 +78,7 @@ def lift_through_epi(p: ModuleMorphism, v: ModuleMorphism):
                                    for r in rows], [vu])
         if sol is None:
             return None
-        y = dict(zip(cols, sol))
-        images.append([y.get(k, f.zero) for k in range(P.dim)])
+        images.append(_scatter(f, P.dim, cols, sol))
     return map_from_free(V, P, images)
 
 
@@ -192,27 +193,25 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     beta: Q0 ->> M with kernels K, L, the isomorphism theta:
     K + Q0 -> L + P0 through their fibre product.  With lifts tQ
     (alpha tQ = beta) and tP (beta tP = alpha), theta(k, q) =
-    (inclB^-1 (q - tP p), p) for p = inclA k + tQ q.  Returns (theta,
-    lhs_data, rhs_data) where the data triples are (module, first
-    injection, second injection)."""
+    (inclB^-1 (q - tP p), p) for p = [inclA | tQ](k, q), by one solve."""
     f = M.field
     tQ = lift_through_epi(coverA, coverB)
     tP = lift_through_epi(coverB, coverA)
     if tQ is None or tP is None:
         raise ModuleError("free cover failed to lift through an epimorphism")
-    lhsD, jK, jQ0 = direct_sum(inclA.source, coverB.source)
-    rhsD, jL, jP0 = direct_sum(inclB.source, coverA.source)
+    lhs = direct_sum(inclA.source, coverB.source)
+    rhs = direct_sum(inclB.source, coverA.source)
     p = [a + b for a, b in zip(inclA.matrix, tQ.matrix)]
-    # q, the projection onto Q0, is jQ0 transposed
-    rest = [[f.sub(a, b) for a, b in zip(qr, tr)]
-            for qr, tr in zip(zip(*jQ0.matrix), la.mat_mul(f, tP.matrix, p))]
+    rest = la.mat_mul(f, [[f.neg(x) if x else x for x in row]
+                          for row in tP.matrix], p)
+    for r, row in enumerate(rest, inclA.source.dim):   # q - tP p
+        row[r] = f.add(row[r], f.one)
     cols = la.solve_linear(f, inclB.matrix, [[row[j] for row in rest]
-                                             for j in range(lhsD.dim)])
+                                             for j in range(lhs.dim)])
     if None in cols:  # inclB is not the kernel of beta
         raise ModuleError("vector escapes the fibre product")
     theta = [[c[k] for c in cols] for k in range(inclB.source.dim)] + p
-    return (ModuleMorphism._derived(lhsD, rhsD, theta), (lhsD, jK, jQ0),
-            (rhsD, jL, jP0))
+    return ModuleMorphism._derived(lhs, rhs, theta)
 
 
 def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
@@ -231,31 +230,33 @@ def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
     return iso, iso.is_iso() and iso.source.hilbert() == iso.target.hilbert()
 
 
-def _pad(cover, incl, j_kernel, j_free):
+def _pad(cover, incl, Q, D):
     """The next step of a resolution padded by a free summand Q of the
-    Schanuel sum ker + Q: the cover F + Q ->> ker + Q and its kernel
-    inclusion into F + Q."""
-    f = cover.target.field
-    FQ, jF, _ = direct_sum(cover.source, j_free.source)
-    aug = [a + b for a, b in
-           zip(la.mat_mul(f, j_kernel.matrix, cover.matrix), j_free.matrix)]
-    return (ModuleMorphism._derived(FQ, j_kernel.target, aug),
-            ModuleMorphism._derived(incl.source, FQ,
-                                    la.mat_mul(f, jF.matrix, incl.matrix)))
+    Schanuel sum D = ker + Q: the cover diag(cover, 1_Q): F + Q ->> D
+    and its kernel inclusion [incl; 0] into F + Q."""
+    f, n, q = D.field, cover.source.dim, Q.dim
+    aug = [row + [f.zero] * q for row in cover.matrix] + \
+        [[f.zero] * n + e for e in la.eye(f, q)]
+    FQ = direct_sum(cover.source, Q)
+    return (ModuleMorphism._derived(FQ, D, aug),
+            ModuleMorphism._derived(incl.source, FQ, incl.matrix +
+                                    la.zeros(f, q, incl.source.dim)))
 
 
 def _schanuel_rec(M, coversA, inclsA, coversB, inclsB):
-    theta, (lhs, jK1, jQ0), (rhs, jL1, jP0) = _schanuel_base(
-        M, coversA[0], inclsA[0], coversB[0], inclsB[0])
+    theta = _schanuel_base(M, coversA[0], inclsA[0], coversB[0], inclsB[0])
     if len(coversA) == 1:
         return theta
     # padded resolutions of M' = K1 + Q0:
     #   P1 + Q0 ->> K1 + Q0        with kernel K2 inside P1
-    #   Q1 + P0 ->> L1 + P0 -theta^{-1}-> K1 + Q0   with kernel L2
-    augA, inclA2 = _pad(coversA[1], inclsA[1], jK1, jQ0)
-    augB, inclB2 = _pad(coversB[1], inclsB[1], jL1, jP0)
-    augB = ModuleMorphism._derived(
-        rhs, lhs, la.mat_inverse(M.field, theta.matrix)).compose(augB)
+    #   Q1 + P0 ->> L1 + P0 -theta^{-1}-> K1 + Q0   with kernel L2 (a solve)
+    lhs, rhs, f = theta.source, theta.target, M.field
+    augA, inclA2 = _pad(coversA[1], inclsA[1], coversB[0].source, lhs)
+    augB, inclB2 = _pad(coversB[1], inclsB[1], coversA[0].source, rhs)
+    cols = la.solve_linear(f, theta.matrix, [[row[j] for row in augB.matrix]
+                                             for j in range(augB.source.dim)])
+    augB = ModuleMorphism._derived(augB.source, lhs, [
+        [c[k] for c in cols] for k in range(lhs.dim)])
     return _schanuel_rec(lhs,
                          [augA] + coversA[2:], [inclA2] + inclsA[2:],
                          [augB] + coversB[2:], [inclB2] + inclsB[2:])

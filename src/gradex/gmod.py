@@ -17,9 +17,12 @@ basis for the regular module.  A free module, the direct sum of
 the shifts R(-d_t), is known by its generator degrees d_t:
 ``free_module`` records them as ``free_degrees``, and freeness reports,
 covers, lifts and Betti tables read them there.  Everything a morphism
-touches (kernels, images, cokernels, HOM, tensor) is built by exact
-linear algebra per degree, so the induced gradings come out of the
-construction instead of being bolted on afterwards.
+touches (kernels, images, cokernels, HOM, tensor) is built per degree,
+so the induced gradings come out of the construction.  Subspaces are
+solved for (``kernel_basis``, ``graded_span``, HOM's equivariance
+equations); coordinates in their bases are read at the leads
+(``_GradedSpace.leads``) or at HOM's free slots, never solved for, and
+``coords_in_basis`` only decides membership.
 """
 
 from __future__ import annotations
@@ -127,40 +130,47 @@ def _block_action(summands):
     return action
 
 
-def direct_sum(M: GradedModule, N: GradedModule):
-    """(M + N, injection of M, injection of N)."""
+def direct_sum(M: GradedModule, N: GradedModule) -> GradedModule:
+    """M + N, with M at the indices range(M.dim) and N after it."""
     if M.algebra != N.algebra:
         raise ModuleError("direct sum over different algebras")
-    R, m = M.algebra, M.dim
-    D = GradedModule._derived(R, M.basis_degrees + N.basis_degrees,
+    D = GradedModule._derived(M.algebra, M.basis_degrees + N.basis_degrees,
                               _block_action([M, N]))
     if M.free_degrees is not None and N.free_degrees is not None:
         D.free_degrees = M.free_degrees + N.free_degrees
-    jM, jN = (la.eye_columns(M.field, D.dim, cols)
-              for cols in (range(m), range(m, D.dim)))
-    return (D, ModuleMorphism._derived(M, D, jM),
-            ModuleMorphism._derived(N, D, jN))
+    return D
 
 
-def _coord_entries(coords, k):
-    """Action entries (i, j, t, c) on a basis b_0 .. b_{k-1} closed
-    under the action, from the coordinates of each x_i . b_j in that
-    basis, listed at position i * k + j."""
-    return [(p // k, p % k, t, c) for p, row in enumerate(coords)
-            for t, c in enumerate(row) if c]
+def _read_action(X, vectors, pos):
+    """Action entries (i, j, t, c) on a basis b_j closed under the x_i
+    acting on copies of X: vectors[j] lists the nonzero (l, col, c) of
+    b_j (c at v_l in copy col), and x_i . b_j is summed only at the
+    (k, col) in pos, where b_t, t = pos[k, col], alone is nonzero, and 1."""
+    f, action = X.field, []
+    for j, vec in enumerate(vectors):
+        at = {}   # (i, t) -> the coordinate of x_i . b_j at b_t
+        for l, col, c in vec:
+            for i, block in enumerate(X._nz):
+                for k, a in block[l]:
+                    t = pos.get((k, col))
+                    if t is not None:
+                        at[i, t] = f.add(at.get((i, t), f.zero), f.mul(c, a))
+        action += [(i, j, t, c) for (i, t), c in at.items() if c]
+    return action
 
 
 def _module_on_subspace(M: GradedModule, basis):
     """Module structure on a graded subspace closed under the action,
-    given its graded_span basis.  Returns (module, inclusion)."""
-    f, R = M.field, M.algebra
-    degrees = [M.vec_degree(b) for b in basis]
-    coords = la.coords_in_basis(f, basis, [
-        M.act_vec(la.unit_vector(f, R.dim, i), b)
-        for i in range(R.dim) for b in basis])
-    S = GradedModule._derived(R, degrees, _coord_entries(coords, len(basis)))
-    incl = [[basis[j][k] for j in range(len(basis))] for k in range(M.dim)]
-    return S, ModuleMorphism._derived(S, M, incl)
+    given its graded_span basis, read at its leads: b_j has the degree
+    of its lead.  Returns (module, inclusion)."""
+    lead = M.leads(basis)
+    action = _read_action(M, [[(l, 0, c) for l, c in enumerate(b) if c]
+                              for b in basis],
+                          {(p, 0): t for t, p in enumerate(lead)})
+    S = GradedModule._derived(M.algebra, [M.basis_degrees[p] for p in lead],
+                              action)
+    return S, ModuleMorphism._derived(S, M, [[b[k] for b in basis]
+                                             for k in range(M.dim)])
 
 
 def generated_submodule(M: GradedModule, gens):
@@ -220,10 +230,6 @@ def coarsen_module(M: GradedModule, psi: GroupHom) -> GradedModule:
 # HOM and tensor
 # ---------------------------------------------------------------------------
 
-def _flatten(mat):
-    return tuple(x for row in mat for x in row)
-
-
 def _hom_equations(M: GradedModule, N: GradedModule, g):
     """The linear maps F: M -> N shifting degrees by g, as unknowns: the
     slots (k, j) with deg N_k = deg M_j + g, and the nonzero rows of the
@@ -263,7 +269,7 @@ def graded_hom(M: GradedModule, N: GradedModule):
     R, f = M.algebra, M.field
     cand = sorted({(N.basis_degrees[k] - M.basis_degrees[j]).coords
                    for k in range(N.dim) for j in range(M.dim)})
-    basis_mats, basis_degs = [], []
+    basis_mats, basis_degs, nonzero, free = [], [], [], {}
     for gc in cand:
         g = R.group.element(gc)
         slots, rows = _hom_equations(M, N, g)
@@ -273,13 +279,14 @@ def graded_hom(M: GradedModule, N: GradedModule):
                 F[k][j] = sol[s]
             basis_mats.append(F)
             basis_degs.append(g)
-    flat = [list(_flatten(F)) for F in basis_mats]
-    coords = la.coords_in_basis(f, flat, [
-        list(_flatten(la.mat_mul(f, B, F)))
-        for B in map(N.action_matrix, range(R.dim)) for F in basis_mats])
-    H = GradedModule._derived(R, basis_degs,
-                              _coord_entries(coords, len(basis_mats)))
-    return H, basis_mats
+            nonzero.append([(k, j, c) for (k, j), c in zip(slots, sol) if c])
+            # the map is 1 at its free slot, its last nonzero one, and
+            # every other map 0 there: HOM's coordinates are read there
+            free[nonzero[-1][-1][:2]] = len(free)
+    # x_i . F = B_i F: the columns of F are copies of N
+    return (GradedModule._derived(R, basis_degs,
+                                  _read_action(N, nonzero, free)),
+            basis_mats)
 
 
 def tensor(M: GradedModule, N: GradedModule):

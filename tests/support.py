@@ -2,7 +2,8 @@
 plain record to compare against, dense tensor literals and views of
 structure constants, and cross-checks that only the tests run (duality,
 Lambek, the currying adjunction, the morphism axioms checked on every
-basis vector, algebra generators chosen by re-closing the whole span,
+basis vector, the action of a submodule and of HOM with its coordinates
+solved for, algebra generators chosen by re-closing the whole span,
 intersections of ideals, a walk over every homogeneous element for a
 single generator, the element tables of a finite algebra, and,
 for an affine monoid, the Fourier-Motzkin elimination that its unit LP
@@ -194,6 +195,37 @@ def is_multiplicative(A, B, F):
     return all(la.mat_mul(f, F, A.action_matrix(i))
                == la.mat_mul(f, B.mult_matrix([row[i] for row in F]), F)
                for i in range(A.dim))
+
+
+# ---------------------------------------------------------------------------
+# module coordinates solved for in a basis: the reference for gmod,
+# which reads them at the leads of the basis or HOM's free slots
+# ---------------------------------------------------------------------------
+
+def _entries_from_coords(coords, k):
+    """Action entries (i, j, t, c), sorted, from the coordinates of each
+    x_i . b_j in a basis b_0 .. b_{k-1}, listed at position i * k + j."""
+    return sorted((p // k, p % k, t, c) for p, row in enumerate(coords)
+                  for t, c in enumerate(row) if c)
+
+
+def solved_subspace_action(M, basis):
+    """Action entries on a basis of a subspace of M closed under the
+    action, each x_i . b_j solved for in the basis."""
+    f, r = M.field, M.algebra.dim
+    return _entries_from_coords(la.coords_in_basis(f, basis, [
+        M.act_vec(la.unit_vector(f, r, i), b)
+        for i in range(r) for b in basis]), len(basis))
+
+
+def solved_hom_action(N, maps):
+    """Action entries of HOM(-, N) on its basis maps, each x_i . F =
+    B_i F solved for among the flattened maps."""
+    f = N.field
+    flat = [[x for row in F for x in row] for F in maps]
+    return _entries_from_coords(la.coords_in_basis(f, flat, [
+        [x for row in la.mat_mul(f, N.action_matrix(i), F) for x in row]
+        for i in range(N.algebra.dim) for F in maps]), len(maps))
 
 
 # ---------------------------------------------------------------------------

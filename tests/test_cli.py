@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 
 import gradex.abgroups as ag
 import gradex.cli as cli
+import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.ghom as gh
+import gradex.gmod as gm
 import gradex.samples as S
 from gradex.exactla import GF
 from support import dense, square_zero_document
@@ -314,6 +316,32 @@ class TestModules:
         assert time.perf_counter() - t0 < 0.15
         assert code == 0 and out["free"] is True and out["rank"] == 3
         assert out["monogeneous"] is False
+
+    def test_module_coordinates_are_read_not_solved(self, capsys,
+                                                    monkeypatch):
+        # submodules read their action at the leads of their basis and
+        # HOM at its maps' free slots: no solve_linear call comes from
+        # inside _module_on_subspace or graded_hom, on a resolve run
+        # (kernels) and on a module run (freeness by HOM)
+        readers = {gm._module_on_subspace.__code__, gm.graded_hom.__code__}
+        inside, outside, solve = [], [], la.solve_linear
+
+        def counted(*args):
+            frame = sys._getframe(1)
+            while frame is not None and frame.f_code not in readers:
+                frame = frame.f_back
+            (outside if frame is None else inside).append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(la, "solve_linear", counted)
+        q = corpus.truncated_poly("Q", 4)
+        for argv in (["resolve", corpus.cyclic_module(q, 2), "--cutoff", "4"],
+                     ["module", corpus.free_module(q, [0, 1, 2])]):
+            argv[1] = json.dumps(corpus.render(argv[1], random.Random(0)))
+            assert cli.run(argv) == 0
+            assert inside == [] and outside, argv[0]
+            outside.clear()
+        capsys.readouterr()
 
     def test_resolve(self, docs, capsys):
         code, out = run_json(capsys, ["resolve", str(docs / "K.json"),

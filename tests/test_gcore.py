@@ -104,7 +104,7 @@ class TestEntries:
         spaces = [S.truncated_polynomial_algebra(QQ, 6), S.group_algebra(3, 3),
                   rescaled_truncated(5), mixed_basis(GF(3)), M,
                   gm.tensor(M, M)[0], gm.direct_sum(M, gm.shift(
-                      M, R3.basis_degrees[1]))[0],
+                      M, R3.basis_degrees[1])),
                   mod_x2(R3, [0, 0, 1])]
         for X in spaces:
             E = X.entries()
@@ -245,8 +245,8 @@ class TestIdealsAndQuotients:
         R = S.dual_numbers()
         a = gc.ideal_from_gens(R, [[0, 1]])
         assert len(a) == 1
-        Q, proj, lift = gc.quotient_ring(R, a)
-        assert Q.dim == 1
+        Q, proj, reps = gc.quotient_ring(R, a)
+        assert Q.dim == 1 and reps == [0]
         rc = gc.classify_ring(Q)
         assert rc.simple
 
@@ -344,7 +344,7 @@ class TestSpectra:
             gen = la.unit_vector(R.field, R.dim, 0)
             gen[j] = R.field.one
             _, incl = gm.generated_submodule(gm.regular_module(R), [gen])
-            M, _, _ = gm.direct_sum(M, gm.cokernel(incl)[0])
+            M = gm.direct_sum(M, gm.cokernel(incl)[0])
         calls, act_vec = [0], gc._GradedSpace.act_vec
 
         def counted(self, x, v):
@@ -587,11 +587,12 @@ def in_basis(R, P):
     """R in the basis whose i-th vector has coordinates P[i], each
     homogeneous of the degree of the i-th old basis vector."""
     f, n = R.field, R.dim
-    back = la.mat_inverse(f, [[P[j][i] for j in range(n)] for i in range(n)])
-    structure = [[la.mat_vec_mul(f, back, R.act_vec(P[i], P[j]))
-                  for j in range(n)] for i in range(n)]
+    structure = [la.coords_in_basis(f, P, [R.act_vec(P[i], P[j])
+                                           for j in range(n)])
+                 for i in range(n)]
+    unit, = la.coords_in_basis(f, P, [list(R.unit)])
     return gc.GradedAlgebra(R.group, f, R.basis_degrees, entries(structure),
-                            la.mat_vec_mul(f, back, list(R.unit)))
+                            unit)
 
 
 def rescaled_truncated(n):

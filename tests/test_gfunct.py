@@ -354,11 +354,11 @@ class TestMonoidShortcuts:
 
 class TestRecords:
     def test_corestriction_result(self):
-        fields = (1, 2, [0], [[1]], [[1]])
+        fields = (1, 2, [0], [[1]], [0])
         a = gf.CorestrictionResult(*fields)
         assert_record(a, gf.CorestrictionResult(
-            algebra=1, ideal=2, kept=[0], proj=[[1]], lift=[[1]]),
-            gf.CorestrictionResult(1, 2, [], [[1]], [[1]]),
+            algebra=1, ideal=2, kept=[0], proj=[[1]], reps=[0]),
+            gf.CorestrictionResult(1, 2, [], [[1]], [0]),
             fields, Z(1), frozen=False)
         assert repr(a) == ("CorestrictionResult(algebra=1, ideal=2, "
-                           "kept=[0], proj=[[1]], lift=[[1]])")
+                           "kept=[0], proj=[[1]], reps=[0])")

@@ -10,7 +10,10 @@ import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from support import (adjunction_dims_check, assert_record, dense, entries,
-                     monogeneous_by_walk)
+                     monogeneous_by_walk, solved_hom_action,
+                     solved_subspace_action)
+from test_gcore import mixed_basis, rescaled_truncated
+from test_ghom import sample_modules
 from test_oracles import quotient_by_power
 
 
@@ -54,11 +57,22 @@ class TestConstruction:
         assert hkey(M.hilbert()) == {(-1,): 1, (0,): 1}
 
     def test_direct_sum(self):
-        R = S.dual_numbers()
-        M = gm.regular_module(R)
-        D, i1, i2 = gm.direct_sum(M, gm.shift(M, Z(1).element((1,))))
-        assert hkey(D.hilbert()) == {(-1,): 1, (0,): 2, (1,): 1}
-        assert i1.is_mono() and i2.is_mono()
+        # the action is block diagonal, M's block first, and the index
+        # inclusions of M and N pass the checked constructor
+        for field in (QQ, GF(3)):
+            R = S.truncated_polynomial_algebra(field, 3)
+            M = gm.regular_module(R)
+            N = gm.shift(quotient_by_x(R)[0], Z(1).element((1,)))
+            D, m = gm.direct_sum(M, N), M.dim
+            assert hkey(D.hilbert()) == {(-1,): 1, (0,): 1, (1,): 1,
+                                         (2,): 1}
+            assert D.entries() == sorted(M.entries() + [
+                (i, j + m, k + m, c) for i, j, k, c in N.entries()])
+            eye = la.eye(field, D.dim)
+            for X, idx in ((M, range(m)), (N, range(m, D.dim))):
+                incl = gm.ModuleMorphism(X, D, [[row[j] for j in idx]
+                                                for row in eye])
+                assert incl.is_mono()
 
 
 class TestGeneratedSubmodule:
@@ -110,7 +124,7 @@ class TestKernelImageCokernel:
         # cokernel, and the projection kills e0 + e1 and fixes e1
         R = S.dual_numbers()
         K, _ = quotient_by_x(R)
-        D, _, _ = gm.direct_sum(K, K)
+        D = gm.direct_sum(K, K)
         C, proj = gm.cokernel(gm.ModuleMorphism(K, D, [[1], [1]]))
         reps, P, _ = D.quotient(D.graded_span([[1, 1]]))
         assert reps == [1] and proj.matrix == P
@@ -165,6 +179,47 @@ class TestKernelImageCokernel:
         sub, incl = ideal_module(R, [0, 1, 0])
         img, _ = gm.image(incl)
         assert hkey(img.hilbert()) == {(1,): 1, (2,): 1}
+
+
+def coordinate_modules():
+    """test_ghom.sample_modules(), and over each ring of the finite
+    sample corpus and K[X]/(X^3) or Q[X]/(X^4) in a basis with
+    cancelling products its regular module and a shift of it."""
+    out = sample_modules()
+    for R in S.finite_corpus() + [mixed_basis(GF(3)), mixed_basis(QQ),
+                                  rescaled_truncated(4)]:
+        M = gm.regular_module(R)
+        out += [M, gm.shift(M, R.basis_degrees[-1])]
+    return out
+
+
+class TestCoordinatesAreRead:
+    # kernel, image and generated_submodule read coordinates at the
+    # leads of a graded_span basis, graded_hom at the free slots of its
+    # maps: they give the entries that solving for them gives
+
+    def test_submodules_match_the_solved_action(self):
+        for M in coordinate_modules():
+            eye = la.eye(M.field, M.dim)
+            covers = [gh.minimal_cover(M),
+                      gm.free_cover_from_generators(M, eye),
+                      gm.free_cover_from_generators(M, eye[-1:])]
+            subs = ([gm.kernel(p) for p in covers]
+                    + [gm.image(p) for p in covers]
+                    + [gm.generated_submodule(M, [e]) for e in eye])
+            for sub, incl in subs:
+                basis = [list(col) for col in zip(*incl.matrix)]
+                assert sub.entries() == solved_subspace_action(
+                    incl.target, basis), M
+                assert list(sub.basis_degrees) == [
+                    incl.target.vec_degree(b) for b in basis], M
+
+    def test_hom_matches_the_solved_action(self):
+        for M in coordinate_modules():
+            F = gh.minimal_cover(M).source
+            for X, Y in ((M, M), (F, M), (M, F)):
+                H, maps = gm.graded_hom(X, Y)
+                assert H.entries() == solved_hom_action(Y, maps), M
 
 
 class TestHomAndTensor:
@@ -223,7 +278,7 @@ class TestFreeness:
     def test_sum_of_shifts_free_rank_two(self):
         R = S.dual_numbers()
         M = gm.regular_module(R)
-        D, _, _ = gm.direct_sum(M, gm.shift(M, Z(1).element((1,))))
+        D = gm.direct_sum(M, gm.shift(M, Z(1).element((1,))))
         rep = gm.freeness(D)
         assert rep.free is True and rep.rank == 2
         assert rep.witness.is_iso()
@@ -231,7 +286,7 @@ class TestFreeness:
     def test_everything_free_over_simple_ring(self):
         R = S.gaussian_rationals()
         M = gm.regular_module(R)
-        D, _, _ = gm.direct_sum(M, M)
+        D = gm.direct_sum(M, M)
         for mod in (M, D):
             rep = gm.freeness(mod)
             assert rep.free is True and rep.method == "greedy basis"
@@ -240,7 +295,7 @@ class TestFreeness:
     def test_simple_ring_witness_is_minimal_cover(self):
         R = S.gaussian_rationals()
         M = gm.regular_module(R)
-        D, _, _ = gm.direct_sum(M, gm.shift(M, R.basis_degrees[1]))
+        D = gm.direct_sum(M, gm.shift(M, R.basis_degrees[1]))
         rep = gm.freeness(D)
         gens = gm.minimal_generators(D)
         assert rep.rank == len(gens) == 2
@@ -262,8 +317,8 @@ class TestFreeness:
         F, M = gm.free_module(R, [R.group.zero]), gm.regular_module(R)
         assert F.free_degrees == (R.group.zero,) and M.free_degrees is None
         assert F == M and hash(F) == hash(M)
-        assert gm.direct_sum(F, F)[0].free_degrees == (R.group.zero,) * 2
-        assert gm.direct_sum(F, M)[0].free_degrees is None
+        assert gm.direct_sum(F, F).free_degrees == (R.group.zero,) * 2
+        assert gm.direct_sum(F, M).free_degrees is None
 
     def test_rank_invariant_under_coarsening(self):
         R = S.dual_numbers(GF(2))
@@ -298,12 +353,12 @@ def monogeneity_family(R):
     g = R.group.element((1,) + (0,) * (R.group.dim - 1)) if R.group.dim \
         else R.group.zero
     Ms = gm.shift(M, g)
-    mods = [M, Ms, gm.direct_sum(M, M)[0], gm.direct_sum(M, Ms)[0]]
+    mods = [M, Ms, gm.direct_sum(M, M), gm.direct_sum(M, Ms)]
     for k in range(R.dim):
         Q = quotient_by_power(R, k)[0]
         mods += [gm.generated_submodule(
             M, [la.unit_vector(R.field, R.dim, k)])[0], Q,
-            gm.direct_sum(M, Q)[0]]
+            gm.direct_sum(M, Q)]
     return mods + [gh.dual(X) for X in mods]
 
 
@@ -313,7 +368,7 @@ def factor_sum(g):
     R = S.product_field_algebra(QQ)
     M = gm.regular_module(R)
     e0, e1 = (gm.generated_submodule(M, [v])[0] for v in ([1, 0], [0, 1]))
-    return gm.direct_sum(e0, gm.shift(e1, -g))[0]
+    return gm.direct_sum(e0, gm.shift(e1, -g))
 
 
 class TestMonogeneity:
@@ -321,7 +376,7 @@ class TestMonogeneity:
         R = S.dual_numbers(GF(2))
         M = gm.regular_module(R)
         assert gm.is_monogeneous(M) is True
-        D, _, _ = gm.direct_sum(M, M)
+        D = gm.direct_sum(M, M)
         assert gm.is_monogeneous(D) is False
         K, _ = quotient_by_x(R)
         assert gm.is_monogeneous(K) is True
@@ -332,7 +387,7 @@ class TestMonogeneity:
     def test_rational_case(self):
         R = S.dual_numbers()
         assert gm.is_monogeneous(gm.regular_module(R)) is True
-        D, _, _ = gm.direct_sum(gm.regular_module(R), gm.regular_module(R))
+        D = gm.direct_sum(gm.regular_module(R), gm.regular_module(R))
         assert gm.is_monogeneous(D) is False
 
     def test_four_copies_of_q_need_four_generators(self):
@@ -350,7 +405,7 @@ class TestMonogeneity:
         (lambda: gm.regular_module(S.product_field_algebra(QQ)), True),
         (lambda: factor_sum(Z(1).zero), True),
         (lambda: factor_sum(Z(1).element((1,))), False),
-        (lambda: gm.direct_sum(*[factor_sum(Z(1).zero)] * 2)[0], False),
+        (lambda: gm.direct_sum(*[factor_sum(Z(1).zero)] * 2), False),
         (lambda: gm.free_module(S.truncated_polynomial_algebra(QQ, 4),
                                 [Z(1).element((s,)) for s in (0, 1, 2)]),
          False),
