@@ -4,14 +4,18 @@ Over R = Q[X]/(X^2) with deg X = 1, the residue field K = R/<X> is the
 simplest module that is not free; its minimal free resolution never
 terminates, with one generator marching up one degree per step.  The
 kernels of any two resolutions of K agree after padding with the free
-terms -- the script builds that isomorphism explicitly.
+terms -- the script builds that isomorphism explicitly.  Modules are
+read from the JSON documents the command line takes.
 """
 
-from gradex import samples as S
-from gradex.abgroups import Z
-from gradex.exactla import GF
+from gradex.cli import module_from_json
 from gradex import gmod as gm
 from gradex import ghom as gh
+
+RING = {"group": {"free_rank": 1, "torsion": []}, "field": "Q",
+        "basis": [{"degree": [0]}, {"degree": [1]}],
+        "mul": [[0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]], [1, 0, [[1, "1"]]]],
+        "unit": ["1", "0"]}
 
 
 def hilbert_str(M):
@@ -19,10 +23,10 @@ def hilbert_str(M):
 
 
 def main():
-    R = S.dual_numbers()
-    M = gm.regular_module(R)
-    _, incl = gm.generated_submodule(M, [[0, 1]])
-    K, _ = gm.cokernel(incl)
+    M = module_from_json({"ring": RING, "basis": RING["basis"],
+                          "action": RING["mul"]})
+    K = module_from_json({"ring": RING, "basis": [{"degree": [0]}],
+                          "action": [[0, 0, [[0, "1"]]]]})
 
     print("freeness reports over Q[X]/(X^2):")
     for name, mod in [("R", M), ("K = R/<X>", K)]:
@@ -43,7 +47,7 @@ def main():
     print()
     print("comparing two resolutions of K (one minimal, one padded):")
     res1 = gh.resolution(K, cutoff=2, minimal=True)
-    F = gm.free_module(R, [Z(1).zero, Z(1).element((1,))])
+    F = gm.free_module(K.algebra, [K.group.zero, K.group.element((1,))])
     beta = gm.ModuleMorphism(F, K, [[1, 0, 0, 0]])
     L, inclL = gm.kernel(beta)
     p2 = gh.minimal_cover(L)

@@ -9,10 +9,10 @@ from .abgroups import FGAbelianGroup, GroupElement, GroupHom, Z, Zmod, \
     ZERO_GROUP
 from .exactla import QQ, GF, DEFAULT_SEED
 from .gcore import GradedAlgebra, AffineMonoid, MonoidAlgebra, \
-    classify_element, classify_ring, nilradical, radical, spec_enumerate
+    classify_element, classify_ring, nilradical, spec_enumerate
 from .gfunct import coarsen, restrict, extend, corestrict, adjunction_check
-from .gmod import GradedModule, ModuleMorphism, regular_module, shift, \
-    direct_sum, kernel, image, cokernel, graded_hom, tensor, freeness, \
-    is_monogeneous, small_submodule, PrincipalPresentation, principal_suite
-from .ghom import dual, injective_cogenerator, is_projective, is_injective, \
-    is_flat, resolution, schanuel_glue, dimension, coarsen_dimension_compare
+from .gmod import GradedModule, ModuleMorphism, direct_sum, kernel, \
+    graded_hom, freeness, is_monogeneous, small_submodule, \
+    PrincipalPresentation, principal_suite
+from .ghom import dual, is_projective, resolution, schanuel_glue, \
+    dimension, coarsen_dimension_compare

@@ -14,7 +14,6 @@ in their lattice is a reduction, with no factorisation at all.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product
 from math import gcd, lcm
 
 from ._record import Record
@@ -216,13 +215,6 @@ class FGAbelianGroup(Record, frozen=True):
     def zero(self):
         return self.element((0,) * self.dim)
 
-    def elements(self):
-        """All elements, lexicographically; only for finite groups."""
-        if not self.is_finite:
-            raise GroupError("infinite group cannot be enumerated")
-        for coords in product(*(range(d) for d in self.torsion_factors)):
-            yield self.element(coords)
-
     def relation_columns(self):
         """Columns generating the relation lattice in Z^dim."""
         cols = []
@@ -394,13 +386,6 @@ class GroupHom(Record, frozen=True):
             raise GroupError("element not in the source group")
         return self.target.element(mat_vec(self.matrix, x.coords))
 
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self o other."""
-        if other.target != self.source:
-            raise GroupError("homs do not compose")
-        M = mat_mul(self.matrix, other.matrix)
-        return GroupHom(other.source, self.target, M)
-
     def preimage(self, y: GroupElement):
         """Some x with self(x) = y, or None."""
         if y.group != self.target:
@@ -431,12 +416,3 @@ def hom_props(h: GroupHom):
     K, _, _, _, order = kernel_data(h)
     mono = (K.dim == 0)
     return epi, mono, epi and mono
-
-
-def fiber_filter(psi: GroupHom, degrees, h: GroupElement):
-    """The listed degrees g with psi(g) = h, in canonical order."""
-    epi, _, _ = hom_props(psi)
-    if not epi:
-        raise GroupError("fiber_filter requires an epimorphism")
-    hits = [g for g in degrees if psi(g) == h]
-    return sorted(hits, key=lambda g: g.coords)

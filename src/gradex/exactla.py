@@ -2,9 +2,10 @@
 
 Scalars are ``Rational`` values over Q and least residues (ints in
 [0, p)) over F_p; matrices are lists of rows.  Everything is exact, no
-floating point anywhere.  Coordinates in one basis and membership in
-its span are answered for a whole batch of vectors by one
-``solve_linear`` elimination.
+floating point anywhere.  Membership of a whole batch of vectors in
+the span of one basis is decided by one ``solve_linear`` elimination
+(``coords_in_basis``); the callers read coordinates in a reduced basis
+at its leads instead of solving for them.
 """
 
 from __future__ import annotations
@@ -144,10 +145,6 @@ class Rational:
                 return NotImplemented
         return _sum(a.numerator, a.denominator, -b.numerator, b.denominator)
 
-    def __rsub__(a, b):
-        b = _operand(b)
-        return NotImplemented if b is None else b - a
-
     def __mul__(a, b):
         if b.__class__ is not Rational:
             b = _operand(b)
@@ -181,15 +178,8 @@ class Rational:
             nb, db = -nb, -db
         return a * _q(db, nb)
 
-    def __rtruediv__(a, b):
-        b = _operand(b)
-        return NotImplemented if b is None else b / a
-
     def __neg__(a):
         return _q(-a.numerator, a.denominator)
-
-    def __abs__(a):
-        return a if a.numerator >= 0 else _q(-a.numerator, a.denominator)
 
     def __bool__(a):
         return a.numerator != 0
@@ -224,17 +214,9 @@ class Rational:
         c = a._cmp(b)
         return NotImplemented if c is None else c < 0
 
-    def __le__(a, b):
-        c = a._cmp(b)
-        return NotImplemented if c is None else c <= 0
-
     def __gt__(a, b):
         c = a._cmp(b)
         return NotImplemented if c is None else c > 0
-
-    def __ge__(a, b):
-        c = a._cmp(b)
-        return NotImplemented if c is None else c >= 0
 
     def __hash__(a):
         # the numeric hash every equal int, Fraction and float has

@@ -4,9 +4,9 @@ Two representations: finite-dimensional structure-constant algebras over an
 exact field, and algebras of affine monoids over such a base.  There is no
 automatic conversion between the two; each operation documents which one it
 accepts.  Predicates quantifying over infinitely many homogeneous elements
-are decided through theorems, linear algebra over Q and Z (the units and
-sharpness of an affine monoid: one LP, ``_unit_indices``) or exhaustive
-enumeration over finite fields, otherwise the answer is None ("undecided").
+are decided through theorems, linear algebra over Q and Z (the units of
+an affine monoid: one LP, ``_unit_indices``) or exhaustive enumeration
+over finite fields, otherwise the answer is None ("undecided").
 
 Structure-constant algebras and the graded modules of ``gmod`` share one
 core, ``_GradedSpace``: a degree-labelled basis and the action of the
@@ -24,10 +24,10 @@ R regarded as a module over itself, so ideals and submodules share one
 canonical homogeneous basis (``graded_span``), one closure under the
 action (``submodule_span``) and one matrix of an element's action
 (``mult_matrix``).  An ideal is that basis, a list of coordinate
-vectors: ``nilradical``, ``ideal_from_gens``, ``radical`` and
-``spec_enumerate`` return it, and ``quotient_ring`` takes any list of
-homogeneous vectors, brings it to the canonical basis and checks that
-its span is closed under multiplication.  The graded spectrum is read
+vectors: ``nilradical``, ``ideal_from_gens`` and ``spec_enumerate``
+return it, and ``quotient_ring`` takes any list of homogeneous vectors,
+brings it to the canonical basis and checks that its span is closed
+under multiplication.  The graded spectrum is read
 off the idempotents of (R/nil R)_0.
 """
 
@@ -672,23 +672,6 @@ def nilradical_generators(R: GradedAlgebra):
     return gens
 
 
-def radical(R: GradedAlgebra, a):
-    """Preimage of nil(R/a) under the projection."""
-    Q, _, reps = quotient_ring(R, a)
-    return ideal_from_gens(R, list(a) + [
-        _scatter(R.field, R.dim, reps, v) for v in nilradical(Q)])
-
-
-class IdealClass(Record, frozen=True):
-    _fields = ("maximal", "prime", "perfect", "method")
-
-
-def ideal_class(R: GradedAlgebra, a) -> IdealClass:
-    Q, _, _ = quotient_ring(R, a)
-    rc = classify_ring(Q)
-    return IdealClass(rc.simple, rc.entire, rc.reduced, rc.method)
-
-
 # ---------------------------------------------------------------------------
 # desk-scale graded spectrum over F_p, from the idempotents of (R/nil R)_0
 # ---------------------------------------------------------------------------
@@ -764,11 +747,6 @@ def _unit_indices(vectors, candidates):
     return [i for t, i in enumerate(candidates) if ys + 1 + t in ones]
 
 
-class SharpnessReport(Record, frozen=True):
-    _fields = ("sharp", "method", "witness")
-    _defaults = {"witness": None}
-
-
 class AffineMonoid:
     """Finitely generated submonoid of Z^d (cancellable and torsionfree
     by construction), its unit generators read off one LP."""
@@ -796,14 +774,12 @@ class AffineMonoid:
                                      self.ambient_dim)
         return FGAbelianGroup(len(basis), ()), basis
 
-    def _smith_form(self, columns):
-        """One Smith form of the matrix with these columns in Z^d."""
-        return IntegerSystem([[c[r] for c in columns]
-                              for r in range(self.ambient_dim)], len(columns))
-
     @cached_property
     def _diff_system(self):
-        return self._smith_form(self._diff[1])
+        """One Smith form of the lattice basis, as columns in Z^d."""
+        basis = self._diff[1]
+        return IntegerSystem([[c[r] for c in basis]
+                              for r in range(self.ambient_dim)], len(basis))
 
     def diff_coords(self, m):
         """Coordinates of m in the lattice basis of diff(M)."""
@@ -816,22 +792,6 @@ class AffineMonoid:
         gens = self.generators
         return tuple(gens[i] for i in _unit_indices(
             gens, [i for i, g in enumerate(gens) if any(g)]))
-
-    @cached_property
-    def _unit_system(self):
-        return self._smith_form(self.units)
-
-    def sharpness(self) -> SharpnessReport:
-        """M is sharp iff no generator is a unit."""
-        if self.units:
-            return SharpnessReport(False, "unit generator",
-                                   witness=self.units[0])
-        return SharpnessReport(True, "no unit generator")
-
-    def is_invertible(self, m):
-        """Is m a unit of M, i.e. in the span of the unit generators?  If
-        m + m' = 0 in M, every generator that m uses is a unit."""
-        return self._unit_system.solve([int(x) for x in m]) is not None
 
     def __repr__(self):
         return f"AffineMonoid(dim={self.ambient_dim}, gens={self.generators})"
@@ -897,25 +857,6 @@ class MonoidAlgebra:
             simple = base_cls.simple
         return RingClass(simple, base_cls.entire, base_cls.reduced,
                          f"transfer({base_cls.method})")
-
-    def is_unit(self, terms):
-        """True/False/None for the element given as a mapping monoid
-        tuple -> base coordinates, zero coefficients dropped; monomials
-        decided directly, general elements through the sharp-monoid unit
-        theorem when the base is reduced (then only a monomial can be a
-        unit)."""
-        B = self.base
-        terms = [(m, r) for m, r in ((m, B.element(c))
-                                     for m, c in terms.items()) if any(r)]
-        if not terms:   # zero is a unit only in the zero ring
-            return B.dim == 0
-        if len(terms) == 1:
-            (m, r), = terms
-            return bool(classify_element(B, r).unit) and \
-                self.monoid.is_invertible(m)
-        if classify_ring(B).reduced is True and not self.monoid.units:
-            return False
-        return None
 
     def __repr__(self):
         return f"MonoidAlgebra({self.base!r}, {self.monoid!r}, mode={self.mode})"

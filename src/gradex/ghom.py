@@ -1,20 +1,19 @@
 """Homological machinery over finite-dimensional graded algebras:
-graded duals, projective / injective / flat tests, free resolutions and
-betti tables, the explicit Schanuel isomorphism, and dimension reports
-that survive coarsening.
+graded duals, the projectivity test, free resolutions and betti
+tables, the explicit Schanuel isomorphism, and dimension reports that
+survive coarsening.
 
 ``resolution`` holds the only cover-to-kernel loop (cover K_n, step to
 its kernel K_{n+1}); betti tables are read off it.  ``schanuel_glue``
-writes its maps as blocks over direct sums, and solves where it
-applies an inverse (of inclB, and of theta).  Dimensions are
-decided by theorem: every algebra here is finite-dimensional and
-commutative, hence artinian, and over such a ring a finitely generated
-module of finite projective or injective dimension has dimension 0
-(Auslander-Buchsbaum; Bass).  So a dimension is 0 when the module (or
-its dual, for the injective one) is projective, which Tor_1(-, R/nil R)
-decides, and infinite otherwise; a report's ``">=N"`` is a proven
-bound.  ``oracles.injective_dimension_direct`` keeps a cokernel walk as
-an independent cross-check.
+writes its maps as blocks over direct sums, reads the inverse of a
+kernel inclusion at the leads of its basis and solves where it applies
+the inverse of theta.  Dimensions are decided by theorem: every
+algebra here is finite-dimensional and commutative, hence artinian, and
+over such a ring a finitely generated module of finite projective or
+injective dimension has dimension 0 (Auslander-Buchsbaum; Bass).  So a
+dimension is 0 when the module (or its dual, for the injective one) is
+projective, which Tor_1(-, R/nil R) decides, and infinite otherwise; a
+report's ``">=N"`` is a proven bound.
 """
 
 from __future__ import annotations
@@ -24,8 +23,8 @@ from collections import Counter
 from .abgroups import GroupHom, hom_props, kernel_data
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, _scatter, nilradical, nilradical_generators
-from .gmod import (GradedModule, ModuleMorphism, regular_module,
+from .gcore import _scatter, nilradical, nilradical_generators
+from .gmod import (GradedModule, ModuleMorphism,
                    free_cover_from_generators, map_from_free, direct_sum,
                    kernel, radical_submodule, ModuleError, coarsen_module,
                    minimal_generators)
@@ -41,19 +40,6 @@ def dual(M: GradedModule) -> GradedModule:
     M on the nose, the evaluation map being the identity matrix."""
     return GradedModule._derived(M.algebra, [-d for d in M.basis_degrees],
                                  [(i, k, j, c) for i, j, k, c in M.entries()])
-
-
-def dual_morphism(u: ModuleMorphism) -> ModuleMorphism:
-    """Transpose: dual(target) -> dual(source)."""
-    T = [[u.matrix[k][j] for k in range(u.target.dim)]
-         for j in range(u.source.dim)]
-    return ModuleMorphism._derived(dual(u.target), dual(u.source), T)
-
-
-def injective_cogenerator(R: GradedAlgebra) -> GradedModule:
-    """E = dual(R): injective, and a cogenerator on the
-    finite-dimensional modules."""
-    return dual(regular_module(R))
 
 
 # ---------------------------------------------------------------------------
@@ -103,17 +89,6 @@ def is_projective(M: GradedModule) -> bool:
     """Is Tor_1(M, R/nil R) zero?  By graded Nakayama on each graded-local
     block of R (R/nil R is a product of graded fields), iff projective."""
     return M.dim == 0 or _tor1_vanishes(minimal_cover(M))
-
-
-def is_injective(M: GradedModule) -> bool:
-    return is_projective(dual(M))
-
-
-def is_flat(M: GradedModule) -> bool:
-    """For finitely generated modules over these finite-dimensional
-    algebras, flat coincides with projective; the tests keep this
-    shortcut honest with the Lambek cross-check."""
-    return is_projective(M)
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +168,10 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
     beta: Q0 ->> M with kernels K, L, the isomorphism theta:
     K + Q0 -> L + P0 through their fibre product.  With lifts tQ
     (alpha tQ = beta) and tP (beta tP = alpha), theta(k, q) =
-    (inclB^-1 (q - tP p), p) for p = [inclA | tQ](k, q), by one solve."""
+    (inclB^-1 (q - tP p), p) for p = [inclA | tQ](k, q).  The columns
+    of inclB must be a graded_span basis (as ``kernel`` and ``_pad``
+    build them), so inclB^-1 is read at their leads, and one product
+    checks that q - tP p lies in L."""
     f = M.field
     tQ = lift_through_epi(coverA, coverB)
     tP = lift_through_epi(coverB, coverA)
@@ -206,12 +184,12 @@ def _schanuel_base(M, coverA, inclA, coverB, inclB):
                           for row in tP.matrix], p)
     for r, row in enumerate(rest, inclA.source.dim):   # q - tP p
         row[r] = f.add(row[r], f.one)
-    cols = la.solve_linear(f, inclB.matrix, [[row[j] for row in rest]
-                                             for j in range(lhs.dim)])
-    if None in cols:  # inclB is not the kernel of beta
+    top = [rest[k] for k in inclB.target.leads(zip(*inclB.matrix))]
+    # inclB top = q - tP p, which is 0 when L is
+    if (la.mat_mul(f, inclB.matrix, top) != rest if top
+            else any(map(any, rest))):
         raise ModuleError("vector escapes the fibre product")
-    theta = [[c[k] for c in cols] for k in range(inclB.source.dim)] + p
-    return ModuleMorphism._derived(lhs, rhs, theta)
+    return ModuleMorphism._derived(lhs, rhs, top + p)
 
 
 def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
@@ -309,7 +287,7 @@ def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
     res, resc = resolution(M, cutoff), resolution(Mc, cutoff)
     # pd by Tor_1(-, R/nil R) on the cover each resolution has built
     # (see is_projective and dimension); flat dimension is projective
-    # dimension (see is_flat)
+    # dimension (see dimension)
     pd = [DimensionReport("projective", 0 if not r.covers
                           or _tor1_vanishes(r.covers[0]) else None,
                           cutoff) for r in (res, resc)]

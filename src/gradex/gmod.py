@@ -16,13 +16,13 @@ Submodules are canonical homogeneous bases from the same core
 basis for the regular module.  A free module, the direct sum of
 the shifts R(-d_t), is known by its generator degrees d_t:
 ``free_module`` records them as ``free_degrees``, and freeness reports,
-covers, lifts and Betti tables read them there.  Everything a morphism
-touches (kernels, images, cokernels, HOM, tensor) is built per degree,
-so the induced gradings come out of the construction.  Subspaces are
-solved for (``kernel_basis``, ``graded_span``, HOM's equivariance
-equations); coordinates in their bases are read at the leads
-(``_GradedSpace.leads``) or at HOM's free slots, never solved for, and
-``coords_in_basis`` only decides membership.
+covers, lifts and Betti tables read them there.  Kernels, quotients and
+HOM are built per degree, so the induced gradings come out of the
+construction.  Subspaces are solved for (``kernel_basis``,
+``graded_span``, HOM's equivariance equations); coordinates in their
+bases are read at the leads (``_GradedSpace.leads``) or at HOM's free
+slots, never solved for, and ``coords_in_basis`` only decides
+membership.
 """
 
 from __future__ import annotations
@@ -74,11 +74,6 @@ class GradedModule(_GradedSpace):
         return f"GradedModule(dim={self.dim} over {self.algebra!r})"
 
 
-def regular_module(R: GradedAlgebra) -> GradedModule:
-    """R as a module over itself."""
-    return GradedModule._derived(R, R.basis_degrees, R.entries())
-
-
 class ModuleMorphism(_Morphism):
     """Degree-preserving equivariant map between modules over the same
     algebra, as a matrix on basis coordinates; ``_Morphism._check``
@@ -97,9 +92,6 @@ class ModuleMorphism(_Morphism):
         return not la.kernel_basis(self.target.field, self.matrix,
                                    self.source.dim)
 
-    def is_epi(self):
-        return la.rank(self.target.field, self.matrix) == self.target.dim
-
     def is_iso(self):
         return (self.source.dim == self.target.dim
                 and la.det(self.target.field, self.matrix) != 0)
@@ -112,12 +104,6 @@ class ModuleMorphism(_Morphism):
 # ---------------------------------------------------------------------------
 # basic constructions
 # ---------------------------------------------------------------------------
-
-def shift(M: GradedModule, g) -> GradedModule:
-    """The g-shift: component at h is the old component at g + h."""
-    return GradedModule._derived(M.algebra, [d - g for d in M.basis_degrees],
-                                 M.entries())
-
 
 def _block_action(summands):
     """Action entries of a direct sum: those of each summand, its basis
@@ -173,13 +159,6 @@ def _module_on_subspace(M: GradedModule, basis):
                                              for k in range(M.dim)])
 
 
-def generated_submodule(M: GradedModule, gens):
-    """Graded submodule generated by the given vectors; returns
-    (module, inclusion).  Coordinates are made field values first."""
-    gens = [[M.field.of(c) for c in v] for v in gens]
-    return _module_on_subspace(M, M.submodule_span(gens))
-
-
 def kernel(u: ModuleMorphism):
     """(kernel module, inclusion into the source)."""
     f = u.source.field
@@ -195,11 +174,6 @@ def _image_span(u: ModuleMorphism):
          for j in range(u.source.dim)])
 
 
-def image(u: ModuleMorphism):
-    """(image module, inclusion into the target)."""
-    return _module_on_subspace(u.target, _image_span(u))
-
-
 def _quotient_module(M: GradedModule, sub):
     """(M/span(sub), projection from M) for a submodule given by its
     graded_span basis."""
@@ -207,12 +181,6 @@ def _quotient_module(M: GradedModule, sub):
     Q = GradedModule._derived(M.algebra, [M.basis_degrees[j] for j in reps],
                               action)
     return Q, proj
-
-
-def cokernel(u: ModuleMorphism):
-    """(cokernel module, projection from the target)."""
-    C, proj = _quotient_module(u.target, _image_span(u))
-    return C, ModuleMorphism._derived(u.target, C, proj)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +195,7 @@ def coarsen_module(M: GradedModule, psi: GroupHom) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# HOM and tensor
+# HOM
 # ---------------------------------------------------------------------------
 
 def _hom_equations(M: GradedModule, N: GradedModule, g):
@@ -287,33 +255,6 @@ def graded_hom(M: GradedModule, N: GradedModule):
     return (GradedModule._derived(R, basis_degs,
                                   _read_action(N, nonzero, free)),
             basis_mats)
-
-
-def tensor(M: GradedModule, N: GradedModule):
-    """M tensor N over the algebra, the quotient of V = M tensor_K N
-    (x_i acting through M) by the graded span of x_i m (x) n - m (x) x_i n;
-    returns (T, proj) with proj the matrix from pure-tensor coordinates
-    (index j*dim(N)+k) to T."""
-    if M.algebra != N.algebra:
-        raise ModuleError("tensor over different algebras")
-    R, f = M.algebra, M.field
-    m, n = M.dim, N.dim
-    rels = []
-    for i in range(R.dim):
-        for j in range(m):
-            for k in range(n):
-                rel = [f.zero] * (m * n)
-                for j2, c in M._nz[i][j]:
-                    rel[j2 * n + k] = c
-                for k2, c in N._nz[i][k]:
-                    rel[j * n + k2] = f.sub(rel[j * n + k2], c)
-                rels.append(rel)
-    V = GradedModule._derived(R, [dm + dn for dm in M.basis_degrees
-                                  for dn in N.basis_degrees],
-                              [(i, j * n + k, j2 * n + k, c)
-                               for i, j, j2, c in M.entries()
-                               for k in range(n)])
-    return _quotient_module(V, V.graded_span(rels))
 
 
 # ---------------------------------------------------------------------------

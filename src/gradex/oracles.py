@@ -8,8 +8,7 @@ candidate is tested against (the nonzero structure constants, the
 equivariance forms) are written down once per call, and no candidate
 is tested once its answer is known: the ring flags stop multiplying
 once decided, and the morphism search never extends a partial matrix
-that breaks a form.  The injective dimension is recomputed by a second
-route through the module constructions instead.
+that breaks a form.
 """
 
 from __future__ import annotations
@@ -18,9 +17,7 @@ import math
 from itertools import combinations, product
 
 from .gcore import GradedAlgebra, SizeGuardExceeded
-from .ghom import DimensionReport, dual, is_injective, minimal_cover
-from .gmod import (GradedModule, ModuleMorphism, cokernel,
-                   free_cover_from_generators)
+from .gmod import GradedModule, ModuleMorphism, free_cover_from_generators
 
 ENUM_LIMIT = 2 ** 20
 SUBMODULE_LIMIT = 2 ** 16
@@ -276,25 +273,3 @@ def oracle_small_submodule(u: ModuleMorphism, mode: str):
                 return False, basis
         return True, None
     raise ValueError(f"unknown mode {mode!r}")
-
-
-# ---------------------------------------------------------------------------
-# injective dimension by a second route
-# ---------------------------------------------------------------------------
-
-def injective_dimension_direct(M: GradedModule, cutoff=8) -> DimensionReport:
-    """Cross-check of ``ghom.dimension(M, "injective")``, which decides
-    by one split test of dual(M)'s cover: here the injective resolution
-    is walked directly, embedding each cosyzygy into the dual of a free
-    module and stepping to the cokernel, up to cutoff steps."""
-    K = M
-    for n in range(cutoff + 1):
-        if is_injective(K):
-            return DimensionReport("injective", n, cutoff)
-        p = minimal_cover(dual(K))
-        # dualize: K = dual(dual(K)) embeds into dual(F), an injective
-        emb = ModuleMorphism(K, dual(p.source),
-                             [[p.matrix[k][j] for k in range(p.target.dim)]
-                              for j in range(p.source.dim)])
-        K, _ = cokernel(emb)
-    return DimensionReport("injective", None, cutoff)

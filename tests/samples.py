@@ -1,10 +1,10 @@
-"""Ready-made graded algebras and modules used across tests and demos."""
+"""Ready-made graded algebras and group maps that the tests build on."""
 
 from __future__ import annotations
 
-from .abgroups import FGAbelianGroup, GroupHom, Z, Zmod, ZERO_GROUP
-from .exactla import QQ, GF
-from .gcore import GradedAlgebra, AffineMonoid, MonoidAlgebra
+from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
+from gradex.exactla import QQ, GF
+from gradex.gcore import GradedAlgebra, AffineMonoid, MonoidAlgebra
 
 
 def trivial_algebra(field=QQ, group=ZERO_GROUP):

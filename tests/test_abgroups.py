@@ -1,3 +1,4 @@
+from itertools import product
 from math import gcd
 
 import pytest
@@ -42,8 +43,8 @@ class TestSmithNormalForm:
     @settings(max_examples=80, deadline=None)
     def test_unimodular_transforms(self, A):
         U, D, V = ag.smith_normal_form(A)
-        assert abs(det(QQ, U)) == 1
-        assert abs(det(QQ, V)) == 1
+        for T in (U, V):
+            assert det(QQ, [list(map(QQ.of, row)) for row in T]) in (1, -1)
 
 
 class TestGroups:
@@ -67,7 +68,6 @@ class TestGroups:
         assert G.order is None  # infinite
         H = ag.Zmod(2, 4)
         assert H.order == 8
-        assert len(list(H.elements())) == 8
 
     def test_infinite_order(self):
         G = ag.FGAbelianGroup(1, (2,))
@@ -111,15 +111,6 @@ class TestHoms:
         assert phi.preimage(ag.Z(1).element((4,))).coords == (2,)
         assert phi.preimage(ag.Z(1).element((3,))) is None
 
-    def test_fiber_filter(self):
-        psi = ag.GroupHom(ag.Z(1), ag.Zmod(2), [[1]])
-        degs = [ag.Z(1).element((k,)) for k in range(-2, 3)]
-        fib = ag.fiber_filter(psi, degs, ag.Zmod(2).element((1,)))
-        assert [d.coords for d in fib] == [(-1,), (1,)]
-        with pytest.raises(ag.GroupError):
-            ag.fiber_filter(ag.GroupHom(ag.Z(1), ag.Z(1), [[2]]), degs,
-                            ag.Z(1).element((0,)))
-
     def test_preimage_into_the_zero_group(self):
         for source in (ag.Z(1), ag.Zmod(2)):
             h = ag.GroupHom(source, ag.ZERO_GROUP, [])
@@ -161,13 +152,6 @@ class TestHoms:
         assert h.preimage(ag.Z(1).element((0,))).coords == (0,)
         assert h.preimage(ag.Z(1).element((1,))) is None
 
-    def test_compose(self):
-        psi = ag.GroupHom(ag.Z(1), ag.Zmod(4), [[1]])
-        pi = ag.GroupHom(ag.Zmod(4), ag.Zmod(2), [[1]])
-        comp = pi.compose(psi)
-        assert comp(ag.Z(1).element((3,))).coords == (1,)
-
-
 def _chains(bound, prev=1):
     """Every divisibility chain d_1 | d_2 | ... of factors >= 2 with
     product at most ``bound``, the empty chain first."""
@@ -191,13 +175,18 @@ def finite_maps(draw):
     return ag.GroupHom(G, H, [[c[i] for c in cols] for i in range(H.dim)])
 
 
+def elements(G):
+    """Every element of the finite group G."""
+    return [G.element(c) for c in product(*map(range, G.torsion_factors))]
+
+
 class TestFiniteMapsByEnumeration:
     @given(finite_maps())
     @settings(max_examples=120, deadline=None)
     def test_against_enumeration(self, h):
-        image = {h(x) for x in h.source.elements()}
-        kernel = {x for x in h.source.elements() if h(x).is_zero}
-        for y in h.target.elements():
+        image = {h(x) for x in elements(h.source)}
+        kernel = {x for x in elements(h.source) if h(x).is_zero}
+        for y in elements(h.target):
             x = h.preimage(y)
             assert (x is None) is (y not in image)
             assert x is None or h(x) == y
@@ -206,7 +195,7 @@ class TestFiniteMapsByEnumeration:
                                len(kernel) == 1)
         K, incl, tf, finite, order = ag.kernel_data(h)
         assert finite and order == K.order == len(kernel)
-        assert {incl(k) for k in K.elements()} == kernel
+        assert {incl(k) for k in elements(K)} == kernel
 
 
 class TestRecords:

@@ -10,12 +10,13 @@ import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.gmod as gm
 import gradex.oracles as orc
-import gradex.samples as S
 from gradex.abgroups import Z, Zmod, GroupHom
 from gradex.exactla import QQ, GF
-from support import (dense, duality_involution_check, entries,
-                     intersect_ideals, lambek_check, lambek_dimension_check,
-                     mono_epi_duality_check)
+import samples as S
+from support import (cokernel, dense, duality_involution_check, entries,
+                     generated_submodule, intersect_ideals, lambek_check,
+                     lambek_dimension_check, mono_epi_duality_check, radical,
+                     regular_module)
 
 
 def timed(budget):
@@ -33,11 +34,11 @@ def timed(budget):
 
 
 def quotient_by_x(R):
-    M = gm.regular_module(R)
+    M = regular_module(R)
     gen = [0] * R.dim
     gen[1] = 1
-    _, incl = gm.generated_submodule(M, [gen])
-    return gm.cokernel(incl)
+    _, incl = generated_submodule(M, [gen])
+    return cokernel(incl)
 
 
 @timed(1.0)
@@ -165,11 +166,11 @@ def test_5_superfluous_counterexample():
     psi = S.psi_Z_to_Zmod(2)
     for n in (2, 3, 4):
         R = S.truncated_polynomial_algebra(GF(2), n)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         for j in range(1, n):
             gen = [0] * n
             gen[j] = 1
-            _, incl = gm.generated_submodule(M, [gen])
+            _, incl = generated_submodule(M, [gen])
             fine_flag, _ = orc.oracle_small_submodule(incl, "superfluous")
             coarse_flag, _ = orc.oracle_small_submodule(
                 gf.coarsen(incl, psi), "superfluous")
@@ -202,13 +203,13 @@ def test_6_schanuel():
 @timed(5.0)
 def test_7_dimension_invariance():
     pairs = [
-        (gm.regular_module(S.dual_numbers(GF(2))), S.psi_Z_to_Zmod(2)),
+        (regular_module(S.dual_numbers(GF(2))), S.psi_Z_to_Zmod(2)),
         (quotient_by_x(S.dual_numbers(GF(2)))[0], S.psi_Z_to_Zmod(2)),
         (quotient_by_x(S.truncated_polynomial_algebra(GF(2), 3))[0],
          S.psi_Z_to_Zmod(3)),
-        (gm.regular_module(S.truncated_polynomial_algebra(GF(3), 2)),
+        (regular_module(S.truncated_polynomial_algebra(GF(3), 2)),
          S.psi_Z_to_Zmod(2)),
-        (gm.regular_module(S.group_algebra(2, 4)),
+        (regular_module(S.group_algebra(2, 4)),
          GroupHom(Zmod(4), Zmod(2), [[1]])),
     ]
     assert len(pairs) >= 4
@@ -231,7 +232,7 @@ def test_8_lambek_and_duality():
               S.truncated_polynomial_algebra(GF(2), 3),
               S.truncated_polynomial_algebra(GF(3), 2),
               S.group_algebra(2, 2)):
-        M = gm.regular_module(R)
+        M = regular_module(R)
         mods.extend([M, quotient_by_x(R)[0]])
     for M in mods:
         assert lambek_check(M), M
@@ -239,8 +240,8 @@ def test_8_lambek_and_duality():
         assert lambek_dimension_check(M, cutoff=3), M
     # duality is exact: it swaps monos and epis
     R = S.truncated_polynomial_algebra(GF(2), 3)
-    M = gm.regular_module(R)
-    _, incl = gm.generated_submodule(M, [[0, 1, 0]])
+    M = regular_module(R)
+    _, incl = generated_submodule(M, [[0, 1, 0]])
     _, proj = quotient_by_x(R)
     assert mono_epi_duality_check(incl)
     assert mono_epi_duality_check(proj)
@@ -258,8 +259,8 @@ def test_9_radical_identities():
             x = [int(i == j) for i in range(R.dim)]
             ideals.append(gc.ideal_from_gens(R, [x]))
         for a in ideals:
-            r1 = gc.radical(R, a)
-            assert gc.radical(R, r1) == r1, (R, a)
+            r1 = radical(R, a)
+            assert radical(R, r1) == r1, (R, a)
 
 
 @timed(30.0)
@@ -275,7 +276,7 @@ def test_10_oracle_concordance():
     for R in (S.dual_numbers(GF(2)),
               S.truncated_polynomial_algebra(GF(2), 3),
               S.group_algebra(2, 2)):
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K = quotient_by_x(R)[0]
         for A, B in [(M, M), (M, K), (K, M), (K, K)]:
             H, _ = gm.graded_hom(A, B)
@@ -284,11 +285,11 @@ def test_10_oracle_concordance():
     # superfluous / essential criteria against the submodule oracle
     for n in (2, 3, 4):
         R = S.truncated_polynomial_algebra(GF(2), n)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         for j in range(1, n):
             gen = [0] * n
             gen[j] = 1
-            _, incl = gm.generated_submodule(M, [gen])
+            _, incl = generated_submodule(M, [gen])
             for mode in ("superfluous", "essential"):
                 flag, _ = orc.oracle_small_submodule(incl, mode)
                 assert flag == gm.small_submodule(incl, mode).flag, (n, j)

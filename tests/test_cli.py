@@ -16,8 +16,8 @@ import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.gmod as gm
-import gradex.samples as S
 from gradex.exactla import GF
+import samples as S
 from support import dense, square_zero_document
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent

@@ -1,5 +1,6 @@
-"""Smoke test: every script in ``demos/`` runs to completion in a fresh
-interpreter, exits 0 and writes nothing to stderr."""
+"""Every script in ``demos/`` runs to completion in a fresh interpreter,
+exits 0, writes nothing to stderr and prints exactly the text kept in
+``tests/demo_output/<name>.txt``."""
 
 import os
 import pathlib
@@ -10,6 +11,7 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+EXPECTED = pathlib.Path(__file__).resolve().parent / "demo_output"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
@@ -19,3 +21,4 @@ def test_demo_runs_cleanly(demo):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+    assert proc.stdout == (EXPECTED / f"{demo.stem}.txt").read_text()

@@ -15,8 +15,8 @@ import sys
 import pytest
 
 import gradex.cli as cli
-import gradex.samples as S
 from gradex.exactla import QQ
+import samples as S
 from test_cli import HELP_TEXTS, MODULE_R, PSI_Z_TO_0, RING_F5X2, RING_QX2
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"

@@ -15,13 +15,15 @@ import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gmod as gm
 import gradex.oracles as orc
-import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
-from support import EliminationTooLarge, assert_record, combinations, \
-    contains, dense, entries, intersect_ideals, reference_generators, \
-    reference_unit_indices, square_zero_document
+import samples as S
+from support import EliminationTooLarge, assert_record, cokernel, \
+    combinations, contains, dense, entries, generated_submodule, \
+    intersect_ideals, radical, reference_generators, \
+    reference_unit_indices, regular_module, shift, square_zero_document, \
+    tensor
 
 
 class TestConstruction:
@@ -100,10 +102,10 @@ class TestEntries:
     def test_rebuilt_from_shuffled_entries(self, seed):
         rng = random.Random(seed)
         R3 = S.truncated_polynomial_algebra(GF(3), 3)
-        M = gm.regular_module(R3)
+        M = regular_module(R3)
         spaces = [S.truncated_polynomial_algebra(QQ, 6), S.group_algebra(3, 3),
                   rescaled_truncated(5), mixed_basis(GF(3)), M,
-                  gm.tensor(M, M)[0], gm.direct_sum(M, gm.shift(
+                  tensor(M, M)[0], gm.direct_sum(M, shift(
                       M, R3.basis_degrees[1])),
                   mod_x2(R3, [0, 0, 1])]
         for X in spaces:
@@ -236,7 +238,7 @@ class TestIdealsAndQuotients:
     @settings(max_examples=60, deadline=None)
     def test_ideal_is_submodule_of_regular_module(self, ring_gens):
         R, gens = ring_gens
-        _, incl = gm.generated_submodule(gm.regular_module(R), gens)
+        _, incl = generated_submodule(regular_module(R), gens)
         basis = [[row[j] for row in incl.matrix]
                  for j in range(incl.source.dim)]
         assert gc.ideal_from_gens(R, gens) == basis
@@ -272,17 +274,19 @@ class TestIdealsAndQuotients:
 
     def test_radical_idempotent(self):
         for R in S.finite_corpus():
-            r1 = gc.radical(R, [])
-            r2 = gc.radical(R, r1)
+            r1 = radical(R, [])
+            r2 = radical(R, r1)
             assert r1 == r2
 
     def test_ideal_class(self):
+        # a is maximal / prime / perfect iff R/a is simple / entire /
+        # reduced
         R = S.dual_numbers()
         a = gc.ideal_from_gens(R, [[0, 1]])
-        cls = gc.ideal_class(R, a)
-        assert cls.maximal and cls.prime and cls.perfect
-        cls = gc.ideal_class(R, [])
-        assert not cls.prime and not cls.perfect
+        rc = gc.classify_ring(gc.quotient_ring(R, a)[0])
+        assert rc.simple and rc.entire and rc.reduced
+        rc = gc.classify_ring(gc.quotient_ring(R, [])[0])
+        assert not rc.entire and not rc.reduced
 
     def test_quotient_ring_checks_its_ideal(self):
         R = S.truncated_polynomial_algebra(QQ, 3)
@@ -343,8 +347,8 @@ class TestSpectra:
         for j in (2, 3, 4, 6) * 2:
             gen = la.unit_vector(R.field, R.dim, 0)
             gen[j] = R.field.one
-            _, incl = gm.generated_submodule(gm.regular_module(R), [gen])
-            M = gm.direct_sum(M, gm.cokernel(incl)[0])
+            _, incl = generated_submodule(regular_module(R), [gen])
+            M = gm.direct_sum(M, cokernel(incl)[0])
         calls, act_vec = [0], gc._GradedSpace.act_vec
 
         def counted(self, x, v):
@@ -396,12 +400,10 @@ class TestSpectra:
 
 class TestMonoids:
     def test_sharpness(self):
-        rep = gc.AffineMonoid(2, [(1, 0), (0, 1)]).sharpness()
-        assert rep.sharp is True
-        rep = gc.AffineMonoid(1, [(1,), (-1,)]).sharpness()
-        assert rep.sharp is False
-        rep = gc.AffineMonoid(2, [(1, 1), (1, -1)]).sharpness()
-        assert rep.sharp is True
+        # M is sharp iff no generator is a unit
+        assert gc.AffineMonoid(2, [(1, 0), (0, 1)]).units == ()
+        assert gc.AffineMonoid(1, [(1,), (-1,)]).units == ((1,), (-1,))
+        assert gc.AffineMonoid(2, [(1, 1), (1, -1)]).units == ()
 
     def test_membership(self):
         M = gc.AffineMonoid(2, [(1, 1), (1, -1)])
@@ -415,8 +417,6 @@ class TestMonoids:
                                             ((1, 0), (1,))]
         assert next(c for c, point in combinations(M, 16)
                     if any(c) and point == (0,)) == (1, 1)
-        rep = M.sharpness()
-        assert (rep.method, rep.witness) == ("unit generator", (1,))
         assert M.units == ((1,), (-1,))
 
     def test_combinations_walk_by_coefficient_sum(self):
@@ -482,19 +482,14 @@ class TestMonoids:
                  max_size=4),
         st.tuples(*[st.integers(-6, 6)] * d))))
     def test_units_agree_with_the_walk(self, case):
-        # wherever the walk decides m and -m, m is a unit iff both lie
-        # in M; sharpness is always decided, by the unit generators
+        # a generator g (m among them) is a unit iff -g lies in M,
+        # wherever the walk decides that
         d, gens, m = case
-        M = gc.AffineMonoid(d, gens)
-        a, b = contains(M, m, 12), contains(M, tuple(-x for x in m), 12)
-        if a is not None and b is not None:
-            assert M.is_invertible(m) is (a and b)
-        assert all(contains(M, tuple(-x for x in u), 12) is not False
-                   for u in M.units)
-        rep = M.sharpness()
-        assert rep.sharp is (not M.units)
-        assert rep.sharp is not None and rep.method in (
-            "unit generator", "no unit generator")
+        M = gc.AffineMonoid(d, gens + [m])
+        for g in M.generators:
+            a = contains(M, tuple(-x for x in g), 12)
+            if a is not None and any(g):
+                assert (g in M.units) is a
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 4).flatmap(lambda d: st.tuples(
@@ -517,19 +512,14 @@ class TestMonoids:
         # at most 32 leaves it open, the unit criterion does not
         M = gc.AffineMonoid(1, [(100,), (-1,)])
         assert contains(M, (-100,)) is None
-        assert M.is_invertible((100,)) is True
-        assert M.is_invertible((-7,)) is True
-        assert M.sharpness().sharp is False
+        assert M.units == ((100,), (-1,))
         # a cone that is a half-plane: only (1, 0) and (-1, 0) are units
         M = gc.AffineMonoid(2, [(1, 0), (-1, 0), (3, 1), (-40, 1)])
         assert M.units == ((1, 0), (-1, 0))
-        assert M.is_invertible((-5, 0)) is True
-        assert M.is_invertible((0, 1)) is False
-        assert gc.AffineMonoid(2, [(1, 0), (0, 1)]).is_invertible((0, 0))
 
     def test_laurent_units(self):
         L = S.laurent_algebra()
-        assert L.is_unit({(1,): [1]}) is True
+        assert L.monoid.units == ((1,), (-1,))
         rc = L.classify_ring()
         assert rc.entire and rc.reduced
 
@@ -538,33 +528,6 @@ class TestMonoids:
         rc = P.classify_ring()
         assert rc.entire and rc.reduced
         assert rc.simple is not True  # K[X] is not a graded field
-        assert P.is_unit({(0,): [1], (1,): [1]}) is False
-        assert P.is_unit({(0,): [Fraction(2)]}) is True
-
-    def test_is_unit_ignores_zero_coefficients(self):
-        # a zero coefficient is no term: 2 + 0 X is the monomial 2
-        P = S.polynomial_monoid_algebra()
-        assert P.is_unit({(0,): [2], (1,): [0]}) is True
-        assert P.is_unit({(0,): ["0"], (1,): [1]}) is False
-        L = S.laurent_algebra(GF(3))
-        assert L.is_unit({(1,): [0], (2,): [3], (-1,): [1]}) is True
-        # over a base that is not reduced, two terms would be undecided
-        A = gc.MonoidAlgebra(S.dual_numbers(GF(2)),
-                             gc.AffineMonoid(1, [(1,)]), mode="coarse")
-        assert A.is_unit({(0,): [1, 0], (1,): [0, 2]}) is True
-
-    def test_zero_is_a_unit_only_in_the_zero_ring(self):
-        assert S.laurent_algebra(GF(3)).is_unit({(1,): [0]}) is False
-        assert S.laurent_algebra(QQ).is_unit({}) is False
-        zero_ring = gc.GradedAlgebra(ZERO_GROUP, GF(2), [], [], [])
-        A = gc.MonoidAlgebra(zero_ring, gc.AffineMonoid(1, [(1,)]))
-        assert A.is_unit({}) is True
-
-    def test_monomial_with_nonunit_coeff(self):
-        base = S.dual_numbers(GF(2))
-        M = gc.AffineMonoid(1, [(1,)])
-        A = gc.MonoidAlgebra(base, M, mode="coarse")
-        assert A.is_unit({(1,): [0, 1]}) is False
 
 
 class TestGuards:
@@ -586,7 +549,7 @@ class TestGuards:
 def in_basis(R, P):
     """R in the basis whose i-th vector has coordinates P[i], each
     homogeneous of the degree of the i-th old basis vector."""
-    f, n = R.field, R.dim
+    f, n, P = R.field, R.dim, [R.element(v) for v in P]
     structure = [la.coords_in_basis(f, P, [R.act_vec(P[i], P[j])
                                            for j in range(n)])
                  for i in range(n)]
@@ -709,7 +672,7 @@ def mixed_basis(field):
 
 def mod_x2(R, x2):
     """R modulo the submodule generated by x2."""
-    return gm.cokernel(gm.generated_submodule(gm.regular_module(R),
+    return cokernel(generated_submodule(regular_module(R),
                                               [x2])[1])[0]
 
 
@@ -724,7 +687,7 @@ AXIOM_BASES = [
     mixed_basis(QQ),
     mixed_basis(GF(3)),
 ]
-AXIOM_BASES += [gm.regular_module(R) for R in AXIOM_BASES[::2]] + [
+AXIOM_BASES += [regular_module(R) for R in AXIOM_BASES[::2]] + [
     mod_x2(S.truncated_polynomial_algebra(GF(2), 3), [0, 0, 1]),
     mod_x2(AXIOM_BASES[5], [0, 0, 1]),
     mod_x2(AXIOM_BASES[7], [0, Fraction(1, 2), Fraction(-1, 2)]),
@@ -835,7 +798,7 @@ def square_zero_pair(field):
 
 MULTI_GENERATOR_BASES = [field_power(QQ, 3), field_power(GF(3), 3),
                          square_zero_pair(QQ), square_zero_pair(GF(2))]
-MULTI_GENERATOR_BASES += [gm.regular_module(R)
+MULTI_GENERATOR_BASES += [regular_module(R)
                           for R in MULTI_GENERATOR_BASES[::2]]
 
 
@@ -930,29 +893,11 @@ class TestRecords:
                                       method="m"),
                       gc.RingClass(None, True, True, "m"),
                       (True, True, True, "m"),
-                      gc.IdealClass(True, True, True, "m"), frozen=True)
+                      gc.ElementClass(True, True, True, "m"), frozen=True)
         assert repr(r) == ("RingClass(simple=True, entire=True, reduced=True,"
                            " method='m')")
-        i = gc.IdealClass(False, None, True, "m")
-        assert_record(i, gc.IdealClass(False, None, True, "m"),
-                      gc.IdealClass(False, None, True, "n"),
-                      (False, None, True, "m"),
-                      gc.RingClass(False, None, True, "m"), frozen=True)
-        assert repr(i) == ("IdealClass(maximal=False, prime=None, "
-                           "perfect=True, method='m')")
         for args, kwargs in ((("m",), {}), ((1, 2, 3, "m", 5), {}),
                              ((1, 2, 3, "m"), {"simple": 1}),
                              ((1, 2, 3), {"mode": "m"})):
             with pytest.raises(TypeError):
                 gc.RingClass(*args, **kwargs)
-
-    def test_sharpness_report(self):
-        a = gc.SharpnessReport(True, "trivial")
-        assert_record(a, gc.SharpnessReport(sharp=True, method="trivial",
-                                            witness=None),
-                      gc.SharpnessReport(True, "trivial", witness=(1,)),
-                      (True, "trivial", None),
-                      gc.IdealClass(True, "trivial", None, None), frozen=True)
-        assert a.witness is None
-        assert repr(a) == ("SharpnessReport(sharp=True, method='trivial', "
-                           "witness=None)")

@@ -8,9 +8,9 @@ import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.oracles as orc
-import gradex.samples as S
 from gradex.abgroups import Z, Zmod, ZERO_GROUP, GroupHom
 from gradex.exactla import QQ, GF
+import samples as S
 from support import assert_record, combinations, dense
 
 
@@ -85,7 +85,7 @@ class TestCoarsening:
         a = gc.ideal_from_gens(R, [[0, 1]])
         Rc = gf.coarsen_algebra(R, S.psi_Z_to_zero())
         assert len(Rc.graded_span(a)) == 1
-        assert gc.ideal_class(Rc, a).maximal
+        assert gc.classify_ring(gc.quotient_ring(Rc, a)[0]).simple
 
     def test_coarsened_ring_has_the_same_generators(self):
         for R, psi in S.coarsening_pairs():

@@ -1,3 +1,4 @@
+import sys
 import time
 from functools import lru_cache
 
@@ -8,14 +9,15 @@ import gradex.exactla as la
 import gradex.ghom as gh
 import gradex.gmod as gm
 import gradex.gcore as gc
-import gradex.oracles as orc
-import gradex.samples as S
 from gradex.abgroups import Z, Zmod
 from gradex.exactla import QQ, GF
 from gradex.gfunct import coarsen
-from support import (assert_record, cogenerator_faithfulness_check,
-                     duality_involution_check, entries, lambek_check,
-                     lambek_dimension_check, mono_epi_duality_check)
+import samples as S
+from support import (assert_record, cogenerator_faithfulness_check, cokernel,
+                     dual_morphism, duality_involution_check, entries,
+                     generated_submodule, injective_dimension_direct,
+                     is_injective, lambek_check, lambek_dimension_check,
+                     mono_epi_duality_check, regular_module, shift)
 
 
 def hkey(h):
@@ -23,41 +25,41 @@ def hkey(h):
 
 
 def quotient_by_x(R):
-    M = gm.regular_module(R)
+    M = regular_module(R)
     gen = [0] * R.dim
     gen[1] = 1
-    _, incl = gm.generated_submodule(M, [gen])
-    return gm.cokernel(incl)
+    _, incl = generated_submodule(M, [gen])
+    return cokernel(incl)
 
 
 def sample_modules():
     out = []
     for R in (S.dual_numbers(GF(2)), S.truncated_polynomial_algebra(GF(2), 3),
               S.group_algebra(2, 2)):
-        M = gm.regular_module(R)
+        M = regular_module(R)
         out.append(M)
         out.append(quotient_by_x(R)[0] if R.dim > 1 else M)
-        out.append(gm.shift(M, R.group.element((1,) + (0,) * (R.group.dim - 1))))
+        out.append(shift(M, R.group.element((1,) + (0,) * (R.group.dim - 1))))
     return out
 
 
 def quotient_by_x2_of_x3():
     """F2[x]/(x^3) modulo <x^2>."""
-    M = gm.regular_module(S.truncated_polynomial_algebra(GF(2), 3))
-    _, incl = gm.generated_submodule(M, [[0, 0, 1]])
-    return gm.cokernel(incl)[0]
+    M = regular_module(S.truncated_polynomial_algebra(GF(2), 3))
+    _, incl = generated_submodule(M, [[0, 0, 1]])
+    return cokernel(incl)[0]
 
 
 def cyclic_quotients(R):
     """The regular module of R, each R/(b_i) for a basis vector b_i of R
     (R/(x^k) over K[x]/(x^n)), and the first syzygy of each nonzero
     one."""
-    M = gm.regular_module(R)
+    M = regular_module(R)
     out = [M]
     for i in range(R.dim):
-        _, incl = gm.generated_submodule(M, [la.unit_vector(R.field, R.dim,
+        _, incl = generated_submodule(M, [la.unit_vector(R.field, R.dim,
                                                             i)])
-        Q = gm.cokernel(incl)[0]
+        Q = cokernel(incl)[0]
         out.append(Q)
         if Q.dim:
             out.append(gm.kernel(gh.minimal_cover(Q))[0])
@@ -78,7 +80,7 @@ def reference_dimension(M, kind, cutoff):
 class TestDuality:
     def test_dual_of_regular(self):
         R = S.dual_numbers()
-        D = gh.dual(gm.regular_module(R))
+        D = gh.dual(regular_module(R))
         assert hkey(D.hilbert()) == {(-1,): 1, (0,): 1}
 
     def test_involution(self):
@@ -87,42 +89,40 @@ class TestDuality:
 
     def test_mono_epi_duality(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
-        _, incl = gm.generated_submodule(M, [[0, 1, 0]])
+        M = regular_module(R)
+        _, incl = generated_submodule(M, [[0, 1, 0]])
         assert mono_epi_duality_check(incl)
         K, proj = quotient_by_x(R)
         assert mono_epi_duality_check(proj)
 
     def test_dual_morphism_transposes(self):
         R = S.dual_numbers(GF(2))
-        M = gm.regular_module(R)
+        M = regular_module(R)
         u = gm.ModuleMorphism(M, M, la.eye(M.field, M.dim))
-        du = gh.dual_morphism(u)
+        du = dual_morphism(u)
         assert du.matrix == u.matrix  # identity transposes to itself
 
 
 class TestInjectivesAndProjectives:
     def test_regular_module_flags(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         assert gh.is_projective(M) is True
-        assert gh.is_flat(M) is True
         # a finite-dimensional graded algebra like K[X]/(X^2) is
         # self-injective up to shift; here dual(R) = R(1), so R itself
         # is injective
-        assert gh.is_injective(M) is True
+        assert is_injective(M) is True
 
     def test_quotient_flags(self):
         R = S.dual_numbers()
         K, _ = quotient_by_x(R)
         assert gh.is_projective(K) is False
-        assert gh.is_flat(K) is False
-        assert gh.is_injective(K) is False
+        assert is_injective(K) is False
 
     def test_everything_projective_over_simple_ring(self):
         R = S.gaussian_rationals()
-        M = gm.regular_module(R)
-        assert gh.is_projective(M) and gh.is_injective(M) and gh.is_flat(M)
+        M = regular_module(R)
+        assert gh.is_projective(M) and is_injective(M)
 
     def test_tor1_criterion_matches_split_oracle(self):
         # is_projective asks whether Tor_1(M, R/nil R) vanishes, read off
@@ -301,8 +301,8 @@ def module_pairs():
         S.gaussian_rationals(), S.product_field_algebra(QQ, Z(1))]
     pools = []
     for R in rings:
-        M = gm.regular_module(R)
-        pools.append(cyclic_quotients(R) + [gm.shift(M, R.basis_degrees[-1])])
+        M = regular_module(R)
+        pools.append(cyclic_quotients(R) + [shift(M, R.basis_degrees[-1])])
     samples = sample_modules()
     pools += [samples[i:i + 3] for i in range(0, len(samples), 3)]
     return [(M, N) for pool in pools for M in pool for N in pool]
@@ -351,7 +351,7 @@ class TestResolutions:
 
     def test_resolution_of_free_terminates(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         res = gh.resolution(M, cutoff=4)
         assert res.terminated and res.length == 1
         assert res.betti() == [{(0,): 1}]
@@ -372,7 +372,7 @@ class TestResolutions:
         # the non-minimal cover of the regular module uses two
         # generators, so the first syzygy contains a unit coefficient
         R = S.dual_numbers(GF(2))
-        K = gm.regular_module(R)
+        K = regular_module(R)
         res = gh.resolution(K, cutoff=2, minimal=False)
         res_claimed = gh.FreeResolution(K, res.covers, res.incls,
                                         res.cutoff, True, res.terminated)
@@ -383,9 +383,9 @@ class TestResolutions:
         # Q[x]/(x^8) modulo <x^2>; a guard against recomputing the
         # nilradical at every minimal cover (about 2 s)
         R = S.truncated_polynomial_algebra(QQ, 8)
-        _, incl = gm.generated_submodule(gm.regular_module(R),
+        _, incl = generated_submodule(regular_module(R),
                                          [[0, 0, 1, 0, 0, 0, 0, 0]])
-        K = gm.cokernel(incl)[0]
+        K = cokernel(incl)[0]
         t0 = time.perf_counter()
         res = gh.resolution(K, cutoff=8)
         assert time.perf_counter() - t0 < 1.0
@@ -425,11 +425,11 @@ class TestSchanuel:
         # 30 s at n = 4 while products and eliminations touched every
         # zero entry, about 13 s at n = 6 while each lift built all of
         # the graded HOM module
-        M = gm.regular_module(S.truncated_polynomial_algebra(QQ, n))
+        M = regular_module(S.truncated_polynomial_algebra(QQ, n))
         gen = [0] * n
         gen[2] = 1
-        _, incl = gm.generated_submodule(M, [gen])
-        K = gm.cokernel(incl)[0]
+        _, incl = generated_submodule(M, [gen])
+        K = cokernel(incl)[0]
         t0 = time.perf_counter()
         res_min = gh.resolution(K, cutoff=2)
         res_big = gh.resolution(K, cutoff=2, minimal=False)
@@ -441,15 +441,53 @@ class TestSchanuel:
         # F2[x]/(x^6) modulo <x^3>, as `schanuel --n 3` runs it: about
         # 34 s while each lift solved the degree-0 equivariance system
         # of a map out of a free module
-        M = gm.regular_module(S.truncated_polynomial_algebra(GF(2), 6))
-        _, incl = gm.generated_submodule(M, [[0, 0, 0, 1, 0, 0]])
-        K = gm.cokernel(incl)[0]
+        M = regular_module(S.truncated_polynomial_algebra(GF(2), 6))
+        _, incl = generated_submodule(M, [[0, 0, 0, 1, 0, 0]])
+        K = cokernel(incl)[0]
         t0 = time.perf_counter()
         res_min = gh.resolution(K, cutoff=2)
         res_big = gh.resolution(K, cutoff=2, minimal=False)
         iso, verified = gh.schanuel_glue(res_min, res_big, 3)
         assert time.perf_counter() - t0 < 5.0
         assert verified
+
+    def test_base_step_reads_the_kernel_coordinates(self, monkeypatch):
+        # inclB^-1 (q - tP p) is read at the leads of inclB's columns: no
+        # solve_linear call comes from _schanuel_base itself (its lifts
+        # make one per generator)
+        callers, solve = [], la.solve_linear
+
+        def counted(*args):
+            callers.append(sys._getframe(1).f_code)
+            return solve(*args)
+        monkeypatch.setattr(la, "solve_linear", counted)
+        for M in sample_modules() + [quotient_by_x2_of_x3()]:
+            if M.dim == 0:
+                continue
+            res_min = gh.resolution(M, cutoff=2)
+            res_big = gh.resolution(M, cutoff=2, minimal=False)
+            n = min(2, res_min.length, res_big.length)
+            # on a free M, the minimal side B has L = 0
+            for res1, res2 in ((res_min, res_big), (res_big, res_min)):
+                assert gh.schanuel_glue(res1, res2, n)[1], M
+        assert callers and gh._schanuel_base.__code__ not in callers
+
+    def test_base_step_refuses_a_smaller_kernel(self):
+        # theta's L block is onto L, so one product finds q - tP p outside
+        # a proper submodule of L, and outside L = 0
+        K = quotient_by_x2_of_x3()
+        res_min = gh.resolution(K, cutoff=1)
+        res_big = gh.resolution(K, cutoff=1, minimal=False)
+        cover, incl = res_big.covers[0], res_big.incls[0]
+        Q0 = cover.source
+        smaller = generated_submodule(Q0, [[row[-1] for row in incl.matrix]])
+        zero = gm.ModuleMorphism(gm.GradedModule(K.algebra, [], []), Q0,
+                                 [[] for _ in range(Q0.dim)])
+        assert 0 < smaller[0].dim < incl.source.dim
+        for sub in (smaller[1], zero):
+            with pytest.raises(gm.ModuleError, match="escapes"):
+                gh._schanuel_base(K, res_min.covers[0], res_min.incls[0],
+                                  cover, sub)
 
     @pytest.mark.parametrize("minimal", [True, False])
     @pytest.mark.parametrize("n", [1, 2])
@@ -483,16 +521,16 @@ class TestDimensions:
                 assert rep.value == reference_dimension(M, kind, cutoff), \
                     (M, cutoff)
                 if kind == "injective":
-                    direct = orc.injective_dimension_direct(M, cutoff)
+                    direct = injective_dimension_direct(M, cutoff)
                     assert rep.value == direct.value, (M, cutoff)
 
     def test_tor1_acts_with_the_ideal_generators_of_nil(self, monkeypatch):
         # nil Q[x]/(x^8) = (x), so NK = x.K: 6 products for the kernel K
         # of the cover of R/(x^2), not one per basis vector of N
         R = S.truncated_polynomial_algebra(QQ, 8)
-        _, incl = gm.generated_submodule(gm.regular_module(R),
+        _, incl = generated_submodule(regular_module(R),
                                          [[0, 0, 1, 0, 0, 0, 0, 0]])
-        p = gh.minimal_cover(gm.cokernel(incl)[0])
+        p = gh.minimal_cover(cokernel(incl)[0])
         calls, act_vec = [], gm.GradedModule.act_vec
 
         def counted(self, x, v):
@@ -518,7 +556,7 @@ class TestDimensions:
 
     def test_free_module_dimension_zero(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         for kind in ("projective", "injective", "flat"):
             rep = gh.dimension(M, kind, cutoff=4)
             assert rep.value == 0, kind
@@ -539,11 +577,11 @@ class TestDimensions:
 
     def test_injective_direct_cross_check(self):
         R = S.dual_numbers(GF(2))
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K, _ = quotient_by_x(R)
         for mod in (M, K):
             via_dual = gh.dimension(mod, "injective", cutoff=3)
-            direct = orc.injective_dimension_direct(mod, cutoff=3)
+            direct = injective_dimension_direct(mod, cutoff=3)
             assert via_dual.value == direct.value
 
     def test_lambek_dimension_inequality(self):
@@ -554,11 +592,11 @@ class TestDimensions:
 class TestCoarsenDimensionCompare:
     def test_pairs(self):
         pairs = [
-            (gm.regular_module(S.dual_numbers(GF(2))), S.psi_Z_to_Zmod(2)),
+            (regular_module(S.dual_numbers(GF(2))), S.psi_Z_to_Zmod(2)),
             (quotient_by_x(S.dual_numbers(GF(2)))[0], S.psi_Z_to_Zmod(2)),
             (quotient_by_x(S.truncated_polynomial_algebra(GF(2), 3))[0],
              S.psi_Z_to_Zmod(3)),
-            (gm.regular_module(S.truncated_polynomial_algebra(GF(3), 2)),
+            (regular_module(S.truncated_polynomial_algebra(GF(3), 2)),
              S.psi_Z_to_Zmod(2)),
         ]
         for M, psi in pairs:
@@ -567,14 +605,14 @@ class TestCoarsenDimensionCompare:
 
     def test_finite_kernel_compares_injective(self):
         from gradex.abgroups import GroupHom
-        M = gm.regular_module(S.group_algebra(2, 4))
+        M = regular_module(S.group_algebra(2, 4))
         psi = GroupHom(Zmod(4), Zmod(2), [[1]])
         rep = gh.coarsen_dimension_compare(M, psi, cutoff=3)
         assert rep["ok"]
         assert "equal" in rep["injective"]
 
     def test_infinite_kernel_skips_injective(self):
-        M = gm.regular_module(S.dual_numbers(GF(2)))
+        M = regular_module(S.dual_numbers(GF(2)))
         rep = gh.coarsen_dimension_compare(M, S.psi_Z_to_zero(), cutoff=3)
         assert rep["ok"]
         assert rep["injective"] == {

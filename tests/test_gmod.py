@@ -6,12 +6,13 @@ import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.oracles as orc
-import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, Zmod, ZERO_GROUP
 from gradex.exactla import QQ, GF
-from support import (adjunction_dims_check, assert_record, dense, entries,
-                     monogeneous_by_walk, solved_hom_action,
-                     solved_subspace_action)
+import samples as S
+from support import (adjunction_dims_check, assert_record, cokernel, dense,
+                     entries, generated_submodule, image, monogeneous_by_walk,
+                     regular_module, shift, solved_hom_action,
+                     solved_subspace_action, tensor)
 from test_gcore import mixed_basis, rescaled_truncated
 from test_ghom import sample_modules
 from test_oracles import quotient_by_power
@@ -22,17 +23,17 @@ def hkey(h):
 
 
 def ideal_module(R, gen_coords):
-    M = gm.regular_module(R)
-    return gm.generated_submodule(M, [gen_coords])
+    M = regular_module(R)
+    return generated_submodule(M, [gen_coords])
 
 
 def quotient_by_x(R):
     """R / <x> for a truncated polynomial algebra."""
-    M = gm.regular_module(R)
+    M = regular_module(R)
     gen = [0] * R.dim
     gen[1] = 1
-    _, incl = gm.generated_submodule(M, [gen])
-    return gm.cokernel(incl)
+    _, incl = generated_submodule(M, [gen])
+    return cokernel(incl)
 
 
 class TestConstruction:
@@ -48,12 +49,12 @@ class TestConstruction:
 
     def test_regular_module(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         assert hkey(M.hilbert()) == {(0,): 1, (1,): 1}
 
     def test_shift(self):
         R = S.dual_numbers()
-        M = gm.shift(gm.regular_module(R), Z(1).element((1,)))
+        M = shift(regular_module(R), Z(1).element((1,)))
         assert hkey(M.hilbert()) == {(-1,): 1, (0,): 1}
 
     def test_direct_sum(self):
@@ -61,8 +62,8 @@ class TestConstruction:
         # inclusions of M and N pass the checked constructor
         for field in (QQ, GF(3)):
             R = S.truncated_polynomial_algebra(field, 3)
-            M = gm.regular_module(R)
-            N = gm.shift(quotient_by_x(R)[0], Z(1).element((1,)))
+            M = regular_module(R)
+            N = shift(quotient_by_x(R)[0], Z(1).element((1,)))
             D, m = gm.direct_sum(M, N), M.dim
             assert hkey(D.hilbert()) == {(-1,): 1, (0,): 1, (1,): 1,
                                          (2,): 1}
@@ -98,19 +99,19 @@ class TestKernelImageCokernel:
         R = S.dual_numbers()
         K, proj = quotient_by_x(R)
         assert hkey(K.hilbert()) == {(0,): 1}
-        assert proj.is_epi()
+        assert la.rank(R.field, proj.matrix) == K.dim
         ker, incl = gm.kernel(proj)
         assert hkey(ker.hilbert()) == {(1,): 1}
 
     def test_exactness_hilbert_identity(self):
         # dim of each graded piece of the source equals kernel + image
         R4 = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R4)
+        M = regular_module(R4)
         sub, incl = ideal_module(R4, [0, 0, 1, 0])  # <x^2>
-        C, proj = gm.cokernel(incl)
+        C, proj = cokernel(incl)
         for u in (incl, proj):
             ker, _ = gm.kernel(u)
-            img, _ = gm.image(u)
+            img, _ = image(u)
             lhs = hkey(u.source.hilbert())
             rhs = {}
             for part in (hkey(ker.hilbert()), hkey(img.hilbert())):
@@ -125,7 +126,7 @@ class TestKernelImageCokernel:
         R = S.dual_numbers()
         K, _ = quotient_by_x(R)
         D = gm.direct_sum(K, K)
-        C, proj = gm.cokernel(gm.ModuleMorphism(K, D, [[1], [1]]))
+        C, proj = cokernel(gm.ModuleMorphism(K, D, [[1], [1]]))
         reps, P, _ = D.quotient(D.graded_span([[1, 1]]))
         assert reps == [1] and proj.matrix == P
         assert C.basis_degrees == (D.basis_degrees[1],)
@@ -135,11 +136,11 @@ class TestKernelImageCokernel:
     def test_kernel_of_a_map_into_the_zero_module(self):
         # the matrix of M -> 0 has no rows, yet every column is free
         R = S.dual_numbers()
-        M, Z0 = gm.regular_module(R), gm.GradedModule(R, [], [])
+        M, Z0 = regular_module(R), gm.GradedModule(R, [], [])
         u = gm.ModuleMorphism(M, Z0, [])
         K, incl = gm.kernel(u)
         assert K.dim == 2 and incl.is_iso()
-        assert not u.is_mono() and u.is_epi()
+        assert not u.is_mono() and la.rank(M.field, u.matrix) == Z0.dim
         assert gm.ModuleMorphism(Z0, M, [[], []]).is_mono()
 
     def test_quotient_orders_coordinates_by_degree(self):
@@ -152,20 +153,20 @@ class TestKernelImageCokernel:
         reps, P, action = M.quotient([])
         assert reps == [1, 0]
         assert P == [[0, 1], [1, 0]]
-        C, _ = gm.cokernel(gm.ModuleMorphism(
+        C, _ = cokernel(gm.ModuleMorphism(
             gm.GradedModule(R, [], []), M,
             [[], []]))
         assert C.basis_degrees == (one, x)
 
     def test_tensor_projection_kills_relations(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
-        T, proj = gm.tensor(M, M)
+        M = regular_module(R)
+        T, proj = tensor(M, M)
         n, A = M.dim, dense(M)
         for i in range(R.dim):
             for j in range(n):
                 for k in range(n):
-                    rel = [0] * (n * n)
+                    rel = [M.field.zero] * (n * n)
                     for j2, c in enumerate(A[i][j]):
                         rel[j2 * n + k] += c
                     for k2, c in enumerate(A[i][k]):
@@ -175,9 +176,9 @@ class TestKernelImageCokernel:
 
     def test_image_of_composite(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         sub, incl = ideal_module(R, [0, 1, 0])
-        img, _ = gm.image(incl)
+        img, _ = image(incl)
         assert hkey(img.hilbert()) == {(1,): 1, (2,): 1}
 
 
@@ -188,8 +189,8 @@ def coordinate_modules():
     out = sample_modules()
     for R in S.finite_corpus() + [mixed_basis(GF(3)), mixed_basis(QQ),
                                   rescaled_truncated(4)]:
-        M = gm.regular_module(R)
-        out += [M, gm.shift(M, R.basis_degrees[-1])]
+        M = regular_module(R)
+        out += [M, shift(M, R.basis_degrees[-1])]
     return out
 
 
@@ -205,8 +206,8 @@ class TestCoordinatesAreRead:
                       gm.free_cover_from_generators(M, eye),
                       gm.free_cover_from_generators(M, eye[-1:])]
             subs = ([gm.kernel(p) for p in covers]
-                    + [gm.image(p) for p in covers]
-                    + [gm.generated_submodule(M, [e]) for e in eye])
+                    + [image(p) for p in covers]
+                    + [generated_submodule(M, [e]) for e in eye])
             for sub, incl in subs:
                 basis = [list(col) for col in zip(*incl.matrix)]
                 assert sub.entries() == solved_subspace_action(
@@ -225,7 +226,7 @@ class TestCoordinatesAreRead:
 class TestHomAndTensor:
     def test_hom_examples(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K, _ = quotient_by_x(R)
         H, _ = gm.graded_hom(K, M)
         assert hkey(H.hilbert()) == {(1,): 1}  # K -> M lands on the socle
@@ -236,35 +237,35 @@ class TestHomAndTensor:
 
     def test_tensor_examples(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K, _ = quotient_by_x(R)
-        T, _ = gm.tensor(K, K)
+        T, _ = tensor(K, K)
         assert hkey(T.hilbert()) == {(0,): 1}
-        T, _ = gm.tensor(M, K)
+        T, _ = tensor(M, K)
         assert hkey(T.hilbert()) == {(0,): 1}
-        T, _ = gm.tensor(M, M)
+        T, _ = tensor(M, M)
         assert hkey(T.hilbert()) == {(0,): 1, (1,): 1}
 
     def test_tensor_with_shift(self):
         R = S.dual_numbers(GF(3))
-        M = gm.regular_module(R)
+        M = regular_module(R)
         g = Z(1).element((1,))
-        T, _ = gm.tensor(gm.shift(M, g), M)
+        T, _ = tensor(shift(M, g), M)
         assert hkey(T.hilbert()) == {(-1,): 1, (0,): 1}
 
     def test_currying_adjunction(self):
         R = S.dual_numbers(GF(2))
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K, _ = quotient_by_x(R)
         for triple in [(M, K, M), (K, K, K), (M, M, K),
-                       (gm.shift(M, Z(1).element((1,))), K, M)]:
+                       (shift(M, Z(1).element((1,))), K, M)]:
             rep = adjunction_dims_check(*triple)
             assert rep["ok"], triple
 
 
 class TestFreeness:
     def test_regular_is_free(self):
-        rep = gm.freeness(gm.regular_module(S.dual_numbers()))
+        rep = gm.freeness(regular_module(S.dual_numbers()))
         assert rep.free is True and rep.rank == 1
         assert rep.witness.is_iso()
 
@@ -277,15 +278,15 @@ class TestFreeness:
 
     def test_sum_of_shifts_free_rank_two(self):
         R = S.dual_numbers()
-        M = gm.regular_module(R)
-        D = gm.direct_sum(M, gm.shift(M, Z(1).element((1,))))
+        M = regular_module(R)
+        D = gm.direct_sum(M, shift(M, Z(1).element((1,))))
         rep = gm.freeness(D)
         assert rep.free is True and rep.rank == 2
         assert rep.witness.is_iso()
 
     def test_everything_free_over_simple_ring(self):
         R = S.gaussian_rationals()
-        M = gm.regular_module(R)
+        M = regular_module(R)
         D = gm.direct_sum(M, M)
         for mod in (M, D):
             rep = gm.freeness(mod)
@@ -294,8 +295,8 @@ class TestFreeness:
 
     def test_simple_ring_witness_is_minimal_cover(self):
         R = S.gaussian_rationals()
-        M = gm.regular_module(R)
-        D = gm.direct_sum(M, gm.shift(M, R.basis_degrees[1]))
+        M = regular_module(R)
+        D = gm.direct_sum(M, shift(M, R.basis_degrees[1]))
         rep = gm.freeness(D)
         gens = gm.minimal_generators(D)
         assert rep.rank == len(gens) == 2
@@ -314,7 +315,7 @@ class TestFreeness:
         # regular module it copies, and a direct sum keeps the record only
         # when both summands have one
         R = S.dual_numbers(GF(2))
-        F, M = gm.free_module(R, [R.group.zero]), gm.regular_module(R)
+        F, M = gm.free_module(R, [R.group.zero]), regular_module(R)
         assert F.free_degrees == (R.group.zero,) and M.free_degrees is None
         assert F == M and hash(F) == hash(M)
         assert gm.direct_sum(F, F).free_degrees == (R.group.zero,) * 2
@@ -349,14 +350,14 @@ def monogeneity_family(R):
     """The regular module M, a shift, sums, the submodule and quotient
     by each basis vector, the sum of M with each quotient, and the duals
     of all of these."""
-    M = gm.regular_module(R)
+    M = regular_module(R)
     g = R.group.element((1,) + (0,) * (R.group.dim - 1)) if R.group.dim \
         else R.group.zero
-    Ms = gm.shift(M, g)
+    Ms = shift(M, g)
     mods = [M, Ms, gm.direct_sum(M, M), gm.direct_sum(M, Ms)]
     for k in range(R.dim):
         Q = quotient_by_power(R, k)[0]
-        mods += [gm.generated_submodule(
+        mods += [generated_submodule(
             M, [la.unit_vector(R.field, R.dim, k)])[0], Q,
             gm.direct_sum(M, Q)]
     return mods + [gh.dual(X) for X in mods]
@@ -366,15 +367,15 @@ def factor_sum(g):
     """e_0 R + e_1 R(-g) over R = Q x Q, the second summand moved to
     degree g: R itself when g = 0."""
     R = S.product_field_algebra(QQ)
-    M = gm.regular_module(R)
-    e0, e1 = (gm.generated_submodule(M, [v])[0] for v in ([1, 0], [0, 1]))
-    return gm.direct_sum(e0, gm.shift(e1, -g))
+    M = regular_module(R)
+    e0, e1 = (generated_submodule(M, [v])[0] for v in ([1, 0], [0, 1]))
+    return gm.direct_sum(e0, shift(e1, -g))
 
 
 class TestMonogeneity:
     def test_examples(self):
         R = S.dual_numbers(GF(2))
-        M = gm.regular_module(R)
+        M = regular_module(R)
         assert gm.is_monogeneous(M) is True
         D = gm.direct_sum(M, M)
         assert gm.is_monogeneous(D) is False
@@ -386,8 +387,8 @@ class TestMonogeneity:
 
     def test_rational_case(self):
         R = S.dual_numbers()
-        assert gm.is_monogeneous(gm.regular_module(R)) is True
-        D = gm.direct_sum(gm.regular_module(R), gm.regular_module(R))
+        assert gm.is_monogeneous(regular_module(R)) is True
+        D = gm.direct_sum(regular_module(R), regular_module(R))
         assert gm.is_monogeneous(D) is False
 
     def test_four_copies_of_q_need_four_generators(self):
@@ -402,7 +403,7 @@ class TestMonogeneity:
             assert gm.is_monogeneous(M) is monogeneous_by_walk(M), M
 
     @pytest.mark.parametrize("build, expected", [
-        (lambda: gm.regular_module(S.product_field_algebra(QQ)), True),
+        (lambda: regular_module(S.product_field_algebra(QQ)), True),
         (lambda: factor_sum(Z(1).zero), True),
         (lambda: factor_sum(Z(1).element((1,))), False),
         (lambda: gm.direct_sum(*[factor_sum(Z(1).zero)] * 2), False),
@@ -411,11 +412,11 @@ class TestMonogeneity:
          False),
         (lambda: quotient_by_power(S.truncated_polynomial_algebra(QQ, 4),
                                    2)[0], True),
-        (lambda: gm.regular_module(S.gaussian_rationals()), True),
+        (lambda: regular_module(S.gaussian_rationals()), True),
         (lambda: gm.free_module(S.gaussian_rationals(),
                                 [Zmod(2).zero, Zmod(2).element((1,))]),
          False),
-        (lambda: gm.regular_module(gf.coarsen(S.gaussian_rationals(),
+        (lambda: regular_module(gf.coarsen(S.gaussian_rationals(),
                                               S.psi_Zmod_to_zero(2))), True),
         (lambda: gm.free_module(gf.coarsen(S.gaussian_rationals(),
                                            S.psi_Zmod_to_zero(2)),
@@ -432,7 +433,7 @@ class TestMonogeneity:
 class TestSmallSubmodules:
     def test_radical_and_socle(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         rad = gm.radical_submodule(M)
         soc = gm.socle_submodule(M)
         assert len(rad) == 3   # <x> = span(x, x^2, x^3)
@@ -440,7 +441,7 @@ class TestSmallSubmodules:
 
     def test_superfluous_and_essential(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         sub, incl = ideal_module(R, [0, 1, 0, 0])
         rep = gm.small_submodule(incl, "superfluous")
         assert rep.flag is True
@@ -459,7 +460,7 @@ class TestSmallSubmodules:
 
     def test_concordance_with_oracle(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         for gen in ([0, 1, 0], [0, 0, 1]):
             sub, incl = ideal_module(R, gen)
             for mode in ("superfluous", "essential"):
@@ -563,7 +564,7 @@ class TestPrincipalPresentations:
         # a coarsened-superfluous inclusion is graded-superfluous: check
         # on a finite model where both sides are decidable
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         psi = S.psi_Z_to_Zmod(2)
         for gen in ([0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]):
             sub, incl = ideal_module(R, gen)
@@ -577,7 +578,7 @@ class TestPrincipalPresentations:
 class TestHilbertCoarsen:
     def test_pushforward(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         hc = gm.coarsen_module(M, S.psi_Z_to_Zmod(2)).hilbert()
         assert hkey(hc) == {(0,): 2, (1,): 2}
         assert hkey(gm.coarsen_module(M, S.psi_Z_to_zero()).hilbert()) \

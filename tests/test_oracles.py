@@ -10,19 +10,20 @@ import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.gmod as gm
 import gradex.oracles as orc
-import gradex.samples as S
 from gradex.exactla import GF
-from support import dense, exhaustive_classify
+import samples as S
+from support import (cokernel, dense, exhaustive_classify,
+                     generated_submodule, regular_module)
 from test_ghom import sample_modules
 
 
 def quotient_by_power(R, k):
     """R / <x^k> for a truncated polynomial algebra."""
-    M = gm.regular_module(R)
+    M = regular_module(R)
     gen = [0] * R.dim
     gen[k] = 1
-    _, incl = gm.generated_submodule(M, [gen])
-    return gm.cokernel(incl)
+    _, incl = generated_submodule(M, [gen])
+    return cokernel(incl)
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +206,20 @@ class TestSubmoduleEnumeration:
     def test_chain_ring(self):
         # graded submodules of F2[X]/(X^4) are exactly the <X^k>
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        subs = orc.enumerate_graded_substructures(gm.regular_module(R))
+        subs = orc.enumerate_graded_substructures(regular_module(R))
         assert len(subs) == 5
         dims = sorted(len(s) for s in subs)
         assert dims == [0, 1, 2, 3, 4]
 
     def test_group_algebra_is_gr_simple(self):
         R = S.group_algebra(2, 2)
-        subs = orc.enumerate_graded_substructures(gm.regular_module(R))
+        subs = orc.enumerate_graded_substructures(regular_module(R))
         assert len(subs) == 2  # only 0 and the whole module
 
     def test_radical_and_socle_appear(self):
         import gradex.exactla as la
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         subs = orc.enumerate_graded_substructures(M)
         rad = gm.radical_submodule(M)
         soc = gm.socle_submodule(M)
@@ -234,7 +235,7 @@ class TestSubmoduleEnumeration:
         gf.coarsen(S.group_algebra(3, 3), S.psi_Zmod_to_zero(3))])
     def test_each_submodule_listed_once(self, R):
         # one entry per submodule, each its canonical basis
-        M = gm.regular_module(R)
+        M = regular_module(R)
         subs = orc.enumerate_graded_substructures(M)
         canon = {tuple(map(tuple, M.graded_span(s))) for s in subs}
         assert len(set(subs)) == len(subs) == len(canon) == 4
@@ -244,8 +245,8 @@ class TestSubmoduleEnumeration:
         # the graded ideals of R are the submodules of its regular module
         for R in oracle_rings() + [R for R, _ in S.coarsening_pairs()]:
             primes = set()
-            for s in orc.enumerate_graded_substructures(gm.regular_module(R)):
-                if gc.ideal_class(R, s).prime:
+            for s in orc.enumerate_graded_substructures(regular_module(R)):
+                if gc.classify_ring(gc.quotient_ring(R, s)[0]).entire:
                     primes.add(tuple(map(tuple, R.graded_span(s))))
             spec = [tuple(map(tuple, P)) for P in gc.spec_enumerate(R)]
             assert len(spec) == len(primes) and set(spec) == primes, R
@@ -259,7 +260,7 @@ class TestMorphismEnumeration:
 
     def test_hom_counts_match_graded_hom(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         K, _ = quotient_by_power(R, 1)
         for A, B in [(M, M), (M, K), (K, M), (K, K)]:
             H, _ = gm.graded_hom(A, B)
@@ -373,11 +374,11 @@ class TestFreenessOracle:
 class TestSmallSubmoduleOracle:
     def test_concordance_on_chain_ring(self):
         R = S.truncated_polynomial_algebra(GF(2), 4)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         for j in range(1, 4):
             gen = [0] * 4
             gen[j] = 1
-            _, incl = gm.generated_submodule(M, [gen])
+            _, incl = generated_submodule(M, [gen])
             for mode in ("superfluous", "essential"):
                 flag, witness = orc.oracle_small_submodule(incl, mode)
                 rep = gm.small_submodule(incl, mode)
@@ -387,7 +388,7 @@ class TestSmallSubmoduleOracle:
 
     def test_negative_cases(self):
         R = S.truncated_polynomial_algebra(GF(2), 3)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         ident = gm.ModuleMorphism(M, M, la.eye(M.field, M.dim))
         flag, witness = orc.oracle_small_submodule(ident, "superfluous")
         assert flag is False and witness is not None
@@ -398,9 +399,9 @@ class TestSmallSubmoduleOracle:
 
     def test_concordance_over_f3(self):
         R = S.truncated_polynomial_algebra(GF(3), 2)
-        M = gm.regular_module(R)
+        M = regular_module(R)
         gen = [0, 1]
-        _, incl = gm.generated_submodule(M, [gen])
+        _, incl = generated_submodule(M, [gen])
         for mode in ("superfluous", "essential"):
             flag, _ = orc.oracle_small_submodule(incl, mode)
             assert flag == gm.small_submodule(incl, mode).flag

@@ -31,9 +31,10 @@ import gradex.gcore as gc
 import gradex.gfunct as gf
 import gradex.ghom as gh
 import gradex.gmod as gm
-import gradex.samples as S
 from gradex.abgroups import GroupHom, Z, ZERO_GROUP
 from gradex.exactla import QQ, GF
+import samples as S
+import support
 from support import is_module_morphism, is_multiplicative, is_ring_morphism
 from test_ghom import (free_lift_cases, padded_lift_cases, quotient_by_x,
                        sample_modules)
@@ -150,7 +151,7 @@ def test_derived_morphisms_keep_their_matrices(doc_id, tmp_path,
 def test_checked_morphisms_make_their_entries_field_values():
     for f in (QQ, GF(3)):
         R = S.dual_numbers(f)
-        M, c = gm.regular_module(R), f.of("-1/2")
+        M, c = support.regular_module(R), f.of("-1/2")
         u = gm.ModuleMorphism(M, M, [["-1/2", 0], [0, "-1/2"]])
         h = gf.AlgebraMorphism(R, R, [[1, "0"], [0, "1"]])
         assert u.matrix == [[c, f.zero], [f.zero, c]]
@@ -182,8 +183,8 @@ def modules():
         (i, j, i + j, Fraction(s[j], s[i + j]))
         for i in range(3) for j in range(3 - i)])
     return tuple(sample_modules()) + (
-        gm.regular_module(S.gaussian_rationals()), gm.regular_module(Rq),
-        scaled, quotient_by_x(Rq)[0])
+        support.regular_module(S.gaussian_rationals()),
+        support.regular_module(Rq), scaled, quotient_by_x(Rq)[0])
 
 
 def _identity_hom(G):
@@ -229,7 +230,7 @@ def module_morphisms(M):
     inclusion of the submodule generated by its first basis vector."""
     eye = la.eye(M.field, M.dim)
     return [gh.minimal_cover(M), gm.free_cover_from_generators(M, eye),
-            gm.generated_submodule(M, eye[:1])[1]]
+            support.generated_submodule(M, eye[:1])[1]]
 
 
 def ring(draw):
@@ -278,14 +279,14 @@ def derivation(fn):
 @derivation
 def regular_module(draw):
     R = ring(draw)
-    return lambda: gm.regular_module(R)
+    return lambda: support.regular_module(R)
 
 
 @derivation
 def shift(draw):
     M = module(draw)
     g = draw(st.sampled_from(M.algebra.basis_degrees))
-    return lambda: gm.shift(M, g)
+    return lambda: support.shift(M, g)
 
 
 @derivation
@@ -301,7 +302,7 @@ def generated_submodule(draw):
     gens = [M.element(v) for v in draw(st.lists(
         st.lists(st.sampled_from([0, 1, 2]), min_size=M.dim,
                  max_size=M.dim), min_size=1, max_size=3))]
-    return lambda: gm.generated_submodule(M, gens)
+    return lambda: support.generated_submodule(M, gens)
 
 
 @derivation
@@ -313,20 +314,20 @@ def kernel(draw):
 @derivation
 def image(draw):
     u = module_morphism(draw)
-    return lambda: gm.image(u)
+    return lambda: support.image(u)
 
 
 @derivation
 def cokernel(draw):
     u = module_morphism(draw)
-    return lambda: gm.cokernel(u)
+    return lambda: support.cokernel(u)
 
 
 @derivation
 def tensor(draw):
     M = module(draw)
     N = partner(draw, M)
-    return lambda: gm.tensor(M, N)
+    return lambda: support.tensor(M, N)
 
 
 @derivation
@@ -345,7 +346,7 @@ def dual(draw):
 @derivation
 def dual_morphism(draw):
     u = module_morphism(draw)
-    return lambda: gh.dual_morphism(u)
+    return lambda: support.dual_morphism(u)
 
 
 @derivation
@@ -445,8 +446,8 @@ def quotient_ring(draw):
 def compose(draw):
     M = module(draw)
     u = draw(st.sampled_from(module_morphisms(M)))
-    _, incl = gm.generated_submodule(M, unit_vectors(draw, M))
-    _, proj = gm.cokernel(incl)
+    _, incl = support.generated_submodule(M, unit_vectors(draw, M))
+    _, proj = support.cokernel(incl)
     return lambda: proj.compose(u)
 
 
@@ -546,8 +547,8 @@ def finite_modules():
     rings."""
     out = []
     for R in finite_rings():
-        M = gm.regular_module(R)
-        out += [M, gm.shift(M, R.basis_degrees[-1])]
+        M = support.regular_module(R)
+        out += [M, support.shift(M, R.basis_degrees[-1])]
         if R.dim > 1:
             out.append(quotient_by_x(R)[0])
     for R, psi in S.coarsening_pairs():
