@@ -52,7 +52,7 @@ def main():
     L, inclL = gm.kernel(beta)
     p2 = gh.minimal_cover(L)
     _, incl2 = gm.kernel(p2)
-    res2 = gh.FreeResolution(K, [beta, p2], [inclL, incl2], 2, False, False)
+    res2 = gh.FreeResolution(K, [beta, p2], [inclL, incl2], 2, False)
     iso, verified = gh.schanuel_glue(res1, res2, 1)
     print(f"  K1 + Q0 = L1 + P0 as graded modules: verified={verified}")
     print(f"  per-degree dimensions: {hilbert_str(iso.source)}")

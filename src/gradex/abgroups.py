@@ -3,12 +3,21 @@
 Groups are stored as Z^r x Z/d_1 x ... x Z/d_k with d_1 | d_2 | ... | d_k
 and every d_i >= 2.  Elements carry free coordinates first, torsion
 coordinates last, the latter reduced to [0, d_i).  Homomorphisms are
-integer matrices acting on coordinate columns.  Each one factors
-[M | D_H], its matrix beside the target's relation columns, once in
-Smith normal form (an ``IntegerSystem``), and reads its preimages, the
-index of its image and its kernel from that form.  The relations of
-the target are diagonal in these coordinates, so whether a vector lies
-in their lattice is a reduction, with no factorisation at all.
+integer matrices acting on coordinate columns.
+
+``smith_normal_form`` is the one factorisation here: U A V = D, with
+U^-1 and V^-1 built beside U and V.  An ``IntegerSystem`` keeps one and
+reads the rest off it: integer solutions (U, then V), the kernel
+(columns of V) and coordinates in it (rows of V^-1), the lattice the
+columns span (d_j times column j of U^-1) and coordinates in it (U).
+Each homomorphism factors [M | D_H], its matrix beside the target's
+relation columns, once, and reads its preimages, the index of its
+image and its kernel lattice from that form; the kernel group takes a
+second one, for its invariant factors, when the source has torsion.
+A quotient group reads its projection from U and its lift from U^-1.
+The relations of the target are diagonal in these coordinates, so
+whether a vector lies in their lattice is a reduction, with no
+factorisation at all.
 """
 
 from __future__ import annotations
@@ -43,54 +52,49 @@ def mat_vec(A, v):
 
 
 def smith_normal_form(A):
-    """Return (U, D, V) with U*A*V = D, U and V unimodular, D diagonal
-    with d_1 | d_2 | ... and all diagonal entries nonnegative."""
+    """Return (U, D, V, Ui, Vi) with U*A*V = D, U and V unimodular,
+    Ui = U^-1, Vi = V^-1, and D diagonal with d_1 | d_2 | ... and all
+    diagonal entries nonnegative.  Each row operation on D and U puts
+    its inverse on the columns of Ui, each column operation on D and V
+    its inverse on the rows of Vi."""
     if not A:
-        return [], [], []
+        return [], [], [], [], []
     n, m = len(A), len(A[0])
     D = [row[:] for row in A]
-    U = _identity(n)
-    V = _identity(m)
+    U, Ui = _identity(n), _identity(n)
+    V, Vi = _identity(m), _identity(m)
 
     def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
+        for M in (D, U):
+            M[i], M[j] = M[j], M[i]
+        for row in Ui:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
-        for row in D:
+        for row in D + V:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
+        Vi[i], Vi[j] = Vi[j], Vi[i]
 
     def add_row(src, dst, c):
-        for j in range(m):
-            D[dst][j] += c * D[src][j]
-        for j in range(n):
-            U[dst][j] += c * U[src][j]
+        for M in (D, U):
+            M[dst] = [x + c * y for x, y in zip(M[dst], M[src])]
+        for row in Ui:
+            row[src] -= c * row[dst]
 
     def add_col(src, dst, c):
-        for row in D:
+        for row in D + V:
             row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        D[i] = [-x for x in D[i]]
-        U[i] = [-x for x in U[i]]
+        Vi[src] = [x - c * y for x, y in zip(Vi[src], Vi[dst])]
 
     t = 0
     while t < min(n, m):
-        # find a nonzero pivot in the remaining block
-        piv = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if D[i][j] != 0:
-                    if piv is None or abs(D[i][j]) < abs(D[piv[0]][piv[1]]):
-                        piv = (i, j)
+        # the nonzero entry of least absolute value, the first of equals
+        piv = min(((abs(D[i][j]), i, j) for i in range(t, n)
+                   for j in range(t, m) if D[i][j]), default=None)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        swap_rows(t, piv[1])
+        swap_cols(t, piv[2])
         while True:
             # clear column t
             dirty = False
@@ -111,60 +115,63 @@ def smith_normal_form(A):
             if not dirty:
                 break
         if D[t][t] < 0:
-            negate_row(t)
+            for M in (D, U):
+                M[t] = [-x for x in M[t]]
+            for row in Ui:
+                row[t] = -row[t]
         # divisibility: D[t][t] must divide every later entry
-        fixed = True
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if D[i][j] % D[t][t] != 0:
-                    add_row(i, t, 1)
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if fixed:
+        bad = next((i for i in range(t + 1, n) if any(
+            D[i][j] % D[t][t] for j in range(t + 1, m))), None)
+        if bad is None:
             t += 1
-    return U, D, V
+        else:
+            add_row(bad, t, 1)
+    return U, D, V, Ui, Vi
 
 
 class IntegerSystem:
     """One Smith form U A V = D of an integer matrix A with m columns,
-    read for the diagonal of D, one integer solution of A x = b and a
-    basis of the integer kernel of A.  A may have no rows."""
+    read for the diagonal of D, one integer solution of A x = b, a
+    basis of the integer kernel of A and a basis of the lattice the
+    columns of A span, with coordinates in the last.  A may have no
+    rows."""
 
     def __init__(self, A, m):
-        self.U, D, self.V = smith_normal_form(A) if A else \
-            ([], [], _identity(m))
+        self.U, D, self.V, self.Uinv, self.Vinv = smith_normal_form(A) \
+            if A else ([], [], _identity(m), [], _identity(m))
         self.diagonal = [D[i][i] for i in range(min(len(A), m))]
+        # the nonzero diagonal comes first
+        self.rank = sum(1 for d in self.diagonal if d)
 
-    def solve(self, b):
-        """One integer x with A x = b, or None."""
-        y = [0] * len(self.V)
+    def image_coords(self, b):
+        """Coordinates y of b in ``image_basis``, y_i = (U b)_i / d_i, or
+        None when b lies outside the lattice: a division is inexact or
+        (U b)_i is nonzero past the rank."""
+        y = []
         for i, c in enumerate(mat_vec(self.U, b)):
-            d = self.diagonal[i] if i < len(self.diagonal) else 0
-            if d and c % d == 0:
-                y[i] = c // d
+            if i < self.rank and c % self.diagonal[i] == 0:
+                y.append(c // self.diagonal[i])
             elif c:
                 return None
-        return mat_vec(self.V, y)
+        return y
+
+    def solve(self, b):
+        """One integer x with A x = b, or None: x = V y."""
+        y = self.image_coords(b)
+        return None if y is None else mat_vec(self.V, y)
 
     def kernel(self):
         """Basis (list of columns) of the integer kernel of A: the columns
-        of V past the nonzero diagonal, which comes first."""
-        r = sum(1 for d in self.diagonal if d)
-        return [list(col) for col in zip(*self.V)][r:]
+        of V past the rank.  A kernel vector v has the coordinates
+        (V^-1 v)[rank:] in it."""
+        return [list(col) for col in zip(*self.V)][self.rank:]
 
-
-def lattice_column_basis(cols, n):
-    """Basis of the lattice in Z^n spanned by the given columns."""
-    if not cols or not n:
-        return []
-    A = [[col[i] for col in cols] for i in range(n)]
-    U, D, V = smith_normal_form(A)
-    # columns of A*V with nonzero diagonal span the lattice in triangular form
-    AV = mat_mul(A, V)
-    r = sum(1 for i in range(min(n, len(cols))) if D[i][i] != 0)
-    return [[AV[i][j] for i in range(n)] for j in range(r)]
+    def image_basis(self):
+        """Basis (list of columns) of the lattice the columns of A span:
+        the first rank columns of A V = U^-1 D, d_j times column j of
+        U^-1."""
+        return [[d * row[j] for row in self.Uinv]
+                for j, d in enumerate(self.diagonal[:self.rank])]
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +243,22 @@ class FGAbelianGroup(Record, frozen=True):
 
     @staticmethod
     def from_presentation(n_generators, relation_cols):
-        """Z^n modulo the lattice spanned by the given columns, plus the
-        projection matrix from Z^n coordinates to canonical coordinates."""
-        return _quotient_group(n_generators, relation_cols)
+        """(Z^n / <relation_cols>, projection, lift): the projection maps
+        Z^n coordinates to canonical ones (rows of U), the lift canonical
+        generator j to a representative in Z^n (columns of U^-1)."""
+        n = n_generators
+        if not relation_cols:
+            return FGAbelianGroup(n, ()), _identity(n), _identity(n)
+        system = IntegerSystem([[col[i] for col in relation_cols]
+                                for i in range(n)], len(relation_cols))
+        # coordinate i is free for a zero diagonal entry, dropped for a unit
+        diag = system.diagonal + [0] * (n - len(system.diagonal))
+        keep = [i for i, d in enumerate(diag) if d == 0] + \
+            [i for i, d in enumerate(diag) if d >= 2]
+        group = FGAbelianGroup(n - system.rank,
+                               tuple(d for d in diag if d >= 2))
+        return (group, [system.U[i] for i in keep],
+                [[system.Uinv[i][j] for j in keep] for i in range(n)])
 
 
 ZERO_GROUP = FGAbelianGroup(0, ())
@@ -295,39 +315,6 @@ class GroupElement(Record, frozen=True):
         return f"{self.coords}"
 
 
-def _quotient_group(n, relation_cols):
-    """Z^n / <relation_cols>; returns (group, projection matrix, lift matrix).
-
-    projection: Z^n coords -> canonical coords of the quotient.
-    lift: canonical generator j -> a representative in Z^n.
-    """
-    if not relation_cols:
-        return FGAbelianGroup(n, ()), _identity(n), _identity(n)
-    system = IntegerSystem([[col[i] for col in relation_cols]
-                            for i in range(n)], len(relation_cols))
-    # coordinate i is free for a zero diagonal entry, dropped for a unit
-    diag = system.diagonal + [0] * (n - len(system.diagonal))
-    free_idx = [i for i, d in enumerate(diag) if d == 0]
-    tors_idx = [i for i, d in enumerate(diag) if d >= 2]
-    keep = free_idx + tors_idx
-    group = FGAbelianGroup(len(free_idx), tuple(diag[i] for i in tors_idx))
-    proj = [system.U[i][:] for i in keep]
-    Uinv = _matrix_inverse_unimodular(system.U)
-    lift = [[Uinv[i][j] for j in keep] for i in range(n)]
-    return group, proj, lift
-
-
-def _matrix_inverse_unimodular(U):
-    """Inverse of a unimodular integer matrix."""
-    n = len(U)
-    Uk, D, V = smith_normal_form(U)
-    # U is unimodular, so D is the identity and U^{-1} = V * Uk
-    for i in range(n):
-        if D[i][i] != 1:
-            raise GroupError("matrix is not unimodular")
-    return mat_mul(V, Uk)
-
-
 class GroupHom(Record, frozen=True):
     # matrix: rows of integers, target.dim x source.dim
     _fields = ("source", "target", "matrix")
@@ -349,36 +336,37 @@ class GroupHom(Record, frozen=True):
     def _system(self):
         """[M | D_H], the matrix beside the target's relation columns, in
         one Smith form: preimages, the image index and the kernel all
-        read it.  Written to __dict__, so equality and hashing keep to
-        the fields."""
+        read it.  M's torsion rows are reduced first: the same map, and
+        smaller entries for the form to grow.  Written to __dict__, so
+        equality and hashing keep to the fields."""
         rel = self.target.relation_columns()
-        return IntegerSystem([list(row) + [col[i] for col in rel]
-                              for i, row in enumerate(self.matrix)],
+        mods = [0] * self.target.free_rank + list(self.target.torsion_factors)
+        return IntegerSystem([[x % d if d else x for x in row] +
+                              [col[i] for col in rel] for i, (row, d) in
+                              enumerate(zip(self.matrix, mods))],
                              self.source.dim + len(rel))
 
     @cached_property
     def _kernel(self):
-        """kernel_data of the map, kept like _system."""
-        n, rel_G = self.source.dim, self.source.relation_columns()
-        # preimage lattice P = {x : M x in L_H}: the kernel of [M | D_H],
-        # cut to its first n coordinates, with the source relations
-        P = lattice_column_basis([v[:n] for v in self._system.kernel()]
-                                 + rel_G, n)
-        s = len(P)
-        if s == 0:
+        """kernel_data of the map, kept like _system.  The preimage
+        lattice P = {x : M x in L_H} has the kernel of [M | D_H], cut to
+        its first n coordinates, as a basis B: D_H has full column rank,
+        so no kernel vector has a zero x-part.  K = P / L_G."""
+        n, system = self.source.dim, self._system
+        B = [v[:n] for v in system.kernel()]
+        if not B:
             return ZERO_GROUP, GroupHom(ZERO_GROUP, self.source,
                                         [[]] * n), True, True, 1
-        B = [[P[j][i] for j in range(s)] for i in range(n)]  # n x s basis
-        # K = P / L_G, so express the source relations in the basis B
-        C_cols = []
-        if rel_G:
-            system = IntegerSystem(B, s)
-            C_cols = [system.solve(col) for col in rel_G]
-            if None in C_cols:
-                raise GroupError("internal: relation outside preimage "
-                                 "lattice")
-        K, _, lift = _quotient_group(s, C_cols)
-        incl = GroupHom(K, self.source, mat_mul(B, lift))
+        # a source relation c lies in P beside w = -(M c)_tors / d, M's
+        # rows reduced as in _system, so its coordinates in B are those
+        # of (c, w) in the kernel basis
+        f, C_cols = self.target.free_rank, []
+        for c in self.source.relation_columns():
+            w = [-sum(x % d * y for x, y in zip(row, c)) // d for row, d in
+                 zip(self.matrix[f:], self.target.torsion_factors)]
+            C_cols.append(mat_vec(system.Vinv, c + w)[system.rank:])
+        K, _, lift = FGAbelianGroup.from_presentation(len(B), C_cols)
+        incl = GroupHom(K, self.source, mat_mul(list(zip(*B)), lift))
         return K, incl, K.is_torsionfree, K.is_finite, K.order
 
     def __call__(self, x: GroupElement) -> GroupElement:
@@ -391,9 +379,8 @@ class GroupHom(Record, frozen=True):
         if y.group != self.target:
             raise GroupError("element not in the target group")
         sol = self._system.solve(list(y.coords))
-        if sol is None:
-            return None
-        return self.source.element(sol[:self.source.dim])
+        return None if sol is None else self.source.element(
+            sol[:self.source.dim])
 
 
 def kernel_data(h: GroupHom):
@@ -411,8 +398,6 @@ def image_index_data(h: GroupHom):
 
 def hom_props(h: GroupHom):
     """(epi, mono, iso) flags."""
-    diag = image_index_data(h)
-    epi = all(d == 1 for d in diag)
-    K, _, _, _, order = kernel_data(h)
-    mono = (K.dim == 0)
+    epi = all(d == 1 for d in image_index_data(h))
+    mono = kernel_data(h)[0].dim == 0
     return epi, mono, epi and mono

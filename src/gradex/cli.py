@@ -85,6 +85,10 @@ MAX_AXIOM_TRIPLES = 2 ** 20
 # with entries up to 10^30 (32 generators in Z^8)
 MAX_MONOID_GENERATORS = 64
 MAX_MONOID_ENTRIES = 256
+# the most basis vectors that the Schanuel sums of glue lengths 1..n may
+# hold in all: within it, schanuel took at most 3.0 s in-process on
+# cyclic modules over Q[x]/(x^r) and their direct sums
+MAX_SCHANUEL_SUMS = 2048
 
 
 def _guard_axiom_check(r, m):
@@ -93,6 +97,21 @@ def _guard_axiom_check(r, m):
     if r * r * m > MAX_AXIOM_TRIPLES:
         raise SizeGuardExceeded(f"{r}^2 x {m} associativity triples > "
                                 f"{MAX_AXIOM_TRIPLES}")
+
+
+def _guard_schanuel(M, n):
+    """Refuse a glue of length n before either resolution is built.  The
+    non-minimal side covers K_i by all of its basis vectors, so dim K_i =
+    dim M (dim R - 1)^i and dim F_i = dim R dim K_i, and it bounds the
+    minimal side.  At each length j the glue builds a Schanuel sum of
+    dimension at most dim K_j + dim F_{j-1} + ... + dim F_0."""
+    r, k, below, cost = M.algebra.dim, M.dim, 0, 0
+    for _ in range(n):
+        below, k = below + r * k, k * (r - 1)
+        cost += k + below
+    if cost > MAX_SCHANUEL_SUMS:
+        raise SizeGuardExceeded(f"schanuel --n {n}: Schanuel sums of {cost} "
+                                f"basis vectors > {MAX_SCHANUEL_SUMS}")
 
 
 def group_from_json(doc, path="group"):
@@ -534,7 +553,7 @@ def cmd_resolve(args):
     res = gh.resolution(M, cutoff=args.cutoff)
     return _emit({"betti": _betti_json(res.betti()),
                   "length": res.length,
-                  "minimal": res.minimal,
+                  "minimal": res.is_minimal(),
                   "terminated": res.terminated,
                   "verified": res.verify()}, args.text)
 
@@ -553,6 +572,7 @@ def cmd_schanuel(args):
     n = args.n
     if not 1 <= n <= 32:
         raise ValidationError(f"--n {n} outside the range 1..32")
+    _guard_schanuel(M, n)
     # n steps each: the glue reads the first n covers and kernels
     res1 = gh.resolution(M, cutoff=n - 1)
     res2 = gh.resolution(M, cutoff=n - 1, minimal=False)

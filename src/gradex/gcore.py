@@ -36,8 +36,7 @@ from __future__ import annotations
 from functools import cached_property, wraps
 from itertools import product
 
-from .abgroups import FGAbelianGroup, GroupError, IntegerSystem, \
-    lattice_column_basis
+from .abgroups import FGAbelianGroup, GroupError, IntegerSystem
 from . import exactla as la
 from ._record import Record
 
@@ -762,29 +761,24 @@ class AffineMonoid:
     def zero(self):
         return (0,) * self.ambient_dim
 
+    @cached_property
+    def _lattice(self):
+        """One Smith form of the generators, as columns in Z^d: the
+        generators never change, so they are factored once."""
+        gens = self.generators
+        return IntegerSystem([[g[r] for g in gens]
+                              for r in range(self.ambient_dim)], len(gens))
+
     def diff_group(self):
         """(group, basis) of the subgroup of Z^d generated by the
         generators; the group is free of the lattice rank."""
-        return self._diff
-
-    @cached_property
-    def _diff(self):
-        # the generators never change, so the lattice basis is built once
-        basis = lattice_column_basis([list(g) for g in self.generators],
-                                     self.ambient_dim)
+        basis = self._lattice.image_basis()
         return FGAbelianGroup(len(basis), ()), basis
 
-    @cached_property
-    def _diff_system(self):
-        """One Smith form of the lattice basis, as columns in Z^d."""
-        basis = self._diff[1]
-        return IntegerSystem([[c[r] for c in basis]
-                              for r in range(self.ambient_dim)], len(basis))
-
     def diff_coords(self, m):
-        """Coordinates of m in the lattice basis of diff(M)."""
-        sol = self._diff_system.solve(list(m))
-        return tuple(sol) if sol is not None else None
+        """Coordinates of m in the lattice basis of diff(M), or None."""
+        y = self._lattice.image_coords(list(m))
+        return tuple(y) if y is not None else None
 
     @cached_property
     def units(self):

@@ -99,7 +99,7 @@ class FreeResolution(Record):
     _fields = ("target",
                "covers",      # covers[i]: F_i ->> K_i  (K_0 = target)
                "incls",       # incls[i]: K_{i+1} -> F_i
-               "cutoff", "minimal",
+               "cutoff",
                "terminated")  # the last kernel is zero
 
     @property
@@ -124,19 +124,19 @@ class FreeResolution(Record):
             prod = la.mat_mul(f, d[i - 1], d[i])
             if any(x != 0 for row in prod for x in row):
                 return False
-        for p, incl in zip(self.covers, self.incls):
-            if la.rank(f, p.matrix) != p.target.dim or \
-                    p.source.dim - p.target.dim != incl.source.dim:
-                return False
-        if self.minimal:
-            for i in range(1, self.length):
-                Fprev = self.covers[i - 1].source
-                rad = radical_submodule(Fprev)
-                if None in la.coords_in_basis(f, rad, [
-                        [d[i][k][j] for k in range(Fprev.dim)]
-                        for j in range(self.covers[i].source.dim)]):
-                    return False
-        return True
+        return all(la.rank(f, p.matrix) == p.target.dim and
+                   p.source.dim - p.target.dim == incl.source.dim
+                   for p, incl in zip(self.covers, self.incls))
+
+    def is_minimal(self):
+        """Does each kernel K_{i+1} lie in nil(R) F_i?  Then no cover has
+        a superfluous generator (graded Nakayama).  Greedy covers can
+        fail it when (R/nil R)_0 is not a field, as over Q x Q."""
+        f = self.target.field
+        return all(None not in la.coords_in_basis(
+            f, radical_submodule(p.source), [list(c) for c in
+                                             zip(*incl.matrix)])
+            for p, incl in zip(self.covers, self.incls))
 
 
 def _check_cutoff(cutoff):
@@ -156,7 +156,7 @@ def resolution(M: GradedModule, cutoff=8, minimal=True) -> FreeResolution:
         K, incl = kernel(p)
         covers.append(p)
         incls.append(incl)
-    return FreeResolution(M, covers, incls, cutoff, minimal, K.dim == 0)
+    return FreeResolution(M, covers, incls, cutoff, K.dim == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,15 @@ re-closing the whole span, intersections of ideals, a walk over every
 homogeneous element for a single generator, the element tables of a
 finite algebra, and, for an affine monoid, the Fourier-Motzkin
 elimination that its unit LP is held to and the bounded walks over its
-points), and a CLI document whose every basis vector but the unit is a
-generator."""
+points), the integer kernels and lattice bases that the one Smith form
+of ``gradex.abgroups`` is held to, and a CLI document whose every basis
+vector but the unit is a generator."""
+
+import signal
 
 import pytest
 
+import gradex.abgroups as ag
 import gradex.exactla as la
 import gradex.gcore as gc
 import gradex.ghom as gh
@@ -494,6 +498,150 @@ def contains(M, m, bound=32, points=2 ** 18):
         if len(seen) > points:
             break
     return None
+
+
+# ---------------------------------------------------------------------------
+# integer lattices: bases, solutions and kernels by separate Smith forms
+# ---------------------------------------------------------------------------
+
+def _columns(cols, n):
+    """The n-row matrix with the given columns."""
+    return [[col[i] for col in cols] for i in range(n)]
+
+
+def lattice_column_basis(cols, n):
+    """Basis of the lattice in Z^n spanned by the given columns: the
+    columns of A V with a nonzero diagonal entry in U A V = D."""
+    if not cols or not n:
+        return []
+    A = _columns(cols, n)
+    _, D, V = ag.smith_normal_form(A)[:3]
+    AV = ag.mat_mul(A, V)
+    r = sum(1 for i in range(min(n, len(cols))) if D[i][i] != 0)
+    return [[AV[i][j] for i in range(n)] for j in range(r)]
+
+
+def integer_solutions(cols, n, bs):
+    """For each b, one integer x with A x = b, or None: A is the n-row
+    matrix of the given columns, in one Smith form of its own."""
+    if not cols or not n:
+        return [None if any(b) else [0] * len(cols) for b in bs]
+    U, D, V = ag.smith_normal_form(_columns(cols, n))[:3]
+    return [_solution(U, D, V, len(cols), b) for b in bs]
+
+
+def _solution(U, D, V, m, b):
+    y = [0] * m
+    for i, c in enumerate(ag.mat_vec(U, b)):
+        d = D[i][i] if i < min(len(U), m) else 0
+        if d and c % d == 0:
+            y[i] = c // d
+        elif c:
+            return None
+    return ag.mat_vec(V, y)
+
+
+def _xgcd(a, b):
+    """(g, x, y) with g = x a + y b a gcd of a and b, up to sign."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, a, b = a // b, b, a % b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return a, x0, y0
+
+
+def hermite_basis(cols, n):
+    """The column Hermite normal form of the lattice in Z^n that the
+    columns span: one basis per lattice, so two generating sets span the
+    same lattice iff their forms are equal.  Row by row, extended-gcd
+    steps on pairs of columns leave one pivot, made positive, and the
+    entries of the earlier pivots in its row are reduced modulo it."""
+    rest, basis = [list(c) for c in cols], []
+    for i in range(n):
+        piv, others = None, []
+        for c in rest:
+            if not c[i]:
+                others.append(c)
+            elif piv is None:
+                piv = c
+            else:
+                g, x, y = _xgcd(piv[i], c[i])
+                a, b = piv[i] // g, c[i] // g
+                piv, c = ([x * p + y * q for p, q in zip(piv, c)],
+                          [b * p - a * q for p, q in zip(piv, c)])
+                others.append(c)
+        rest = others
+        if piv is not None:
+            piv = piv if piv[i] > 0 else [-p for p in piv]
+            basis = [[p - b[i] // piv[i] * q for p, q in zip(b, piv)]
+                     for b in basis] + [piv]
+    return basis
+
+
+def reference_quotient_group(n, relation_cols):
+    """(group, lift) of Z^n / <relation_cols>: the lift inverts U by a
+    second Smith form (Uk U V = I, so U^-1 = V Uk)."""
+    if not relation_cols:
+        return ag.FGAbelianGroup(n, ()), [[int(i == j) for j in range(n)]
+                                          for i in range(n)]
+    U, D, _ = ag.smith_normal_form(_columns(relation_cols, n))[:3]
+    diag = [D[i][i] if i < len(relation_cols) else 0 for i in range(n)]
+    keep = [i for i, d in enumerate(diag) if d == 0] + \
+        [i for i, d in enumerate(diag) if d >= 2]
+    Uk, I, V = ag.smith_normal_form(U)[:3]
+    assert all(I[i][i] == 1 for i in range(n))
+    Uinv = ag.mat_mul(V, Uk)
+    group = ag.FGAbelianGroup(sum(1 for d in diag if d == 0),
+                              tuple(d for d in diag if d >= 2))
+    return group, [[Uinv[i][j] for j in keep] for i in range(n)]
+
+
+class _Expired(Exception):
+    pass
+
+
+def within(seconds, f, *args):
+    """f(*args), or None when a wall-clock alarm ends it after
+    ``seconds`` (POSIX, main thread only)."""
+    def expire(*_):
+        raise _Expired
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        return f(*args)
+    except _Expired:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def reference_kernel(h):
+    """(K, incl matrix) for the kernel of the group map h: the preimage
+    lattice P = {x : M x in L_H} rebuilt as a lattice basis from the
+    kernel of [M | D_H] and the source relations, those relations solved
+    for in that basis, and K = P / L_G: the chain that
+    ``GroupHom._kernel`` replaces, with up to three more Smith forms.
+    Their transforms can grow without bound even on maps of a few
+    generators: Z^2 x Z/3 x Z/15 -> Z/3 x Z/15 with the columns (2, 14),
+    (0, 7), (1, 5), (2, 0) ran past 60 s on a 2-vCPU machine, where
+    ``GroupHom._kernel`` takes under 1 ms."""
+    n, rel_G = h.source.dim, h.source.relation_columns()
+    rel_H = h.target.relation_columns()
+    A = [list(row) + [c[i] for c in rel_H] for i, row in enumerate(h.matrix)]
+    m = n + len(rel_H)
+    kernel = [[int(i == j) for i in range(m)] for j in range(m)]
+    if A:
+        _, D, V = ag.smith_normal_form(A)[:3]
+        r = sum(1 for i in range(min(len(A), m)) if D[i][i])
+        kernel = [list(col) for col in zip(*V)][r:]
+    P = lattice_column_basis([v[:n] for v in kernel] + rel_G, n)
+    if not P:
+        return ag.ZERO_GROUP, [[]] * n
+    C_cols = integer_solutions(P, n, rel_G)
+    K, lift = reference_quotient_group(len(P), C_cols)
+    return K, ag.mat_mul(_columns(P, n), lift)
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,17 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import gradex.abgroups as ag
+import gradex.gcore as gc
 from gradex.exactla import QQ, det
-from support import Pair, assert_record
+from support import (Pair, assert_record, hermite_basis, integer_solutions,
+                     lattice_column_basis, reference_kernel, within)
+
+
+def identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 small_matrices = st.lists(
@@ -19,8 +25,10 @@ class TestSmithNormalForm:
     @given(small_matrices)
     @settings(max_examples=150, deadline=None)
     def test_factorization_and_divisibility(self, A):
-        U, D, V = ag.smith_normal_form(A)
+        U, D, V, Ui, Vi = ag.smith_normal_form(A)
         assert ag.mat_mul(ag.mat_mul(U, A), V) == D
+        assert ag.mat_mul(U, Ui) == identity(len(A))
+        assert ag.mat_mul(V, Vi) == identity(len(A[0]))
         diag = [D[i][i] for i in range(min(len(D), len(D[0])))]
         for i in range(len(diag) - 1):
             if diag[i + 1] != 0:
@@ -32,17 +40,17 @@ class TestSmithNormalForm:
                     assert D[i][j] == 0
 
     def test_worked_examples(self):
-        _, D, _ = ag.smith_normal_form([[2, 4], [6, 8]])
+        D = ag.smith_normal_form([[2, 4], [6, 8]])[1]
         assert [D[0][0], D[1][1]] == [2, 4]
-        _, D, _ = ag.smith_normal_form([[2, 0], [0, 3]])
+        D = ag.smith_normal_form([[2, 0], [0, 3]])[1]
         assert [D[0][0], D[1][1]] == [1, 6]
-        _, D, _ = ag.smith_normal_form([[0]])
+        D = ag.smith_normal_form([[0]])[1]
         assert D == [[0]]
 
     @given(small_matrices)
     @settings(max_examples=80, deadline=None)
     def test_unimodular_transforms(self, A):
-        U, D, V = ag.smith_normal_form(A)
+        U, D, V, _, _ = ag.smith_normal_form(A)
         for T in (U, V):
             assert det(QQ, [list(map(QQ.of, row)) for row in T]) in (1, -1)
 
@@ -196,6 +204,82 @@ class TestFiniteMapsByEnumeration:
         K, incl, tf, finite, order = ag.kernel_data(h)
         assert finite and order == K.order == len(kernel)
         assert {incl(k) for k in elements(K)} == kernel
+
+
+@st.composite
+def maps_with_free_parts(draw):
+    """A map between groups of free rank at most 2 beside a torsion chain
+    of FINITE_GROUPS: column j may be any image of a free generator j,
+    and for a generator of order d any image with no free part that d
+    kills, its torsion coordinates left unreduced."""
+    G, H = (ag.FGAbelianGroup(draw(st.integers(0, 2)), draw(
+        st.sampled_from(FINITE_GROUPS)).torsion_factors) for _ in "GH")
+    cols = [[draw(st.integers(-9, 9)) for _ in range(H.dim)]
+            for _ in range(G.free_rank)]
+    cols += [[0] * H.free_rank + [draw(st.integers(0, e)) * (e // gcd(d, e))
+                                  for e in H.torsion_factors]
+             for d in G.torsion_factors]
+    return ag.GroupHom(G, H, [[c[i] for c in cols] for i in range(H.dim)])
+
+
+@st.composite
+def monoid_generators(draw):
+    """(d, generators in Z^d) for a monoid of at most 5 generators in Z^d,
+    d <= 3."""
+    d = draw(st.integers(0, 3))
+    return d, draw(st.lists(st.lists(st.integers(-9, 9), min_size=d,
+                                     max_size=d), max_size=5))
+
+
+class TestAgainstSeparateSmithForms:
+    """The one Smith form of a map or a monoid, held to the chain of
+    separate factorisations in ``support.reference_kernel``."""
+
+    @given(maps_with_free_parts())
+    @settings(max_examples=150, deadline=None)
+    def test_kernels(self, h):
+        system = h._system
+        for T, Tinv in ((system.U, system.Uinv), (system.V, system.Vinv)):
+            assert not T or ag.mat_mul(T, Tinv) == identity(len(T))
+        K, incl, tf, finite, order = ag.kernel_data(h)
+        assert (tf, finite, order) == (K.is_torsionfree, K.is_finite,
+                                       K.order)
+        assert all(h(incl(K.element(c))).is_zero for c in identity(K.dim))
+        # the reference may run past any budget: then it has no answer
+        ref = within(2, reference_kernel, h)
+        assume(ref is not None)
+        ref_K, ref_incl = ref
+        assert K == ref_K
+        # beside the source relations, the columns of incl span the
+        # lattice that the reference's span: so incl maps K onto ker h, a
+        # group isomorphic to K, and is injective (finitely generated
+        # abelian groups are Hopfian), as its own mono test finds
+        n, rel_G = h.source.dim, h.source.relation_columns()
+        assert hermite_basis(list(zip(*incl.matrix)) + rel_G, n) == \
+            hermite_basis(list(zip(*ref_incl)) + rel_G, n)
+        assert ag.hom_props(incl)[1]
+
+    @given(monoid_generators(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_monoid_lattices(self, monoid, data):
+        d, gens = monoid
+        M = gc.AffineMonoid(d, gens)
+        gens = [list(g) for g in M.generators]
+        group, basis = M.diff_group()
+        assert basis == lattice_column_basis(gens, d)
+        assert group == ag.Z(len(basis))
+        L = M._lattice
+        for T, Tinv in ((L.U, L.Uinv), (L.V, L.Vinv)):
+            assert not T or ag.mat_mul(T, Tinv) == identity(len(T))
+        x = data.draw(st.lists(st.integers(-5, 5), min_size=len(gens),
+                               max_size=len(gens)))
+        inside = [sum(c * g[i] for c, g in zip(x, gens)) for i in range(d)]
+        other = data.draw(st.lists(st.integers(-9, 9), min_size=d,
+                                   max_size=d))
+        for m, ref in zip((inside, other),
+                          integer_solutions(basis, d, (inside, other))):
+            assert M.diff_coords(m) == (None if ref is None else tuple(ref))
+        assert M.diff_coords(inside) is not None
 
 
 class TestRecords:

@@ -190,7 +190,7 @@ def test_6_schanuel():
     L, inclL = gm.kernel(beta)
     p2 = gh.minimal_cover(L)
     K2, incl2 = gm.kernel(p2)
-    res2 = gh.FreeResolution(K, [beta, p2], [inclL, incl2], 2, False, False)
+    res2 = gh.FreeResolution(K, [beta, p2], [inclL, incl2], 2, False)
     iso, verified = gh.schanuel_glue(res1, res2, 1)
     assert verified and iso.is_iso()
     dims = {d.coords[0]: c for d, c in iso.source.hilbert().items()}

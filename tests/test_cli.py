@@ -65,6 +65,16 @@ MODULE_R = {  # the regular module
     "action": [[0, 0, [[0, "1"]]], [0, 1, [[1, "1"]]], [1, 0, [[1, "1"]]]],
 }
 
+MODULE_QX4_X2 = {  # Q[X]/(X^4) modulo <X^2>
+    "ring": {"group": {"free_rank": 1}, "field": "Q",
+             "basis": [{"degree": [k]} for k in range(4)],
+             "mul": [[i, j, [[i + j, 1]]] for i in range(4)
+                     for j in range(4 - i)],
+             "unit": [1, 0, 0, 0]},
+    "basis": [{"degree": [0]}, {"degree": [1]}],
+    "action": [[0, 0, [[0, 1]]], [0, 1, [[1, 1]]], [1, 0, [[1, 1]]]],
+}
+
 MODULE_F2 = {  # F2[Z/2] as a module over itself
     "ring": RING_F2Z2,
     "basis": [{"degree": [0]}, {"degree": [1]}],
@@ -212,7 +222,7 @@ class TestFunctors:
         assert cli.run([command, json.dumps(ring),
                         "--phi", json.dumps(PHI_DOUBLING)]) == 0
         capsys.readouterr()
-        assert len(calls) <= 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("workload, doc_id", [
         ("finite-fields", "adjoint-check-f2x6-double"),
@@ -351,6 +361,24 @@ class TestModules:
         assert out["betti"] == {"0": {"0": 1}, "1": {"1": 1},
                                 "2": {"2": 1}, "3": {"3": 1}}
 
+    @pytest.mark.parametrize("field", ["Q", {"p": 2}])
+    def test_resolve_over_a_product_of_fields_is_not_minimal(self, capsys,
+                                                             field):
+        # R = K x K in degree 0 and M = R: free of rank 1, but the greedy
+        # cover takes both idempotents, and nil(R) F = 0 cannot hold the
+        # nonzero kernel
+        ring = {"group": {"free_rank": 1}, "field": field,
+                "basis": [{"degree": [0]}, {"degree": [0]}],
+                "mul": [[0, 0, [[0, 1]]], [1, 1, [[1, 1]]]], "unit": [1, 1]}
+        doc = json.dumps({"ring": ring, "basis": ring["basis"],
+                          "action": ring["mul"]})
+        code, out = run_json(capsys, ["module", doc])
+        assert code == 0 and out["free"] is True and out["rank"] == 1
+        code, out = run_json(capsys, ["resolve", doc, "--cutoff", "2"])
+        assert code == 0 and out["betti"] == {str(i): {"0": 2}
+                                              for i in range(3)}
+        assert out["minimal"] is False and out["verified"] is True
+
     def test_dimensions(self, docs, capsys):
         for cmd in ("pd", "id", "fd"):
             code, out = run_json(capsys, [cmd, str(docs / "K.json"),
@@ -382,6 +410,22 @@ class TestModules:
             assert code == 2 and err["kind"] == "validation", n
             assert len(calls) == 4, n
 
+    def test_schanuel_guard_fires_before_any_resolution(self, capsys,
+                                                        monkeypatch):
+        # dim K_i = 2 * 3^i on the non-minimal side, so the Schanuel sums
+        # of lengths 1..4 hold 704 basis vectors and those of 1..5 2158
+        calls, resolution = [], gh.resolution
+        monkeypatch.setattr(gh, "resolution", lambda *a, **k: calls.append(
+            a) or resolution(*a, **k))
+        doc = json.dumps(MODULE_QX4_X2)
+        for n in ("5", "32"):
+            code = cli.run(["schanuel", doc, "--n", n])
+            err = json.loads(capsys.readouterr().err)
+            assert code == 3 and err["kind"] == "size-guard", n
+            assert not calls
+        code, out = run_json(capsys, ["schanuel", doc, "--n", "4"])
+        assert code == 0 and out["verified"] is True and len(calls) == 2
+
     def test_coarsen_compare(self, docs, capsys):
         code, out = run_json(capsys, ["coarsen-compare", str(docs / "K.json"),
                                       "--psi", str(docs / "psi2.json"),
@@ -391,20 +435,37 @@ class TestModules:
 
     def test_coarsen_compare_keeps_the_kernel_of_psi(self, tmp_path, capsys,
                                                      monkeypatch):
-        # psi's kernel is computed once, however many epi tests read it:
-        # one Smith form of [M | D_H] and one of the kernel lattice
-        doc = next(d for d in corpus.corpus("homological",
-                                            corpus.DEFAULT_SEED)
-                   if d["id"] == "coarsen-compare-q3-x1-z2")
-        for name, text in doc["files"].items():
-            (tmp_path / name).write_text(text)
-        monkeypatch.chdir(tmp_path)
-        calls, snf = [], ag.smith_normal_form
-        monkeypatch.setattr(ag, "smith_normal_form",
-                            lambda A: calls.append(A) or snf(A))
-        assert cli.run(doc["argv"]) == 0
-        capsys.readouterr()
-        assert len(calls) == 2
+        # psi's kernel is computed once, however many epi tests read it,
+        # and read off the one Smith form of [M | D_H]
+        calls = smith_forms_of_corpus_doc("homological",
+                                          "coarsen-compare-q3-x1-z2",
+                                          tmp_path, capsys, monkeypatch)
+        assert len(calls) == 1
+
+    def test_kernel_of_a_torsion_source_takes_one_smith_form(
+            self, tmp_path, capsys, monkeypatch):
+        # psi: Z/6 -> 0 has no [M | D_H] to factor; the kernel Z/6 takes
+        # one Smith form, for its invariant factors
+        calls = smith_forms_of_corpus_doc("finite-fields", "coarsen-f3z6-0",
+                                          tmp_path, capsys, monkeypatch)
+        assert calls == [[[6]]]
+
+
+def smith_forms_of_corpus_doc(workload, doc_id, tmp_path, capsys,
+                              monkeypatch):
+    """The matrices ``smith_normal_form`` factors while the seed-0 corpus
+    document ``doc_id`` runs in-process."""
+    doc = next(d for d in corpus.corpus(workload, corpus.DEFAULT_SEED)
+               if d["id"] == doc_id)
+    for name, text in doc["files"].items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    calls, snf = [], ag.smith_normal_form
+    monkeypatch.setattr(ag, "smith_normal_form",
+                        lambda A: calls.append(A) or snf(A))
+    assert cli.run(doc["argv"]) == 0
+    capsys.readouterr()
+    return calls
 
 
 class TestSpecAndOracles:

@@ -11,13 +11,15 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 import gradex.cli as cli
 from gradex.exactla import QQ
 import samples as S
-from test_cli import HELP_TEXTS, MODULE_R, PSI_Z_TO_0, RING_F5X2, RING_QX2
+from test_cli import (HELP_TEXTS, MODULE_QX4_X2, MODULE_R, PSI_Z_TO_0,
+                      RING_F5X2, RING_QX2)
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 PIPE_ERROR = {"error": "[Errno 32] Broken pipe", "kind": "validation"}
@@ -168,3 +170,13 @@ def test_closed_stdout_descriptor_exits_zero(docs, env):
     proc = gradex(["classify", str(docs / "ring.json")], env,
                   stdout=None, preexec_fn=lambda: os.close(1))
     assert proc.returncode == 0 and proc.stderr == b""
+
+
+def test_schanuel_refuses_a_long_glue_at_once(env):
+    # --n 32 over Q[X]/(X^4) modulo <X^2>: dim K_32 = 2 * 3^32 on the
+    # non-minimal side, refused before either resolution is built
+    t0 = time.perf_counter()
+    proc = gradex(["schanuel", json.dumps(MODULE_QX4_X2), "--n", "32"], env)
+    assert time.perf_counter() - t0 < 1.0
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert json.loads(proc.stderr)["kind"] == "size-guard"

@@ -244,13 +244,12 @@ class TestMonoidShortcuts:
         assert rep["result"] == "equals_restriction"
 
     def test_lattice_basis_built_once(self, monkeypatch):
-        # the fine degree of every monoid point needs diff(M)
-        calls = []
-
-        def counting(*args):
-            calls.append(args)
-            return ag.lattice_column_basis(*args)
-        monkeypatch.setattr(gc, "lattice_column_basis", counting)
+        # the fine degree of every monoid point needs diff(M): its basis
+        # and every coordinate in it read one Smith form of the generators
+        # (the group maps factor matrices of 3 rows, G = Z^3)
+        calls, snf = [], ag.smith_normal_form
+        monkeypatch.setattr(ag, "smith_normal_form",
+                            lambda A: calls.append(A) or snf(A))
         A = gc.MonoidAlgebra(S.trivial_algebra(QQ, Z(1)), gc.AffineMonoid(
             2, [(1, 0), (0, 1), (1, 1)]), mode="fine")
         G = A.grading_group()
@@ -258,7 +257,7 @@ class TestMonoidShortcuts:
                                    for i in range(G.dim)])
         rep = gf.monoid_corestriction_report(A, identity)
         assert rep["result"] == "equals_restriction"
-        assert len(calls) == 1
+        assert [B for B in calls if len(B) == 2] == [[[1, 0, 1], [0, 1, 1]]]
 
     @pytest.mark.parametrize("gens, dmatrix", [
         ([(1,)], [[2]]),

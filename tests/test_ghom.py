@@ -370,13 +370,13 @@ class TestResolutions:
 
     def test_minimality_detects_nonminimal(self):
         # the non-minimal cover of the regular module uses two
-        # generators, so the first syzygy contains a unit coefficient
+        # generators, so the first syzygy contains a unit coefficient:
+        # the resolution is exact, and not minimal
         R = S.dual_numbers(GF(2))
         K = regular_module(R)
         res = gh.resolution(K, cutoff=2, minimal=False)
-        res_claimed = gh.FreeResolution(K, res.covers, res.incls,
-                                        res.cutoff, True, res.terminated)
-        assert not res_claimed.verify()
+        assert res.verify() and not res.is_minimal()
+        assert gh.resolution(K, cutoff=2).is_minimal()
 
 
     def test_cutoff_8_resolution_within_budget(self):
@@ -621,14 +621,14 @@ class TestCoarsenDimensionCompare:
 
 class TestRecords:
     def test_free_resolution(self):
-        fields = (1, [2], [3], 4, True, False)
+        fields = (1, [2], [3], 4, False)
         a = gh.FreeResolution(*fields)
         assert_record(a, gh.FreeResolution(
-            target=1, covers=[2], incls=[3], cutoff=4, minimal=True,
-            terminated=False), gh.FreeResolution(1, [2], [3], 4, True, True),
-            fields, gh.DimensionReport("projective", 1, 4), frozen=False)
+            target=1, covers=[2], incls=[3], cutoff=4, terminated=False),
+            gh.FreeResolution(1, [2], [3], 4, True), fields,
+            gh.DimensionReport("projective", 1, 4), frozen=False)
         assert repr(a) == ("FreeResolution(target=1, covers=[2], incls=[3], "
-                           "cutoff=4, minimal=True, terminated=False)")
+                           "cutoff=4, terminated=False)")
 
     def test_dimension_report(self):
         a = gh.DimensionReport("projective", None, 4)
@@ -636,7 +636,7 @@ class TestRecords:
                                             cutoff=4),
                       gh.DimensionReport("flat", None, 4),
                       ("projective", None, 4),
-                      gh.FreeResolution("projective", None, 4, 0, 0, 0),
+                      gh.FreeResolution("projective", None, 4, 0, 0),
                       frozen=False)
         assert a.display == ">=4"
         assert repr(a) == ("DimensionReport(kind='projective', value=None, "
