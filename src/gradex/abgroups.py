@@ -396,8 +396,11 @@ def image_index_data(h: GroupHom):
     return diag + [0] * (h.target.dim - len(diag))
 
 
-def hom_props(h: GroupHom):
-    """(epi, mono, iso) flags."""
-    epi = all(d == 1 for d in image_index_data(h))
-    mono = kernel_data(h)[0].dim == 0
-    return epi, mono, epi and mono
+def is_epi(h: GroupHom):
+    """Is h onto?  Read off the diagonal of its Smith form alone."""
+    return all(d == 1 for d in image_index_data(h))
+
+
+def is_mono(h: GroupHom):
+    """Is h injective?  Read off its kernel."""
+    return kernel_data(h)[0].dim == 0

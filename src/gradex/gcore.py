@@ -21,8 +21,9 @@ coordinates in the basis: the core reads its degree (``vec_degree``)
 and its products (``act_vec``, ``mult_matrix``).
 Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
-canonical homogeneous basis (``graded_span``), one closure under the
-action (``submodule_span``) and one matrix of an element's action
+canonical homogeneous basis (``graded_span``), one generated submodule
+(``submodule_span``: the products of the basis of R with a basis of
+the generators, in one pass) and one matrix of an element's action
 (``mult_matrix``).  An ideal is that basis, a list of coordinate
 vectors: ``nilradical``, ``ideal_from_gens`` and ``spec_enumerate``
 return it, and ``quotient_ring`` takes any list of homogeneous vectors,
@@ -338,27 +339,16 @@ class _GradedSpace(_Derivable):
             basis.extend(la.span_basis(self.field, by_degree[g]))
         return basis
 
-    def submodule_span(self, gens, acting=None):
+    def submodule_span(self, gens):
         """graded_span of the graded submodule generated by the vectors:
-        their graded span, closed under the action of the acting
-        algebra's basis vectors x_i (those with i in ``acting``, if
-        given).  Each round acts only on a basis of what the last round
-        added modulo the span before it: the rows of one rref of the
-        span and the products whose pivots are new.  The span is brought
-        to its canonical basis once, at the end."""
+        the span of the x_i . b for every basis vector x_i of the acting
+        algebra and every b in a graded_span basis of the vectors.  It
+        holds each b (1 is a sum of the x_i) and is closed under the
+        action (x_i (x_j b) is a sum of the x_k b), so one pass does."""
         f, r = self.field, len(self._nz)
-        acting = range(r) if acting is None else acting
-        basis = spanning = new = self.graded_span(gens)
-        pivots = set(self.leads(basis))
-        while True:
-            products = [self.act_vec(la.unit_vector(f, r, i), b)
-                        for b in new for i in acting]
-            rows, lead = la.rref(f, spanning + products)
-            if len(lead) == len(spanning):
-                return basis if spanning is basis else \
-                    self.graded_span(spanning)
-            new = [v for v, p in zip(rows, lead) if p not in pivots]
-            spanning, pivots = rows[:len(lead)], set(lead)
+        return self.graded_span([self.act_vec(la.unit_vector(f, r, i), b)
+                                 for b in self.graded_span(gens)
+                                 for i in range(r)])
 
     def quotient(self, sub):
         """The quotient by a subspace closed under the action, given its
@@ -441,9 +431,10 @@ class GradedAlgebra(_GradedSpace):
         """Indices S of basis vectors generating the algebra, chosen
         greedily: x_s joins S when it is not in the span W of the
         right-nested words x_s1 (x_s2 (... (x_sk 1))) in S so far.  W is
-        closed under the x_i in S, so it grows by the submodule that
-        x_s . W generates under S and x_s: each generator is closed once.
-        Only grading, commutativity and the unit need to hold, so the
+        closed under the x_i in S, so it grows by the closure of x_s . W
+        under S: each round acts only on the rows of one rref whose
+        pivots are new, and each generator is closed once.  Only
+        grading, commutativity and the unit need to hold, so the
         associativity check of the algebra itself can use S."""
         f, n = self.field, self.dim
         S, words = [], self.graded_span([self.unit])
@@ -451,10 +442,19 @@ class GradedAlgebra(_GradedSpace):
             if len(words) == n:
                 break
             x = la.unit_vector(f, n, s)
-            if la.coords_in_basis(f, words, [x]) == [None]:
-                S.append(s)
-                words = la.span_basis(f, words + self.submodule_span(
-                    [self.act_vec(x, w) for w in words], S))
+            if la.coords_in_basis(f, words, [x]) != [None]:
+                continue
+            S.append(s)
+            new = span = self.graded_span([self.act_vec(x, w) for w in words])
+            lead = self.leads(span)
+            while new:
+                old = set(lead)
+                span, lead = la.rref(f, span + [
+                    self.act_vec(la.unit_vector(f, n, i), b)
+                    for b in new for i in S])
+                new = [v for v, p in zip(span, lead) if p not in old]
+                span = span[:len(lead)]
+            words = la.span_basis(f, words + span)
         return tuple(S)
 
     def __eq__(self, other):
@@ -664,11 +664,10 @@ def nilradical_generators(R: GradedAlgebra):
     f, N = R.field, nilradical(R)
     square = R.graded_span([R.act_vec(x, y) for i, x in enumerate(N)
                             for y in N[i:]])
-    gens = []
-    for v in N:
-        if la.rank(f, square + gens + [v]) > len(square) + len(gens):
-            gens.append(v)
-    return gens
+    # v joins when it is not in N^2 plus the span of the vectors before
+    # it: the pivot columns of [N^2 | N]
+    _, pivots = la.rref(f, [list(row) for row in zip(*square + N)])
+    return [N[p - len(square)] for p in pivots if p >= len(square)]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .abgroups import FGAbelianGroup, GroupHom, GroupError, hom_props
+from .abgroups import FGAbelianGroup, GroupHom, GroupError, is_epi, is_mono
 from . import exactla as la
 from ._record import Record
 from .gcore import (GradedAlgebra, MonoidAlgebra, AlgebraError,
@@ -60,8 +60,7 @@ class AlgebraMorphism(_Morphism):
 def _require_epi(psi, group):
     if psi.source != group:
         raise FunctorError("grading group does not match the epimorphism source")
-    epi, _, _ = hom_props(psi)
-    if not epi:
+    if not is_epi(psi):
         raise FunctorError("coarsening requires an epimorphism")
 
 
@@ -97,8 +96,7 @@ def coarsen(X, psi):
 # ---------------------------------------------------------------------------
 
 def _require_mono(phi):
-    _, mono, _ = hom_props(phi)
-    if not mono:
+    if not is_mono(phi):
         raise FunctorError("restriction requires a monomorphism")
 
 

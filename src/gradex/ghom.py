@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 
-from .abgroups import GroupHom, hom_props, kernel_data
+from .abgroups import GroupHom, is_epi, kernel_data
 from . import exactla as la
 from ._record import Record
 from .gcore import _scatter, nilradical, nilradical_generators
@@ -280,8 +280,7 @@ def _agreement(fine: DimensionReport, coarse: DimensionReport):
 def coarsen_dimension_compare(M: GradedModule, psi: GroupHom, cutoff=6):
     """pd / fd (and id when ker(psi) is finite) must agree between M
     and its coarsening, along with the pushed-forward betti tables."""
-    epi, _, _ = hom_props(psi)
-    if not epi:
+    if not is_epi(psi):
         raise ModuleError("dimension comparison needs an epimorphism")
     Mc = coarsen_module(M, psi)
     res, resc = resolution(M, cutoff), resolution(Mc, cutoff)

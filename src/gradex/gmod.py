@@ -13,25 +13,26 @@ regular module.  Module and ring morphisms share one check too
 suffices, since the x with F x = x F form a subalgebra of R with 1.
 Submodules are canonical homogeneous bases from the same core
 (``graded_span``, ``submodule_span``); a graded ideal of R is such a
-basis for the regular module.  A free module, the direct sum of
-the shifts R(-d_t), is known by its generator degrees d_t:
-``free_module`` records them as ``free_degrees``, and freeness reports,
-covers, lifts and Betti tables read them there.  Kernels, quotients and
-HOM are built per degree, so the induced gradings come out of the
-construction.  Subspaces are solved for (``kernel_basis``,
-``graded_span``, HOM's equivariance equations); coordinates in their
-bases are read at the leads (``_GradedSpace.leads``) or at HOM's free
-slots, never solved for, and ``coords_in_basis`` only decides
-membership.
+basis for the regular module.  Minimal generators modulo the graded
+radical (Nakayama) are the pivots of one elimination.  A free module,
+the direct sum of the shifts R(-d_t), is known by its generator
+degrees d_t: ``free_module`` records them as ``free_degrees``, and
+freeness reports, covers, lifts and Betti tables read them there.
+Kernels, quotients and HOM are built per degree, so the induced
+gradings come out of the construction.  Subspaces are solved for
+(``kernel_basis``, ``graded_span``, HOM's equivariance equations);
+coordinates in their bases are read at the leads
+(``_GradedSpace.leads``) or at HOM's free slots, never solved for, and
+``coords_in_basis`` only decides membership.
 """
 
 from __future__ import annotations
 
-from .abgroups import GroupHom, hom_props
+from .abgroups import GroupHom, is_epi
 from . import exactla as la
 from ._record import Record
-from .gcore import GradedAlgebra, _GradedSpace, _Morphism, classify_ring, \
-    nilradical_generators
+from .gcore import GradedAlgebra, _GradedSpace, _Morphism, _scatter, \
+    classify_ring, nilradical_generators
 
 
 class ModuleError(ValueError):
@@ -392,21 +393,19 @@ def freeness(M: GradedModule, seed=la.DEFAULT_SEED) -> FreenessReport:
 
 def minimal_generators(M: GradedModule):
     """Homogeneous lifts of a basis of M modulo its graded radical,
-    chosen in degree order then index order."""
-    f = M.field
-    rad = radical_submodule(M)
-    chosen = []
-    span = list(rad)
-    for j in sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t)):
-        e = la.unit_vector(f, M.dim, j)
-        if la.coords_in_basis(f, span, [e])[0] is None:
-            chosen.append(e)
-            # redundancy is modulo the submodule generated so far, not
-            # just its linear span: a generator may span several basis
-            # vectors through unit multiples.  rad + sum R.e_t grows by
-            # R.e alone, so each generator is closed once
-            span += M.submodule_span([e])
-    return chosen
+    chosen greedily in degree order then index order: e_t joins unless
+    it lies in W_t = rad + sum_s R.e_s over the e_s before it.  W_t is a
+    submodule, the same whether s runs over the e_s chosen or over all
+    of them, and it holds e_t iff it holds every x_i . e_t.  So e_t
+    joins iff a column x_i . e_t is a pivot of [rad | x_i . e_t for each
+    e_t in turn]: one rref."""
+    f, rad = M.field, radical_submodule(M)
+    order = sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t))
+    blocks = [(t, row) for t in order for block in M._nz if (row := block[t])]
+    cols = rad + [_scatter(f, M.dim, *zip(*row)) for _, row in blocks]
+    _, pivots = la.rref(f, [list(row) for row in zip(*cols)])
+    chosen = {blocks[p - len(rad)][0] for p in pivots if p >= len(rad)}
+    return [la.unit_vector(f, M.dim, t) for t in order if t in chosen]
 
 
 def is_monogeneous(M: GradedModule):
@@ -583,8 +582,7 @@ def principal_suite(P: PrincipalPresentation, psi: GroupHom | None = None):
         "rank_bound_ok": rank <= len(P.gens),
     }
     if psi is not None:
-        epi, _, _ = hom_props(psi)
-        if not epi or psi.source != P.var_degree.group:
+        if not is_epi(psi) or psi.source != P.var_degree.group:
             raise ModuleError("coarsening map does not fit the grading")
         # a basis stays a basis after coarsening, so freeness and rank
         # carry over; record the re-test

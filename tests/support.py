@@ -336,8 +336,23 @@ def solved_hom_action(N, maps):
 
 
 # ---------------------------------------------------------------------------
-# algebra generators: the span re-closed for each new generator
+# generators: spans closed by brute force, membership solved for
 # ---------------------------------------------------------------------------
+
+def closure(X, vectors, acting):
+    """A basis of the span of the vectors closed under the x_i with i in
+    ``acting``: every product taken again until the span stops
+    growing."""
+    f = X.field
+    span = la.span_basis(f, vectors)
+    while True:
+        grown = la.span_basis(f, span + [
+            la.mat_vec_mul(f, X.action_matrix(i), v)
+            for v in span for i in acting])
+        if len(grown) == len(span):
+            return span
+        span = grown
+
 
 def reference_generators(R):
     """The greedy generators of ``GradedAlgebra._generators``, the span of
@@ -351,8 +366,37 @@ def reference_generators(R):
         if la.coords_in_basis(f, words,
                               [la.unit_vector(f, n, s)]) == [None]:
             S.append(s)
-            words = R.submodule_span(words, S)
+            words = closure(R, words, S)
     return tuple(S)
+
+
+def reference_minimal_generators(M):
+    """The unit vectors ``gm.minimal_generators`` chooses, one membership
+    solve each: e joins when it is not in the radical plus the
+    submodules the vectors chosen before it generate."""
+    f = M.field
+    span = list(gm.radical_submodule(M))
+    chosen = []
+    for j in sorted(range(M.dim),
+                    key=lambda t: (M.basis_degrees[t].coords, t)):
+        e = la.unit_vector(f, M.dim, j)
+        if la.coords_in_basis(f, span, [e])[0] is None:
+            chosen.append(e)
+            span += closure(M, [e], range(M.algebra.dim))
+    return chosen
+
+
+def reference_nilradical_generators(R):
+    """The basis vectors of N = nil(R) that ``gc.nilradical_generators``
+    chooses, one rank each: v joins when it is not in N^2 plus the
+    vectors chosen before it."""
+    f, N = R.field, gc.nilradical(R)
+    square = R.graded_span([R.act_vec(x, y) for x in N for y in N])
+    gens = []
+    for v in N:
+        if la.rank(f, square + gens + [v]) > len(square) + len(gens):
+            gens.append(v)
+    return gens
 
 
 def square_zero_document(n):

@@ -106,13 +106,13 @@ class TestHoms:
             img = h(incl(K.element(c)))
             assert img.is_zero
 
-    def test_hom_props(self):
-        epi, mono, iso = ag.hom_props(ag.GroupHom(ag.Z(1), ag.Zmod(2), [[1]]))
-        assert epi and not mono and not iso
-        epi, mono, iso = ag.hom_props(ag.GroupHom(ag.Z(1), ag.Z(1), [[2]]))
-        assert not epi and mono and not iso
-        epi, mono, iso = ag.hom_props(ag.GroupHom(ag.Z(1), ag.Z(1), [[-1]]))
-        assert epi and mono and iso
+    def test_epi_and_mono(self):
+        h = ag.GroupHom(ag.Z(1), ag.Zmod(2), [[1]])
+        assert ag.is_epi(h) and not ag.is_mono(h)
+        h = ag.GroupHom(ag.Z(1), ag.Z(1), [[2]])
+        assert not ag.is_epi(h) and ag.is_mono(h)
+        h = ag.GroupHom(ag.Z(1), ag.Z(1), [[-1]])
+        assert ag.is_epi(h) and ag.is_mono(h)
 
     def test_preimage_under_mono(self):
         phi = ag.GroupHom(ag.Z(1), ag.Z(1), [[2]])
@@ -127,7 +127,7 @@ class TestHoms:
     def test_maps_out_of_z(self):
         G = ag.Zmod(2, 4)
         h = ag.GroupHom(ag.Z(1), G, [[1], [1]])   # x -> (x mod 2, x mod 4)
-        assert ag.hom_props(h) == (False, False, False)
+        assert (ag.is_epi(h), ag.is_mono(h)) == (False, False)
         assert ag.image_index_data(h) == [1, 2]   # G / im h = Z/2
         K, incl, tf, finite, order = ag.kernel_data(h)
         assert (K, tf, finite, order) == (ag.Z(1), True, False, None)
@@ -137,7 +137,7 @@ class TestHoms:
         assert h.preimage(G.element((0, 1))) is None
         # x -> (2x, x) is a monomorphism onto a subgroup of index 4
         h = ag.GroupHom(ag.Z(1), ag.FGAbelianGroup(1, (2,)), [[2], [1]])
-        assert ag.hom_props(h) == (False, True, False)
+        assert (ag.is_epi(h), ag.is_mono(h)) == (False, True)
         assert ag.image_index_data(h) == [1, 4]
         assert ag.kernel_data(h)[0] == ag.ZERO_GROUP
         assert h.preimage(h.target.element((6, 1))).coords == (3,)
@@ -146,7 +146,7 @@ class TestHoms:
     def test_maps_into_z(self):
         # (a, b) -> 2a + 3b is onto, with kernel spanned by (3, -2)
         h = ag.GroupHom(ag.Z(2), ag.Z(1), [[2, 3]])
-        assert ag.hom_props(h) == (True, False, False)
+        assert (ag.is_epi(h), ag.is_mono(h)) == (True, False)
         K, incl, tf, finite, _ = ag.kernel_data(h)
         assert K == ag.Z(1) and tf and not finite
         assert incl.matrix in (((3,), (-2,)), ((-3,), (2,)))
@@ -154,7 +154,7 @@ class TestHoms:
             assert h(h.preimage(ag.Z(1).element((n,)))).coords == (n,)
         # a finite group maps to Z by zero only
         h = ag.GroupHom(ag.Zmod(4), ag.Z(1), [[0]])
-        assert ag.hom_props(h) == (False, False, False)
+        assert (ag.is_epi(h), ag.is_mono(h)) == (False, False)
         assert ag.image_index_data(h) == [0]
         assert ag.kernel_data(h)[0] == ag.Zmod(4)
         assert h.preimage(ag.Z(1).element((0,))).coords == (0,)
@@ -198,8 +198,7 @@ class TestFiniteMapsByEnumeration:
             x = h.preimage(y)
             assert (x is None) is (y not in image)
             assert x is None or h(x) == y
-        epi, mono, iso = ag.hom_props(h)
-        assert (epi, mono) == (len(image) == h.target.order,
+        assert (ag.is_epi(h), ag.is_mono(h)) == (len(image) == h.target.order,
                                len(kernel) == 1)
         K, incl, tf, finite, order = ag.kernel_data(h)
         assert finite and order == K.order == len(kernel)
@@ -257,7 +256,7 @@ class TestAgainstSeparateSmithForms:
         n, rel_G = h.source.dim, h.source.relation_columns()
         assert hermite_basis(list(zip(*incl.matrix)) + rel_G, n) == \
             hermite_basis(list(zip(*ref_incl)) + rel_G, n)
-        assert ag.hom_props(incl)[1]
+        assert ag.is_mono(incl)
 
     @given(monoid_generators(), st.data())
     @settings(max_examples=150, deadline=None)

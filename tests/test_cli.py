@@ -435,8 +435,8 @@ class TestModules:
 
     def test_coarsen_compare_keeps_the_kernel_of_psi(self, tmp_path, capsys,
                                                      monkeypatch):
-        # psi's kernel is computed once, however many epi tests read it,
-        # and read off the one Smith form of [M | D_H]
+        # psi's Smith form of [M | D_H] is made once, however many epi
+        # tests read its diagonal, and psi's kernel is read off it
         calls = smith_forms_of_corpus_doc("homological",
                                           "coarsen-compare-q3-x1-z2",
                                           tmp_path, capsys, monkeypatch)
@@ -444,10 +444,15 @@ class TestModules:
 
     def test_kernel_of_a_torsion_source_takes_one_smith_form(
             self, tmp_path, capsys, monkeypatch):
-        # psi: Z/6 -> 0 has no [M | D_H] to factor; the kernel Z/6 takes
-        # one Smith form, for its invariant factors
+        # psi: Z/6 -> 0 has no [M | D_H] to factor, and coarsening only
+        # tests that psi is onto, so it factors nothing; the kernel Z/6
+        # of the same psi takes one Smith form, for its invariant factors
         calls = smith_forms_of_corpus_doc("finite-fields", "coarsen-f3z6-0",
                                           tmp_path, capsys, monkeypatch)
+        assert calls == []
+        psi = cli.hom_from_json(json.loads(
+            (tmp_path / "coarsen-f3z6-0.psi.json").read_text()))
+        ag.kernel_data(psi)
         assert calls == [[[6]]]
 
 

@@ -97,7 +97,7 @@ class TestCoarsening:
 
         def recomputed(*args):
             raise AssertionError("the closure ran again")
-        monkeypatch.setattr(gc._GradedSpace, "submodule_span", recomputed)
+        monkeypatch.setattr(gc._GradedSpace, "act_vec", recomputed)
         Rc = gf.coarsen_algebra(R, S.psi_Z_to_zero())
         assert Rc._generators == gens
 

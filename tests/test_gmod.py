@@ -1,5 +1,13 @@
-import pytest
+import contextlib
+import io
+import pathlib
+import sys
+from itertools import product
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+
+import gradex.cli as cli
 import gradex.exactla as la
 import gradex.gmod as gm
 import gradex.gcore as gc
@@ -11,11 +19,17 @@ from gradex.exactla import QQ, GF
 import samples as S
 from support import (adjunction_dims_check, assert_record, cokernel, dense,
                      entries, generated_submodule, image, monogeneous_by_walk,
-                     regular_module, shift, solved_hom_action,
-                     solved_subspace_action, tensor)
+                     reference_minimal_generators,
+                     reference_nilradical_generators, regular_module, shift,
+                     solved_hom_action, solved_subspace_action, tensor)
+from test_fuzz import modules as module_documents
 from test_gcore import mixed_basis, rescaled_truncated
 from test_ghom import sample_modules
 from test_oracles import quotient_by_power
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent
+                       / "bench"))
+import corpus  # noqa: E402
 
 
 def hkey(h):
@@ -428,6 +442,72 @@ class TestMonogeneity:
         # Q x Q is not graded-local: a generator of e_0 R + e_1 R has a
         # part in each block, so it exists only when both lie in one degree
         assert gm.is_monogeneous(build()) is expected
+
+
+def sample_rings():
+    """Every finite ring of ``finite_rings`` and the samples over Q."""
+    return finite_rings() + [
+        S.trivial_algebra(), S.truncated_polynomial_algebra(QQ, 4),
+        S.dual_numbers(), S.field_extension_algebra(),
+        S.gaussian_rationals(), S.product_field_algebra(QQ),
+        gf.coarsen(S.gaussian_rationals(), S.psi_Zmod_to_zero(2))]
+
+
+class TestMinimalGenerators:
+    """The pivots of one elimination choose the generators and the
+    nilradical's lifts that membership solves and closures chose."""
+
+    @pytest.mark.parametrize("ring", range(len(sample_rings())))
+    def test_agree_with_the_reference_on_the_samples(self, ring):
+        R = sample_rings()[ring]
+        assert gc.nilradical_generators(R) == \
+            reference_nilradical_generators(R), R
+        for M in monogeneity_family(R):
+            assert gm.minimal_generators(M) == \
+                reference_minimal_generators(M), M
+
+    @pytest.mark.parametrize("field", [QQ, GF(2)], ids=["Q", "F2"])
+    def test_a_product_of_fields_keeps_the_greedy_choice(self, field):
+        # (1, 1) alone generates K x K, but the greedy choice modulo
+        # nil(R) M = 0 takes both idempotents, and resolve prints the
+        # Betti numbers 2, 2, 2 of that cover
+        M = regular_module(S.product_field_algebra(field))
+        gens = gm.minimal_generators(M)
+        assert gens == reference_minimal_generators(M) == \
+            [la.unit_vector(field, 2, j) for j in range(2)]
+        assert gh.resolution(M, 2).betti() == [{(0,): 2}] * 3
+
+    @given(module_documents())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_agree_with_the_reference_on_drawn_modules(self, doc):
+        M = cli.module_from_json(doc)
+        assert gm.minimal_generators(M) == reference_minimal_generators(M)
+
+    def test_agree_with_the_reference_on_the_corpora(self, tmp_path,
+                                                     monkeypatch):
+        # every module the corpus documents cover, kernels and duals
+        # included
+        seen, minimal = [], gm.minimal_generators
+
+        def checked(M):
+            gens = minimal(M)
+            assert gens == reference_minimal_generators(M), M
+            seen.append(M)
+            return gens
+        monkeypatch.setattr(gm, "minimal_generators", checked)
+        monkeypatch.setattr(gh, "minimal_generators", checked)
+        for workload, seed in product(sorted(corpus.WORKLOADS),
+                                      (corpus.DEFAULT_SEED, 7, 1001)):
+            for doc in corpus.corpus(workload, seed):
+                d = tmp_path / f"{seed}-{doc['id']}"
+                d.mkdir()
+                for name, text in doc["files"].items():
+                    (d / name).write_text(text)
+                monkeypatch.chdir(d)
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert cli.run(doc["argv"]) == 0, doc["id"]
+        assert seen
 
 
 class TestSmallSubmodules:
