@@ -18,7 +18,8 @@ generators of its source ring only: the elements its matrix commutes
 with form a subalgebra, which holds 1 (for a ring map, once F(1) = 1).
 An element of a ring is, as one of a module, the list of its
 coordinates in the basis: the core reads its degree (``vec_degree``)
-and its products (``act_vec``, ``mult_matrix``).
+and its products (``act_vec``, ``mult_matrix``).  The degree order is
+written once (``components``); spans and kernels are solved per degree.
 Subobjects rest on the same core: a graded ideal is a graded submodule of
 R regarded as a module over itself, so ideals and submodules share one
 canonical homogeneous basis (``graded_span``), one generated submodule
@@ -229,12 +230,22 @@ class _GradedSpace(_Derivable):
 
     # -- grading ---------------------------------------------------------
 
+    @cached_property
+    def components(self):
+        """Degree -> ascending indices of its basis vectors, the degrees
+        in ``coords`` order: the one place that orders a space's degrees.
+        Shared by every caller, so callers do not change its lists."""
+        out = {}   # coords (cheaper to hash than a degree) -> (g, idx)
+        for j, d in enumerate(self.basis_degrees):
+            out.setdefault(d.coords, (d, []))[1].append(j)
+        return dict(out[c] for c in sorted(out))
+
     def degrees(self):
         """Degree support, canonically ordered."""
-        return sorted(set(self.basis_degrees), key=lambda g: g.coords)
+        return list(self.components)
 
     def component_indices(self, g):
-        return [j for j in range(self.dim) if self.basis_degrees[j] == g]
+        return self.components.get(g, [])
 
     def hilbert(self):
         """Degree -> dimension of the component."""
@@ -253,16 +264,6 @@ class _GradedSpace(_Derivable):
         degs = {self.basis_degrees[j] for j, c in enumerate(v) if c != 0}
         return degs.pop() if len(degs) == 1 else None
 
-    def homogeneous_components(self, v):
-        """Degree -> homogeneous part of the coordinate vector v."""
-        out = {}
-        for j, c in enumerate(v):
-            if c != 0:
-                w = out.setdefault(self.basis_degrees[j],
-                                   [self.field.zero] * self.dim)
-                w[j] = c
-        return out
-
     def homogeneous_vectors(self, limit=HOMOGENEOUS_ENUM_LIMIT):
         """All (degree, nonzero homogeneous element) pairs over a finite
         field; refused when the components hold more than ``limit``
@@ -270,11 +271,10 @@ class _GradedSpace(_Derivable):
         f = self.field
         if not f.is_finite:
             raise AlgebraError("cannot enumerate homogeneous elements over Q")
-        total = sum(f.p ** c for c in self.hilbert().values())
+        total = sum(f.p ** len(idx) for idx in self.components.values())
         if total > limit:
             raise SizeGuardExceeded(f"{total} homogeneous elements > {limit}")
-        for g in self.degrees():
-            idx = self.component_indices(g)
+        for g, idx in self.components.items():
             for vals in product(f.elements(), repeat=len(idx)):
                 if any(v != 0 for v in vals):
                     yield g, _scatter(f, self.dim, idx, vals)
@@ -329,14 +329,28 @@ class _GradedSpace(_Derivable):
     def graded_span(self, vectors):
         """Canonical homogeneous basis of the graded span of the vectors:
         per degree, in degree order, the rref basis of their homogeneous
-        parts."""
-        by_degree = {}
-        for v in vectors:
-            for g, w in self.homogeneous_components(v).items():
-                by_degree.setdefault(g, []).append(w)
-        basis = []
-        for g in sorted(by_degree, key=lambda g: g.coords):
-            basis.extend(la.span_basis(self.field, by_degree[g]))
+        parts, each reduced on the columns of its component."""
+        f, basis = self.field, []
+        nonzero = [(v, s) for v in vectors
+                   if (s := {j for j, c in enumerate(v) if c})]
+        for idx in self.components.values():
+            parts = [[v[j] for j in idx] for v, s in nonzero
+                     if not s.isdisjoint(idx)]
+            basis += [_scatter(f, self.dim, idx, w)
+                      for w in la.span_basis(f, parts)]
+        return basis
+
+    def graded_kernel(self, A):
+        """graded_span basis of the homogeneous x with A x = 0 (the
+        kernel of a stack of homogeneous maps): per component, one
+        kernel_basis on its columns reversed, 1 at its free column, 0 at
+        the others and nonzero only to its right: the rref, backwards."""
+        f, basis = self.field, []
+        for idx in self.components.values():
+            rev = idx[::-1]
+            block = [r for row in A if any(r := [row[j] for j in rev])]
+            basis += [_scatter(f, self.dim, rev, w)
+                      for w in reversed(la.kernel_basis(f, block, len(rev)))]
         return basis
 
     def submodule_span(self, gens):
@@ -354,14 +368,15 @@ class _GradedSpace(_Derivable):
         """The quotient by a subspace closed under the action, given its
         graded_span basis: (reps, proj, entries).  reps are the
         coordinates that lead no vector of sub (sub is in rref within
-        each degree, so their unit vectors complete it), ordered by
-        degree, then index; proj is the projection along span(sub) onto
+        each degree, so their unit vectors complete it), in the order
+        of ``components``; proj is the projection along span(sub) onto
         their span; entries are the nonzero (i, t, k, c) with
         proj(x_i . v_{reps[t]}) = sum_k c v_{reps[k]}."""
         f, r = self.field, len(self._nz)
         lead = self.leads(sub)
-        reps = sorted(set(range(self.dim)).difference(lead),
-                      key=lambda j: (self.basis_degrees[j].coords, j))
+        led = set(lead)
+        reps = [j for idx in self.components.values() for j in idx
+                if j not in led]
         # x - sum_v x_lead(v) v vanishes at the leads (see leads): its
         # entries at reps are proj x
         proj = []
@@ -647,12 +662,7 @@ def nilradical(R: GradedAlgebra):
         A, q = step, f.p
         while q < n:
             A, q = la.mat_mul(f, step, A), q * f.p
-    vecs = []
-    for g in R.degrees():
-        idx = R.component_indices(g)
-        vecs += [_scatter(f, n, idx, w) for w in la.kernel_basis(
-            f, [[row[c] for c in idx] for row in A], len(idx))]
-    return R.graded_span(vecs)
+    return R.graded_kernel(A)
 
 
 @_once_per_algebra

@@ -79,7 +79,7 @@ def _tor1_vanishes(p: ModuleMorphism) -> bool:
     generator of F, and NK is spanned by the g.k for the ideal
     generators g of N, since K is a submodule."""
     F, f, R = p.source, p.source.field, p.source.algebra
-    K = la.kernel_basis(f, p.matrix, F.dim)
+    K = F.graded_kernel(p.matrix)
     NK = [F.act_vec(g, k) for g in nilradical_generators(R) for k in K]
     return len(F.free_degrees) * len(nilradical(R)) == \
         la.rank(f, NK) + len(radical_submodule(p.target))
@@ -130,13 +130,16 @@ class FreeResolution(Record):
 
     def is_minimal(self):
         """Does each kernel K_{i+1} lie in nil(R) F_i?  Then no cover has
-        a superfluous generator (graded Nakayama).  Greedy covers can
-        fail it when (R/nil R)_0 is not a field, as over Q x Q."""
-        f = self.target.field
-        return all(None not in la.coords_in_basis(
-            f, radical_submodule(p.source), [list(c) for c in
-                                             zip(*incl.matrix)])
-            for p, incl in zip(self.covers, self.incls))
+        a superfluous generator (graded Nakayama); greedy covers fail it
+        when (R/nil R)_0 is not a field, as over Q x Q.  F_i is a copy of
+        R per generator, so each generator block of each kernel vector
+        is tested against nil(R), all in one solve."""
+        R, f = self.target.algebra, self.target.field
+        blocks = [c[t * R.dim:(t + 1) * R.dim]
+                  for p, incl in zip(self.covers, self.incls)
+                  for c in zip(*incl.matrix)
+                  for t in range(len(p.source.free_degrees))]
+        return None not in la.coords_in_basis(f, nilradical(R), blocks)
 
 
 def _check_cutoff(cutoff):
@@ -205,7 +208,7 @@ def schanuel_glue(res1: FreeResolution, res2: FreeResolution, n: int):
         raise ModuleError("resolutions shorter than the glue length")
     iso = _schanuel_rec(res1.target, res1.covers[:n], res1.incls[:n],
                         res2.covers[:n], res2.incls[:n])
-    return iso, iso.is_iso() and iso.source.hilbert() == iso.target.hilbert()
+    return iso, iso.is_iso()
 
 
 def _pad(cover, incl, Q, D):

@@ -19,14 +19,17 @@ the direct sum of the shifts R(-d_t), is known by its generator
 degrees d_t: ``free_module`` records them as ``free_degrees``, and
 freeness reports, covers, lifts and Betti tables read them there.
 Kernels, quotients and HOM are built per degree, so the induced
-gradings come out of the construction.  Subspaces are solved for
-(``kernel_basis``, ``graded_span``, HOM's equivariance equations);
+gradings come out of the construction.  Subspaces are solved one
+component or degree at a time (``graded_span``, ``graded_kernel``,
+HOM's equivariance equations);
 coordinates in their bases are read at the leads
 (``_GradedSpace.leads``) or at HOM's free slots, never solved for, and
 ``coords_in_basis`` only decides membership.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from .abgroups import GroupHom, is_epi
 from . import exactla as la
@@ -90,12 +93,17 @@ class ModuleMorphism(_Morphism):
         return self.target.action_matrix(i)
 
     def is_mono(self):
-        return not la.kernel_basis(self.target.field, self.matrix,
-                                   self.source.dim)
+        return not self.source.graded_kernel(self.matrix)
 
     def is_iso(self):
-        return (self.source.dim == self.target.dim
-                and la.det(self.target.field, self.matrix) != 0)
+        """Equal dimensions and a square block of full rank in each
+        degree of the source (so equal Hilbert functions): the map is
+        the sum of its maps between components."""
+        S, T, F, f = self.source, self.target, self.matrix, self.target.field
+        return S.dim == T.dim and all(
+            len(rows := T.component_indices(g)) == len(idx) and
+            la.rank(f, [[F[k][j] for j in idx] for k in rows]) == len(idx)
+            for g, idx in S.components.items())
 
     def __repr__(self):
         return (f"ModuleMorphism({self.source.dim} -> {self.target.dim} "
@@ -161,11 +169,9 @@ def _module_on_subspace(M: GradedModule, basis):
 
 
 def kernel(u: ModuleMorphism):
-    """(kernel module, inclusion into the source)."""
-    f = u.source.field
-    basis = u.source.graded_span(la.kernel_basis(f, u.matrix,
-                                                 u.source.dim))
-    return _module_on_subspace(u.source, basis)
+    """(kernel module, inclusion into the source), solved on each
+    degree block: u preserves degrees."""
+    return _module_on_subspace(u.source, u.source.graded_kernel(u.matrix))
 
 
 def _image_span(u: ModuleMorphism):
@@ -236,8 +242,8 @@ def graded_hom(M: GradedModule, N: GradedModule):
     if M.algebra != N.algebra:
         raise ModuleError("HOM over different algebras")
     R, f = M.algebra, M.field
-    cand = sorted({(N.basis_degrees[k] - M.basis_degrees[j]).coords
-                   for k in range(N.dim) for j in range(M.dim)})
+    cand = sorted({(h - g).coords for h in N.components
+                   for g in M.components})
     basis_mats, basis_degs, nonzero, free = [], [], [], {}
     for gc in cand:
         g = R.group.element(gc)
@@ -302,40 +308,27 @@ class FreenessReport(Record):
 def _candidate_specs(M: GradedModule):
     """All multisets of generator degrees whose shifted copies of R add
     up to the Hilbert function of M, in canonical order."""
-    R = M.algebra
+    R, results = M.algebra, {}   # multiset -> its first spec
     hR = R.hilbert()
-    target = {d: c for d, c in M.hilbert().items()}
-    degree_order = sorted(target, key=lambda d: d.coords)
-    results = []
 
-    def rec(remaining, chosen, min_key):
-        if all(c == 0 for c in remaining.values()):
-            results.append(list(chosen))
+    def rec(remaining, chosen):
+        # only branch on the first deficient degree
+        d = next((d for d in M.components if remaining[d]), None)
+        if d is None:
+            results.setdefault(frozenset(Counter(chosen).items()), chosen)
             return
-        for d in degree_order:
-            if d.coords < min_key or remaining.get(d, 0) == 0:
-                continue
-            # try a generator of degree d - d0 for each degree d0 of R
-            for d0 in sorted(hR, key=lambda g: g.coords):
-                gen = d - d0
-                shifted = {dd + gen: c for dd, c in hR.items()}
-                if all(remaining.get(k, 0) >= c for k, c in shifted.items()):
-                    nxt = dict(remaining)
-                    for k, c in shifted.items():
-                        nxt[k] -= c
-                    rec(nxt, chosen + [gen], d.coords)
-            return  # only branch on the first deficient degree
+        # try a generator of degree d - d0 for each degree d0 of R
+        for d0 in R.components:
+            gen = d - d0
+            shifted = {dd + gen: c for dd, c in hR.items()}
+            if all(remaining.get(k, 0) >= c for k, c in shifted.items()):
+                nxt = dict(remaining)
+                for k, c in shifted.items():
+                    nxt[k] -= c
+                rec(nxt, chosen + [gen])
     if R.dim > 0:
-        rec(target, [], min(d.coords for d in degree_order) if degree_order
-            else ())
-    dedup = []
-    seen = set()
-    for spec in results:
-        key = tuple(sorted(g.coords for g in spec))
-        if key not in seen:
-            seen.add(key)
-            dedup.append(spec)
-    return dedup
+        rec(M.hilbert(), [])
+    return list(results.values())
 
 
 def _iso_search(M: GradedModule, gen_degrees, seed=la.DEFAULT_SEED):
@@ -400,7 +393,7 @@ def minimal_generators(M: GradedModule):
     joins iff a column x_i . e_t is a pivot of [rad | x_i . e_t for each
     e_t in turn]: one rref."""
     f, rad = M.field, radical_submodule(M)
-    order = sorted(range(M.dim), key=lambda t: (M.basis_degrees[t].coords, t))
+    order = [t for idx in M.components.values() for t in idx]
     blocks = [(t, row) for t in order for block in M._nz if (row := block[t])]
     cols = rad + [_scatter(f, M.dim, *zip(*row)) for _, row in blocks]
     _, pivots = la.rref(f, [list(row) for row in zip(*cols)])
@@ -420,8 +413,7 @@ def is_monogeneous(M: GradedModule):
     R, f = M.algebra, M.field
     Q, _ = _quotient_module(M, radical_submodule(M))
     acts = [Q.action_matrix(i) for i in R.component_indices(R.group.zero)]
-    for g in Q.degrees():
-        idx = Q.component_indices(g)
+    for idx in Q.components.values():
         if len(Q.submodule_span([la.unit_vector(f, Q.dim, j)
                                  for j in idx])) == Q.dim and \
                 la.rank(f, [[A[r][c] for r in idx for c in idx]
@@ -437,18 +429,14 @@ def is_monogeneous(M: GradedModule):
 def radical_submodule(M: GradedModule):
     """Graded radical nil(R).M: the intersection of the maximal graded
     submodules for these finite-dimensional algebras."""
-    vecs = []
-    for g in nilradical_generators(M.algebra):
-        vecs.extend(zip(*M.mult_matrix(g)))   # the columns g . v_j
-    return M.graded_span(vecs)
+    return M.graded_span([c for g in nilradical_generators(M.algebra)
+                          for c in zip(*M.mult_matrix(g))])   # g . v_j
 
 
 def socle_submodule(M: GradedModule):
     """Graded socle: vectors killed by the graded radical of R."""
-    rows = []
-    for g in nilradical_generators(M.algebra):
-        rows.extend(M.mult_matrix(g))
-    return M.graded_span(la.kernel_basis(M.field, rows, M.dim))
+    return M.graded_kernel([row for g in nilradical_generators(M.algebra)
+                            for row in M.mult_matrix(g)])
 
 
 class SmallReport(Record):

@@ -144,11 +144,9 @@ def enumerate_graded_substructures(M: GradedModule):
     """All graded submodules of a finite module, canonically ordered.
     Each submodule is a tuple of full-length basis vectors."""
     f, consts = M.field, M.entries()
-    degrees = sorted(M.degrees(), key=lambda d: d.coords)
     per_degree = []
     total = 1
-    for g in degrees:
-        idx = M.component_indices(g)
+    for idx in M.components.values():
         subs = _component_subspaces(f, len(idx))
         per_degree.append((idx, subs))
         total *= len(subs)

@@ -6,7 +6,9 @@ cokernel, tensor product, dual morphism, radical of an ideal), and
 cross-checks that only the tests run (duality, the injective dimension
 walked through cokernels, Lambek, the currying adjunction, the morphism
 axioms checked on every basis vector, the action of a submodule and of
-HOM with its coordinates solved for, algebra generators chosen by
+HOM with its coordinates solved for, the dense spans, kernels,
+isomorphism tests and minimality test that the core's per-component
+solves are held to, algebra generators chosen by
 re-closing the whole span, intersections of ideals, a walk over every
 homogeneous element for a single generator, the element tables of a
 finite algebra, and, for an affine monoid, the Fourier-Motzkin
@@ -333,6 +335,57 @@ def solved_hom_action(N, maps):
     return _entries_from_coords(la.coords_in_basis(f, flat, [
         [x for row in la.mat_mul(f, N.action_matrix(i), F) for x in row]
         for i in range(N.algebra.dim) for F in maps]), len(maps))
+
+
+# ---------------------------------------------------------------------------
+# dense references for what the core solves per component or generator
+# block: spans by homogeneous parts, kernels by one kernel_basis of the
+# whole matrix, isomorphisms by one determinant, minimality against the
+# radical of each free module
+# ---------------------------------------------------------------------------
+
+def homogeneous_parts(X, v):
+    """Degree -> homogeneous part of the coordinate vector v, as a vector
+    of length X.dim."""
+    out = {}
+    for j, c in enumerate(v):
+        if c:
+            out.setdefault(X.basis_degrees[j], [X.field.zero] * X.dim)[j] = c
+    return out
+
+
+def reference_graded_span(X, vectors):
+    """Per degree, in ``coords`` order, the rref basis of the homogeneous
+    parts of the vectors, each reduced on all X.dim columns."""
+    by_degree = {}
+    for v in vectors:
+        for g, w in homogeneous_parts(X, v).items():
+            by_degree.setdefault(g, []).append(w)
+    return [b for g in sorted(by_degree, key=lambda g: g.coords)
+            for b in la.span_basis(X.field, by_degree[g])]
+
+
+def reference_kernel_basis(u):
+    """The basis of ``gm.kernel(u)``: one kernel_basis of the whole matrix
+    of u, brought to the canonical basis by homogeneous parts."""
+    return reference_graded_span(u.source, la.kernel_basis(
+        u.source.field, u.matrix, u.source.dim))
+
+
+def reference_is_iso(u):
+    """A square matrix of nonzero determinant."""
+    return (u.source.dim == u.target.dim
+            and la.det(u.target.field, u.matrix) != 0)
+
+
+def reference_is_minimal(res):
+    """Does each kernel of the resolution lie in the radical submodule of
+    the free module it is included in?"""
+    f = res.target.field
+    return all(None not in la.coords_in_basis(
+        f, gm.radical_submodule(p.source), [list(c) for c in
+                                            zip(*incl.matrix)])
+        for p, incl in zip(res.covers, res.incls))
 
 
 # ---------------------------------------------------------------------------

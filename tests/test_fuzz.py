@@ -95,9 +95,10 @@ def rings(draw):
 
 
 @st.composite
-def modules(draw):
-    """R/(x^k) over R = K[x]/(x^n), or copies of R, shifted."""
-    R = draw(rings())
+def modules(draw, ring=None):
+    """R/(x^k) over R = K[x]/(x^n), or copies of R, shifted; R is the
+    ring document given, or a drawn one."""
+    R = ring or draw(rings())
     G, n = R["group"], len(R["basis"])
     shift = degree(draw, G)
     degs = [[a + b for a, b in zip(d["degree"], shift)] for d in R["basis"]]

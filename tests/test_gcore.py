@@ -233,6 +233,29 @@ def rings_with_homogeneous_gens(draw):
     return R, gens
 
 
+class TestComponents:
+    """The one component map: the degrees in ``coords`` order, each with
+    its ascending basis indices, built once and read by ``degrees`` and
+    ``component_indices``."""
+
+    @pytest.mark.parametrize("shifts", [(), (0,), (2, 0, -1), (1, 1)])
+    def test_a_partition_in_degree_order(self, shifts):
+        G = Z(1)
+        M = gm.free_module(S.truncated_polynomial_algebra(QQ, 3),
+                           [G.element((s,)) for s in shifts])
+        comps = M.components
+        assert list(comps) == M.degrees() == sorted(
+            set(M.basis_degrees), key=lambda g: g.coords)
+        assert sorted(j for idx in comps.values() for j in idx) == \
+            list(range(M.dim))
+        for g, idx in comps.items():
+            assert idx == sorted(idx)
+            assert {M.basis_degrees[j] for j in idx} == {g}
+            assert M.component_indices(g) is idx
+        assert M.component_indices(G.element((99,))) == []
+        assert M.components is comps
+
+
 class TestIdealsAndQuotients:
     @given(rings_with_homogeneous_gens())
     @settings(max_examples=60, deadline=None)

@@ -5,7 +5,7 @@ import sys
 from itertools import product
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import gradex.cli as cli
 import gradex.exactla as la
@@ -19,10 +19,12 @@ from gradex.exactla import QQ, GF
 import samples as S
 from support import (adjunction_dims_check, assert_record, cokernel, dense,
                      entries, generated_submodule, image, monogeneous_by_walk,
+                     reference_graded_span, reference_is_iso,
+                     reference_is_minimal, reference_kernel_basis,
                      reference_minimal_generators,
                      reference_nilradical_generators, regular_module, shift,
                      solved_hom_action, solved_subspace_action, tensor)
-from test_fuzz import modules as module_documents
+from test_fuzz import modules as module_documents, rings as ring_documents
 from test_gcore import mixed_basis, rescaled_truncated
 from test_ghom import sample_modules
 from test_oracles import quotient_by_power
@@ -508,6 +510,86 @@ class TestMinimalGenerators:
                 with contextlib.redirect_stdout(io.StringIO()):
                     assert cli.run(doc["argv"]) == 0, doc["id"]
         assert seen
+
+
+@st.composite
+def degree_zero_maps(draw):
+    """A module morphism M -> N, M and N drawn over one drawn ring (K x K
+    and F_p among them) and N = M half the time: a drawn combination of
+    the degree-0 basis maps of HOM(M, N), with coefficients in -1..2, so
+    that many are singular."""
+    ring = draw(ring_documents())
+    M = cli.module_from_json(draw(module_documents(ring)))
+    N = M if draw(st.booleans()) else \
+        cli.module_from_json(draw(module_documents(ring)))
+    f, (H, maps) = M.field, gm.graded_hom(M, N)
+    F = la.zeros(f, N.dim, M.dim)
+    for d, G in zip(H.basis_degrees, maps):
+        if d == M.group.zero:
+            c = f.of(draw(st.integers(-1, 2)))
+            F = [[f.add(a, f.mul(c, b)) for a, b in zip(row, grow)]
+                 for row, grow in zip(F, G)]
+    return gm.ModuleMorphism(M, N, F)
+
+
+def handmade_maps():
+    """Degree-0 maps the drawn ones may miss, over Q and over F_3: an
+    idempotent of K x K (a non-isomorphism of equal dimension), the
+    cover of K[x]/(x^2) onto its residue field (a degree only in the
+    source) and the inclusion of its radical (a degree only in the
+    target); last, an automorphism of F_3[Z/2] graded by Z/2."""
+    maps = []
+    for field in (QQ, GF(3)):
+        P = regular_module(S.product_field_algebra(field))
+        maps.append(gm.ModuleMorphism(P, P, [[1, 0], [0, 0]]))
+        M = regular_module(S.dual_numbers(field))
+        K, cover = gm._quotient_module(M, gm.radical_submodule(M))
+        maps.append(gm.ModuleMorphism(M, K, cover))
+        maps.append(gm.kernel(maps[-1])[1])
+    G = regular_module(S.group_algebra(3, 2))
+    return maps + [gm.ModuleMorphism(G, G, [[2, 0], [0, 2]])]
+
+
+class TestPerComponentSolvesAgainstDense:
+    """Spans, kernels and the mono, iso and minimality tests, solved per
+    component or per generator block, give the bases and booleans of the
+    dense references in ``support``."""
+
+    @staticmethod
+    def assert_agree(u):
+        basis = reference_kernel_basis(u)
+        assert [list(c) for c in zip(*gm.kernel(u)[1].matrix)] == basis
+        assert u.is_mono() is (not basis)
+        assert u.is_iso() is reference_is_iso(u)
+
+    @given(degree_zero_maps())
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_kernels_and_isomorphisms_of_drawn_maps(self, u):
+        self.assert_agree(u)
+
+    @pytest.mark.parametrize("case", range(len(handmade_maps())))
+    def test_kernels_and_isomorphisms_of_handmade_maps(self, case):
+        u = handmade_maps()[case]
+        self.assert_agree(u)
+        assert u.is_iso() is (case == len(handmade_maps()) - 1)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graded_spans(self, data):
+        M = cli.module_from_json(data.draw(module_documents()))
+        vecs = [M.element(v) for v in data.draw(st.lists(
+            st.lists(st.integers(-2, 2), min_size=M.dim, max_size=M.dim),
+            max_size=6))]
+        assert M.graded_span(iter(vecs)) == reference_graded_span(M, vecs)
+        assert M.graded_span(vecs) == M.graded_span(M.graded_span(vecs))
+
+    @given(module_documents(), st.booleans())
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_minimality(self, doc, minimal):
+        res = gh.resolution(cli.module_from_json(doc), 2, minimal)
+        assert res.is_minimal() is reference_is_minimal(res)
 
 
 class TestSmallSubmodules:
